@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property, partial
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
@@ -30,7 +31,7 @@ from .chain_core import (
 from .coeff import CoeffAlgebra
 from .exterior_core import merge_wedge, perm_sign
 from .extension_dg import TrivialExtension
-from .modules import BasedModule, LinMap, QBasis, StructuralError
+from .modules import BasedModule, LinMap, QBasis, StructuralError, Vec
 from . import rational as ql
 
 
@@ -68,20 +69,50 @@ class Nerve:
     def depth(self):
         return max(len(s) for s in self.simplices) - 1
 
+    # The caches below live in the instance __dict__, which the frozen
+    # dataclass leaves out of equality and hashing.
+
+    @cached_property
+    def _by_dim(self):
+        by_dim = {}
+        for s in sorted(self.simplices):
+            by_dim.setdefault(len(s) - 1, []).append(s)
+        return {k: tuple(ss) for k, ss in by_dim.items()}
+
     def simplices_of_dim(self, k):
-        return sorted(s for s in self.simplices if len(s) == k + 1)
+        """The sorted k-simplices."""
+        return self._by_dim.get(k, ())
+
+    @cached_property
+    def cofaces(self):
+        """Each simplex s -> the pairs (t, k) with s = t minus its k-th vertex,
+        ordered by t, then k."""
+        table = {s: [] for s in self.simplices}
+        for l in range(1, self.depth + 1):
+            for t in self.simplices_of_dim(l):
+                for k in range(l + 1):
+                    table[t[:k] + t[k + 1 :]].append((t, k))
+        return {s: tuple(pairs) for s, pairs in table.items()}
 
     def has(self, simplex):
         return tuple(sorted(simplex)) in self.simplices
-
-    def edges(self):
-        return self.simplices_of_dim(1)
 
     @classmethod
     def from_json(cls, data):
         if isinstance(data, str):
             data = json.loads(data)
-        return cls.build(data["vertices"], data["simplices"])
+        if not isinstance(data, dict) or not {"vertices", "simplices"} <= set(data):
+            raise NerveError("a nerve is an object with 'vertices' and 'simplices'")
+        vertices, simplices = data["vertices"], data["simplices"]
+
+        def int_list(x):
+            return isinstance(x, list) and all(type(v) is int for v in x)
+
+        if not int_list(vertices) or not vertices:
+            raise NerveError("'vertices' must be a nonempty list of integers")
+        if not isinstance(simplices, list) or not all(int_list(s) for s in simplices):
+            raise NerveError("'simplices' must be a list of integer lists")
+        return cls.build(vertices, simplices)
 
     def to_json(self):
         return {"vertices": list(self.vertices), "simplices": [list(s) for s in sorted(self.simplices)]}
@@ -228,17 +259,17 @@ def yoneda_compose(u, v, hom_module):
 # -- cohomology of constant and twisted local systems ------------------------
 
 
-def cech_complex(nerve, module, transitions=None, max_degree=None):
+def cech_complex(nerve, module, transitions=None):
     """The sorted-simplex Cech complex of a (possibly twisted) local system.
 
     transitions maps ordered vertex pairs (a, b) on edges to algebra-linear
     automorphisms converting b-chart values into the a-chart; the Cech
-    differential twists its leading face through the transition.
+    differential twists its leading face through the transition.  This is
+    the one place the twisted differential is written.
     """
-    top = nerve.depth if max_degree is None else max_degree
     algebra = module.algebra
     modules = {}
-    for l in range(top + 1):
+    for l in range(nerve.depth + 1):
         labels = []
         grades = []
         for s in nerve.simplices_of_dim(l):
@@ -247,31 +278,60 @@ def cech_complex(nerve, module, transitions=None, max_degree=None):
                 grades.append(g)
         modules[l] = BasedModule(algebra, tuple(labels), f"C^{l}({module.name})", tuple(grades))
     diffs = {}
-    for l in range(top):
+    for l in range(nerve.depth):
         src, tgt = modules[l], modules[l + 1]
         d = LinMap(src, tgt)
         for (s, lab) in src.labels:
             out = tgt.zero()
-            for t in nerve.simplices_of_dim(l + 1):
-                for k in range(l + 2):
-                    if t[:k] + t[k + 1 :] != s:
-                        continue
-                    if k == 0 and transitions is not None:
-                        conv = transitions(t[0], t[1]).apply(module.basis_vec(lab))
-                        for lab2, c in conv.data.items():
-                            out = out + tgt.basis_vec((t, lab2), c)
-                    else:
-                        out = out + tgt.basis_vec((t, lab), (-1) ** k)
+            for t, k in nerve.cofaces[s]:
+                if k == 0 and transitions is not None:
+                    conv = transitions(t[0], t[1]).apply(module.basis_vec(lab))
+                    for lab2, c in conv.data.items():
+                        out = out + tgt.basis_vec((t, lab2), c)
+                else:
+                    out = out + tgt.basis_vec((t, lab), (-1) ** k)
             d.set_column((s, lab), out)
         diffs[l] = d
     return CochainComplex(algebra, modules, diffs)
 
 
-def cech_cohomology(nerve, module, degree, transitions=None):
+def cech_total_complex(nerve, columns, vertical, transitions=None):
+    """Tot of the Cech bicomplex of a complex of local systems.
+
+    columns maps each complex degree j to the module of that term;
+    vertical[j] is the chart-independent differential columns[j] ->
+    columns[j + 1] (absent means zero); transitions(j, a, b), when given,
+    is the b -> a chart change on columns[j].  Spot (l, j) holds the Cech
+    l-cochains of columns[j]; the totalization inserts (-1)^l on the
+    vertical part.
+    """
+    cech = {
+        j: cech_complex(nerve, M, None if transitions is None else partial(transitions, j))
+        for j, M in columns.items()
+    }
+    modules, horiz, vert = {}, {}, {}
+    for j, C in cech.items():
+        for l in C.degrees():
+            modules[(l, j)] = C.module(l)
+        for l, d in C.diffs.items():
+            horiz[(l, j)] = d
+    for j, v in vertical.items():
+        images = {lab: v.apply(columns[j].basis_vec(lab)) for lab in columns[j].labels}
+        for l in cech[j].degrees():
+            src, tgt = cech[j].module(l), cech[j + 1].module(l)
+            d = LinMap(src, tgt)
+            for (s, lab) in src.labels:
+                d.set_column((s, lab), Vec(tgt, {(s, lab2): c for lab2, c in images[lab].data.items()}))
+            vert[(l, j)] = d
+    algebra = next(iter(columns.values())).algebra
+    return totalize(Bicomplex(algebra, modules, horiz, vert, check=True))
+
+
+def cech_cohomology(nerve, module, degree):
     """Exact cohomology of the nerve with based-module coefficients."""
     if degree > nerve.depth:
         raise NerveError(f"nerve depth {nerve.depth} cannot support degree {degree}")
-    C = cech_complex(nerve, module, transitions)
+    C = cech_complex(nerve, module)
     return homology(C, degree)
 
 
@@ -335,15 +395,6 @@ def hom_value_to_linmap(ext, j, i, v):
             out = out + ext.lam_i(i).basis_vec(b, c)
         m.set_column(a, out)
     return m
-
-
-def linmap_to_hom_value(ext, j, i, m):
-    hom = hom_lam_module(ext, j, i)
-    out = hom.zero()
-    for a, col in m.cols.items():
-        for b, c in col.data.items():
-            out = out + hom.basis_vec((a, b), c)
-    return out
 
 
 class TwistCocycle:
@@ -446,68 +497,19 @@ class TwistFamily:
 # -- the Cech totalization of a twisted complex ------------------------------
 
 
-def twisted_total_complex(ext, twists, window=None):
+def twisted_total_complex(ext, twists):
     """Tot of the Cech bicomplex of the twisted resolution complex.
 
-    Bicomplex spot (l, -n'+...): horizontal = twisted Cech differential,
-    vertical = the resolution differential per chart; the totalization
-    inserts (-1)^l on the vertical part.
+    Column -n holds Lambda^{n+1} B, twisted by the level-n transitions,
+    with vertical differential n d_{n+1}.
     """
-    nerve = twists.nerve
     r = ext.rank
-    top = nerve.depth
-    algebra = ext.algebra
-    modules = {}
-    horiz = {}
-    vert = {}
-    for l in range(top + 1):
-        for n in range(r + 1):
-            M = ext.lam_b(n + 1)
-            labels, grades = [], []
-            for s in nerve.simplices_of_dim(l):
-                for lab, g in zip(M.labels, M.grades):
-                    labels.append((s, lab))
-                    grades.append(g)
-            modules[(l, -n)] = BasedModule(
-                algebra, tuple(labels), f"C^{l}(P_{n})", tuple(grades)
-            )
-    for (l, mn) in modules:
-        n = -mn
-        src = modules[(l, mn)]
-        M = ext.lam_b(n + 1)
-        if (l + 1, mn) in modules:
-            tgt = modules[(l + 1, mn)]
-            d = LinMap(src, tgt)
-            for (s, lab) in src.labels:
-                out = tgt.zero()
-                for t in nerve.simplices_of_dim(l + 1):
-                    for k in range(l + 2):
-                        if t[:k] + t[k + 1 :] != s:
-                            continue
-                        if k == 0:
-                            conv = twists.transition(n, t[0], t[1]).apply(M.basis_vec(lab))
-                            for lab2, c in conv.data.items():
-                                out = out + tgt.basis_vec((t, lab2), c)
-                        else:
-                            out = out + tgt.basis_vec((t, lab), (-1) ** k)
-                d.set_column((s, lab), out)
-            horiz[(l, mn)] = d
-        if (l, mn + 1) in modules:
-            tgt = modules[(l, mn + 1)]
-            dn = ext.hat_d(n)  # n d_{n+1}: Lambda^{n+1} B -> Lambda^n B
-            d = LinMap(src, tgt)
-            for (s, lab) in src.labels:
-                img = dn.apply(M.basis_vec(lab))
-                out = tgt.zero()
-                for lab2, c in img.data.items():
-                    out = out + tgt.basis_vec((s, lab2), c)
-                d.set_column((s, lab), out)
-            vert[(l, mn)] = d
-    bic = Bicomplex(algebra, modules, horiz, vert, check=True)
-    tot = totalize(bic)
-    if window is not None:
-        tot = tot.with_window(window)
-    return tot
+    return cech_total_complex(
+        twists.nerve,
+        {-n: ext.lam_b(n + 1) for n in range(r + 1)},
+        {-n: ext.hat_d(n) for n in range(1, r + 1)},
+        lambda j, a, b: twists.transition(-j, a, b),
+    )
 
 
 # -- the comparison morphism --------------------------------------------------
@@ -823,10 +825,12 @@ def q_operator(ext, nerve, i, j, v_cocycle):
         m = ql.zeros(tgt.flat(tl).dim, src.flat(l).dim)
         sb, tb = src.flat(l), tgt.flat(tl)
         for col, ((s, K), mono) in enumerate(sb.pairs):
-            # (v ^ eta) on a (tl)-simplex with front the v part
-            for t in nerve.simplices_of_dim(tl):
-                if t[deg_shift:] != s:
-                    continue
+            # (v ^ eta) on the tl-simplices t with t[deg_shift:] = s, whose
+            # front is the v part: deg_shift leading-vertex cofaces up from s
+            ts = [s]
+            for _ in range(deg_shift):
+                ts = [t for u in ts for t, k in nerve.cofaces[u] if k == 0]
+            for t in ts:
                 vv = v_cocycle.value(t[: deg_shift + 1])
                 for E, c in vv.data.items():
                     mw = merge_wedge(E, K)
@@ -1125,58 +1129,6 @@ def codim2_matrix(ext, kahler, nerve, nablas, chi):
 # -- the divisor class ---------------------------------------------------------
 
 
-def _sheaf_two_term_total(ext, nerve, bottom_module, top_module, vmap_fn, transitions=None):
-    """Tot of the Cech bicomplex of a two-term complex of local systems.
-
-    bottom sits in complex degree -1, top in degree 0; transitions apply to
-    both terms through the supplied map factory (or trivially).
-    """
-    algebra = ext.algebra
-    top = nerve.depth
-    modules = {}
-    horiz = {}
-    vert = {}
-    for l in range(top + 1):
-        for j, M in ((-1, bottom_module), (0, top_module)):
-            labels, grades = [], []
-            for s in nerve.simplices_of_dim(l):
-                for lab, g in zip(M.labels, M.grades):
-                    labels.append((s, lab))
-                    grades.append(g)
-            modules[(l, j)] = BasedModule(algebra, tuple(labels), f"C{l}[{j}]{M.name}", tuple(grades))
-    for (l, j), src in modules.items():
-        M = bottom_module if j == -1 else top_module
-        if (l + 1, j) in modules:
-            tgt = modules[(l + 1, j)]
-            d = LinMap(src, tgt)
-            for (s, lab) in src.labels:
-                out = tgt.zero()
-                for t in nerve.simplices_of_dim(l + 1):
-                    for k in range(l + 2):
-                        if t[:k] + t[k + 1 :] != s:
-                            continue
-                        if k == 0 and transitions is not None:
-                            conv = transitions(j, t[0], t[1]).apply(M.basis_vec(lab))
-                            for lab2, c in conv.data.items():
-                                out = out + tgt.basis_vec((t, lab2), c)
-                        else:
-                            out = out + tgt.basis_vec((t, lab), (-1) ** k)
-                d.set_column((s, lab), out)
-            horiz[(l, j)] = d
-        if j == -1:
-            tgt = modules[(l, 0)]
-            d = LinMap(src, tgt)
-            for (s, lab) in src.labels:
-                img = vmap_fn(s[0] if s else None, bottom_module.basis_vec(lab))
-                out = tgt.zero()
-                for lab2, c in img.data.items():
-                    out = out + tgt.basis_vec((s, lab2), c)
-                d.set_column((s, lab), out)
-            vert[(l, -1)] = d
-    bic = Bicomplex(algebra, modules, horiz, vert, check=True)
-    return totalize(bic)
-
-
 def divisor_class(nerve, delta_cochain, algebra=None):
     """The class of a rank-one cycle twisted by a line-bundle datum.
 
@@ -1195,95 +1147,67 @@ def divisor_class(nerve, delta_cochain, algebra=None):
     O = ext.lam_i(0)
     B = ext.lam_b(1)
     OO = BasedModule(algebra, ("o1", "o2"), "O+O")
+    unit = ("j", ())
+    # s': the inclusion of N* in L
+    s_prime = LinMap(N, B, {K: B.basis_vec(("i", K)) for K in N.labels})
 
     # W1: [N* -> B] with x |-> -(x, 0); trivial transitions
-    def w1_v(vertex, v):
-        out = B.zero()
-        for (k,), c in v.data.items():
-            out = out + B.basis_vec(("i", (k,)), -c)
-        return out
-
-    W1 = _sheaf_two_term_total(ext, nerve, N, B, w1_v)
+    W1 = cech_total_complex(nerve, {-1: N, 0: B}, {-1: s_prime.scale(-1)})
 
     # W2: [L_{-delta} -> O + O] with (i,a) |-> (-a, -a); L transitions twist
-    def w2_v(vertex, v):
-        a = v.coeff(("j", ()))
-        out = OO.zero()
-        if not a.is_zero():
-            out = out + OO.basis_vec("o1", -a) + OO.basis_vec("o2", -a)
-        return out
-
     def w2_tr(j, a, b):
         if j == 0:
             return LinMap.identity(OO)
         m = LinMap.identity(B)
         dval = delta_cochain.value((a, b))
-        col = B.basis_vec(("j", ()))
+        col = B.basis_vec(unit)
         for (k,), c in dval.data.items():
             col = col + B.basis_vec(("i", (k,)), -c)
-        m.set_column(("j", ()), col)
+        m.set_column(unit, col)
         return m
 
-    W2 = _sheaf_two_term_total(ext, nerve, B, OO, w2_v, transitions=w2_tr)
+    w2_v = LinMap(B, OO, {unit: OO.basis_vec("o1", -1) + OO.basis_vec("o2", -1)})
+    W2 = cech_total_complex(nerve, {-1: B, 0: OO}, {-1: w2_v}, w2_tr)
 
     # W3: [N* -> O] with the zero differential
-    def w3_v(vertex, v):
-        return O.zero()
+    W3 = cech_total_complex(nerve, {-1: N, 0: O}, {})
 
-    W3 = _sheaf_two_term_total(ext, nerve, N, O, w3_v)
+    def column_map(src, tgt, maps):
+        """The map of totals applying the chart-independent maps[j] on column j."""
 
-    def chain_map(src, tgt, bottom_fn, top_fn):
-        comps = {}
-        for n in sorted(set(src.degrees()) | set(tgt.degrees())):
-            sb, tb = src.flat(n), tgt.flat(n)
-            cols = []
-            for ((l, j), (s, lab)), mono in sb.pairs:
-                v = (bottom_fn if j == -1 else top_fn)(
-                    s, lab, algebra.monomial(mono)
-                )
-                col = [Fraction(0)] * tb.dim
-                for lab2, poly in v.data.items():
-                    for mono2, c in poly.terms.items():
-                        idx = tb.index.get((((l, j), (s, lab2)), mono2))
-                        if idx is not None:
-                            col[idx] = c
-                cols.append(col)
-            comps[n] = ql.transpose(cols) if cols else [[] for _ in range(tb.dim)]
-        return ComplexMap(src, tgt, comps)
+        def on_degree(n):
+            T = tgt.module(n)
 
-    # G1: W1 -> W2; bottom: s' = inclusion of N* in L; top: (t, 0)
-    def g1_bottom_fn(s, lab, c):
-        return B.basis_vec(("i", lab), c)
+            def fn(v):
+                out = T.zero()
+                for ((l, j), (s, lab)), c in v.data.items():
+                    img = maps[j].apply(maps[j].source.basis_vec(lab, c))
+                    for lab2, c2 in img.data.items():
+                        out = out + T.basis_vec(((l, j), (s, lab2)), c2)
+                return out
 
-    def g1_top_fn(s, lab, c):
-        if lab == ("j", ()):
-            return OO.basis_vec("o1", c)
-        return OO.zero()
+            return fn
 
-    G1 = chain_map(W1, W2, g1_bottom_fn, g1_top_fn)
+        degrees = sorted(set(src.degrees()) | set(tgt.degrees()))
+        return ComplexMap.from_functions(src, tgt, {n: on_degree(n) for n in degrees})
+
+    # G1: W1 -> W2; bottom: s'; top: (t, 0)
+    G1 = column_map(W1, W2, {-1: s_prime, 0: LinMap(B, OO, {unit: OO.basis_vec("o1")})})
     if not G1.is_chain_map():
         raise StructuralError("left comparison is not a chain map")
 
     # G2: W3 -> W2; bottom: s'; top: (0, id)
-    def g2_bottom_fn(s, lab, c):
-        return B.basis_vec(("i", lab), c)
-
-    def g2_top_fn(s, lab, c):
-        return OO.basis_vec("o2", c)
-
-    G2 = chain_map(W3, W2, g2_bottom_fn, g2_top_fn)
+    G2 = column_map(W3, W2, {-1: s_prime, 0: LinMap(O, OO, {K: OO.basis_vec("o2") for K in O.labels})})
     if not G2.is_chain_map():
         raise StructuralError("right comparison is not a chain map")
 
     # the unit of H^0(W1): the 0-cochain with value (0, -1) in the top term
     w = W1.module(0).zero()
     for s in nerve.simplices_of_dim(0):
-        w = w + W1.module(0).basis_vec(((0, 0), (s, ("j", ()))), -1)
-    wflat = W1.flat(0).flatten_vec(w)
-    D1 = W1.qdiff(0)
-    if any(sum(row[j] * wflat[j] for j in range(len(wflat)) if wflat[j]) for row in D1):
+        w = w + W1.module(0).basis_vec(((0, 0), (s, unit)), -1)
+    if not W1.diff(0).apply(w).is_zero():
         raise StructuralError("unit section is not a cocycle")
-    v2 = [sum(row[j] * wflat[j] for j in range(len(wflat)) if wflat[j]) for row in G1.qmap(0)]
+    v2 = W2.flat(0).flatten_vec(G1.apply(0, w))
     # solve G2(u) + d(h) = v2
     G2m = G2.qmap(0)
     Dh = W2.qdiff(-1)

@@ -16,8 +16,7 @@ import json
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -42,6 +41,7 @@ from .cech_twist import (
     Cochain,
     NERVE_LIBRARY,
     Nerve,
+    NerveError,
     TwistFamily,
     canonical_representative,
     cech_delta,
@@ -77,9 +77,14 @@ class SuiteConfig:
     seed: int = 0
     out: str = ""
     fmt: str = "json"
-    workers: int = 1
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # f.type is the annotation string; an exact match rejects bools as ints
+            if type(value).__name__ != f.type:
+                raise ConfigError(f"config field {f.name!r} must be {f.type}, got {value!r}")
+        self._nerve = None
         if self.max_rank > DESK_CAPS["max_rank"]:
             raise ConfigError(f"max rank capped at {DESK_CAPS['max_rank']}")
         if self.degree_bound > DESK_CAPS["degree_bound"]:
@@ -89,8 +94,12 @@ class SuiteConfig:
     def from_json(cls, path):
         try:
             data = json.loads(Path(path).read_text())
+        except OSError as err:
+            raise ConfigError(f"cannot read config {path}: {err.strerror}")
         except json.JSONDecodeError as err:
             raise ConfigError(f"malformed config {path}: line {err.lineno} col {err.colno}")
+        if not isinstance(data, dict):
+            raise ConfigError(f"config {path} must be a JSON object")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(data) - known
         if unknown:
@@ -98,6 +107,9 @@ class SuiteConfig:
         return cls(**data)
 
     def load_nerve(self):
+        """The configured nerve, built on first use and shared by every check."""
+        if self._nerve is not None:
+            return self._nerve
         if self.nerve in NERVE_LIBRARY:
             n = NERVE_LIBRARY[self.nerve]()
         else:
@@ -105,10 +117,15 @@ class SuiteConfig:
                 n = Nerve.from_json(Path(self.nerve).read_text())
             except FileNotFoundError:
                 raise ConfigError(f"unknown nerve {self.nerve!r}")
+            except OSError as err:
+                raise ConfigError(f"cannot read nerve {self.nerve!r}: {err.strerror}")
             except json.JSONDecodeError as err:
                 raise ConfigError(f"malformed nerve file: line {err.lineno}")
+            except NerveError as err:
+                raise ConfigError(f"malformed nerve file: {err}")
         if n.depth > DESK_CAPS["nerve_depth"]:
             raise ConfigError("nerve depth beyond the desk-scale cap")
+        self._nerve = n
         return n
 
 
@@ -475,39 +492,23 @@ def run_suite(config):
     if config.suite not in SUITES:
         raise ConfigError(f"unknown suite {config.suite!r}; choose from {sorted(SUITES)}")
     checks = SUITES[config.suite]
-
-    def run_one(item):
-        check_id, claim, fn = item
+    config.load_nerve()  # a bad nerve is a config error, raised before any check runs
+    records = []
+    for check_id, claim, fn in checks:
         t0 = time.monotonic()
         try:
             status, detail = fn(config)
         except Exception as err:  # a crash is a failure with a witness
             status, detail = "fail", {"exception": repr(err)}
-        return {
+        records.append({
             "id": check_id,
             "claim": claim,
             "status": status,
             "detail": detail,
             "elapsed": time.monotonic() - t0,
-        }
-
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            records = list(pool.map(run_one, checks))
-    else:
-        records = [run_one(c) for c in checks]
+        })
     cfg = {k: getattr(config, k) for k in ("suite", "max_rank", "degree_bound", "nerve", "seed")}
     return Report(cfg, records)
-
-
-def probe_conjecture(config):
-    """Exploratory probe report; informational by contract."""
-    cfg = dict(suite="conjecture", seed=config.seed)
-    record = {"id": "probe-general", "claim": SUITES["conjecture"][0][1]}
-    t0 = time.monotonic()
-    status, detail = probe_general_case(config)
-    record.update(status=status, detail=detail, elapsed=time.monotonic() - t0)
-    return Report(cfg, [record])
 
 
 def main(argv=None):
@@ -522,7 +523,6 @@ def main(argv=None):
     parser.add_argument("--out", default="", help="report output path")
     parser.add_argument("--format", dest="fmt", choices=("json", "md"), default="json")
     parser.add_argument("--config", default="", help="JSON config file (overrides flags)")
-    parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args(argv)
     try:
         if args.config:
@@ -536,7 +536,6 @@ def main(argv=None):
                 seed=args.seed,
                 out=args.out,
                 fmt=args.fmt,
-                workers=args.workers,
             )
         report = run_suite(config)
     except ConfigError as err:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .ak_complexes import build_p_complex, build_q_complex, q_pairing
+from .ak_complexes import build_p_complex, build_q_complex
 from .chain_core import ComplexMap
 from .coeff import Poly
 from .exterior_core import merge_wedge, perm_sign
@@ -374,37 +374,6 @@ def dual_auto(ext, r_maps, window):
         return fn
 
     return Q, ComplexMap.from_functions(Q, Q, {-q: component(q) for q in range(ext.rank + 1)})
-
-
-def dual_auto_defect(ext, r_maps, p, y, x):
-    """Phi(psi(y))(x) - Phi(y)(phi^{-1}(x)) for the split automorphisms.
-
-    Literal precomposition of a pairing image with phi^{-1} leaves the
-    module-linear Hom space (the defect below is (-1)^p R(j ^ v), nonzero
-    in general), which is why the dual automorphism is realized by the
-    split unipotent formula rather than by Hom transport.  Exposed for
-    tests documenting that fact.
-    """
-    q = ext.rank - p
-    pairing = q_pairing(ext, p)
-    u_part, v_part = ext.split(y)
-    psi_y = ext.join(q, u_part + r_maps[q - 1](v_part), v_part) if v_part is not None else y
-    i_part, j_part = ext.split(x)
-    phi_inv_x = ext.join(p + 1, i_part - r_maps[p](j_part), j_part)
-    lhs = _evaluate_hom(ext, pairing.apply(psi_y), x)
-    rhs = _evaluate_hom(ext, pairing.apply(y), phi_inv_x)
-    return lhs - rhs
-
-
-def _evaluate_hom(ext, hom_vec, x):
-    """Evaluate a flattened Hom(Lambda^{p+1}B, theta) element on x."""
-    out = ext.lam_i(ext.rank).zero()
-    theta_lab = tuple(range(ext.rank))
-    for (alab, _), c in hom_vec.data.items():
-        cc = x.coeff(alab) * c
-        if not cc.is_zero():
-            out = out + ext.lam_i(ext.rank).basis_vec(theta_lab, cc)
-    return out
 
 
 def dual_auto_checks(ext, chi, r_maps, window):

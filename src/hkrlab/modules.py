@@ -285,65 +285,3 @@ def flatten_map(linmap, src_basis, tgt_basis):
         cols.append(tgt_basis.flatten_vec(image))
     return ql.transpose(cols) if cols else [[] for _ in range(tgt_basis.dim)]
 
-
-class QLinMap:
-    """Rational-linear map between flattened modules.
-
-    Used for maps that are only k-linear (exterior derivative, derivations)
-    or that relate modules over different coefficient algebras.
-    """
-
-    __slots__ = ("src_basis", "tgt_basis", "matrix")
-
-    def __init__(self, src_basis, tgt_basis, matrix):
-        self.src_basis = src_basis
-        self.tgt_basis = tgt_basis
-        self.matrix = matrix
-
-    @classmethod
-    def from_function(cls, src_basis, tgt_basis, fn):
-        algebra = src_basis.module.algebra
-        cols = []
-        for lab, mono in src_basis.pairs:
-            v = src_basis.module.basis_vec(lab, algebra.monomial(mono))
-            cols.append(tgt_basis.flatten_vec(fn(v)))
-        matrix = ql.transpose(cols) if cols else [[] for _ in range(tgt_basis.dim)]
-        return cls(src_basis, tgt_basis, matrix)
-
-    @classmethod
-    def from_linmap(cls, linmap, window_src=None, window_tgt=None):
-        sb = QBasis(linmap.source, window_src)
-        tb = QBasis(linmap.target, window_tgt)
-        return cls(sb, tb, flatten_map(linmap, sb, tb))
-
-    @classmethod
-    def identity(cls, basis):
-        return cls(basis, basis, ql.identity(basis.dim))
-
-    def apply(self, vec):
-        col = self.src_basis.flatten_vec(vec)
-        out = [sum((row[j] * col[j] for j in range(len(col)) if col[j]), Fraction(0)) for row in self.matrix]
-        return self.tgt_basis.unflatten(out)
-
-    def compose(self, other):
-        if other.tgt_basis.pairs != self.src_basis.pairs:
-            raise StructuralError("QLinMap composition mismatch")
-        return QLinMap(other.src_basis, self.tgt_basis, ql.mat_mul(self.matrix, other.matrix))
-
-    def __add__(self, other):
-        return QLinMap(self.src_basis, self.tgt_basis, ql.mat_add(self.matrix, other.matrix))
-
-    def __sub__(self, other):
-        return QLinMap(self.src_basis, self.tgt_basis, ql.mat_sub(self.matrix, other.matrix))
-
-    def scale(self, c):
-        return QLinMap(self.src_basis, self.tgt_basis, ql.mat_scale(self.matrix, c))
-
-    def is_zero(self):
-        return ql.is_zero_matrix(self.matrix)
-
-    def rank(self):
-        return ql.rank(self.matrix)
-
-    def is_invertible(self):
-        return self.src_basis.dim == self.tgt_basis.dim and self.rank() == self.src_basis.dim

@@ -10,6 +10,7 @@ from hkrlab.extension_dg import build_extension
 from hkrlab.chain_core import homology
 from hkrlab.modules import LinMap
 from hkrlab.cech_twist import (
+    NERVE_LIBRARY,
     Cochain,
     Nerve,
     NerveError,
@@ -76,6 +77,21 @@ def test_nerve_face_closure_and_depth():
     assert n.has((0, 1)) and n.has((2,))
     with pytest.raises(NerveError):
         Nerve.build([0, 1], [(0, 2)])
+
+
+@pytest.mark.parametrize("name", sorted(NERVE_LIBRARY))
+def test_nerve_tables_match_their_definitions(name):
+    nerve = NERVE_LIBRARY[name]()
+    for k in range(nerve.depth + 2):
+        assert nerve.simplices_of_dim(k) == tuple(sorted(s for s in nerve.simplices if len(s) == k + 1))
+    for s in nerve.simplices:
+        want = [
+            (t, k)
+            for t in sorted(nerve.simplices)
+            for k in range(len(t))
+            if len(t) == len(s) + 1 and t[:k] + t[k + 1 :] == s
+        ]
+        assert list(nerve.cofaces[s]) == want
 
 
 def test_nerve_json_round_trip():
@@ -407,12 +423,21 @@ def test_delta_matrix_unsupported_shape():
         delta_matrix(ext, nerve, lam, lam, "general")
 
 
-def test_twisted_resolution_homology():
+@pytest.mark.parametrize(
+    "name, dims",
+    [
+        ("circle", {0: 1, 1: 1}),
+        ("sphere2", {-2: 0, -1: 0, 0: 1, 1: 0, 2: 1}),
+        ("torus", {-2: 0, -1: 0, 0: 1, 1: 2, 2: 1}),
+    ],
+    ids=["circle", "sphere2", "torus"],
+)
+def test_twisted_resolution_homology(name, dims):
     ext = ext_of(2)
-    nerve = circle_nerve()
+    nerve = NERVE_LIBRARY[name]()
     rng = random.Random(31)
     lam = wedge_family(ext, nerve, random_wedge_cochains(ext, nerve, rng))
-    assert twisted_resolution_homology_check(ext, lam, {0: 1, 1: 1})
+    assert twisted_resolution_homology_check(ext, lam, dims)
 
 
 # -- curvature twists, the rank-2 matrix, the divisor class ------------------------
@@ -514,8 +539,9 @@ def test_divisor_class_zero():
     assert cohomologous(nerve, q1, zero)
 
 
-def test_divisor_class_generator():
-    nerve = circle_nerve()
+@pytest.mark.parametrize("name", ["circle", "torus"])
+def test_divisor_class_generator(name):
+    nerve = NERVE_LIBRARY[name]()
     ext = ext_of(1)
     gen = h1_generator_cochain(ext, nerve)
     q0, q1 = divisor_class(nerve, gen)
@@ -524,8 +550,9 @@ def test_divisor_class_generator():
     assert any(class_coordinates(nerve, q1))
 
 
-def test_divisor_class_coboundary_input():
-    nerve = circle_nerve()
+@pytest.mark.parametrize("name", ["circle", "sphere2"])
+def test_divisor_class_coboundary_input(name):
+    nerve = NERVE_LIBRARY[name]()
     ext = ext_of(1)
     noise = Cochain(nerve, 0, ext.lam_i(1))
     noise[(1,)] = ext.lam_i(1).basis_vec((0,), 3)
@@ -644,7 +671,8 @@ def test_twisted_local_system_cohomology():
         m.set_column((0,), M.basis_vec((0,), sign))
         return m
 
-    assert cech_cohomology(nerve, M, 0, transitions=transitions).dim == 0
-    assert cech_cohomology(nerve, M, 1, transitions=transitions).dim == 0
+    twisted = cech_complex(nerve, M, transitions)
+    assert homology(twisted, 0).dim == 0
+    assert homology(twisted, 1).dim == 0
     # trivial transitions recover the constant coefficients
     assert cech_cohomology(nerve, M, 0).dim == 1

@@ -1,6 +1,7 @@
 """The batch driver: configs, reports, exit codes, JSON interfaces."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +14,6 @@ from hkrlab.cli_report import (
     main,
     parse_cocycle_json,
     parse_model_json,
-    probe_conjecture,
     run_suite,
 )
 
@@ -71,6 +71,54 @@ def test_cli_empty_config_is_usage_error(tmp_path, capsys):
     assert err.value.code == 2  # argparse usage error
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"max_rank": "3"}, "'max_rank' must be int"),
+        ({"seed": True}, "'seed' must be int"),
+        ({"nerve": 5}, "'nerve' must be str"),
+        ([1], "must be a JSON object"),
+    ],
+    ids=["str-for-int", "bool-for-int", "int-for-str", "not-an-object"],
+)
+def test_cli_config_of_wrong_type_is_usage_error(tmp_path, capsys, data, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    with pytest.raises(SystemExit) as err:
+        main(["--config", str(cfg)])
+    assert err.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"vertices": [0, 1, 2], "simplices": [[0, 1], [1, 5]]},
+        {"vertices": [0, 1, 2]},
+        {"vertices": [0, 1, 2], "simplices": [[0, 1], 2]},
+    ],
+    ids=["unknown-vertex", "missing-key", "non-list-simplex"],
+)
+def test_cli_malformed_nerve_is_usage_error(tmp_path, capsys, data):
+    nerve_file = tmp_path / "bad.json"
+    nerve_file.write_text(json.dumps(data))
+    out = tmp_path / "r.json"
+    with pytest.raises(SystemExit) as err:
+        main(["--suite", "comparison_wedge", "--nerve", str(nerve_file), "--out", str(out)])
+    assert err.value.code == 2
+    assert "malformed nerve file" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_unreadable_config_or_nerve_is_usage_error(tmp_path):
+    with pytest.raises(SystemExit) as err:
+        main(["--config", str(tmp_path / "absent.json")])
+    assert err.value.code == 2
+    with pytest.raises(SystemExit) as err:
+        main(["--suite", "signs", "--nerve", str(tmp_path)])  # a directory
+    assert err.value.code == 2
+
+
 def test_cli_config_file(tmp_path):
     cfg = tmp_path / "cfg.json"
     out = tmp_path / "r.json"
@@ -88,21 +136,32 @@ def test_custom_nerve_file(tmp_path):
 
 
 def test_probe_report_is_informational():
-    report = probe_conjecture(SuiteConfig(suite="conjecture"))
+    report = run_suite(SuiteConfig(suite="conjecture"))
     assert report.records[0]["status"] == "exploratory"
     assert not report.failed
+
+
+# reports written by an earlier commit: the bytes must not drift across commits
+GOLDEN = Path(__file__).parent / "golden"
+
+
+GOLDEN_RUNS = {
+    "cycle_class_circle_seed0": {"suite": "cycle_class", "nerve": "circle", "seed": 0},
+    "comparison_last_level_sphere2_seed1": {"suite": "comparison_last_level", "nerve": "sphere2", "seed": 1},
+    "conjecture_seed0": {"suite": "conjecture", "seed": 0},
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_report_matches_golden_file(name):
+    report = run_suite(SuiteConfig(**GOLDEN_RUNS[name]))
+    assert report.to_json().encode() == (GOLDEN / f"{name}.json").read_bytes()
 
 
 def test_reports_byte_identical_for_same_seed():
     a = run_suite(SuiteConfig(suite="signs", seed=11)).to_json()
     b = run_suite(SuiteConfig(suite="signs", seed=11)).to_json()
     assert a.encode() == b.encode()
-
-
-def test_workers_pool_matches_serial():
-    serial = run_suite(SuiteConfig(suite="cycle_class", seed=2)).to_json()
-    pooled = run_suite(SuiteConfig(suite="cycle_class", seed=2, workers=4)).to_json()
-    assert serial == pooled
 
 
 def test_model_json_interface():
