@@ -98,7 +98,9 @@ class Nerve:
         return tuple(sorted(simplex)) in self.simplices
 
     @classmethod
-    def from_json(cls, data):
+    def from_json(cls, data, max_depth=None):
+        """Parse and build a nerve; with max_depth, a simplex of more than
+        max_depth + 1 distinct vertices is rejected before its faces are formed."""
         if isinstance(data, str):
             data = json.loads(data)
         if not isinstance(data, dict) or not {"vertices", "simplices"} <= set(data):
@@ -112,6 +114,8 @@ class Nerve:
             raise NerveError("'vertices' must be a nonempty list of integers")
         if not isinstance(simplices, list) or not all(int_list(s) for s in simplices):
             raise NerveError("'simplices' must be a list of integer lists")
+        if max_depth is not None and any(len(set(s)) > max_depth + 1 for s in simplices):
+            raise NerveError(f"a simplex has more than {max_depth + 1} vertices, beyond the depth cap {max_depth}")
         return cls.build(vertices, simplices)
 
     def to_json(self):

@@ -159,8 +159,8 @@ class ComplexMap:
 
     def apply(self, n, vec):
         col = self.source.flat(n).flatten_vec(vec)
-        M = self.qmap(n)
-        out = [sum((row[j] * col[j] for j in range(len(col)) if col[j]), Fraction(0)) for row in M]
+        nonzero = [(j, c) for j, c in enumerate(col) if c]
+        out = [sum((row[j] * c for j, c in nonzero), Fraction(0)) for row in self.qmap(n)]
         return self.target.flat(n).unflatten(out)
 
     def chain_defect(self, n):

@@ -85,8 +85,14 @@ class SuiteConfig:
             if type(value).__name__ != f.type:
                 raise ConfigError(f"config field {f.name!r} must be {f.type}, got {value!r}")
         self._nerve = None
+        # rank 2 is the lowest rank every suite covers: below it some checks
+        # would run nothing and still pass
+        if self.max_rank < 2:
+            raise ConfigError("max rank must be at least 2")
         if self.max_rank > DESK_CAPS["max_rank"]:
             raise ConfigError(f"max rank capped at {DESK_CAPS['max_rank']}")
+        if self.degree_bound < 0:
+            raise ConfigError("degree bound must not be negative")
         if self.degree_bound > DESK_CAPS["degree_bound"]:
             raise ConfigError(f"degree bound capped at {DESK_CAPS['degree_bound']}")
 
@@ -114,7 +120,7 @@ class SuiteConfig:
             n = NERVE_LIBRARY[self.nerve]()
         else:
             try:
-                n = Nerve.from_json(Path(self.nerve).read_text())
+                n = Nerve.from_json(Path(self.nerve).read_text(), max_depth=DESK_CAPS["nerve_depth"])
             except FileNotFoundError:
                 raise ConfigError(f"unknown nerve {self.nerve!r}")
             except OSError as err:

@@ -62,6 +62,8 @@ class CoeffAlgebra:
         return len(self.monomials)
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (
             isinstance(other, CoeffAlgebra)
             and self.num_vars == other.num_vars
@@ -143,27 +145,37 @@ class Poly:
         other = self._coerce(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
-            if s:
-                out[e] = s
+            s = out.get(e)
+            if s is None:
+                out[e] = c
             else:
-                out.pop(e, None)
-        return Poly(self.algebra, out)
+                s += c
+                if s:
+                    out[e] = s
+                else:
+                    del out[e]
+        return _poly(self.algebra, out)
 
     def __neg__(self):
-        return Poly(self.algebra, {e: -c for e, c in self.terms.items()})
+        return _poly(self.algebra, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
 
     def __mul__(self, other):
+        algebra = self.algebra
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
             if not c:
-                return self.algebra.zero()
-            return Poly(self.algebra, {e: c * v for e, v in self.terms.items()})
+                return algebra.zero()
+            return _poly(algebra, {e: c * v for e, v in self.terms.items()})
         other = self._coerce(other)
-        D = self.algebra.degree_bound
+        if not algebra.num_vars:
+            # over Q the only monomial is the empty one
+            a = self.terms.get(())
+            b = other.terms.get(())
+            return _poly(algebra, {(): a * b} if a is not None and b is not None else {})
+        D = algebra.degree_bound
         out = {}
         for e1, c1 in self.terms.items():
             d1 = sum(e1)
@@ -171,12 +183,16 @@ class Poly:
                 if d1 + sum(e2) > D:
                     continue
                 e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    out[e] = s
+                s = out.get(e)
+                if s is None:
+                    out[e] = c1 * c2
                 else:
-                    del out[e]
-        return Poly(self.algebra, out)
+                    s += c1 * c2
+                    if s:
+                        out[e] = s
+                    else:
+                        del out[e]
+        return _poly(algebra, out)
 
     __rmul__ = __mul__
 
@@ -214,6 +230,14 @@ class Poly:
 
     def __repr__(self):
         return poly_to_string(self)
+
+
+def _poly(algebra, terms):
+    """The Poly holding terms as is; every coefficient must be nonzero."""
+    p = object.__new__(Poly)
+    p.algebra = algebra
+    p.terms = terms
+    return p
 
 
 def poly_to_string(p):

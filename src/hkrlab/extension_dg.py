@@ -23,7 +23,7 @@ from itertools import combinations
 from .chain_core import CochainComplex
 from .coeff import Poly
 from .exterior_core import merge_wedge
-from .modules import BasedModule, LinMap, StructuralError
+from .modules import BasedModule, LinMap, StructuralError, _vec
 
 
 class TrivialExtension:
@@ -83,24 +83,24 @@ class TrivialExtension:
     def split(self, x):
         """Split a Lambda^k B element into its (Lambda^k I, Lambda^{k-1} I) parts."""
         k = self.degree_of(x.module)
-        i_part = self.lam_i(k).zero()
-        j_part = self.lam_i(k - 1).zero() if k >= 1 else None
+        parts = {"i": {}, "j": {}}
         for (tag, K), c in x.data.items():
-            if tag == "i":
-                i_part = i_part + self.lam_i(k).basis_vec(K, c)
-            else:
-                j_part = j_part + self.lam_i(k - 1).basis_vec(K, c)
+            parts[tag][K] = c
+        i_part = _vec(self.lam_i(k), parts["i"])
+        j_part = _vec(self.lam_i(k - 1), parts["j"]) if k >= 1 else None
         return i_part, j_part
 
     def join(self, k, i_part, j_part):
-        out = self.lam_b(k).zero()
-        if i_part is not None:
-            for K, c in i_part.data.items():
-                out = out + self.lam_b(k).basis_vec(("i", K), c)
-        if j_part is not None:
-            for L, c in j_part.data.items():
-                out = out + self.lam_b(k).basis_vec(("j", L), c)
-        return out
+        M = self.lam_b(k)
+        data = {}
+        for tag, part in (("i", i_part), ("j", j_part)):
+            if part is not None:
+                for K, c in part.data.items():
+                    label = (tag, K)
+                    if label not in M.label_index:
+                        raise StructuralError(f"label {label!r} not in module {M.name!r}")
+                    data[label] = c
+        return _vec(M, data)
 
     def degree_of(self, module):
         name = module.name

@@ -46,7 +46,7 @@ class BasedModule:
         return self.grades[self.label_index[label]]
 
     def zero(self):
-        return Vec(self, {})
+        return _vec(self, {})
 
     def basis_vec(self, label, coeff=1):
         if label not in self.label_index:
@@ -58,6 +58,9 @@ class BasedModule:
         return [self.basis_vec(lab) for lab in self.labels]
 
     def __eq__(self, other):
+        # nearly every comparison is of a module with itself
+        if self is other:
+            return True
         # the name participates: two exterior powers with identical label
         # sets but different underlying modules must not be confused
         return (
@@ -76,7 +79,12 @@ class BasedModule:
 
 
 class Vec:
-    """Sparse module element: {label: Poly}."""
+    """Sparse module element: {label: Poly}.
+
+    Invariant: no stored coefficient is zero.  The constructor cleans its
+    input; arithmetic keeps the invariant as it goes and builds its result
+    through ``_vec`` without a second cleaning pass.
+    """
 
     __slots__ = ("module", "data")
 
@@ -101,11 +109,18 @@ class Vec:
         out = dict(self.data)
         for lab, c in other.data.items():
             s = out.get(lab)
-            out[lab] = c if s is None else s + c
-        return Vec(self.module, out)
+            if s is None:
+                out[lab] = c
+            else:
+                s = s + c
+                if s.terms:
+                    out[lab] = s
+                else:
+                    del out[lab]
+        return _vec(self.module, out)
 
     def __neg__(self):
-        return Vec(self.module, {lab: -c for lab, c in self.data.items()})
+        return _vec(self.module, {lab: -c for lab, c in self.data.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -113,7 +128,12 @@ class Vec:
     def scale(self, c):
         if isinstance(c, (int, Fraction)):
             c = self.module.algebra.const(c)
-        return Vec(self.module, {lab: c * v for lab, v in self.data.items()})
+        out = {}
+        for lab, v in self.data.items():
+            p = c * v
+            if p.terms:
+                out[lab] = p
+        return _vec(self.module, out)
 
     def _check(self, other):
         if not isinstance(other, Vec) or other.module != self.module:
@@ -128,8 +148,44 @@ class Vec:
         return " + ".join(f"({c})*{lab}" for lab, c in sorted(self.data.items(), key=lambda t: str(t[0])))
 
 
+def _vec(module, data):
+    """The Vec holding data as is; every value must be a nonzero Poly."""
+    v = object.__new__(Vec)
+    v.module = module
+    v.data = data
+    return v
+
+
+def _image(cols, data):
+    """Coefficients of sum_lab data[lab] * cols[lab], zeros dropped as they
+    arise (the order of labels is that of adding the columns one by one)."""
+    out = {}
+    for lab, c in data.items():
+        col = cols.get(lab)
+        if col is None:
+            continue
+        for tlab, v in col.data.items():
+            p = c * v
+            if not p.terms:
+                continue
+            s = out.get(tlab)
+            if s is None:
+                out[tlab] = p
+            else:
+                s = s + p
+                if s.terms:
+                    out[tlab] = s
+                else:
+                    del out[tlab]
+    return out
+
+
 class LinMap:
-    """Algebra-linear map between based modules, stored column-wise."""
+    """Algebra-linear map between based modules, stored column-wise.
+
+    Only nonzero columns are stored.  Composition, sums and scalar multiples
+    work on the stored columns directly.
+    """
 
     __slots__ = ("source", "target", "cols")
 
@@ -173,32 +229,50 @@ class LinMap:
             raise StructuralError(
                 f"map {self.source.name!r}->{self.target.name!r} applied to {vec.module.name!r}"
             )
-        out = self.target.zero()
-        for lab, c in vec.data.items():
-            col = self.cols.get(lab)
-            if col is not None:
-                out = out + col.scale(c)
-        return out
+        return _vec(self.target, _image(self.cols, vec.data))
 
     def compose(self, other):
         """self o other."""
         if other.target != self.source:
             raise StructuralError("composition of non-matching maps")
-        return LinMap.from_function(other.source, self.target, lambda v: self.apply(other.apply(v)))
+        cols = {}
+        for lab in other.source.labels:
+            col = other.cols.get(lab)
+            if col is not None:
+                data = _image(self.cols, col.data)
+                if data:
+                    cols[lab] = _vec(self.target, data)
+        return _linmap(other.source, self.target, cols)
 
     def __add__(self, other):
-        if other.source != self.source or other.target != self.target:
-            raise StructuralError("sum of maps with different source/target")
-        return LinMap.from_function(self.source, self.target, lambda v: self.apply(v) + other.apply(v))
+        return self._combine(other, Vec.__add__)
 
     def __sub__(self, other):
-        return self + other.scale(-1)
+        return self._combine(other, Vec.__sub__)
+
+    def _combine(self, other, op):
+        if other.source != self.source or other.target != self.target:
+            raise StructuralError("sum of maps with different source/target")
+        zero = self.target.zero()
+        cols = {}
+        for lab in self.source.labels:
+            col = op(self.cols.get(lab, zero), other.cols.get(lab, zero))
+            if col.data:
+                cols[lab] = col
+        return _linmap(self.source, self.target, cols)
 
     def scale(self, c):
-        return LinMap.from_function(self.source, self.target, lambda v: self.apply(v).scale(c))
+        cols = {}
+        for lab in self.source.labels:
+            col = self.cols.get(lab)
+            if col is not None:
+                col = col.scale(c)
+                if col.data:
+                    cols[lab] = col
+        return _linmap(self.source, self.target, cols)
 
     def is_zero(self):
-        return all(v.is_zero() for v in self.cols.values())
+        return not self.cols
 
     def __eq__(self, other):
         if not isinstance(other, LinMap):
@@ -222,6 +296,15 @@ class LinMap:
         from .coeff import poly_to_string
 
         return [[poly_to_string(e) for e in row] for row in self.dense()]
+
+
+def _linmap(source, target, cols):
+    """The LinMap with these columns as is; each must be a nonzero Vec in target."""
+    m = object.__new__(LinMap)
+    m.source = source
+    m.target = target
+    m.cols = cols
+    return m
 
 
 # -- flattening to rational vector spaces -------------------------------

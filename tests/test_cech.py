@@ -1,7 +1,9 @@
 """Nerves, Cech cohomology, twists, the comparison morphism and matrix."""
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -34,6 +36,7 @@ from hkrlab.cech_twist import (
     divisor_class,
     eta_recursion,
     hom_lam_module,
+    hom_value_to_linmap,
     identity_hom_cochain,
     is_cocycle,
     l_operator,
@@ -676,3 +679,36 @@ def test_twisted_local_system_cohomology():
     assert homology(twisted, 1).dim == 0
     # trivial transitions recover the constant coefficients
     assert cech_cohomology(nerve, M, 0).dim == 1
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def delta_golden_text(nerve_name, r, seed):
+    """Every entry of the first comparison-wedge trial's comparison matrix,
+    as {"i,j": {"simplex": dense matrix of coefficient strings}}, in the
+    order check_comparison_wedge draws the trial."""
+    nerve = NERVE_LIBRARY[nerve_name]()
+    ext = ext_of(r)
+    rng = random.Random(f"{seed}:wedge:{r}")
+    lam = wedge_family(ext, nerve, random_wedge_cochains(ext, nerve, rng))
+    mu = wedge_family(ext, nerve, random_wedge_cochains(ext, nerve, rng))
+    delta, _ = delta_matrix(ext, nerve, lam, mu, "wedge")
+    entries = {}
+    for i in range(r + 1):
+        for j in range(i + 1):
+            if i - j > nerve.depth:
+                continue
+            e = delta.entry(i, j)
+            entries[f"{i},{j}"] = {
+                ",".join(map(str, s)): hom_value_to_linmap(ext, j, i, e.value(s)).to_json()
+                for s in nerve.simplices_of_dim(i - j)
+            }
+    return json.dumps(entries, sort_keys=True, indent=1) + "\n"
+
+
+def test_delta_matrix_matches_golden_values():
+    # computed matrix entries, not only statuses: a wrong matrix that still
+    # passes its checks changes these bytes
+    got = delta_golden_text("sphere2", 2, 0)
+    assert got.encode() == (GOLDEN / "delta_sphere2_rank2_seed0.json").read_bytes()

@@ -1,6 +1,7 @@
 """The batch driver: configs, reports, exit codes, JSON interfaces."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -107,6 +108,37 @@ def test_cli_malformed_nerve_is_usage_error(tmp_path, capsys, data):
         main(["--suite", "comparison_wedge", "--nerve", str(nerve_file), "--out", str(out)])
     assert err.value.code == 2
     assert "malformed nerve file" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_oversized_simplex_is_rejected_before_its_faces_are_built(tmp_path, capsys):
+    # the face closure of a 30-vertex simplex has 2^30 - 1 faces
+    nerve_file = tmp_path / "big.json"
+    nerve_file.write_text(json.dumps({"vertices": list(range(30)), "simplices": [list(range(30))]}))
+    t0 = time.monotonic()
+    with pytest.raises(SystemExit) as err:
+        main(["--suite", "signs", "--nerve", str(nerve_file)])
+    assert time.monotonic() - t0 < 1.0
+    assert err.value.code == 2
+    assert "depth cap 5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--max-rank", "0"], "max rank must be at least 2"),
+        (["--max-rank", "1"], "max rank must be at least 2"),
+        (["--degree-bound", "-1"], "degree bound must not be negative"),
+    ],
+    ids=["max-rank-0", "max-rank-1", "negative-degree-bound"],
+)
+def test_cli_rank_or_degree_below_every_suite_is_usage_error(tmp_path, capsys, flags, message):
+    # too small a rank would leave some checks with nothing to run, yet passing
+    out = tmp_path / "r.json"
+    with pytest.raises(SystemExit) as err:
+        main(["--suite", "all", "--out", str(out)] + flags)
+    assert err.value.code == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
