@@ -35,6 +35,10 @@ from .modules import BasedModule, LinMap, QBasis, StructuralError, Vec
 from . import rational as ql
 
 
+# desk-scale cap on the dimension of a nerve's simplices
+MAX_NERVE_DEPTH = 5
+
+
 class NerveError(ValueError):
     pass
 
@@ -98,9 +102,9 @@ class Nerve:
         return tuple(sorted(simplex)) in self.simplices
 
     @classmethod
-    def from_json(cls, data, max_depth=None):
-        """Parse and build a nerve; with max_depth, a simplex of more than
-        max_depth + 1 distinct vertices is rejected before its faces are formed."""
+    def from_json(cls, data):
+        """Parse and build a nerve; a simplex of more than MAX_NERVE_DEPTH + 1
+        distinct vertices is rejected before its faces are formed."""
         if isinstance(data, str):
             data = json.loads(data)
         if not isinstance(data, dict) or not {"vertices", "simplices"} <= set(data):
@@ -114,8 +118,10 @@ class Nerve:
             raise NerveError("'vertices' must be a nonempty list of integers")
         if not isinstance(simplices, list) or not all(int_list(s) for s in simplices):
             raise NerveError("'simplices' must be a list of integer lists")
-        if max_depth is not None and any(len(set(s)) > max_depth + 1 for s in simplices):
-            raise NerveError(f"a simplex has more than {max_depth + 1} vertices, beyond the depth cap {max_depth}")
+        if any(len(set(s)) > MAX_NERVE_DEPTH + 1 for s in simplices):
+            raise NerveError(
+                f"a simplex has more than {MAX_NERVE_DEPTH + 1} vertices, beyond the depth cap {MAX_NERVE_DEPTH}"
+            )
         return cls.build(vertices, simplices)
 
     def to_json(self):

@@ -39,6 +39,7 @@ from .hkr_local import (
 )
 from .cech_twist import (
     Cochain,
+    MAX_NERVE_DEPTH,
     NERVE_LIBRARY,
     Nerve,
     NerveError,
@@ -61,7 +62,7 @@ from .cech_twist import (
 )
 
 
-DESK_CAPS = {"max_rank": 4, "degree_bound": 4, "nerve_depth": 5}
+DESK_CAPS = {"max_rank": 4, "degree_bound": 4, "nerve_depth": MAX_NERVE_DEPTH}
 
 
 class ConfigError(ValueError):
@@ -120,7 +121,7 @@ class SuiteConfig:
             n = NERVE_LIBRARY[self.nerve]()
         else:
             try:
-                n = Nerve.from_json(Path(self.nerve).read_text(), max_depth=DESK_CAPS["nerve_depth"])
+                n = Nerve.from_json(Path(self.nerve).read_text())
             except FileNotFoundError:
                 raise ConfigError(f"unknown nerve {self.nerve!r}")
             except OSError as err:
@@ -129,8 +130,6 @@ class SuiteConfig:
                 raise ConfigError(f"malformed nerve file: line {err.lineno}")
             except NerveError as err:
                 raise ConfigError(f"malformed nerve file: {err}")
-        if n.depth > DESK_CAPS["nerve_depth"]:
-            raise ConfigError("nerve depth beyond the desk-scale cap")
         self._nerve = n
         return n
 

@@ -83,6 +83,8 @@ class TrivialExtension:
     def split(self, x):
         """Split a Lambda^k B element into its (Lambda^k I, Lambda^{k-1} I) parts."""
         k = self.degree_of(x.module)
+        if x.module != self.lam_b(k):
+            raise StructuralError(f"{x.module.name!r} is not a module of this extension")
         parts = {"i": {}, "j": {}}
         for (tag, K), c in x.data.items():
             parts[tag][K] = c

@@ -8,7 +8,7 @@ import pytest
 from hkrlab.coeff import CoeffAlgebra
 from hkrlab.extension_dg import TrivialExtension, build_extension, shifted_complex
 from hkrlab.chain_core import homology_dims
-from hkrlab.modules import LinMap
+from hkrlab.modules import LinMap, StructuralError
 from hkrlab import rational as ql
 
 QQ = CoeffAlgebra.rationals()
@@ -74,6 +74,25 @@ def test_split_iso_and_differential_transport():
                 lhs = ext.d_unsplit(k).compose(iso)
                 rhs = ext.eq_split_iso(k - 1).compose(ext.d(k))
                 assert lhs == rhs
+
+
+def test_split_join_round_trip_and_foreign_module_is_rejected():
+    ext = build_extension(QX2, 2)
+    other = build_extension(QX2, 3)
+    x = QX2.gen(0)
+    for k in range(4):
+        M = ext.lam_b(k)
+        v = M.zero()
+        for n, lab in enumerate(M.labels):
+            v = v + M.basis_vec(lab, x * (n + 1) + n)
+        i_part, j_part = ext.split(v)
+        assert ext.join(k, i_part, j_part) == v
+        # same module name "L^kB", different rank: its labels are not ext's
+        foreign = other.lam_b(k)
+        for lab in foreign.labels:
+            if lab not in M.label_index:
+                with pytest.raises(StructuralError):
+                    ext.split(foreign.basis_vec(lab))
 
 
 def test_hat_d_squares_to_zero():
