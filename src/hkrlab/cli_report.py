@@ -173,14 +173,25 @@ def _rng(config, name):
     return random.Random(f"{config.seed}:{name}")
 
 
+def _ranks(config):
+    """Ranks 2 and 3, as far as the configured max rank admits them."""
+    return [r for r in (2, 3) if r <= config.max_rank]
+
+
+def _comparison_models(config):
+    """The local models (m, r, D) whose rank the configured max rank admits."""
+    return [model for model in COMPARISON_MODELS if model[1] <= config.max_rank]
+
+
 def check_sign_census(config):
-    for r in (2, min(3, max(2, config.max_rank))):
+    ranks = _ranks(config)
+    for r in ranks:
         expected = {tuple(f.values) for f in four_standard_sign_functions(r)}
         for side in ("left", "right"):
             got = {tuple(f.values) for f in sign_census(r, side)}
             if got != expected:
                 return "fail", {"rank": r, "side": side, "census_size": len(got)}
-    return "pass", {"ranks": [2, 3], "count_per_side": 4}
+    return "pass", {"ranks": ranks, "count_per_side": 4}
 
 
 def check_koszul_duality(config):
@@ -208,25 +219,30 @@ def check_dg_battery(config):
                     for lab in M.labels
                     for mono in algebra.monomials
                 ]
+            # star(l, m, y, z) for every pair, read by the associativity check
+            yz = {
+                (l, m): [[ext.star(l, m, y, z) for z in basis[m]] for y in basis[l]]
+                for l in range(r + 1)
+                for m in range(r + 1 - l)
+            }
             for k in range(r + 1):
                 for l in range(r + 1 - k):
                     dk, dl, dkl = ext.hat_d(k), ext.hat_d(l), ext.hat_d(k + l)
                     for x in basis[k]:
                         dx = dk.apply(x)
-                        for y in basis[l]:
-                            if not (ext.star(k, l, x, y) - ext.star_abstract(k, l, x, y)).is_zero():
+                        for yi, y in enumerate(basis[l]):
+                            xy = ext.star(k, l, x, y)
+                            if not (xy - ext.star_abstract(k, l, x, y)).is_zero():
                                 return "fail", {"claim": "split product", "rank": r}
-                            lhs = dkl.apply(ext.star(k, l, x, y))
+                            lhs = dkl.apply(xy)
                             rhs = ext.star(k - 1, l, dx, y) if k else ext.lam_b(k + l).zero()
                             if l:
                                 rhs = rhs + ext.star(k, l - 1, x, dl.apply(y)).scale((-1) ** k)
                             if not (lhs - rhs).is_zero():
                                 return "fail", {"claim": "Leibniz", "rank": r}
                             for m in range(r + 1 - k - l):
-                                for z in basis[m]:
-                                    a = ext.star(k + l, m, ext.star(k, l, x, y), z)
-                                    b = ext.star(k, l + m, x, ext.star(l, m, y, z))
-                                    if not (a - b).is_zero():
+                                for z, y_z in zip(basis[m], yz[l, m][yi]):
+                                    if not (ext.star(k + l, m, xy, z) - ext.star(k, l + m, x, y_z)).is_zero():
                                         return "fail", {"claim": "associativity", "rank": r}
             shifted_complex(ext)  # d^2 = 0 at construction
     return "pass", {"ranks": list(range(1, min(3, config.max_rank) + 1))}
@@ -269,9 +285,8 @@ COMPARISON_MODELS = [(1, 1, 3), (1, 2, 3), (2, 2, 3), (1, 3, 3)]
 
 
 def check_hkr_maps(config):
-    for (m, r, D) in COMPARISON_MODELS:
-        if r > config.max_rank:
-            continue
+    models = _comparison_models(config)
+    for (m, r, D) in models:
         rng = _rng(config, f"hkr:{m}:{r}:{D}")
         splittings = [None] + [_random_chi(m, r, D, rng) for _ in range(3)]
         for chi in splittings:
@@ -284,7 +299,7 @@ def check_hkr_maps(config):
                 return "fail", {"model": (m, r, D), "zeta": {k: bool(v) for k, v in zc.items()}}
             if not compare_hkr_ac(model):
                 return "fail", {"model": (m, r, D), "claim": "route comparison"}
-    return "pass", {"models": COMPARISON_MODELS, "splittings_per_model": 4}
+    return "pass", {"models": models, "splittings_per_model": 4}
 
 
 def check_dual_signs(config):
@@ -298,9 +313,8 @@ def check_dual_signs(config):
 
 def check_comparison_wedge(config):
     nerve = config.load_nerve()
-    for r in (2, 3):
-        if r > config.max_rank:
-            continue
+    ranks = _ranks(config)
+    for r in ranks:
         ext = build_extension(CoeffAlgebra.rationals(), r)
         rng = _rng(config, f"wedge:{r}")
         for trial in range(25):
@@ -327,14 +341,13 @@ def check_comparison_wedge(config):
                     want = l_operator(ext, nerve, i, j, zetas[(i, j)])
                     if not cohomologous(nerve, delta.entry(i, j), want):
                         return "fail", {"rank": r, "trial": trial, "entry": (i, j)}
-    return "pass", {"ranks": [2, 3], "trials_per_rank": 25}
+    return "pass", {"ranks": ranks, "trials_per_rank": 25}
 
 
 def check_comparison_last_level(config):
     nerve = config.load_nerve()
-    for r in (2, 3):
-        if r > config.max_rank:
-            continue
+    ranks = _ranks(config)
+    for r in ranks:
         ext = build_extension(CoeffAlgebra.rationals(), r)
         rng = _rng(config, f"last:{r}")
         for trial in range(5):
@@ -354,13 +367,12 @@ def check_comparison_last_level(config):
                     hom = hom_lam_module(ext, j, i)
                     if not cohomologous(nerve, delta.entry(i, j), Cochain(nerve, i - j, hom)):
                         return "fail", {"rank": r, "trial": trial, "entry": (i, j)}
-    return "pass", {"ranks": [2, 3], "trials_per_rank": 5}
+    return "pass", {"ranks": ranks, "trials_per_rank": 5}
 
 
 def check_cycle_class(config):
-    for (m, r, D) in COMPARISON_MODELS:
-        if r > config.max_rank:
-            continue
+    models = _comparison_models(config)
+    for (m, r, D) in models:
         rng = _rng(config, f"cycle:{m}:{r}")
         for chi in [None] + [_random_chi(m, r, D, rng) for _ in range(2)]:
             model = LocalModel(m, r, D, chi=chi)
@@ -383,7 +395,7 @@ def check_cycle_class(config):
         q0, q1 = divisor_class(nerve, delta_in)
         if q0 != 1 or not cohomologous(nerve, q1, delta_in):
             return "fail", {"divisor_case": name, "q0": str(q0)}
-    return "pass", {"models": COMPARISON_MODELS, "divisor_cases": list(cases)}
+    return "pass", {"models": models, "divisor_cases": list(cases)}
 
 
 def check_contraction_action(config):

@@ -38,6 +38,10 @@ class TrivialExtension:
         self._lam_b = {}
         self._lam_i = {}
         self._unsplit = {}
+        # module -> ("i", p) for Lambda^p I, ("b", k) for Lambda^k B; filled
+        # as lam_i and lam_b build them, so degrees are never read off names
+        self._degree = {}
+        self._merges = _MergeTable()
 
     # -- modules ---------------------------------------------------------
 
@@ -45,7 +49,8 @@ class TrivialExtension:
         """Lambda^p I with labels = increasing tuples."""
         if p not in self._lam_i:
             labels = tuple(combinations(range(self.rank), p)) if 0 <= p <= self.rank else ()
-            self._lam_i[p] = BasedModule(self.algebra, labels, f"L^{p}I", tuple(p for _ in labels))
+            M = self._lam_i[p] = BasedModule(self.algebra, labels, f"L^{p}I", tuple(p for _ in labels))
+            self._degree[M] = ("i", p)
         return self._lam_i[p]
 
     def lam_b(self, k):
@@ -61,7 +66,8 @@ class TrivialExtension:
                 for L in combinations(range(self.rank), k - 1):
                     labels.append(("j", L))
                     grades.append(k - 1)
-            self._lam_b[k] = BasedModule(self.algebra, tuple(labels), f"L^{k}{self.name}", tuple(grades))
+            M = self._lam_b[k] = BasedModule(self.algebra, tuple(labels), f"L^{k}{self.name}", tuple(grades))
+            self._degree[M] = ("b", k)
         return self._lam_b[k]
 
     @property
@@ -83,8 +89,6 @@ class TrivialExtension:
     def split(self, x):
         """Split a Lambda^k B element into its (Lambda^k I, Lambda^{k-1} I) parts."""
         k = self.degree_of(x.module)
-        if x.module != self.lam_b(k):
-            raise StructuralError(f"{x.module.name!r} is not a module of this extension")
         parts = {"i": {}, "j": {}}
         for (tag, K), c in x.data.items():
             parts[tag][K] = c
@@ -104,37 +108,33 @@ class TrivialExtension:
                     data[label] = c
         return _vec(M, data)
 
+    def _degree_of(self, module, kind):
+        rec = self._degree.get(module)
+        if rec is None or rec[0] != kind:
+            raise StructuralError(f"{module.name!r} is not a module of this extension")
+        return rec[1]
+
     def degree_of(self, module):
-        name = module.name
-        if not name.startswith("L^") or not name.endswith(self.name):
-            raise StructuralError(f"{name!r} is not an exterior power of {self.name}")
-        return int(name[2 : -len(self.name)])
+        """k for the module Lambda^k B of this extension."""
+        return self._degree_of(module, "b")
 
     # -- products --------------------------------------------------------
 
     def b_mul(self, x, y):
-        """Product in B: (i,a)(i',a') = (ia' + ai', aa')."""
-        i1, a1 = self.split(x)
-        i2, a2 = self.split(y)
-        a1 = a1.coeff(())
-        a2 = a2.coeff(())
-        i_out = i1.scale(a2) + i2.scale(a1)
-        return self.join(1, i_out, self.lam_i(0).basis_vec((), a1 * a2))
+        """Product in B, the degree-0 shifted product: (i,a)(i',a') = (ia' + ai', aa')."""
+        return self.star(0, 0, x, y)
 
     def wedge_i(self, x, y):
         """Wedge in Lambda I."""
-        p = int(x.module.name[2:-1])
-        q = int(y.module.name[2:-1])
-        tgt = self.lam_i(p + q)
-        out = tgt.zero()
-        if p + q > self.rank:
-            return out
+        tgt = self.lam_i(self._degree_of(x.module, "i") + self._degree_of(y.module, "i"))
+        merges = self._merges
+        out = {}
         for K, a in x.data.items():
             for L, b in y.data.items():
-                m = merge_wedge(K, L)
+                m = merges[K, L]
                 if m is not None:
-                    out = out + tgt.basis_vec(m[1], a * b * m[0])
-        return out
+                    _add_term(out, m[1], a * b, m[0])
+        return _vec(tgt, out)
 
     def wedge_b(self, x, y):
         """Wedge in Lambda B, computed on split labels.
@@ -183,14 +183,30 @@ class TrivialExtension:
         return self.d(k + 1).scale(k)
 
     def star(self, k, l, x, y):
-        """Shifted product on degree-k and degree-l pieces (Eq. split form)."""
+        """Shifted product on degree-k and degree-l pieces, one pass over split labels:
+
+        (i,K)(j,L) = (i, K^L), (j,K)(i,L) = (-1)^k (i, K^L), (j,K)(j,L) = (j, K^L)
+        and (i,K)(i,L) = 0.
+        """
         if x.module != self.lam_b(k + 1) or y.module != self.lam_b(l + 1):
             raise StructuralError("star: operands in wrong graded pieces")
-        i1, j1 = self.split(x)
-        i2, j2 = self.split(y)
-        i_out = self.wedge_i(i1, j2) + self.wedge_i(j1, i2).scale((-1) ** k)
-        j_out = self.wedge_i(j1, j2)
-        return self.join(k + l + 1, i_out, j_out)
+        ji_sign = -1 if k % 2 else 1
+        merges = self._merges
+        out = {}
+        for (t1, K), a in x.data.items():
+            for (t2, L), b in y.data.items():
+                if t1 == "i":
+                    if t2 == "i":
+                        continue
+                    tag, sign = "i", 1
+                elif t2 == "i":
+                    tag, sign = "i", ji_sign
+                else:
+                    tag, sign = "j", 1
+                m = merges[K, L]
+                if m is not None:
+                    _add_term(out, (tag, m[1]), a * b, sign * m[0])
+        return _vec(self.lam_b(k + l + 1), out)
 
     def star_abstract(self, k, l, x, y):
         """The defining formula a*a' = a.da' + (-1)^{|a|+1} da.a' + (-1)^{|a|} da.1_B.da'.
@@ -260,6 +276,31 @@ class TrivialExtension:
                     out = out + tgt.basis_vec(rest, (-1) ** i)
             m.set_column(K, out)
         return m
+
+
+class _MergeTable(dict):
+    """merge_wedge(K, L) keyed by (K, L), each computed on first use."""
+
+    def __missing__(self, key):
+        m = self[key] = merge_wedge(*key)
+        return m
+
+
+def _add_term(out, label, c, sign):
+    """out[label] += sign * c, keeping no zero coefficient."""
+    if not c.terms:
+        return
+    if sign < 0:
+        c = -c
+    s = out.get(label)
+    if s is None:
+        out[label] = c
+    else:
+        s = s + c
+        if s.terms:
+            out[label] = s
+        else:
+            del out[label]
 
 
 def build_extension(algebra, rank):

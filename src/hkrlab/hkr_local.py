@@ -67,7 +67,7 @@ class LocalModel:
             for e in row:
                 if e.degree() >= D:
                     raise ModelError("splitting entry of degree >= D overflows the bound")
-        self._psi_gen = None
+        self._psi_mono = self._psi_monomial_table()
         self.validate()
 
     def _coerce_chi(self, e):
@@ -94,6 +94,26 @@ class LocalModel:
         """The monomial section A -> C."""
         return Poly(self.C, {e + (0,) * self.r: v for e, v in a.terms.items()})
 
+    def _psi_monomial_table(self):
+        """psi of every monomial of C, keyed by exponent tuple.
+
+        The entry of a monomial is the entry with one less power of its last
+        variable times that variable's generator image, so the factors are
+        multiplied in variable order.
+        """
+        ext = self.ext
+        gens = [ext.b_elem([-e for e in self.chi[i]], self.A.gen(i)) for i in range(self.m)]
+        gens += [self.j_class(k) for k in range(self.r)]
+        table = {}
+        for e in self.C.monomials:  # by degree, so each predecessor comes first
+            last = max((i for i, power in enumerate(e) if power), default=None)
+            if last is None:
+                table[e] = ext.unit()
+            else:
+                prev = e[:last] + (e[last] - 1,) + e[last + 1 :]
+                table[e] = ext.b_mul(table[prev], gens[last])
+        return table
+
     def psi(self, c):
         """The algebra map C -> B determined by the splitting.
 
@@ -101,22 +121,12 @@ class LocalModel:
         the truncation only through the grade window, which is how every
         consumer flattens it.
         """
-        ext = self.ext
-        if self._psi_gen is None:
-            gens = []
-            for i in range(self.m):
-                gens.append(ext.b_elem([-self.chi[i][k] for k in range(self.r)], self.A.gen(i)))
-            for k in range(self.r):
-                gens.append(ext.b_elem([1 if t == k else 0 for t in range(self.r)], 0))
-            self._psi_gen = gens
-        out = None
+        if c.algebra != self.C:
+            raise StructuralError("psi is defined on the coefficients of C")
+        out = self.ext.B.zero()
         for e, v in c.terms.items():
-            term = ext.unit().scale(v)
-            for i, power in enumerate(e):
-                for _ in range(power):
-                    term = ext.b_mul(term, self._psi_gen[i])
-            out = term if out is None else out + term
-        return out if out is not None else ext.B.zero()
+            out = out + self._psi_mono[e].scale(v)
+        return out
 
     def j_class(self, k):
         return self.ext.b_elem([1 if t == k else 0 for t in range(self.r)], 0)

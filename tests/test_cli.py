@@ -143,6 +143,24 @@ def test_cli_rank_or_degree_below_every_suite_is_usage_error(tmp_path, capsys, f
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "suite,key,ran",
+    [
+        ("signs", "ranks", [2]),
+        ("comparison_wedge", "ranks", [2]),
+        ("comparison_last_level", "ranks", [2]),
+        ("hkr", "models", [[1, 1, 3], [1, 2, 3], [2, 2, 3]]),
+        ("cycle_class", "models", [[1, 1, 3], [1, 2, 3], [2, 2, 3]]),
+    ],
+)
+def test_cli_detail_names_what_ran_at_max_rank_two(tmp_path, suite, key, ran):
+    out = tmp_path / "r.json"
+    assert main(["--suite", suite, "--max-rank", "2", "--out", str(out)]) == 0
+    check = json.loads(out.read_text())["checks"][0]
+    assert check["status"] == "pass"
+    assert check["detail"][key] == ran
+
+
 def test_cli_unreadable_config_or_nerve_is_usage_error(tmp_path):
     with pytest.raises(SystemExit) as err:
         main(["--config", str(tmp_path / "absent.json")])

@@ -8,7 +8,7 @@ import pytest
 from hkrlab.coeff import CoeffAlgebra
 from hkrlab.extension_dg import TrivialExtension, build_extension, shifted_complex
 from hkrlab.chain_core import homology_dims
-from hkrlab.modules import LinMap, StructuralError
+from hkrlab.modules import LinMap, StructuralError, Vec
 from hkrlab import rational as ql
 
 QQ = CoeffAlgebra.rationals()
@@ -95,6 +95,28 @@ def test_split_join_round_trip_and_foreign_module_is_rejected():
                     ext.split(foreign.basis_vec(lab))
 
 
+def test_degrees_come_from_the_extension_not_from_module_names():
+    ext = build_extension(QX2, 2)
+    other = build_extension(QX2, 3)
+    for k in range(4):
+        assert ext.degree_of(ext.lam_b(k)) == k
+    e0, e1 = ext.lam_i(1).basis_vec((0,)), ext.lam_i(1).basis_vec((1,))
+    assert ext.wedge_i(e0, e1) == ext.lam_i(2).basis_vec((0, 1))
+    # "L^1I" and "L^2B" of the rank-3 extension: the names match, the modules do not
+    foreign = other.lam_i(1).basis_vec((0,))
+    with pytest.raises(StructuralError):
+        ext.wedge_i(foreign, e1)
+    with pytest.raises(StructuralError):
+        ext.wedge_i(e1, foreign)
+    with pytest.raises(StructuralError):
+        ext.degree_of(other.lam_b(2))
+    # a Lambda^k B element is not a Lambda^k I element
+    with pytest.raises(StructuralError):
+        ext.wedge_i(ext.lam_b(1).basis_vec(("i", (0,))), e1)
+    with pytest.raises(StructuralError):
+        ext.degree_of(ext.lam_i(1))
+
+
 def test_hat_d_squares_to_zero():
     for r in (1, 2, 3):
         ext = build_extension(QQ, r)
@@ -133,12 +155,19 @@ def test_star_cross_validates_abstract_formula():
 
 
 def test_star_is_b_product_in_degree_zero():
+    # b_mul is star(0, 0); it must give the product of B, (i,a)(i',a') =
+    # (ia' + ai', aa') on split parts, for basis elements and sums of two
     for A in ALGEBRAS:
         ext = build_extension(A, 2)
         basis = all_basis(ext, 0)
-        for x in basis:
-            for y in basis:
-                assert ext.star(0, 0, x, y) == ext.b_mul(x, y)
+        elems = basis + [u + v.scale(-2) for u, v in zip(basis, reversed(basis))]
+        for x in elems:
+            for y in elems:
+                i1, j1 = ext.split(x)
+                i2, j2 = ext.split(y)
+                a1, a2 = j1.coeff(()), j2.coeff(())
+                want = ext.join(1, i1.scale(a2) + i2.scale(a1), ext.lam_i(0).basis_vec((), a1 * a2))
+                assert ext.b_mul(x, y) == want
 
 
 def test_b_action_formula():
@@ -259,3 +288,40 @@ def test_b_action_linear_over_products_random(data):
     for lab in M.labels:
         x = x + M.basis_vec(lab, data.draw(st.integers(-2, 2)))
     assert ext.b_action(k, ext.b_mul(b1, b2), x) == ext.b_action(k, b1, ext.b_action(k, b2, x))
+
+
+def coefficients(algebra):
+    """Small coefficients, often of positive degree over QX2, so that
+    products overflow the degree bound."""
+    term = st.tuples(st.sampled_from(algebra.monomials), st.integers(-2, 2))
+    return st.lists(term, max_size=2).map(
+        lambda ts: sum((algebra.monomial(e, c) for e, c in ts), algebra.zero())
+    )
+
+
+@st.composite
+def shifted_elements(draw, ext, k):
+    """An element of the degree-k piece whose coefficients repeat, with a
+    sign, from a pool of two, so that terms of a product can cancel."""
+    M = ext.lam_b(k + 1)
+    pool = [draw(coefficients(ext.algebra)), draw(coefficients(ext.algebra))]
+    return Vec(M, {lab: draw(st.sampled_from(pool)) * draw(st.sampled_from([1, -1, 0])) for lab in M.labels})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_star_matches_abstract_formula_random(data):
+    A = data.draw(st.sampled_from(ALGEBRAS))
+    r = data.draw(st.integers(1, 3))
+    ext = build_extension(A, r)
+    k = data.draw(st.integers(0, r))
+    l = data.draw(st.integers(0, r - k))
+    x = data.draw(shifted_elements(ext, k))
+    y = data.draw(shifted_elements(ext, l))
+    pairs = [(k, l, x, y)]
+    if 2 * k <= r:
+        pairs.append((k, k, x, x))  # for odd k every term cancels: x*x = -x*x
+    for a, b, u, v in pairs:
+        got = ext.star(a, b, u, v)
+        assert got == ext.star_abstract(a, b, u, v)
+        assert all(c.terms for c in got.data.values())

@@ -1,12 +1,16 @@
 """Local model: resolutions, comparison maps, sign chase, cycle class."""
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hkrlab.chain_core import homology, is_quasi_iso
-from hkrlab.coeff import CoeffAlgebra
+from hkrlab.coeff import CoeffAlgebra, poly_to_string
 from hkrlab.extension_dg import build_extension
 from hkrlab.hkr_local import (
     LocalModel,
@@ -21,6 +25,9 @@ from hkrlab.hkr_local import (
 )
 
 QQ = CoeffAlgebra.rationals()
+GOLDEN = Path(__file__).parent / "golden"
+# a splitting with entries of degree 0 and 1 in both variables
+PSI_CHI = [["1+x2", "-2*x1"], ["x1", "3"]]
 
 
 def random_chi(m, r, D, rng, max_deg=1):
@@ -55,6 +62,50 @@ def test_build_model_with_splitting():
     i_part, a_part = model.ext.split(b)
     assert a_part.coeff(()) == model.A.gen(0)
     assert i_part == model.ext.lam_i(1).basis_vec((0,), -A.gen(0))
+
+
+@pytest.fixture(scope="module")
+def twisted_model():
+    return LocalModel(2, 2, 3, chi=PSI_CHI)
+
+
+def psi_golden_text(model):
+    """psi of every monomial of C, as {monomial: coefficient strings in the
+    order of the labels of B}."""
+    B = model.ext.B
+    images = {}
+    for e in model.C.monomials:
+        mono = model.C.monomial(e)
+        img = model.psi(mono)
+        images[poly_to_string(mono)] = [poly_to_string(img.coeff(lab)) for lab in B.labels]
+    return json.dumps({"labels": B.labels, "psi": images}, sort_keys=True, indent=1) + "\n"
+
+
+def test_psi_matches_golden_values(twisted_model):
+    got = psi_golden_text(twisted_model)
+    assert got.encode() == (GOLDEN / "psi_model_2_2_3.json").read_bytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_psi_is_the_product_of_generator_images(twisted_model, data):
+    # reference: x_i |-> (-sum_k chi_ik y_k, x_i), y_k |-> (y_k, 0), multiplied
+    # out term by term, last variable first
+    model = twisted_model
+    ext = model.ext
+    gens = [ext.b_elem([-e for e in model.chi[i]], model.A.gen(i)) for i in range(model.m)]
+    gens += [model.j_class(k) for k in range(model.r)]
+    # a monomial may be drawn twice, so its coefficients can cancel
+    terms = data.draw(st.lists(st.tuples(st.sampled_from(model.C.monomials), st.integers(-3, 3)), max_size=6))
+    c = sum((model.C.monomial(e, v) for e, v in terms), model.C.zero())
+    want = ext.B.zero()
+    for e, v in c.terms.items():
+        term = ext.unit().scale(v)
+        for i in reversed(range(len(e))):
+            for _ in range(e[i]):
+                term = ext.b_mul(term, gens[i])
+        want = want + term
+    assert model.psi(c) == want
 
 
 def test_build_model_rejects_overflowing_chi():
