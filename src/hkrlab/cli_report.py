@@ -27,9 +27,14 @@ from .exterior_core import (
     koszul_dual_check,
     sign_census,
 )
-from .extension_dg import build_extension, shifted_complex
-from .ak_complexes import contraction_realization_check, p_q_battery
-from .chain_core import homology_dims
+from .extension_dg import build_extension
+from .ak_complexes import (
+    build_p_complex,
+    build_q_complex,
+    contraction_realization_check,
+    p_q_battery,
+)
+from .chain_core import homology, homology_dims
 from .hkr_local import (
     LocalModel,
     compare_hkr_ac,
@@ -90,8 +95,10 @@ class SuiteConfig:
         # would run nothing and still pass
         if self.max_rank < 2:
             raise ConfigError("max rank must be at least 2")
-        if self.max_rank > DESK_CAPS["max_rank"]:
-            raise ConfigError(f"max rank capped at {DESK_CAPS['max_rank']}")
+        # every suite's cases stop at rank 3; a higher rank would run the same
+        # cases and still be echoed into the report
+        if self.max_rank > 3:
+            raise ConfigError("max rank capped at 3")
         if self.degree_bound < 0:
             raise ConfigError("degree bound must not be negative")
         if self.degree_bound > DESK_CAPS["degree_bound"]:
@@ -136,11 +143,36 @@ class SuiteConfig:
 
 def parse_model_json(data):
     """Model specification {m, r, D, chi}: chi has m rows (one per polynomial
-    generator) and r columns of polynomial strings."""
+    generator) and r columns of polynomial strings; omitted or null, it is the
+    standard splitting.  Malformed or oversized input is a ConfigError, raised
+    before the model is built."""
     if isinstance(data, str):
-        data = json.loads(data)
-    chi = data.get("chi")
-    return LocalModel(data["m"], data["r"], data["D"], chi=chi)
+        try:
+            data = json.loads(data)
+        except json.JSONDecodeError as err:
+            raise ConfigError(f"malformed model: line {err.lineno} col {err.colno}")
+    if not isinstance(data, dict):
+        raise ConfigError("model must be a JSON object")
+    bounds = {"m": (1, DESK_CAPS["max_rank"]), "r": (1, DESK_CAPS["max_rank"]), "D": (2, DESK_CAPS["degree_bound"])}
+    unknown = set(data) - set(bounds) - {"chi"}
+    if unknown:
+        raise ConfigError(f"unknown model keys: {sorted(unknown)}")
+    for key, (lo, hi) in bounds.items():
+        if key not in data:
+            raise ConfigError(f"model key {key!r} is missing")
+        value = data[key]
+        if type(value) is not int:  # a bool is not an int here
+            raise ConfigError(f"model field {key!r} must be int, got {value!r}")
+        if not lo <= value <= hi:
+            raise ConfigError(f"model field {key!r} must lie in {lo}..{hi}, got {value}")
+    m, r, chi = data["m"], data["r"], data.get("chi")
+    if chi is not None and not (
+        type(chi) is list
+        and len(chi) == m
+        and all(type(row) is list and len(row) == r and all(type(e) is str for e in row) for row in chi)
+    ):
+        raise ConfigError(f"model field 'chi' must be an {m} x {r} list of lists of polynomial strings")
+    return LocalModel(m, r, data["D"], chi=chi)
 
 
 def parse_cocycle_json(ext, nerve, data):
@@ -173,9 +205,9 @@ def _rng(config, name):
     return random.Random(f"{config.seed}:{name}")
 
 
-def _ranks(config):
-    """Ranks 2 and 3, as far as the configured max rank admits them."""
-    return [r for r in (2, 3) if r <= config.max_rank]
+def _ranks(config, lowest=2):
+    """Ranks from lowest up to the configured max rank."""
+    return list(range(lowest, config.max_rank + 1))
 
 
 def _comparison_models(config):
@@ -189,13 +221,14 @@ def check_sign_census(config):
         expected = {tuple(f.values) for f in four_standard_sign_functions(r)}
         for side in ("left", "right"):
             got = {tuple(f.values) for f in sign_census(r, side)}
-            if got != expected:
+            if got != expected or len(got) != 4:
                 return "fail", {"rank": r, "side": side, "census_size": len(got)}
-    return "pass", {"ranks": ranks, "count_per_side": 4}
+    return "pass", {"ranks": ranks, "count_per_side": len(got)}
 
 
 def check_koszul_duality(config):
-    for s in range(1, min(3, config.max_rank) + 1):
+    ranks = _ranks(config, lowest=1)
+    for s in ranks:
         ctx = ExteriorContext(CoeffAlgebra.rationals(), s)
         rng = _rng(config, f"koszul:{s}")
         for trial in range(100):
@@ -203,13 +236,14 @@ def check_koszul_duality(config):
             ok, details = koszul_dual_check(ctx, phi)
             if not ok:
                 return "fail", {"rank": s, "phi": [str(x) for x in phi]}
-    return "pass", {"ranks_checked": list(range(1, min(3, config.max_rank) + 1)), "seeds": 100}
+    return "pass", {"ranks_checked": ranks, "seeds": 100}
 
 
 def check_dg_battery(config):
+    ranks = _ranks(config, lowest=1)
     algebras = [CoeffAlgebra.rationals(), CoeffAlgebra.polynomial(1, 2)]
     for algebra in algebras:
-        for r in range(1, min(3, config.max_rank) + 1):
+        for r in ranks:
             ext = build_extension(algebra, r)
             basis = {}
             for k in range(r + 1):
@@ -244,27 +278,41 @@ def check_dg_battery(config):
                                 for z, y_z in zip(basis[m], yz[l, m][yi]):
                                     if not (ext.star(k + l, m, xy, z) - ext.star(k, l + m, x, y_z)).is_zero():
                                         return "fail", {"claim": "associativity", "rank": r}
-            shifted_complex(ext)  # d^2 = 0 at construction
-    return "pass", {"ranks": list(range(1, min(3, config.max_rank) + 1))}
+            for k in range(1, r + 1):
+                if not ext.hat_d(k - 1).compose(ext.hat_d(k)).is_zero():
+                    return "fail", {"claim": "square-zero differential", "rank": r, "degree": k}
+    return "pass", {"ranks": ranks}
 
 
 def check_ak_battery(config):
+    ranks = _ranks(config, lowest=1)
     for algebra in (CoeffAlgebra.rationals(), CoeffAlgebra.polynomial(1, 2)):
-        for r in range(1, min(3, config.max_rank) + 1):
+        for r in ranks:
             ext = build_extension(algebra, r)
             results = p_q_battery(ext)
             if not all(results.values()):
                 return "fail", {"rank": r, "results": {k: bool(v) for k, v in results.items()}}
-            from .ak_complexes import build_p_complex, build_q_complex
-
-            dims_p = homology_dims(build_p_complex(ext))
-            dims_q = homology_dims(build_q_complex(ext))
+            P, Q = build_p_complex(ext), build_q_complex(ext)
+            dims_p, dims_q = homology_dims(P), homology_dims(Q)
             adim = algebra.dimension()
             if dims_p.get(0) != adim or any(v for n, v in dims_p.items() if n < 0):
                 return "fail", {"claim": "resolution of the base", "rank": r}
             if dims_q.get(-r) != adim or any(v for n, v in dims_q.items() if n != -r):
                 return "fail", {"claim": "dual resolution", "rank": r}
-    return "pass", {"ranks": list(range(1, min(3, config.max_rank) + 1))}
+            if not (P.is_homogeneous() and Q.is_homogeneous()):
+                return "fail", {"claim": "homogeneous differentials", "rank": r}
+            # per grade: H^0(P) is the grade-g piece of A; H^{-r}(Q) is it shifted
+            # by r, since the top power sits in label grade r
+            for g in range(algebra.degree_bound + r + 2):
+                piece = sum(1 for mono in algebra.monomials if sum(mono) == g)
+                top_piece = sum(1 for mono in algebra.monomials if sum(mono) == g - r)
+                slice_p = {n: homology(P, n, grade=g).dim for n in range(-r, 1)}
+                slice_q = {n: homology(Q, n, grade=g).dim for n in range(-r, 1)}
+                if slice_p != {n: piece if n == 0 else 0 for n in range(-r, 1)}:
+                    return "fail", {"claim": "resolution of the base, per grade", "rank": r, "grade": g}
+                if slice_q != {n: top_piece if n == -r else 0 for n in range(-r, 1)}:
+                    return "fail", {"claim": "dual resolution, per grade", "rank": r, "grade": g}
+    return "pass", {"ranks": ranks}
 
 
 def _random_chi(m, r, D, rng):
@@ -303,12 +351,13 @@ def check_hkr_maps(config):
 
 
 def check_dual_signs(config):
-    for r in range(1, min(3, config.max_rank) + 1):
+    ranks = _ranks(config, lowest=1)
+    for r in ranks:
         out = dual_hkr_sign(r)
         expected = [(-1) ** (((r - i) * (r - i - 1)) // 2) for i in range(r + 1)]
         if not out["ok"] or out["signs"] != expected:
             return "fail", {"rank": r, "got": out["signs"], "claims": out["claims"]}
-    return "pass", {"ranks": list(range(1, min(3, config.max_rank) + 1))}
+    return "pass", {"ranks": ranks}
 
 
 def check_comparison_wedge(config):
@@ -381,8 +430,6 @@ def check_cycle_class(config):
                 return "fail", {"model": (m, r, D), "qs": [str(q) for q in qs]}
     nerve = circle_nerve()
     ext = build_extension(CoeffAlgebra.rationals(), 1)
-    from .chain_core import homology
-
     C = cech_complex(nerve, ext.lam_i(1))
     H = homology(C, 1)
     gen = Cochain(nerve, 1, ext.lam_i(1))
@@ -399,10 +446,11 @@ def check_cycle_class(config):
 
 
 def check_contraction_action(config):
-    for r in range(1, min(3, config.max_rank) + 1):
+    ranks = _ranks(config, lowest=1)
+    for r in ranks:
         if not contraction_realization_check(r):
             return "fail", {"rank": r}
-    return "pass", {"ranks": list(range(1, min(3, config.max_rank) + 1))}
+    return "pass", {"ranks": ranks}
 
 
 def check_probe_required_domains(config):
@@ -455,19 +503,7 @@ SUITES = {
     "conjecture": [("probe-general", "general-shape recursion probe (informational)", probe_general_case)],
 }
 
-SUITES["all"] = [c for name in (
-    "signs",
-    "koszul_duality",
-    "dg_algebra",
-    "ak",
-    "hkr",
-    "dual_signs",
-    "comparison_wedge",
-    "comparison_last_level",
-    "cycle_class",
-    "contraction_action",
-    "conjecture",
-) for c in SUITES[name]]
+SUITES["all"] = [c for checks in SUITES.values() for c in checks]
 
 
 @dataclass
@@ -516,7 +552,14 @@ def run_suite(config):
         try:
             status, detail = fn(config)
         except Exception as err:  # a crash is a failure with a witness
-            status, detail = "fail", {"exception": repr(err)}
+            import traceback  # only on a crash: importing it costs start-up time
+
+            # file basenames, not paths: the report stays byte-identical across checkouts
+            frames = traceback.extract_tb(err.__traceback__)[-3:]
+            status, detail = "fail", {
+                "exception": repr(err),
+                "traceback": [f"{Path(f.filename).name}:{f.lineno} in {f.name}" for f in frames],
+            }
         records.append({
             "id": check_id,
             "claim": claim,

@@ -1,65 +1,37 @@
 """Acceptance criteria, one test per criterion, with the stated time bounds.
 
-Every assertion is exact (tolerance zero); each test prints a single
-pass/fail line with its elapsed time.
+Each criterion runs the `verify` checks it names, looked up by id in the
+suite registry `cli_report.SUITES`, at a fixed seed; the registry is the
+only implementation of each claim.  The check functions are called
+directly, so a crash surfaces with its full traceback.  Every assertion is
+exact (tolerance zero); each test prints a single pass/fail line with its
+elapsed time.
 """
 
-import json
-import random
 import time
-from fractions import Fraction
 
-import pytest
+from hkrlab.cli_report import SUITES, SuiteConfig, run_suite
 
-from hkrlab.coeff import CoeffAlgebra
-from hkrlab.exterior_core import (
-    ExteriorContext,
-    four_standard_sign_functions,
-    koszul_dual_check,
-    sign_census,
-)
-from hkrlab.extension_dg import build_extension
-from hkrlab.chain_core import homology, homology_dims, is_quasi_iso
-from hkrlab.ak_complexes import (
-    build_p_complex,
-    build_q_complex,
-    contraction_realization_check,
-    hat_star_is_chain_map,
-    p_q_battery,
-    q_realization_identity,
-)
-from hkrlab.hkr_local import (
-    LocalModel,
-    compare_hkr_ac,
-    cycle_class_local,
-    dual_hkr_sign,
-    zeta_checks,
-)
-from hkrlab.cech_twist import (
-    Cochain,
-    TwistFamily,
-    build_t_last_level,
-    build_t_wedge,
-    canonical_representative,
-    cech_complex,
-    cech_delta,
-    circle_nerve,
-    cohomologous,
-    conjecture_probe,
-    delta_matrix,
-    divisor_class,
-    hom_lam_module,
-    l_operator,
-    random_hom_twist,
-    random_wedge_cochains,
-    sphere_nerve,
-    t_chain_check,
-    wedge_family,
-    zeta_recursion,
-)
-from hkrlab.cli_report import SuiteConfig, run_suite
+# no golden report uses this seed, so the criteria sample cases the golden files do not pin
+SEED = 2
 
-QQ = CoeffAlgebra.rationals()
+# criterion -> (the registered checks it runs, the config fields it sets)
+CRITERIA = {
+    1: (("sign-census",), {}),
+    2: (("koszul-duality",), {}),
+    3: (("dg-battery",), {}),
+    4: (("ak-battery",), {}),
+    5: (("hkr-maps",), {}),
+    6: (("dual-signs",), {}),
+    7: (("comparison-wedge",), {}),
+    8: (("comparison-last-level",), {}),
+    # a depth-2 nerve exercises the level-2 chain-map equations that
+    # delta_matrix checks on every comparison
+    9: (("comparison-wedge", "comparison-last-level"), {"nerve": "sphere2", "max_rank": 2}),
+    10: (("cycle-class",), {}),
+    11: (("contraction-action",), {}),
+    12: (("probe-domains", "probe-general"), {}),
+}
 
 
 class Timer:
@@ -79,315 +51,85 @@ class Timer:
             assert elapsed < self.bound, f"{self.name} exceeded its time bound: {elapsed:.1f}s"
 
 
+def run_checks(criterion):
+    """{check id: (status, detail)} for each check the criterion names."""
+    ids, fields = CRITERIA[criterion]
+    config = SuiteConfig(seed=SEED, **fields)
+    registry = {check_id: fn for check_id, _, fn in SUITES["all"]}
+    return {check_id: registry[check_id](config) for check_id in ids}
+
+
+def assert_checks_pass(criterion):
+    for check_id, (status, detail) in run_checks(criterion).items():
+        assert status == "pass", (check_id, detail)
+
+
 def test_criterion_01_sign_census():
     with Timer("1 (sign census)", 10):
-        for r in (2, 3):
-            expected = {tuple(f.values) for f in four_standard_sign_functions(r)}
-            for side in ("left", "right"):
-                got = {tuple(f.values) for f in sign_census(r, side)}
-                assert got == expected
-                assert len(got) == 4
+        assert_checks_pass(1)
 
 
 def test_criterion_02_koszul_duality():
     with Timer("2 (Koszul duality)", 10):
-        for s in (1, 2, 3):
-            rng = random.Random(1000 + s)
-            for _ in range(100):
-                phi = [Fraction(rng.randint(-6, 6)) for _ in range(s)]
-                ok, _ = koszul_dual_check(ExteriorContext(QQ, s), phi)
-                assert ok
+        assert_checks_pass(2)
 
 
 def test_criterion_03_dg_battery():
     with Timer("3 (dg battery)", 30):
-        for algebra in (QQ, CoeffAlgebra.polynomial(1, 2)):
-            for r in (1, 2, 3):
-                ext = build_extension(algebra, r)
-                basis = {
-                    k: [
-                        ext.lam_b(k + 1).basis_vec(lab, algebra.monomial(mono))
-                        for lab in ext.lam_b(k + 1).labels
-                        for mono in algebra.monomials
-                    ]
-                    for k in range(r + 1)
-                }
-                for k in range(r + 1):
-                    dk = ext.hat_d(k)
-                    # hat-d squares to zero
-                    if k >= 1:
-                        for x in basis[k]:
-                            assert ext.hat_d(k - 1).apply(dk.apply(x)).is_zero()
-                    for l in range(r + 1 - k):
-                        dl, dkl = ext.hat_d(l), ext.hat_d(k + l)
-                        for x in basis[k]:
-                            dx = dk.apply(x)
-                            for y in basis[l]:
-                                lhs = dkl.apply(ext.star(k, l, x, y))
-                                rhs = (
-                                    ext.star(k - 1, l, dx, y)
-                                    if k
-                                    else ext.lam_b(k + l).zero()
-                                )
-                                if l:
-                                    rhs = rhs + ext.star(k, l - 1, x, dl.apply(y)).scale(
-                                        (-1) ** k
-                                    )
-                                assert lhs == rhs
-                                for m in range(r + 1 - k - l):
-                                    for z in basis[m]:
-                                        assert ext.star(
-                                            k + l, m, ext.star(k, l, x, y), z
-                                        ) == ext.star(k, l + m, x, ext.star(l, m, y, z))
+        assert_checks_pass(3)
 
 
 def test_criterion_04_ak_battery():
     with Timer("4 (resolution battery)", 60):
-        for algebra in (QQ, CoeffAlgebra.polynomial(1, 2)):
-            adim = algebra.dimension()
-            for r in (1, 2, 3):
-                ext = build_extension(algebra, r)
-                P, Q = build_p_complex(ext), build_q_complex(ext)
-                dims_p, dims_q = homology_dims(P), homology_dims(Q)
-                assert dims_p[0] == adim and all(v == 0 for n, v in dims_p.items() if n < 0)
-                assert dims_q[-r] == adim and all(
-                    v == 0 for n, v in dims_q.items() if n != -r
-                )
-                # per-grade slices (both complexes are homogeneous)
-                assert P.is_homogeneous() and Q.is_homogeneous()
-                for g in range(algebra.degree_bound + r + 2):
-                    piece = len([m for m in algebra.monomials if sum(m) == g])
-                    assert homology(P, 0, grade=g).dim == piece
-                    for n in range(-r, 0):
-                        assert homology(P, n, grade=g).dim == 0
-                    # the top power sits in label grade r
-                    top_piece = len(
-                        [m for m in algebra.monomials if sum(m) == g - r]
-                    )
-                    assert homology(Q, -r, grade=g).dim == top_piece
-                    for n in range(-r + 1, 1):
-                        assert homology(Q, n, grade=g).dim == 0
-                assert q_realization_identity(ext)
-                assert hat_star_is_chain_map(ext)
+        assert_checks_pass(4)
 
 
 def test_criterion_05_hkr_maps():
     with Timer("5 (comparison maps)", 60):
-        rng = random.Random(2024)
-        for (m, r, D) in [(1, 1, 3), (1, 2, 3), (2, 2, 3), (1, 3, 3)]:
-            A = CoeffAlgebra.polynomial(m, D)
-            splittings = [None]
-            for _ in range(3):
-                splittings.append(
-                    [
-                        [
-                            sum(
-                                (
-                                    A.monomial(e, rng.randint(-2, 2))
-                                    for e in A.monomials
-                                    if sum(e) <= 1
-                                ),
-                                A.zero(),
-                            )
-                            for _ in range(r)
-                        ]
-                        for _ in range(m)
-                    ]
-                )
-            for chi in splittings:
-                model = LocalModel(m, r, D, chi=chi)
-                checks = model.gamma_checks()
-                assert all(checks.values()), (m, r, D, checks)
-                zc = zeta_checks(model.ext, window=D)
-                assert all(zc.values()), (m, r, D, zc)
-                assert compare_hkr_ac(model)
+        assert_checks_pass(5)
 
 
 def test_criterion_06_dual_signs():
     with Timer("6 (dual comparison signs)", 60):
-        for r in (1, 2, 3):
-            out = dual_hkr_sign(r)
-            assert out["ok"], out["claims"]
-            assert out["signs"] == [
-                (-1) ** (((r - i) * (r - i - 1)) // 2) for i in range(r + 1)
-            ]
-            assert out["claims"]["kernel_is_pure_subspace"]
-            assert out["claims"]["projector_kills_exactly_boundaries"]
-
-
-def _wedge_cases(r, seed, count):
-    nerve = circle_nerve()
-    ext = build_extension(QQ, r)
-    rng = random.Random(seed)
-    for _ in range(count):
-        cs = random_wedge_cochains(ext, nerve, rng)
-        ds = random_wedge_cochains(ext, nerve, rng)
-        yield ext, nerve, cs, ds
+        assert_checks_pass(6)
 
 
 def test_criterion_07_wedge_comparison():
     with Timer("7 (wedge-twist comparison)", 120):
-        for r in (2, 3):
-            for ext, nerve, cs, ds in _wedge_cases(r, 300 + r, 25):
-                lam = wedge_family(ext, nerve, cs)
-                mu = wedge_family(ext, nerve, ds)
-                delta, T = delta_matrix(ext, nerve, lam, mu, "wedge")
-                cs_c = [canonical_representative(nerve, c) for c in cs]
-                ds_c = [canonical_representative(nerve, d) for d in ds]
-                zetas = zeta_recursion(ext, nerve, cs_c, ds_c)
-                assert (zetas[(1, 0)] - (cs_c[0] - ds_c[0])).is_zero()
-                assert (
-                    zetas[(2, 1)]
-                    - (cs_c[0] - ds_c[0] + cs_c[1] - ds_c[1]).scale(Fraction(1, 2))
-                ).is_zero()
-                # the double-cup spot value vanishes identically on this nerve
-                assert zetas[(2, 0)].is_zero()
-                for i in range(r + 1):
-                    for j in range(i + 1):
-                        if i - j > nerve.depth:
-                            continue
-                        if i == j:
-                            assert delta.diagonal_is_identity()
-                            continue
-                        want = l_operator(ext, nerve, i, j, zetas[(i, j)])
-                        assert cohomologous(nerve, delta.entry(i, j), want)
+        assert_checks_pass(7)
 
 
 def test_criterion_08_last_level_comparison():
     with Timer("8 (last-level comparison)", 60):
-        nerve = circle_nerve()
-        for r in (2, 3):
-            ext = build_extension(QQ, r)
-            rng = random.Random(400 + r)
-            for _ in range(5):
-                shared = [random_hom_twist(ext, nerve, n, rng) for n in range(r - 1)]
-                lam = TwistFamily(
-                    ext, nerve, shared + [random_hom_twist(ext, nerve, r - 1, rng)]
-                )
-                mu = TwistFamily(
-                    ext, nerve, shared + [random_hom_twist(ext, nerve, r - 1, rng)]
-                )
-                delta, T = delta_matrix(ext, nerve, lam, mu, "last-level")
-                want = (
-                    lam.cocycles[r - 1].cochain - mu.cocycles[r - 1].cochain
-                ).scale(Fraction(1, r))
-                assert cohomologous(nerve, delta.entry(r, r - 1), want)
-                for i in range(r + 1):
-                    for j in range(i):
-                        if (i, j) == (r, r - 1) or i - j > nerve.depth:
-                            continue
-                        assert cohomologous(
-                            nerve,
-                            delta.entry(i, j),
-                            Cochain(nerve, i - j, hom_lam_module(ext, j, i)),
-                        )
+        assert_checks_pass(8)
 
 
 def test_criterion_09_comparison_chain_property():
     with Timer("9 (comparison chain equations)", 120):
-        # every generated case of criteria 7 and 8, checked explicitly
-        for r in (2, 3):
-            for ext, nerve, cs, ds in _wedge_cases(r, 300 + r, 25):
-                lam = wedge_family(ext, nerve, cs)
-                mu = wedge_family(ext, nerve, ds)
-                T, _ = build_t_wedge(ext, nerve, cs, ds)
-                assert t_chain_check(ext, lam, mu, T)
-        nerve = circle_nerve()
-        for r in (2, 3):
-            ext = build_extension(QQ, r)
-            rng = random.Random(400 + r)
-            for _ in range(5):
-                shared = [random_hom_twist(ext, nerve, n, rng) for n in range(r - 1)]
-                lam = TwistFamily(
-                    ext, nerve, shared + [random_hom_twist(ext, nerve, r - 1, rng)]
-                )
-                mu = TwistFamily(
-                    ext, nerve, shared + [random_hom_twist(ext, nerve, r - 1, rng)]
-                )
-                T = build_t_last_level(ext, nerve, lam, mu)
-                assert t_chain_check(ext, lam, mu, T)
-        # a depth-2 nerve exercises the level-2 equations as well
-        ext = build_extension(QQ, 2)
-        s2 = sphere_nerve(2)
-        rng = random.Random(77)
-        cs = random_wedge_cochains(ext, s2, rng)
-        ds = random_wedge_cochains(ext, s2, rng)
-        T, _ = build_t_wedge(ext, s2, cs, ds)
-        assert t_chain_check(
-            ext, wedge_family(ext, s2, cs), wedge_family(ext, s2, ds), T
-        )
+        assert_checks_pass(9)
 
 
 def test_criterion_10_cycle_classes():
     with Timer("10 (cycle classes)", 30):
-        rng = random.Random(2024)  # the same splitting distribution as criterion 5
-        for (m, r, D) in [(1, 1, 3), (1, 2, 3), (2, 2, 3), (1, 3, 3)]:
-            A = CoeffAlgebra.polynomial(m, D)
-            chis = [None]
-            for _ in range(3):
-                chis.append(
-                    [
-                        [
-                            sum(
-                                (
-                                    A.monomial(e, rng.randint(-2, 2))
-                                    for e in A.monomials
-                                    if sum(e) <= 1
-                                ),
-                                A.zero(),
-                            )
-                            for _ in range(r)
-                        ]
-                        for _ in range(m)
-                    ]
-                )
-            for chi in chis:
-                qs = cycle_class_local(LocalModel(m, r, D, chi=chi), check_signs=False)
-                assert qs[0] == 1 and all(q == 0 for q in qs[1:])
-        # divisors: zero, the generator, a coboundary
-        nerve = circle_nerve()
-        ext = build_extension(QQ, 1)
-        C = cech_complex(nerve, ext.lam_i(1))
-        H = homology(C, 1)
-        gen = Cochain(nerve, 1, ext.lam_i(1))
-        for (s, lab), poly in H.representatives[0].data.items():
-            gen[s] = gen.value(s) + ext.lam_i(1).basis_vec(lab, poly)
-        noise = Cochain(nerve, 0, ext.lam_i(1))
-        noise[(2,)] = ext.lam_i(1).basis_vec((0,), -5)
-        for delta_in in (Cochain(nerve, 1, ext.lam_i(1)), gen, cech_delta(noise)):
-            q0, q1 = divisor_class(nerve, delta_in)
-            assert q0 == 1
-            assert cohomologous(nerve, q1, delta_in)
+        assert_checks_pass(10)
 
 
 def test_criterion_11_contraction_realization():
     with Timer("11 (contraction realization)", 10):
-        for r in (1, 2, 3):
-            assert contraction_realization_check(r)
+        assert_checks_pass(11)
 
 
 def test_criterion_12_probe():
     with Timer("12 (recursion probe)", 120):
-        nerve = circle_nerve()
-        ext = build_extension(QQ, 2)
-        rng = random.Random(55)
-        lam = wedge_family(ext, nerve, random_wedge_cochains(ext, nerve, rng))
-        mu = wedge_family(ext, nerve, random_wedge_cochains(ext, nerve, rng))
-        rep = conjecture_probe(ext, nerve, lam, mu, shape="wedge")
-        assert rep["agrees"] is True
-        shared = [random_hom_twist(ext, nerve, 0, rng)]
-        lam2 = TwistFamily(ext, nerve, shared + [random_hom_twist(ext, nerve, 1, rng)])
-        mu2 = TwistFamily(ext, nerve, shared + [random_hom_twist(ext, nerve, 1, rng)])
-        rep2 = conjecture_probe(ext, nerve, lam2, mu2, shape="last-level")
-        assert rep2["agrees"] is True
+        results = run_checks(12)
+        status, detail = results["probe-domains"]
+        assert status == "pass", detail
         # general case: completes and emits a structured report
-        ext3 = build_extension(QQ, 3)
-        s2 = sphere_nerve(2)
-        lam3 = TwistFamily(ext3, s2, [random_hom_twist(ext3, s2, n, rng) for n in range(3)])
-        mu3 = TwistFamily(ext3, s2, [random_hom_twist(ext3, s2, n, rng) for n in range(3)])
-        rep3 = conjecture_probe(ext3, s2, lam3, mu3, shape=None)
-        assert rep3["agrees"] is None
-        assert rep3["entries"] and all("cocycle" in v for v in rep3["entries"].values())
+        status, detail = results["probe-general"]
+        assert status == "exploratory"
+        rep = detail["report"]
+        assert rep["agrees"] is None
+        assert rep["entries"] and all("cocycle" in v for v in rep["entries"].values())
 
 
 def test_criterion_13_determinism():
@@ -396,3 +138,9 @@ def test_criterion_13_determinism():
         first = run_suite(config).to_json()
         second = run_suite(SuiteConfig(suite="comparison_wedge", seed=5)).to_json()
         assert first.encode() == second.encode()
+
+
+def test_every_registered_check_is_driven_by_a_criterion():
+    driven = {check_id for ids, _ in CRITERIA.values() for check_id in ids}
+    registered = {check_id for check_id, _, _ in SUITES["all"]}
+    assert registered <= driven, sorted(registered - driven)

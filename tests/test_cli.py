@@ -26,6 +26,9 @@ def test_unknown_suite_rejected():
 def test_caps_enforced():
     with pytest.raises(ConfigError):
         SuiteConfig(max_rank=9)
+    # every suite stops at rank 3, so rank 4 would run the rank-3 cases
+    with pytest.raises(ConfigError, match="max rank capped at 3"):
+        SuiteConfig(max_rank=4)
     with pytest.raises(ConfigError):
         SuiteConfig(degree_bound=11)
 
@@ -221,6 +224,40 @@ def test_model_json_interface():
     assert model.chi[0][0] == model.A.gen(0)
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"r": 2, "D": 3}, "'m' is missing"),
+        ({"m": 1, "D": 3}, "'r' is missing"),
+        ({"m": 1, "r": 2}, "'D' is missing"),
+        ({"m": "1", "r": 2, "D": 3}, "'m' must be int"),
+        ({"m": 1, "r": True, "D": 3}, "'r' must be int"),
+        ({"m": 1, "r": 2, "D": 3.0}, "'D' must be int"),
+        ({"m": 50, "r": 2, "D": 4}, "'m' must lie in 1..4"),
+        ({"m": 0, "r": 2, "D": 3}, "'m' must lie in 1..4"),
+        ({"m": 1, "r": 5, "D": 3}, "'r' must lie in 1..4"),
+        ({"m": 1, "r": 0, "D": 3}, "'r' must lie in 1..4"),
+        ({"m": 1, "r": 2, "D": 1}, "'D' must lie in 2..4"),
+        ({"m": 1, "r": 2, "D": 5}, "'D' must lie in 2..4"),
+        ({"m": 1, "r": 2, "D": 3, "chi": "x1"}, "1 x 2 list of lists"),
+        ({"m": 1, "r": 2, "D": 3, "chi": [["x1"]]}, "1 x 2 list of lists"),
+        ({"m": 1, "r": 2, "D": 3, "chi": [["x1", "0"], ["0", "0"]]}, "1 x 2 list of lists"),
+        ({"m": 1, "r": 2, "D": 3, "chi": ["x1", "0"]}, "1 x 2 list of lists"),
+        ({"m": 1, "r": 2, "D": 3, "chi": [["x1", 0]]}, "1 x 2 list of lists"),
+        ({"m": 1, "r": 2, "D": 3, "Chi": [["x1", "0"]]}, "unknown model keys"),
+        ([1, 2, 3], "must be a JSON object"),
+        ('{"m": 1,', "malformed model"),
+    ],
+)
+def test_model_json_rejects_malformed_or_oversized_input(monkeypatch, data, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("model built from rejected input")
+
+    monkeypatch.setattr("hkrlab.cli_report.LocalModel", refuse)
+    with pytest.raises(ConfigError, match=message):
+        parse_model_json(data)
+
+
 def test_cocycle_json_interface():
     ext = build_extension(CoeffAlgebra.rationals(), 1)
     nerve = circle_nerve()
@@ -263,19 +300,30 @@ def test_cli_byte_identical_across_processes(tmp_path):
     assert outs[0] == outs[1]
 
 
+def _raising_check(config):
+    return {}["missing"]
+
+
 def test_failing_check_gives_nonzero_exit(tmp_path):
     from hkrlab import cli_report
 
     cli_report.SUITES["__selftest__"] = [
-        ("always-fails", "synthetic failure for exit-code coverage", lambda cfg: ("fail", {"w": 1}))
+        ("always-fails", "synthetic failure for exit-code coverage", lambda cfg: ("fail", {"w": 1})),
+        ("always-raises", "synthetic crash for witness coverage", _raising_check),
     ]
     try:
         out = tmp_path / "r.json"
         code = main(["--suite", "__selftest__", "--out", str(out)])
         assert code == 1
         data = json.loads(out.read_text())
-        assert data["failures"] == 1
+        assert data["failures"] == 2
         assert data["checks"][0]["detail"] == {"w": 1}  # witness carried
+        crash = data["checks"][1]["detail"]
+        assert crash["exception"] == "KeyError('missing')"
+        # the end of the traceback names the raising function, without absolute paths
+        assert crash["traceback"][-1].startswith("test_cli.py:")
+        assert crash["traceback"][-1].endswith(" in _raising_check")
+        assert not any("/" in frame for frame in crash["traceback"])
     finally:
         del cli_report.SUITES["__selftest__"]
 
