@@ -68,6 +68,9 @@ from .cech_twist import (
 
 
 DESK_CAPS = {"max_rank": 4, "degree_bound": 4, "nerve_depth": MAX_NERVE_DEPTH}
+# the highest rank any suite runs: COMPARISON_MODELS and probe_general_case
+# stop at rank 3, and a higher configured rank would run the same cases
+SUITE_MAX_RANK = 3
 
 
 class ConfigError(ValueError):
@@ -95,10 +98,8 @@ class SuiteConfig:
         # would run nothing and still pass
         if self.max_rank < 2:
             raise ConfigError("max rank must be at least 2")
-        # every suite's cases stop at rank 3; a higher rank would run the same
-        # cases and still be echoed into the report
-        if self.max_rank > 3:
-            raise ConfigError("max rank capped at 3")
+        if self.max_rank > SUITE_MAX_RANK:
+            raise ConfigError(f"max rank capped at {SUITE_MAX_RANK}")
         if self.degree_bound < 0:
             raise ConfigError("degree bound must not be negative")
         if self.degree_bound > DESK_CAPS["degree_bound"]:
@@ -172,7 +173,16 @@ def parse_model_json(data):
         and all(type(row) is list and len(row) == r and all(type(e) is str for e in row) for row in chi)
     ):
         raise ConfigError(f"model field 'chi' must be an {m} x {r} list of lists of polynomial strings")
-    return LocalModel(m, r, data["D"], chi=chi)
+    D = data["D"]
+    if chi is not None:
+        A = CoeffAlgebra.polynomial(m, D)
+        try:
+            chi = [[A.parse(e) for e in row] for row in chi]
+        except (ValueError, ZeroDivisionError) as err:
+            raise ConfigError(f"model field 'chi' holds a malformed polynomial: {err}")
+        if any(e.degree() >= D for row in chi for e in row):
+            raise ConfigError(f"model field 'chi' holds an entry of degree {D} or more")
+    return LocalModel(m, r, D, chi=chi)
 
 
 def parse_cocycle_json(ext, nerve, data):
@@ -423,7 +433,7 @@ def check_cycle_class(config):
     models = _comparison_models(config)
     for (m, r, D) in models:
         rng = _rng(config, f"cycle:{m}:{r}")
-        for chi in [None] + [_random_chi(m, r, D, rng) for _ in range(2)]:
+        for chi in [None] + [_random_chi(m, r, D, rng) for _ in range(3)]:
             model = LocalModel(m, r, D, chi=chi)
             qs = cycle_class_local(model, check_signs=(chi is None))
             if qs[0] != 1 or any(q != 0 for q in qs[1:]):

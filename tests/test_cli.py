@@ -244,6 +244,11 @@ def test_model_json_interface():
         ({"m": 1, "r": 2, "D": 3, "chi": [["x1", "0"], ["0", "0"]]}, "1 x 2 list of lists"),
         ({"m": 1, "r": 2, "D": 3, "chi": ["x1", "0"]}, "1 x 2 list of lists"),
         ({"m": 1, "r": 2, "D": 3, "chi": [["x1", 0]]}, "1 x 2 list of lists"),
+        ({"m": 1, "r": 2, "D": 3, "chi": [["x9", "0"]]}, "malformed polynomial: unknown variable 'x9'"),
+        ({"m": 1, "r": 2, "D": 3, "chi": [["1+", "0"]]}, "malformed polynomial: cannot parse"),
+        ({"m": 1, "r": 2, "D": 3, "chi": [["x1", ""]]}, "malformed polynomial: empty"),
+        ({"m": 1, "r": 2, "D": 3, "chi": [["1/0", "0"]]}, "malformed polynomial"),
+        ({"m": 1, "r": 2, "D": 3, "chi": [["x1", "x1^3"]]}, "entry of degree 3 or more"),
         ({"m": 1, "r": 2, "D": 3, "Chi": [["x1", "0"]]}, "unknown model keys"),
         ([1, 2, 3], "must be a JSON object"),
         ('{"m": 1,', "malformed model"),
