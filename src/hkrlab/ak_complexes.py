@@ -328,17 +328,11 @@ def contraction_realization_check(r):
     return True
 
 
-def p_q_battery(ext, window=None, grades=None):
+def p_q_battery(ext):
     """Resolution checks for P and Q: homology, coaugmentations, pairing."""
-    r = ext.rank
-    P = build_p_complex(ext)
-    Q = build_q_complex(ext)
-    if window is not None:
-        P = P.with_window(window)
-        Q = Q.with_window(window)
     results = {}
-    results["p_aug_quasi_iso"] = is_quasi_iso(p_augmentation(ext, window), grades or (None,))
-    results["q_coaug_quasi_iso"] = is_quasi_iso(q_coaugmentation(ext, window), grades or (None,))
+    results["p_aug_quasi_iso"] = is_quasi_iso(p_augmentation(ext))
+    results["q_coaug_quasi_iso"] = is_quasi_iso(q_coaugmentation(ext))
     results["q_realized_differential"] = q_realization_identity(ext)
     results["hat_star_chain_map"] = hat_star_is_chain_map(ext)
     results["hat_star_module_action"] = hat_star_matches_module_action(ext)

@@ -358,6 +358,17 @@ def cocycle_to_flat(C, l, cochain):
     return out
 
 
+def combine_representatives(nerve, degree, module, coeffs, reps):
+    """The cochain sum of c * rep over coeffs and reps, where each rep is an
+    element of cech_complex(nerve, module) in this degree."""
+    out = Cochain(nerve, degree, module)
+    for c, rep in zip(coeffs, reps):
+        if c:
+            for (s, lab), poly in rep.data.items():
+                out[s] = out.value(s) + module.basis_vec(lab, poly * c)
+    return out
+
+
 def is_cocycle(nerve, cochain):
     return cech_delta(cochain).is_zero()
 
@@ -914,14 +925,7 @@ def canonical_representative(nerve, cochain):
     C = cech_complex(nerve, cochain.module)
     H = homology(C, cochain.degree)
     coords = H.project_flat(cocycle_to_flat(C, cochain.degree, cochain))
-    fb = C.flat(cochain.degree)
-    out = Cochain(nerve, cochain.degree, cochain.module)
-    for coord, rep in zip(coords, H.representatives):
-        if not coord:
-            continue
-        for (s, lab), poly in rep.data.items():
-            out[s] = out.value(s) + cochain.module.basis_vec(lab, poly * coord)
-    return out
+    return combine_representatives(nerve, cochain.degree, cochain.module, coords, H.representatives)
 
 
 def identity_hom_cochain(ext, nerve, i):
@@ -1139,7 +1143,7 @@ def codim2_matrix(ext, kahler, nerve, nablas, chi):
 # -- the divisor class ---------------------------------------------------------
 
 
-def divisor_class(nerve, delta_cochain, algebra=None):
+def divisor_class(nerve, delta_cochain):
     """The class of a rank-one cycle twisted by a line-bundle datum.
 
     delta_cochain is an I-valued 1-cocycle on the nerve (rank 1).  Chases
@@ -1147,7 +1151,7 @@ def divisor_class(nerve, delta_cochain, algebra=None):
     (degree-0 coefficient, representative 1-cochain of the degree-1 part);
     the theorem under test is that these equal (1, [delta]).
     """
-    algebra = algebra or CoeffAlgebra.rationals()
+    algebra = CoeffAlgebra.rationals()
     ext = TrivialExtension(algebra, 1)
     if delta_cochain.degree != 1 or delta_cochain.module != ext.lam_i(1):
         raise StructuralError("divisor data must be an I-valued 1-cochain")
@@ -1350,27 +1354,21 @@ def conjecture_probe(ext, nerve, lam, mu, shape=None):
 # -- seeded random twist data -----------------------------------------------------
 
 
-def random_wedge_cochains(ext, nerve, rng, with_coboundary=True):
+def random_wedge_cochains(ext, nerve, rng):
     """Seeded wedge-type twist data: multiples of a degree-1 class plus noise."""
     C = cech_complex(nerve, ext.lam_i(1))
     H = homology(C, 1)
     cochains = []
     for _ in range(ext.rank):
-        c = Cochain(nerve, 1, ext.lam_i(1))
-        for rep in H.representatives:
-            scalar = rng.randint(-2, 2)
-            if scalar:
-                for (s, lab), poly in rep.data.items():
-                    c[s] = c.value(s) + ext.lam_i(1).basis_vec(lab, poly * scalar)
-        if with_coboundary:
-            noise = Cochain(nerve, 0, ext.lam_i(1))
-            for s in nerve.simplices_of_dim(0):
-                vals = ext.lam_i(1).zero()
-                for k in range(ext.rank):
-                    vals = vals + ext.lam_i(1).basis_vec((k,), rng.randint(-2, 2))
-                noise[s] = vals
-            c = c + cech_delta(noise)
-        cochains.append(c)
+        scalars = [rng.randint(-2, 2) for _ in H.representatives]
+        c = combine_representatives(nerve, 1, ext.lam_i(1), scalars, H.representatives)
+        noise = Cochain(nerve, 0, ext.lam_i(1))
+        for s in nerve.simplices_of_dim(0):
+            vals = ext.lam_i(1).zero()
+            for k in range(ext.rank):
+                vals = vals + ext.lam_i(1).basis_vec((k,), rng.randint(-2, 2))
+            noise[s] = vals
+        cochains.append(c + cech_delta(noise))
     return cochains
 
 
@@ -1379,12 +1377,8 @@ def random_hom_twist(ext, nerve, level, rng):
     hom = hom_lam_module(ext, level, level + 1)
     C = cech_complex(nerve, hom)
     H = homology(C, 1)
-    c = Cochain(nerve, 1, hom)
-    for rep in H.representatives:
-        scalar = rng.randint(-2, 2)
-        if scalar:
-            for (s, lab), poly in rep.data.items():
-                c[s] = c.value(s) + hom.basis_vec(lab, poly * scalar)
+    scalars = [rng.randint(-2, 2) for _ in H.representatives]
+    c = combine_representatives(nerve, 1, hom, scalars, H.representatives)
     noise = Cochain(nerve, 0, hom)
     for s in nerve.simplices_of_dim(0):
         v = hom.zero()

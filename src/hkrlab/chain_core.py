@@ -124,19 +124,15 @@ def single_module_complex(algebra, module, degree=0):
 class ComplexMap:
     """Degree-preserving map of complexes, stored as flattened matrices.
 
-    The per-degree components may be handed in as LinMaps (algebra linear)
-    or as raw rational matrices relative to the flattened bases (for maps
-    that are only rational-linear, or that change coefficient algebras).
+    The per-degree components are rational matrices relative to the
+    flattened bases, so a map may be only rational-linear, or change
+    coefficient algebras.
     """
 
     def __init__(self, source, target, components):
         self.source = source
         self.target = target
-        self.maps = {}
-        for n, comp in components.items():
-            if isinstance(comp, LinMap):
-                comp = flatten_map(comp, source.flat(n), target.flat(n))
-            self.maps[n] = comp
+        self.maps = dict(components)
 
     @classmethod
     def from_functions(cls, source, target, fns):
@@ -163,18 +159,11 @@ class ComplexMap:
         out = [sum((row[j] * c for j, c in nonzero), Fraction(0)) for row in self.qmap(n)]
         return self.target.flat(n).unflatten(out)
 
-    def chain_defect(self, n):
-        lhs = ql.mat_mul(self.target.qdiff(n), self.qmap(n))
-        rhs = ql.mat_mul(self.qmap(n + 1), self.source.qdiff(n))
-        return ql.mat_sub(lhs, rhs)
-
-    def is_chain_map(self, anti=False):
+    def is_chain_map(self):
         degs = set(self.source.degrees()) | set(self.target.degrees())
         for n in degs:
             lhs = ql.mat_mul(self.target.qdiff(n), self.qmap(n))
             rhs = ql.mat_mul(self.qmap(n + 1), self.source.qdiff(n))
-            if anti:
-                rhs = ql.mat_scale(rhs, -1)
             if not ql.mat_eq(lhs, rhs):
                 return False
         return True
@@ -474,226 +463,28 @@ def homology_dims(C, grade=None):
     return {n: homology(C, n, grade).dim for n in C.degrees()}
 
 
-def is_quasi_iso(f, grades=(None,), degrees=None):
+def is_quasi_iso(f, degrees=None):
     """True iff the induced maps on homology are isomorphisms.
 
-    grades is an iterable of grade slices (None = the whole flattened
-    space); degrees optionally restricts the cohomological degrees checked
-    (used when a source complex is a brutal truncation of an unbounded
+    degrees optionally restricts the cohomological degrees checked (used
+    when a source complex is a brutal truncation of an unbounded
     resolution, whose homology is only computed faithfully away from the
     cut).
     """
     degs = degrees if degrees is not None else sorted(
         set(f.source.degrees()) | set(f.target.degrees())
     )
-    for grade in grades:
-        for n in degs:
-            hs = homology(f.source, n, grade)
-            ht = homology(f.target, n, grade)
-            if hs.dim != ht.dim:
-                return False
-            if hs.dim == 0:
-                continue
-            cols = []
-            for rep in hs.representatives:
-                img = f.apply(n, rep)
-                cols.append(ht.project(img))
-            if ql.rank(ql.transpose(cols)) != ht.dim:
-                return False
+    for n in degs:
+        hs = homology(f.source, n)
+        ht = homology(f.target, n)
+        if hs.dim != ht.dim:
+            return False
+        if hs.dim == 0:
+            continue
+        cols = []
+        for rep in hs.representatives:
+            img = f.apply(n, rep)
+            cols.append(ht.project(img))
+        if ql.rank(ql.transpose(cols)) != ht.dim:
+            return False
     return True
-
-
-def null_homotopy(f):
-    """Solve f = d h + h d for a degree -1 map h; None when no solution."""
-    C, D = f.source, f.target
-    degs = sorted(set(C.degrees()) | set(D.degrees()))
-    var_index = {}
-    nvars = 0
-    for n in degs:
-        sdim = C.flat(n).dim
-        tdim = D.flat(n - 1).dim
-        for i in range(tdim):
-            for j in range(sdim):
-                var_index[(n, i, j)] = nvars
-                nvars += 1
-    rows, rhs = [], []
-    for n in degs:
-        F = f.qmap(n)
-        dD = D.qdiff(n - 1)  # D^{n-1} -> D^n
-        dC = C.qdiff(n)  # C^n -> C^{n+1}
-        sdim = C.flat(n).dim
-        tdim = D.flat(n).dim
-        hdim = D.flat(n - 1).dim
-        nxt = C.flat(n + 1).dim
-        for i in range(tdim):
-            for j in range(sdim):
-                row = [Fraction(0)] * nvars
-                # (dD h^n)_{ij} = sum_k dD[i][k] h^n[k][j]
-                for k in range(hdim):
-                    if dD[i][k]:
-                        row[var_index[(n, k, j)]] += dD[i][k]
-                # (h^{n+1} dC)_{ij} = sum_k h^{n+1}[i][k] dC[k][j]
-                for k in range(nxt):
-                    if dC[k][j]:
-                        row[var_index[(n + 1, i, k)]] += dC[k][j]
-                rows.append(row)
-                rhs.append(F[i][j])
-    sol = ql.solve_vec(rows, rhs) if rows else []
-    if sol is None:
-        return None
-    out = {}
-    for n in degs:
-        tdim = D.flat(n - 1).dim
-        sdim = C.flat(n).dim
-        out[n] = [[sol[var_index[(n, i, j)]] for j in range(sdim)] for i in range(tdim)]
-    return out
-
-
-@dataclass
-class Decomposition:
-    ok: bool
-    reason: str = ""
-    h_complex: CochainComplex = None
-    inclusion: ComplexMap = None
-    projection: ComplexMap = None
-    homotopy: dict = None
-
-
-def split_off_homology(C):
-    """Try to split C as (free homology complex) + (null-homotopic complex).
-
-    The splitting maps are required to be linear over the coefficient
-    algebra; failure to find one is reported, not raised.
-    """
-    algebra = C.algebra
-    adim = algebra.dimension()
-    h_reps = {}
-    for n in C.degrees():
-        H = homology(C, n)
-        if H.dim % adim:
-            return Decomposition(False, f"homology at degree {n} is not free")
-        # greedily pick representatives whose algebra multiples span H
-        chosen = []
-        span_rows = []
-        for rep in H.representatives:
-            cand_rows = []
-            for b in algebra.basis():
-                scaled = C.flat(n).flatten_vec(rep.scale(b))
-                cand_rows.append(H.project_flat(scaled))
-            old = ql.rank(span_rows) if span_rows else 0
-            if ql.rank(span_rows + cand_rows) > old:
-                chosen.append(rep)
-                span_rows = span_rows + cand_rows
-        if (ql.rank(span_rows) if span_rows else 0) != H.dim:
-            return Decomposition(False, f"no free generating system at degree {n}")
-        h_reps[n] = chosen
-    h_modules = {
-        n: BasedModule(algebra, tuple(("h", n, t) for t in range(len(reps))), f"H^{n}")
-        for n, reps in h_reps.items()
-        if reps
-    }
-    Hc = CochainComplex(algebra, h_modules, {}, check=False)
-    fns = {}
-    for n in h_modules:
-        reps = h_reps[n]
-
-        def make(n=n, reps=reps):
-            def fn(v):
-                out = C.module(n).zero()
-                for lab, c in v.data.items():
-                    out = out + reps[lab[2]].scale(c)
-                return out
-
-            return fn
-
-        fns[n] = make()
-    incl = ComplexMap.from_functions(Hc, C, fns)
-    if not incl.is_chain_map():
-        return Decomposition(False, "chosen representatives are not closed under d")
-    proj = _solve_retraction(C, Hc, incl)
-    if proj is None:
-        return Decomposition(False, "no algebra-linear retraction")
-    defect = identity_map(C) - incl.compose(proj)
-    h = null_homotopy(defect)
-    if h is None:
-        return Decomposition(False, "complement is not null-homotopic")
-    return Decomposition(True, "", Hc, incl, proj, h)
-
-
-def _algebra_linear_matrix(algebra, sb, tb, coeffs):
-    """Flattened matrix of the algebra-linear map with given entry coefficients.
-
-    coeffs maps (src_label, tgt_label, monomial) -> Fraction.
-    """
-    M = ql.zeros(tb.dim, sb.dim)
-    D = algebra.degree_bound
-    for (sl, tl, mono), c in coeffs.items():
-        if not c:
-            continue
-        for j, (sl2, mu) in enumerate(sb.pairs):
-            if sl2 != sl:
-                continue
-            prod = tuple(a + b for a, b in zip(mono, mu))
-            if sum(prod) > D:
-                continue
-            idx = tb.index.get((tl, prod))
-            if idx is not None:
-                M[idx][j] += c
-    return M
-
-
-def _solve_retraction(C, Hc, incl):
-    """Algebra-linear rho with rho o incl = id and rho o d = 0 per degree."""
-    algebra = C.algebra
-    comps = {}
-    for n in C.degrees():
-        src = C.module(n)
-        tgt = Hc.module(n)
-        sb, tb = C.flat(n), Hc.flat(n)
-        if tgt.rank == 0:
-            comps[n] = ql.zeros(tb.dim, sb.dim)
-            continue
-        variables = [
-            (sl, tl, mono) for sl in src.labels for tl in tgt.labels for mono in algebra.monomials
-        ]
-        var_index = {v: i for i, v in enumerate(variables)}
-        # flattened matrix as a linear function of the variables:
-        # entry_contrib[(i, j)] is a list of (var, coeff)
-        contrib = {}
-        D = algebra.degree_bound
-        for (sl, tl, mono) in variables:
-            for j, (sl2, mu) in enumerate(sb.pairs):
-                if sl2 != sl:
-                    continue
-                prod = tuple(a + b for a, b in zip(mono, mu))
-                if sum(prod) > D:
-                    continue
-                i = tb.index[(tl, prod)]
-                contrib.setdefault((i, j), []).append(var_index[(sl, tl, mono)])
-        rows, rhs = [], []
-        inc = incl.qmap(n)
-        d_in = C.qdiff(n - 1)
-        prev_dim = C.flat(n - 1).dim
-        for i in range(tb.dim):
-            for col in range(tb.dim):
-                row = [Fraction(0)] * len(variables)
-                for j in range(sb.dim):
-                    if inc[j][col]:
-                        for v in contrib.get((i, j), ()):
-                            row[v] += inc[j][col]
-                rows.append(row)
-                rhs.append(Fraction(1) if i == col else Fraction(0))
-            for col in range(prev_dim):
-                row = [Fraction(0)] * len(variables)
-                for j in range(sb.dim):
-                    if d_in[j][col]:
-                        for v in contrib.get((i, j), ()):
-                            row[v] += d_in[j][col]
-                rows.append(row)
-                rhs.append(Fraction(0))
-        sol = ql.solve_vec(rows, rhs)
-        if sol is None:
-            return None
-        coeffs = {v: sol[k] for v, k in var_index.items()}
-        comps[n] = _algebra_linear_matrix(algebra, sb, tb, coeffs)
-    return ComplexMap(C, Hc, comps)

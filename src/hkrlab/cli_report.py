@@ -44,7 +44,6 @@ from .hkr_local import (
 )
 from .cech_twist import (
     Cochain,
-    MAX_NERVE_DEPTH,
     NERVE_LIBRARY,
     Nerve,
     NerveError,
@@ -54,6 +53,7 @@ from .cech_twist import (
     cech_complex,
     circle_nerve,
     cohomologous,
+    combine_representatives,
     conjecture_probe,
     delta_matrix,
     divisor_class,
@@ -67,10 +67,12 @@ from .cech_twist import (
 )
 
 
-DESK_CAPS = {"max_rank": 4, "degree_bound": 4, "nerve_depth": MAX_NERVE_DEPTH}
 # the highest rank any suite runs: COMPARISON_MODELS and probe_general_case
 # stop at rank 3, and a higher configured rank would run the same cases
 SUITE_MAX_RANK = 3
+MAX_DEGREE_BOUND = 4
+# the rank cap of a local model given as JSON (parse_model_json)
+MODEL_MAX_RANK = 4
 
 
 class ConfigError(ValueError):
@@ -102,8 +104,10 @@ class SuiteConfig:
             raise ConfigError(f"max rank capped at {SUITE_MAX_RANK}")
         if self.degree_bound < 0:
             raise ConfigError("degree bound must not be negative")
-        if self.degree_bound > DESK_CAPS["degree_bound"]:
-            raise ConfigError(f"degree bound capped at {DESK_CAPS['degree_bound']}")
+        if self.degree_bound > MAX_DEGREE_BOUND:
+            raise ConfigError(f"degree bound capped at {MAX_DEGREE_BOUND}")
+        if self.fmt not in ("json", "md"):
+            raise ConfigError(f"format must be 'json' or 'md', got {self.fmt!r}")
 
     @classmethod
     def from_json(cls, path):
@@ -154,7 +158,7 @@ def parse_model_json(data):
             raise ConfigError(f"malformed model: line {err.lineno} col {err.colno}")
     if not isinstance(data, dict):
         raise ConfigError("model must be a JSON object")
-    bounds = {"m": (1, DESK_CAPS["max_rank"]), "r": (1, DESK_CAPS["max_rank"]), "D": (2, DESK_CAPS["degree_bound"])}
+    bounds = {"m": (1, MODEL_MAX_RANK), "r": (1, MODEL_MAX_RANK), "D": (2, MAX_DEGREE_BOUND)}
     unknown = set(data) - set(bounds) - {"chi"}
     if unknown:
         raise ConfigError(f"unknown model keys: {sorted(unknown)}")
@@ -183,29 +187,6 @@ def parse_model_json(data):
         if any(e.degree() >= D for row in chi for e in row):
             raise ConfigError(f"model field 'chi' holds an entry of degree {D} or more")
     return LocalModel(m, r, D, chi=chi)
-
-
-def parse_cocycle_json(ext, nerve, data):
-    """Cocycle specification {level, values: {"a,b": matrix of strings}}."""
-    if isinstance(data, str):
-        data = json.loads(data)
-    level = data["level"]
-    hom = hom_lam_module(ext, level, level + 1)
-    out = Cochain(nerve, 1, hom)
-    src_labels = ext.lam_i(level).labels
-    tgt_labels = ext.lam_i(level + 1).labels
-    for key, matrix in data["values"].items():
-        a, b = (int(t) for t in key.split(","))
-        v = hom.zero()
-        for i, row in enumerate(matrix):
-            for j, entry in enumerate(row):
-                poly = ext.algebra.parse(str(entry))
-                if not poly.is_zero():
-                    v = v + hom.basis_vec((src_labels[j], tgt_labels[i]), poly)
-        out[tuple(sorted((a, b)))] = v if a < b else -v
-    from .cech_twist import TwistCocycle
-
-    return TwistCocycle(ext, nerve, level, out)
 
 
 # -- individual checks --------------------------------------------------------
@@ -442,9 +423,7 @@ def check_cycle_class(config):
     ext = build_extension(CoeffAlgebra.rationals(), 1)
     C = cech_complex(nerve, ext.lam_i(1))
     H = homology(C, 1)
-    gen = Cochain(nerve, 1, ext.lam_i(1))
-    for (s, lab), poly in H.representatives[0].data.items():
-        gen[s] = gen.value(s) + ext.lam_i(1).basis_vec(lab, poly)
+    gen = combine_representatives(nerve, 1, ext.lam_i(1), [1], H.representatives)
     noise = Cochain(nerve, 0, ext.lam_i(1))
     noise[(0,)] = ext.lam_i(1).basis_vec((0,), 2)
     cases = {"zero": Cochain(nerve, 1, ext.lam_i(1)), "generator": gen, "coboundary": cech_delta(noise)}

@@ -205,21 +205,6 @@ class Poly:
             return self.algebra.const(other)
         raise TypeError(f"cannot coerce {other!r}")
 
-    def inverse(self):
-        """Inverse of a unit, by the finite geometric series of the local ring."""
-        c0 = self.constant_term()
-        if not c0:
-            raise ZeroDivisionError("not a unit in the truncated algebra")
-        n = self.algebra.one() - self * (1 / c0)  # nilpotent part
-        acc = self.algebra.one()
-        power = self.algebra.one()
-        for _ in range(self.algebra.degree_bound):
-            power = power * n
-            if power.is_zero():
-                break
-            acc = acc + power
-        return acc * (1 / c0)
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.algebra.const(other)

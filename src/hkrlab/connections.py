@@ -103,10 +103,6 @@ class Connection:
     def form_module(self, p):
         return self._oi(p)
 
-    def apply(self, v):
-        """nabla on an element of I."""
-        return self.lam_apply(1, v)
-
     def lam_apply(self, p, v):
         """The induced connection on Lambda^p I."""
         tgt = self._oi(p)

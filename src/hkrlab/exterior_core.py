@@ -111,12 +111,6 @@ class ExteriorContext:
                 out = out + self.ext(p + q, dual).basis_vec(KL, a * b * s)
         return out
 
-    def wedge_many(self, vecs, dual=False):
-        out = self.ext(0, dual).basis_vec(())
-        for v in vecs:
-            out = self.wedge(out, v)
-        return out
-
     # -- (anti)symmetrization and shuffles -----------------------------
 
     def antisymmetrize(self, t):
@@ -336,15 +330,15 @@ def _action_constraints(r, side):
 _CONSTRAINT_CACHE = {}
 
 
-def check_sign_action(chi, r, side, require_stability=True):
+def check_sign_action(chi, r, side):
     """Does chi-twisted contraction define a module action on Lambda E*?
 
     Checks the unit axiom and associativity on all basis triples of the
     rank-r exterior algebra (exhaustive; r <= 4).
 
-    With require_stability the table must in addition depend on the
-    complementary degree only through its parity, i.e. define the *same*
-    action along corank-two coordinate inclusions E'' < E (untwisted
+    The table must in addition depend on the complementary degree only
+    through its parity, i.e. define the *same* action along corank-two
+    coordinate inclusions E'' < E (untwisted
     contraction restricts identically along these, so a convention -- as
     opposed to an ad-hoc table on one rank -- has no room to differ).
     On a single rank the associativity constraints alone underdetermine
@@ -365,11 +359,10 @@ def check_sign_action(chi, r, side, require_stability=True):
     for a, b, c in triples:
         if chi(*a) != chi(*b) * chi(*c):
             return False
-    if require_stability:
-        for i in range(1, r + 1):
-            for j in range(r + 1):
-                if i + j + 2 <= r and chi(i, j) != chi(i, j + 2):
-                    return False
+    for i in range(1, r + 1):
+        for j in range(r + 1):
+            if i + j + 2 <= r and chi(i, j) != chi(i, j + 2):
+                return False
     return True
 
 

@@ -34,7 +34,7 @@ from .coeff import CoeffAlgebra, Poly
 from .exterior_core import ExteriorContext, koszul_complex, merge_wedge, perm_sign
 from .extension_dg import TrivialExtension
 from .modules import BasedModule, LinMap, StructuralError
-from .ak_complexes import build_p_complex, build_q_complex, p_augmentation
+from .ak_complexes import build_p_complex, p_augmentation
 from . import rational as ql
 
 
@@ -163,9 +163,6 @@ class LocalModel:
 
     def p_complex(self):
         return build_p_complex(self.ext).with_window(self.D)
-
-    def q_complex(self):
-        return build_q_complex(self.ext).with_window(self.D)
 
     def a_complex(self):
         A_mod = BasedModule(self.A, ((),), "A")
@@ -356,20 +353,20 @@ def tensor_power_module(ext, p):
     return BasedModule(ext.algebra, tuple(labels), f"T^{p}M", tuple(grades))
 
 
-def build_k_complex(ext, window=None, depth=None):
+def build_k_complex(ext, window=None):
     """The tensor-algebra resolution of A over B, brutally truncated.
 
     The true resolution is unbounded; terms are kept through degree
-    -(rank+1) by default, which computes every homology group through
-    degree -rank faithfully (the kernel/image pattern is uniform in p).
+    -(rank+1), which computes every homology group through degree -rank
+    faithfully (the kernel/image pattern is uniform in p).
     Differential: p times (project to the j part, include as the i part);
     this normalization is the one under which plain antisymmetrization in
     both parts is a map of complexes to P.
     """
-    r = depth if depth is not None else ext.rank + 1
-    modules = {-p: tensor_power_module(ext, p) for p in range(r + 1)}
+    depth = ext.rank + 1
+    modules = {-p: tensor_power_module(ext, p) for p in range(depth + 1)}
     diffs = {}
-    for p in range(1, r + 1):
+    for p in range(1, depth + 1):
         src, tgt = modules[-p], modules[-p + 1]
         d = LinMap(src, tgt)
         for lab in src.labels:

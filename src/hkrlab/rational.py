@@ -85,11 +85,6 @@ def mat_sub(A, B):
     return [[_entry(A, i, j) - _entry(B, i, j) for j in range(m)] for i in range(n)]
 
 
-def mat_scale(A, c):
-    c = Fraction(c)
-    return [[c * a for a in row] for row in A]
-
-
 def is_zero_matrix(A):
     return all(not x for row in A for x in row)
 

@@ -3,7 +3,7 @@
 import pytest
 
 from hkrlab.coeff import CoeffAlgebra
-from hkrlab.chain_core import homology, homology_dims, split_off_homology
+from hkrlab.chain_core import homology, homology_dims
 from hkrlab.extension_dg import build_extension
 from hkrlab.ak_complexes import (
     build_p_complex,
@@ -121,18 +121,6 @@ def test_hat_star_module_action_and_homology_action(r):
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_contraction_realization(r):
     assert contraction_realization_check(r)
-
-
-def test_split_off_homology_p_rank1():
-    ext = build_extension(QX2, 1)
-    dec = split_off_homology(build_p_complex(ext))
-    assert dec.ok
-
-
-def test_split_off_homology_q_rank2():
-    ext = build_extension(QQ, 2)
-    dec = split_off_homology(build_q_complex(ext))
-    assert dec.ok
 
 
 @pytest.mark.parametrize("r", [1, 2])

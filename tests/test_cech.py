@@ -29,6 +29,7 @@ from hkrlab.cech_twist import (
     cochain_wedge,
     codim2_matrix,
     cohomologous,
+    combine_representatives,
     conjecture_probe,
     delta_entries_cohomologous,
     delta_matrix,
@@ -64,11 +65,7 @@ def ext_of(r, algebra=QQ):
 def h1_generator_cochain(ext, nerve):
     C = cech_complex(nerve, ext.lam_i(1))
     H = homology(C, 1)
-    rep = H.representatives[0]
-    out = Cochain(nerve, 1, ext.lam_i(1))
-    for (s, lab), poly in rep.data.items():
-        out[s] = out.value(s) + ext.lam_i(1).basis_vec(lab, poly)
-    return out
+    return combine_representatives(nerve, 1, ext.lam_i(1), [1], H.representatives)
 
 
 # -- nerves and plain cohomology ----------------------------------------------
@@ -135,10 +132,7 @@ def test_torus_cohomology_and_cup():
     assert H.dim == 2
 
     def from_rep(t):
-        c = Cochain(n, 1, M)
-        for (s, lab), poly in H.representatives[t].data.items():
-            c[s] = c.value(s) + M.basis_vec(lab, poly)
-        return c
+        return combine_representatives(n, 1, M, [1], H.representatives[t:])
 
     u, v = from_rep(0), from_rep(1)
     wf = lambda a, b: a.scale(b.coeff(()))
@@ -197,10 +191,7 @@ def test_yoneda_rule_against_cup():
     H = homology(C, 1)
 
     def from_rep(t):
-        c = Cochain(nerve, 1, ext.lam_i(1))
-        for (s, lab), poly in H.representatives[t].data.items():
-            c[s] = c.value(s) + ext.lam_i(1).basis_vec(lab, poly)
-        return c
+        return combine_representatives(nerve, 1, ext.lam_i(1), [1], H.representatives[t:])
 
     v, w = from_rep(0), from_rep(2)
     lv = l_operator(ext, nerve, 2, 1, v)

@@ -1,4 +1,4 @@
-"""Chain complex machinery: homology, Hom/tensor, totalization, homotopies."""
+"""Chain complex machinery: homology, Hom/tensor, totalization, quasi-isomorphisms."""
 
 import random
 from fractions import Fraction
@@ -15,9 +15,7 @@ from hkrlab.chain_core import (
     hom_complex,
     identity_map,
     is_quasi_iso,
-    null_homotopy,
     single_module_complex,
-    split_off_homology,
     tensor_complex,
     totalize,
 )
@@ -232,49 +230,6 @@ def test_is_quasi_iso_identity_and_zero():
     assert not is_quasi_iso(Z)
 
 
-def test_null_homotopy_of_zero_and_exact_identity():
-    C = two_term([[1]])  # exact
-    h = null_homotopy(identity_map(C))
-    assert h is not None
-    # verify: f = dh + hd
-    f = identity_map(C)
-    for n in C.degrees():
-        lhs = ql.mat_add(
-            ql.mat_mul(C.qdiff(n - 1), h.get(n, [])), ql.mat_mul(h.get(n + 1, []), C.qdiff(n))
-        )
-        assert ql.mat_eq(lhs, f.qmap(n))
-    Z = ComplexMap(C, C, {n: ql.zeros(C.flat(n).dim, C.flat(n).dim) for n in C.degrees()})
-    hz = null_homotopy(Z)
-    assert hz is not None and all(ql.is_zero_matrix(m) or True for m in hz.values())
-
-
-def test_null_homotopy_absent_when_homology():
-    C = two_term([[0]])  # identity is not null-homotopic: H != 0
-    assert null_homotopy(identity_map(C)) is None
-
-
-def test_split_off_homology_already_split():
-    C = two_term([[0]])
-    dec = split_off_homology(C)
-    assert dec.ok
-    # inclusion then projection is the identity on the homology complex
-    comp = dec.projection.compose(dec.inclusion)
-    for n in dec.h_complex.degrees():
-        assert ql.mat_eq(comp.qmap(n), ql.identity(dec.h_complex.flat(n).dim))
-
-
-def test_split_off_homology_with_polynomial_coefficients():
-    A = CoeffAlgebra.polynomial(1, 2)
-    M = BasedModule(A, (0,), "M")
-    N = BasedModule(A, (0,), "N")
-    d = LinMap(M, N)
-    d.set_column(0, N.basis_vec(0))  # iso: exact complex
-    C = CochainComplex(A, {0: M, 1: N}, {0: d})
-    dec = split_off_homology(C)
-    assert dec.ok
-    assert not dec.h_complex.modules
-
-
 def test_grade_sliced_homology():
     # Koszul-style complex over Q[y]: y: A -> A, graded with label grades
     A = CoeffAlgebra.polynomial(1, 3, ("y",))
@@ -288,18 +243,3 @@ def test_grade_sliced_homology():
         assert homology(C, -1, grade=g).dim == 0 or g > 3
         assert homology(C, 0, grade=g).dim == (1 if g == 0 else 0)
 
-
-def test_split_off_homology_failure_reported():
-    # homology not free over the coefficient algebra: reported, not raised
-    from hkrlab.coeff import CoeffAlgebra
-    from hkrlab.modules import BasedModule, LinMap
-
-    A = CoeffAlgebra.polynomial(1, 1)
-    M = BasedModule(A, (0,), "M")
-    N = BasedModule(A, (0,), "N")
-    d = LinMap(M, N)
-    d.set_column(0, N.basis_vec(0, A.gen(0)))  # multiplication by the variable
-    C = CochainComplex(A, {0: M, 1: N}, {0: d})
-    dec = split_off_homology(C)
-    assert not dec.ok
-    assert dec.reason

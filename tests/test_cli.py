@@ -7,15 +7,8 @@ import pytest
 
 from hkrlab.coeff import CoeffAlgebra
 from hkrlab.extension_dg import build_extension
-from hkrlab.cech_twist import Nerve, circle_nerve, is_cocycle
-from hkrlab.cli_report import (
-    ConfigError,
-    SuiteConfig,
-    main,
-    parse_cocycle_json,
-    parse_model_json,
-    run_suite,
-)
+from hkrlab.cech_twist import Nerve, circle_nerve
+from hkrlab.cli_report import ConfigError, SuiteConfig, main, parse_model_json, run_suite
 
 
 def test_unknown_suite_rejected():
@@ -81,8 +74,9 @@ def test_cli_empty_config_is_usage_error(tmp_path, capsys):
         ({"seed": True}, "'seed' must be int"),
         ({"nerve": 5}, "'nerve' must be str"),
         ([1], "must be a JSON object"),
+        ({"suite": "signs", "fmt": "xml"}, "format must be 'json' or 'md'"),
     ],
-    ids=["str-for-int", "bool-for-int", "int-for-str", "not-an-object"],
+    ids=["str-for-int", "bool-for-int", "int-for-str", "not-an-object", "unknown-format"],
 )
 def test_cli_config_of_wrong_type_is_usage_error(tmp_path, capsys, data, message):
     cfg = tmp_path / "cfg.json"
@@ -203,6 +197,7 @@ GOLDEN_RUNS = {
     "cycle_class_circle_seed0": {"suite": "cycle_class", "nerve": "circle", "seed": 0},
     "comparison_last_level_sphere2_seed1": {"suite": "comparison_last_level", "nerve": "sphere2", "seed": 1},
     "conjecture_seed0": {"suite": "conjecture", "seed": 0},
+    "all_circle_rank2_seed0": {"suite": "all", "max_rank": 2, "nerve": "circle", "seed": 0},
 }
 
 
@@ -261,18 +256,6 @@ def test_model_json_rejects_malformed_or_oversized_input(monkeypatch, data, mess
     monkeypatch.setattr("hkrlab.cli_report.LocalModel", refuse)
     with pytest.raises(ConfigError, match=message):
         parse_model_json(data)
-
-
-def test_cocycle_json_interface():
-    ext = build_extension(CoeffAlgebra.rationals(), 1)
-    nerve = circle_nerve()
-    data = {
-        "level": 0,
-        "values": {"0,1": [["1"]], "1,2": [["1"]], "0,2": [["2"]]},
-    }
-    tw = parse_cocycle_json(ext, nerve, data)
-    assert tw.level == 0
-    assert is_cocycle(nerve, tw.cochain)
 
 
 def test_complex_json_serialization():
@@ -346,9 +329,9 @@ def test_all_suite_registers_each_check_once():
 
 
 def test_json_driven_model_cycle_class():
-    from hkrlab.hkr_local import cycle_class_local
+    from hkrlab.hkr_local import LocalModel, cycle_class_local
 
-    model = parse_model_json({"m": 1, "r": 2, "D": 3, "chi": [["x1", "1"]]})
+    model = LocalModel(1, 2, 3, chi=[["x1", "1"]])
     qs = cycle_class_local(model, check_signs=False)
     assert qs[0] == 1 and all(q == 0 for q in qs[1:])
 
@@ -356,17 +339,20 @@ def test_json_driven_model_cycle_class():
 def test_json_driven_last_level_comparison():
     from fractions import Fraction
     from hkrlab.cech_twist import (
+        Cochain,
         TwistFamily,
         TwistCocycle,
         cohomologous,
         delta_matrix,
+        hom_lam_module,
     )
 
     ext = build_extension(CoeffAlgebra.rationals(), 1)
     nerve = circle_nerve()
-    lam_tw = parse_cocycle_json(
-        ext, nerve, {"level": 0, "values": {"0,1": [["1"]], "1,2": [["1"]], "0,2": [["2"]]}}
-    )
+    hom = hom_lam_module(ext, 0, 1)
+    edges = {(0, 1): 1, (1, 2): 1, (0, 2): 2}
+    values = {s: hom.basis_vec(hom.labels[0], c) for s, c in edges.items()}
+    lam_tw = TwistCocycle(ext, nerve, 0, Cochain(nerve, 1, hom, values))
     mu_tw = TwistCocycle.zero(ext, nerve, 0)
     lam = TwistFamily(ext, nerve, [lam_tw])
     mu = TwistFamily(ext, nerve, [mu_tw])
