@@ -80,10 +80,7 @@ def q_coaugmentation(ext, window=None):
         theta_cplx = theta_cplx.with_window(window)
 
     def fn(v):
-        out = ext.lam_b(r).zero()
-        for K, c in v.data.items():
-            out = out + ext.lam_b(r).basis_vec(("i", K), c)
-        return out
+        return ext.lam_b(r).element((("i", K), c) for K, c in v.data.items())
 
     return ComplexMap.from_functions(theta_cplx, Q, {-r: fn})
 
@@ -106,19 +103,19 @@ def q_pairing(ext, p):
     m = LinMap(src, hom)
     for lab in src.labels:
         tag, K = lab
-        out = hom.zero()
+        terms = []
         for alab in arg.labels:
             atag, M = alab
             # f(i, j) = j ^ u + (-1)^p i ^ v
             if tag == "i" and atag == "j":
                 mw = merge_wedge(M, K)
                 if mw is not None:
-                    out = out + hom.basis_vec((alab, theta_lab), mw[0])
+                    terms.append(((alab, theta_lab), mw[0]))
             if tag == "j" and atag == "i":
                 mw = merge_wedge(M, K)
                 if mw is not None:
-                    out = out + hom.basis_vec((alab, theta_lab), mw[0] * (-1) ** p)
-        m.set_column(lab, out)
+                    terms.append(((alab, theta_lab), mw[0] * (-1) ** p))
+        m.set_column(lab, hom.element(terms))
     return m
 
 
@@ -167,7 +164,7 @@ def _precompose(ext, hom_vec, dmap, p):
         tuple((a, theta_lab) for a in arg.labels),
         f"Hom(L^{ext.degree_of(arg)}B,th)",
     )
-    out = hom.zero()
+    terms = []
     for src_lab in arg.labels:
         img = dmap.apply(arg.basis_vec(src_lab))
         acc = None
@@ -175,9 +172,9 @@ def _precompose(ext, hom_vec, dmap, p):
             cc = img.coeff(alab) * c
             if not cc.is_zero():
                 acc = cc if acc is None else acc + cc
-        if acc is not None and not acc.is_zero():
-            out = out + hom.basis_vec((src_lab, theta_lab), acc)
-    return out
+        if acc is not None:
+            terms.append(((src_lab, theta_lab), acc))
+    return hom.element(terms)
 
 
 def hat_star(ext, l, q, x, y):
@@ -303,9 +300,7 @@ def contraction_realization_check(r):
                         return False
                     # transported action, with the (-1)^q / (-1)^{q+l} signs
                     # of the shift identification on source and target
-                    acted = ctx.ext(q + l).zero()
-                    for J, c in i_w.data.items():
-                        acted = acted + ctx.ext(q + l).basis_vec(J, c)
+                    acted = ctx.ext(q + l).element(i_w.data.items())
                     sign = Fraction((-1) ** (q + l) * (-1) ** q)
                     got = ctx.contract_left(acted.scale(sign), xi)
                     want = ctx.contract_left(

@@ -257,12 +257,12 @@ def yoneda_compose(u, v, hom_module):
     for s in nerve.simplices_of_dim(p + q):
         uf = u.value(s[: p + 1])
         vb = v.value(s[p:])
-        acc = hom_module.zero()
-        for (mid1, tgt), cu in uf.data.items():
-            for (src, mid2), cv in vb.data.items():
-                if mid1 == mid2:
-                    acc = acc + hom_module.basis_vec((src, tgt), cu * cv * sgn)
-        out[s] = acc
+        out[s] = hom_module.element(
+            ((src, tgt), cu * cv * sgn)
+            for (mid1, tgt), cu in uf.data.items()
+            for (src, mid2), cv in vb.data.items()
+            if mid1 == mid2
+        )
     return out
 
 
@@ -292,15 +292,14 @@ def cech_complex(nerve, module, transitions=None):
         src, tgt = modules[l], modules[l + 1]
         d = LinMap(src, tgt)
         for (s, lab) in src.labels:
-            out = tgt.zero()
+            terms = []
             for t, k in nerve.cofaces[s]:
                 if k == 0 and transitions is not None:
                     conv = transitions(t[0], t[1]).apply(module.basis_vec(lab))
-                    for lab2, c in conv.data.items():
-                        out = out + tgt.basis_vec((t, lab2), c)
+                    terms += [((t, lab2), c) for lab2, c in conv.data.items()]
                 else:
-                    out = out + tgt.basis_vec((t, lab), (-1) ** k)
-            d.set_column((s, lab), out)
+                    terms.append(((t, lab), (-1) ** k))
+            d.set_column((s, lab), tgt.element(terms))
         diffs[l] = d
     return CochainComplex(algebra, modules, diffs)
 
@@ -406,16 +405,11 @@ def hom_lam_module(ext, j, i):
 
 
 def hom_value_to_linmap(ext, j, i, v):
-    m = LinMap(ext.lam_i(j), ext.lam_i(i))
     cols = {}
     for (a, b), c in v.data.items():
         cols.setdefault(a, []).append((b, c))
-    for a, pairs in cols.items():
-        out = ext.lam_i(i).zero()
-        for b, c in pairs:
-            out = out + ext.lam_i(i).basis_vec(b, c)
-        m.set_column(a, out)
-    return m
+    tgt = ext.lam_i(i)
+    return LinMap(ext.lam_i(j), tgt, {a: tgt.element(pairs) for a, pairs in cols.items()})
 
 
 class TwistCocycle:
@@ -441,14 +435,12 @@ class TwistCocycle:
         hom = hom_lam_module(ext, level, level + 1)
         out = Cochain(nerve, 1, hom)
         for s in nerve.simplices_of_dim(1):
-            c = one_cochain.value(s)
-            acc = hom.zero()
-            for (u,), cu in c.data.items():
-                for K in ext.lam_i(level).labels:
-                    mw = merge_wedge((u,), K)
-                    if mw is not None:
-                        acc = acc + hom.basis_vec((K, mw[1]), cu * mw[0])
-            out[s] = acc
+            out[s] = hom.element(
+                ((K, mw[1]), cu * mw[0])
+                for (u,), cu in one_cochain.value(s).data.items()
+                for K in ext.lam_i(level).labels
+                if (mw := merge_wedge((u,), K)) is not None
+            )
         return cls(ext, nerve, level, out)
 
     def linmap(self, a, b):
@@ -493,10 +485,8 @@ class TwistFamily:
         cm = self.cocycles[n].linmap(a, b)
         for L in ext.lam_i(n).labels:
             img = cm.apply(ext.lam_i(n).basis_vec(L))
-            col = out.cols.get(("j", L), M.basis_vec(("j", L)))
-            for K, c in img.data.items():
-                col = col + M.basis_vec(("i", K), -c)
-            out.set_column(("j", L), col)
+            terms = [(("j", L), 1)] + [(("i", K), -c) for K, c in img.data.items()]
+            out.set_column(("j", L), M.element(terms))
         return out
 
     def transition_cocycle_check(self):
@@ -612,14 +602,13 @@ def build_t_wedge(ext, nerve, c_cochains, d_cochains):
                 m = LinMap(src, tgt)
                 for lab in src.labels:
                     tag, K = lab
-                    out = tgt.zero()
-                    for E, c in ev.data.items():
-                        mw = merge_wedge(E, K)
-                        if mw is None:
-                            continue
-                        sgn = mw[0] * ((-1) ** l if tag == "i" else 1)
-                        out = out + tgt.basis_vec((tag, mw[1]), c * sgn)
-                    m.set_column(lab, out)
+                    sgn = (-1) ** l if tag == "i" else 1
+                    terms = (
+                        ((tag, mw[1]), c * (mw[0] * sgn))
+                        for E, c in ev.data.items()
+                        if (mw := merge_wedge(E, K)) is not None
+                    )
+                    m.set_column(lab, tgt.element(terms))
                 comps[(n, l, s)] = m
     return TMorphism(ext, nerve, comps), etas
 
@@ -647,11 +636,8 @@ def build_t_last_level(ext, nerve, lam, mu):
             tag, K = lab
             if tag != "j":
                 continue
-            out = tgt.zero()
-            for (K2, U), c in dv.data.items():
-                if K2 == K:
-                    out = out + tgt.basis_vec(("j", U), c * Fraction(1, r))
-            m.set_column(lab, out)
+            terms = ((("j", U), c * Fraction(1, r)) for (K2, U), c in dv.data.items() if K2 == K)
+            m.set_column(lab, tgt.element(terms))
         comps[(r - 1, 1, s)] = m
     return TMorphism(ext, nerve, comps)
 
@@ -735,11 +721,8 @@ class DeltaMatrix:
     def diagonal_is_identity(self):
         for i in range(self.ext.rank + 1):
             e = self.entry(i, i)
-            hom = hom_lam_module(self.ext, i, i)
+            idv = hom_lam_module(self.ext, i, i).element(((K, K), 1) for K in self.ext.lam_i(i).labels)
             for s in self.nerve.simplices_of_dim(0):
-                idv = hom.zero()
-                for K in self.ext.lam_i(i).labels:
-                    idv = idv + hom.basis_vec((K, K))
                 if not (e.value(s) - idv).is_zero():
                     return False
         return True
@@ -764,15 +747,13 @@ def extract_delta(ext, nerve, T):
             w = Cochain(nerve, l, hom)
             for s in nerve.simplices_of_dim(l):
                 comp = T.component(j, l, s)
-                acc = hom.zero()
+                terms = []
                 for K in ext.lam_i(j).labels:
                     img = comp.apply(ext.lam_b(j + 1).basis_vec(("j", K)))
                     _, jpart = ext.split(img)
-                    if jpart is None:
-                        continue
-                    for K2, c in jpart.data.items():
-                        acc = acc + hom.basis_vec((K, K2), c)
-                w[s] = acc
+                    if jpart is not None:
+                        terms += [((K, K2), c) for K2, c in jpart.data.items()]
+                w[s] = hom.element(terms)
             if not is_cocycle(nerve, w):
                 raise StructuralError(f"extracted entry ({i},{j}) is not a cocycle")
             entries[(i, j)] = w
@@ -818,14 +799,12 @@ def l_operator(ext, nerve, i, j, v_cocycle):
     hom = hom_lam_module(ext, j, i)
     out = Cochain(nerve, i - j, hom)
     for s in nerve.simplices_of_dim(i - j):
-        val = v_cocycle.value(s)
-        acc = hom.zero()
-        for E, c in val.data.items():
-            for K in ext.lam_i(j).labels:
-                mw = merge_wedge(E, K)
-                if mw is not None:
-                    acc = acc + hom.basis_vec((K, mw[1]), c * mw[0])
-        out[s] = acc
+        out[s] = hom.element(
+            ((K, mw[1]), c * mw[0])
+            for E, c in v_cocycle.value(s).data.items()
+            for K in ext.lam_i(j).labels
+            if (mw := merge_wedge(E, K)) is not None
+        )
     return out
 
 
@@ -890,7 +869,7 @@ def t_operator(ext, nerve, k, p, m, hom_cochain):
     out = Cochain(nerve, hom_cochain.degree, tgt_hom)
     w = Fraction(factorial(p) * factorial(m), factorial(p + m))
     for s, val in hom_cochain.values.items():
-        acc = tgt_hom.zero()
+        terms = []
         for S in ext.lam_i(p + m).labels:
             # W_{p,m}, then the Hom value, then the wedge
             for K1 in combinations(S, p):
@@ -900,10 +879,9 @@ def t_operator(ext, nerve, k, p, m, hom_cochain):
                     if Ksrc != K1:
                         continue
                     mw = merge_wedge(Ktgt, K2)
-                    if mw is None:
-                        continue
-                    acc = acc + tgt_hom.basis_vec((S, mw[1]), c * sgn * mw[0] * w)
-        out[s] = acc
+                    if mw is not None:
+                        terms.append(((S, mw[1]), c * sgn * mw[0] * w))
+        out[s] = tgt_hom.element(terms)
     return out
 
 
@@ -932,10 +910,7 @@ def identity_hom_cochain(ext, nerve, i):
     hom = hom_lam_module(ext, i, i)
     out = Cochain(nerve, 0, hom)
     for s in nerve.simplices_of_dim(0):
-        v = hom.zero()
-        for K in ext.lam_i(i).labels:
-            v = v + hom.basis_vec((K, K))
-        out[s] = v
+        out[s] = hom.element(((K, K), 1) for K in ext.lam_i(i).labels)
     return out
 
 
@@ -985,13 +960,10 @@ def lam_power_map(ext, p, g):
                 for (u,), c in img.data.items():
                     nxt.append((coeff * c, cur + (u,)))
             acc = nxt
-        out = tgt.zero()
-        for coeff, seq in acc:
-            s = perm_sign(seq)
-            if s is None:
-                continue
-            out = out + tgt.basis_vec(tuple(sorted(seq)), coeff * s)
-        m.set_column(K, out)
+        terms = (
+            (tuple(sorted(seq)), coeff * s) for coeff, seq in acc if (s := perm_sign(seq)) is not None
+        )
+        m.set_column(K, tgt.element(terms))
     return m
 
 
@@ -1025,6 +997,14 @@ def atiyah_twist(ext, kahler, nerve, transitions_g, nablas, chi=None, level=1):
     for (a, b), g in transitions_g.items():
         g_maps[(a, b)] = lam_power_map(ext, p, g)
 
+    def through_g(a, b, w):
+        """g_{ab} applied to the module slot of w in Om^1 (x) Lambda^p I."""
+        terms = []
+        for ((i,), K), c in w.data.items():
+            img = g_maps[(a, b)].apply(ext.lam_i(p).basis_vec(K, c))
+            terms += [(((i,), K2), cc) for K2, cc in img.data.items()]
+        return nablas[a].form_module(p).element(terms)
+
     def m_ab(a, b):
         ga = g_maps.get((a, b))
         nb = nablas[b]
@@ -1034,14 +1014,7 @@ def atiyah_twist(ext, kahler, nerve, transitions_g, nablas, chi=None, level=1):
             if ga is None:
                 return na.lam_apply(p, v) - nb.lam_apply(p, v)
             inv = _linmap_inverse(g_maps[(a, b)])
-            moved = nb.lam_apply(p, inv.apply(v))
-            # push the module slot of Om^1 (x) Lambda^p I back through g
-            out = na.form_module(p).zero()
-            for ((i,), K), c in moved.data.items():
-                img = g_maps[(a, b)].apply(ext.lam_i(p).basis_vec(K, c))
-                for K2, cc in img.data.items():
-                    out = out + na.form_module(p).basis_vec(((i,), K2), cc)
-            return na.lam_apply(p, v) - out
+            return na.lam_apply(p, v) - through_g(a, b, nb.lam_apply(p, inv.apply(v)))
 
         return fn
 
@@ -1056,12 +1029,7 @@ def atiyah_twist(ext, kahler, nerve, transitions_g, nablas, chi=None, level=1):
             # transport the (b,c) difference through g_{ab}
             if (a, b) in g_maps:
                 inv = _linmap_inverse(g_maps[(a, b)])
-                tr = nablas[a].form_module(p).zero()
-                for ((i,), Kk), cc in m_ab(b, c)(inv.apply(v)).data.items():
-                    img = g_maps[(a, b)].apply(ext.lam_i(p).basis_vec(Kk, cc))
-                    for K2, c2 in img.data.items():
-                        tr = tr + nablas[a].form_module(p).basis_vec(((i,), K2), c2)
-                mid = tr
+                mid = through_g(a, b, m_ab(b, c)(inv.apply(v)))
             rhs = m_ab(a, b)(v) + mid
             if not (lhs - rhs).is_zero():
                 cocycle_ok = False
@@ -1073,12 +1041,11 @@ def atiyah_twist(ext, kahler, nerve, transitions_g, nablas, chi=None, level=1):
     cmap = Cochain(nerve, 1, hom)
     for s in nerve.simplices_of_dim(1):
         a, b = s
-        acc = hom.zero()
+        terms = []
         for K in ext.lam_i(p).labels:
             img = chi.chi_hat_wedge(p, m_ab(a, b)(ext.lam_i(p).basis_vec(K)))
-            for K2, c in img.data.items():
-                acc = acc + hom.basis_vec((K, K2), c)
-        cmap[s] = acc
+            terms += [((K, K2), c) for K2, c in img.data.items()]
+        cmap[s] = hom.element(terms)
     twist = TwistCocycle(ext, nerve, p, cmap)
     results["twist"] = twist
 
@@ -1174,10 +1141,7 @@ def divisor_class(nerve, delta_cochain):
             return LinMap.identity(OO)
         m = LinMap.identity(B)
         dval = delta_cochain.value((a, b))
-        col = B.basis_vec(unit)
-        for (k,), c in dval.data.items():
-            col = col + B.basis_vec(("i", (k,)), -c)
-        m.set_column(unit, col)
+        m.set_column(unit, B.element([(unit, 1)] + [(("i", (k,)), -c) for (k,), c in dval.data.items()]))
         return m
 
     w2_v = LinMap(B, OO, {unit: OO.basis_vec("o1", -1) + OO.basis_vec("o2", -1)})
@@ -1193,12 +1157,11 @@ def divisor_class(nerve, delta_cochain):
             T = tgt.module(n)
 
             def fn(v):
-                out = T.zero()
+                terms = []
                 for ((l, j), (s, lab)), c in v.data.items():
                     img = maps[j].apply(maps[j].source.basis_vec(lab, c))
-                    for lab2, c2 in img.data.items():
-                        out = out + T.basis_vec(((l, j), (s, lab2)), c2)
-                return out
+                    terms += [(((l, j), (s, lab2)), c2) for lab2, c2 in img.data.items()]
+                return T.element(terms)
 
             return fn
 
@@ -1216,9 +1179,7 @@ def divisor_class(nerve, delta_cochain):
         raise StructuralError("right comparison is not a chain map")
 
     # the unit of H^0(W1): the 0-cochain with value (0, -1) in the top term
-    w = W1.module(0).zero()
-    for s in nerve.simplices_of_dim(0):
-        w = w + W1.module(0).basis_vec(((0, 0), (s, unit)), -1)
+    w = W1.module(0).element((((0, 0), (s, unit)), -1) for s in nerve.simplices_of_dim(0))
     if not W1.diff(0).apply(w).is_zero():
         raise StructuralError("unit section is not a cocycle")
     v2 = W2.flat(0).flatten_vec(G1.apply(0, w))
@@ -1256,11 +1217,7 @@ def wedge_part_of_level0(ext, nerve, hom_cochain):
     """Recover the vector-valued cochain underlying a level-0 twist."""
     out = Cochain(nerve, 1, ext.lam_i(1))
     for s, v in hom_cochain.values.items():
-        acc = ext.lam_i(1).zero()
-        for (K, K2), c in v.data.items():
-            if K == ():
-                acc = acc + ext.lam_i(1).basis_vec(K2, c)
-        out[s] = acc
+        out[s] = ext.lam_i(1).element((K2, c) for (K, K2), c in v.data.items() if K == ())
     return out
 
 
@@ -1364,10 +1321,7 @@ def random_wedge_cochains(ext, nerve, rng):
         c = combine_representatives(nerve, 1, ext.lam_i(1), scalars, H.representatives)
         noise = Cochain(nerve, 0, ext.lam_i(1))
         for s in nerve.simplices_of_dim(0):
-            vals = ext.lam_i(1).zero()
-            for k in range(ext.rank):
-                vals = vals + ext.lam_i(1).basis_vec((k,), rng.randint(-2, 2))
-            noise[s] = vals
+            noise[s] = ext.lam_i(1).element(((k,), rng.randint(-2, 2)) for k in range(ext.rank))
         cochains.append(c + cech_delta(noise))
     return cochains
 
@@ -1381,10 +1335,7 @@ def random_hom_twist(ext, nerve, level, rng):
     c = combine_representatives(nerve, 1, hom, scalars, H.representatives)
     noise = Cochain(nerve, 0, hom)
     for s in nerve.simplices_of_dim(0):
-        v = hom.zero()
-        for lab in hom.labels:
-            v = v + hom.basis_vec(lab, rng.randint(-1, 1))
-        noise[s] = v
+        noise[s] = hom.element((lab, rng.randint(-1, 1)) for lab in hom.labels)
     c = c + cech_delta(noise)
     return TwistCocycle(ext, nerve, level, c)
 

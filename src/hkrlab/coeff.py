@@ -291,5 +291,7 @@ def _parse_poly(algebra, text):
                 if name not in name_to_idx:
                     raise ValueError(f"unknown variable {name!r}")
                 exps[name_to_idx[name]] += k
+        if sum(exps) > algebra.degree_bound:
+            raise ValueError(f"term {chunk!r} exceeds the degree bound {algebra.degree_bound}")
         result = result + algebra.monomial(exps, sign)
     return result

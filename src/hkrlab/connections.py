@@ -50,18 +50,12 @@ class KahlerModule:
         """Exterior derivative of a form, as a vector map."""
         plabels = v.module.labels
         p = len(plabels[0]) if plabels else 0
-        tgt = self.omega(p + 1)
-        out = tgt.zero()
-        for K, f in v.data.items():
-            for i in range(self.m):
-                df = poly_partial(f, i)
-                if df.is_zero():
-                    continue
-                mw = merge_wedge((i,), K)
-                if mw is None:
-                    continue
-                out = out + tgt.basis_vec(mw[1], df * mw[0])
-        return out
+        return self.omega(p + 1).element(
+            (mw[1], poly_partial(f, i) * mw[0])
+            for K, f in v.data.items()
+            for i in range(self.m)
+            if (mw := merge_wedge((i,), K)) is not None
+        )
 
     def d_flat(self, p, window):
         sb = QBasis(self.omega(p), window)
@@ -105,37 +99,26 @@ class Connection:
 
     def lam_apply(self, p, v):
         """The induced connection on Lambda^p I."""
-        tgt = self._oi(p)
-        out = tgt.zero()
-        kah = self.kahler
+        terms = []
         for K, f in v.data.items():
             # d f (x) y_K
-            for i in range(kah.m):
-                df = poly_partial(f, i)
-                if not df.is_zero():
-                    out = out + tgt.basis_vec(((i,), K), df)
+            terms += [(((i,), K), poly_partial(f, i)) for i in range(self.kahler.m)]
             # f sum_t (..., Gamma(y_{k_t}) in slot t, ...)
             for t, kt in enumerate(K):
-                g = self.gamma[kt]
-                for ((i,), (u,)), c in g.data.items():
+                for ((i,), (u,)), c in self.gamma[kt].data.items():
                     seq = K[:t] + (u,) + K[t + 1 :]
                     s = perm_sign(seq)
-                    if s is None:
-                        continue
-                    out = out + tgt.basis_vec(((i,), tuple(sorted(seq))), f * c * s)
-        return out
+                    if s is not None:
+                        terms.append((((i,), tuple(sorted(seq))), f * c * s))
+        return self._oi(p).element(terms)
 
     def leibniz_defect(self, p, a, K):
         """nabla(a y_K) - a nabla(y_K) - da (x) y_K; zero within the window."""
         lam = self.ext.lam_i(p)
         lhs = self.lam_apply(p, lam.basis_vec(K, a))
         rhs = self.lam_apply(p, lam.basis_vec(K)).scale(a)
-        tgt = self._oi(p)
-        for i in range(self.kahler.m):
-            da = poly_partial(a, i)
-            if not da.is_zero():
-                rhs = rhs + tgt.basis_vec(((i,), K), da)
-        return lhs - rhs
+        da = [(((i,), K), poly_partial(a, i)) for i in range(self.kahler.m)]
+        return lhs - self._oi(p).element([*rhs.data.items(), *da])
 
 
 class DerivationChi:
@@ -170,16 +153,12 @@ class DerivationChi:
 
     def chi_hat_wedge(self, p, v):
         """(chi_hat ^ id) on Om^1 (x) Lambda^p I, into Lambda^{p+1} I."""
-        ext = self.ext
-        out = ext.lam_i(p + 1).zero()
-        for ((i,), K), c in v.data.items():
-            chi_i = self.values[i]
-            for (u,), cc in chi_i.data.items():
-                mw = merge_wedge((u,), K)
-                if mw is None:
-                    continue
-                out = out + ext.lam_i(p + 1).basis_vec(mw[1], c * cc * mw[0])
-        return out
+        return self.ext.lam_i(p + 1).element(
+            (mw[1], c * cc * mw[0])
+            for ((i,), K), c in v.data.items()
+            for (u,), cc in self.values[i].data.items()
+            if (mw := merge_wedge((u,), K)) is not None
+        )
 
     def u_chi_vec(self, b):
         """(i, a) |-> (i + chi(a), a) on B."""
@@ -249,7 +228,7 @@ def _lam_chi_hat(ext, kahler, chi, p):
     tgt = ext.lam_i(p)
 
     def fn(v):
-        out = tgt.zero()
+        terms = []
         for K, c in v.data.items():
             acc = [(c, ())]
             for i in K:
@@ -258,12 +237,10 @@ def _lam_chi_hat(ext, kahler, chi, p):
                     for (u,), cc in chi.values[i].data.items():
                         nxt.append((coeff * cc, cur + (u,)))
                 acc = nxt
-            for coeff, seq in acc:
-                s = perm_sign(seq)
-                if s is None:
-                    continue
-                out = out + tgt.basis_vec(tuple(sorted(seq)), coeff * s)
-        return out
+            terms += [
+                (tuple(sorted(seq)), coeff * s) for coeff, seq in acc if (s := perm_sign(seq)) is not None
+            ]
+        return tgt.element(terms)
 
     return LinMap.from_function(src, tgt, fn)
 

@@ -21,9 +21,8 @@ from __future__ import annotations
 from itertools import combinations
 
 from .chain_core import CochainComplex
-from .coeff import Poly
 from .exterior_core import merge_wedge
-from .modules import BasedModule, LinMap, StructuralError, _vec
+from .modules import BasedModule, LinMap, StructuralError, _accumulate, _vec
 
 
 class TrivialExtension:
@@ -76,12 +75,8 @@ class TrivialExtension:
 
     def b_elem(self, i_coeffs, a):
         """Element (i, a) of B from I coordinates and an algebra element."""
-        out = self.B.zero()
-        for k, c in enumerate(i_coeffs):
-            out = out + self.B.basis_vec(("i", (k,)), c)
-        if not isinstance(a, Poly):
-            a = self.algebra.const(a)
-        return out + self.B.basis_vec(("j", ()), a)
+        terms = [(("i", (k,)), c) for k, c in enumerate(i_coeffs)]
+        return self.B.element(terms + [(("j", ()), a)])
 
     def unit(self):
         return self.b_elem([0] * self.rank, 1)
@@ -128,13 +123,13 @@ class TrivialExtension:
         """Wedge in Lambda I."""
         tgt = self.lam_i(self._degree_of(x.module, "i") + self._degree_of(y.module, "i"))
         merges = self._merges
-        out = {}
+        terms = []
         for K, a in x.data.items():
             for L, b in y.data.items():
                 m = merges[K, L]
                 if m is not None:
-                    _add_term(out, m[1], a * b, m[0])
-        return _vec(tgt, out)
+                    terms.append((m[1], a * b if m[0] > 0 else -(a * b)))
+        return _vec(tgt, _accumulate({}, terms))
 
     def wedge_b(self, x, y):
         """Wedge in Lambda B, computed on split labels.
@@ -145,7 +140,7 @@ class TrivialExtension:
         k = self.degree_of(x.module)
         l = self.degree_of(y.module)
         tgt = self.lam_b(k + l)
-        out = tgt.zero()
+        terms = []
         for (t1, K), a in x.data.items():
             for (t2, L), b in y.data.items():
                 if t1 == "j" and t2 == "j":
@@ -163,8 +158,8 @@ class TrivialExtension:
                     sgn *= (-1) ** len(K)
                     lab = ("j", KL)
                 if lab in tgt.label_index:
-                    out = out + tgt.basis_vec(lab, a * b * sgn)
-        return out
+                    terms.append((lab, a * b * sgn))
+        return tgt.element(terms)
 
     # -- differentials and the shifted product ----------------------------
 
@@ -192,7 +187,7 @@ class TrivialExtension:
             raise StructuralError("star: operands in wrong graded pieces")
         ji_sign = -1 if k % 2 else 1
         merges = self._merges
-        out = {}
+        terms = []
         for (t1, K), a in x.data.items():
             for (t2, L), b in y.data.items():
                 if t1 == "i":
@@ -205,8 +200,8 @@ class TrivialExtension:
                     tag, sign = "j", 1
                 m = merges[K, L]
                 if m is not None:
-                    _add_term(out, (tag, m[1]), a * b, sign * m[0])
-        return _vec(self.lam_b(k + l + 1), out)
+                    terms.append(((tag, m[1]), a * b if sign * m[0] > 0 else -(a * b)))
+        return _vec(self.lam_b(k + l + 1), _accumulate({}, terms))
 
     def star_abstract(self, k, l, x, y):
         """The defining formula a*a' = a.da' + (-1)^{|a|+1} da.a' + (-1)^{|a|} da.1_B.da'.
@@ -269,12 +264,9 @@ class TrivialExtension:
         src, tgt = self.lam_b_unsplit(k), self.lam_b_unsplit(k - 1)
         m = LinMap(src, tgt)
         for K in src.labels:
-            out = tgt.zero()
-            for i, ki in enumerate(K):
-                if ki == -1:  # pr_2(1_B) = 1, pr_2(y) = 0
-                    rest = K[:i] + K[i + 1 :]
-                    out = out + tgt.basis_vec(rest, (-1) ** i)
-            m.set_column(K, out)
+            # pr_2(1_B) = 1, pr_2(y) = 0
+            terms = ((K[:i] + K[i + 1 :], (-1) ** i) for i, ki in enumerate(K) if ki == -1)
+            m.set_column(K, tgt.element(terms))
         return m
 
 
@@ -284,23 +276,6 @@ class _MergeTable(dict):
     def __missing__(self, key):
         m = self[key] = merge_wedge(*key)
         return m
-
-
-def _add_term(out, label, c, sign):
-    """out[label] += sign * c, keeping no zero coefficient."""
-    if not c.terms:
-        return
-    if sign < 0:
-        c = -c
-    s = out.get(label)
-    if s is None:
-        out[label] = c
-    else:
-        s = s + c
-        if s.terms:
-            out[label] = s
-        else:
-            del out[label]
 
 
 def build_extension(algebra, rank):

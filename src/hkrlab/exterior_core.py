@@ -99,17 +99,15 @@ class ExteriorContext:
             raise StructuralError("wedge of elements from different home modules")
         p = len(x.module.labels[0]) if x.module.labels else 0
         q = len(y.module.labels[0]) if y.module.labels else 0
-        out = self.ext(p + q, dual).zero()
+        tgt = self.ext(p + q, dual)
         if p + q > self.rank:
-            return out  # Lambda^{p+q} = 0 beyond the rank
-        for K, a in x.data.items():
-            for L, b in y.data.items():
-                m = merge_wedge(K, L)
-                if m is None:
-                    continue
-                s, KL = m
-                out = out + self.ext(p + q, dual).basis_vec(KL, a * b * s)
-        return out
+            return tgt.zero()  # Lambda^{p+q} = 0 beyond the rank
+        return tgt.element(
+            (m[1], a * b * m[0])
+            for K, a in x.data.items()
+            for L, b in y.data.items()
+            if (m := merge_wedge(K, L)) is not None
+        )
 
     # -- (anti)symmetrization and shuffles -----------------------------
 
@@ -117,26 +115,20 @@ class ExteriorContext:
         """a_n: v_1 x ... x v_n  |->  v_1 ^ ... ^ v_n, extended linearly."""
         n = len(t.module.labels[0]) if t.module.labels else 0
         dual = self._side(t)
-        out = self.ext(n, dual).zero()
-        for T, c in t.data.items():
-            s = perm_sign(T)
-            if s is None:
-                continue
-            out = out + self.ext(n, dual).basis_vec(tuple(sorted(T)), c * s)
-        return out
+        return self.ext(n, dual).element(
+            (tuple(sorted(T)), c * s) for T, c in t.data.items() if (s := perm_sign(T)) is not None
+        )
 
     def symmetrize(self, x):
         """s_n: the (1/n!)-weighted signed sum over all permutations."""
         n = len(x.module.labels[0]) if x.module.labels else 0
         dual = self._side(x)
         w = Fraction(1, factorial(n))
-        out = self.tens(n, dual).zero()
-        for K, c in x.data.items():
-            for sigma in permutations(range(n)):
-                s = perm_sign(sigma)
-                T = tuple(K[sigma[i]] for i in range(n))
-                out = out + self.tens(n, dual).basis_vec(T, c * s * w)
-        return out
+        return self.tens(n, dual).element(
+            (tuple(K[i] for i in sigma), c * perm_sign(sigma) * w)
+            for K, c in x.data.items()
+            for sigma in permutations(range(n))
+        )
 
     def ext_pair_module(self, p, q, dual=False):
         return tensor_module(self.ext(p, dual), self.ext(q, dual))
@@ -146,15 +138,14 @@ class ExteriorContext:
         dual = self._side(x)
         tgt = self.ext_pair_module(p, q, dual)
         w = Fraction(factorial(p) * factorial(q), factorial(p + q))
-        out = tgt.zero()
+        terms = []
         for S, c in x.data.items():
             if len(S) != p + q:
                 raise StructuralError("shuffle degree mismatch")
             for K in combinations(S, p):
                 L = tuple(i for i in S if i not in K)
-                s = perm_sign(K + L)
-                out = out + tgt.basis_vec((K, L), c * s * w)
-        return out
+                terms.append(((K, L), c * perm_sign(K + L) * w))
+        return tgt.element(terms)
 
     def translate(self, k, p, m, phi):
         """t^m_{k,p}(phi) = wedge o (phi x id) o W_{p,m}."""
@@ -166,12 +157,11 @@ class ExteriorContext:
         tgt = self.ext(k + m)
 
         def fn(v):
-            w = self.shuffle_W(p, m, v)
-            out = tgt.zero()
-            for (K, L), c in w.data.items():
+            terms = []
+            for (K, L), c in self.shuffle_W(p, m, v).data.items():
                 img = phi.apply(self.ext(p).basis_vec(K, c))
-                out = out + self.wedge(img, self.ext(m).basis_vec(L))
-            return out
+                terms += self.wedge(img, self.ext(m).basis_vec(L)).data.items()
+            return tgt.element(terms)
 
         return LinMap.from_function(src, tgt, fn)
 
@@ -185,16 +175,13 @@ class ExteriorContext:
         q = self.degree_of(phi)
         if p > q:
             return self.ext(0, dual=True).zero()
-        tgt = self.ext(q - p, dual=True)
-        out = tgt.zero()
+        terms = []
         for K, a in v.data.items():
             for M, b in phi.data.items():
-                if not set(K) <= set(M):
-                    continue
-                J = tuple(i for i in M if i not in K)
-                s = split_sign(J, K)
-                out = out + tgt.basis_vec(J, a * b * s)
-        return out
+                if set(K) <= set(M):
+                    J = tuple(i for i in M if i not in K)
+                    terms.append((J, a * b * split_sign(J, K)))
+        return self.ext(q - p, dual=True).element(terms)
 
     def contract_right(self, phi, v):
         """(phi |- v)(x) = phi(v ^ x); right module action."""
@@ -204,16 +191,13 @@ class ExteriorContext:
         q = self.degree_of(phi)
         if p > q:
             return self.ext(0, dual=True).zero()
-        tgt = self.ext(q - p, dual=True)
-        out = tgt.zero()
+        terms = []
         for K, a in v.data.items():
             for M, b in phi.data.items():
-                if not set(K) <= set(M):
-                    continue
-                J = tuple(i for i in M if i not in K)
-                s = split_sign(K, J)
-                out = out + tgt.basis_vec(J, a * b * s)
-        return out
+                if set(K) <= set(M):
+                    J = tuple(i for i in M if i not in K)
+                    terms.append((J, a * b * split_sign(K, J)))
+        return self.ext(q - p, dual=True).element(terms)
 
     # -- dualities ------------------------------------------------------
 
@@ -397,23 +381,15 @@ def koszul_complex(ctx, phi_values):
     for p in range(1, s + 1):
         d = LinMap(ctx.ext(p), ctx.ext(p - 1))
         for K in ctx.ext(p).labels:
-            out = ctx.ext(p - 1).zero()
-            for i, ki in enumerate(K):
-                rest = K[:i] + K[i + 1 :]
-                sgn = -1 if i % 2 else 1
-                out = out + ctx.ext(p - 1).basis_vec(rest, phi_values[ki] * sgn)
-            d.set_column(K, out)
+            terms = ((K[:i] + K[i + 1 :], phi_values[ki] * (-1) ** i) for i, ki in enumerate(K))
+            d.set_column(K, ctx.ext(p - 1).element(terms))
         diffs[-p] = d
     return CochainComplex(algebra, modules, diffs)
 
 
 def koszul_dual_form(ctx, phi_values):
     """phi as an element of Lambda^1 M* (for the dual-side wedge)."""
-    m = ctx.ext(1, dual=True)
-    out = m.zero()
-    for k, v in enumerate(phi_values):
-        out = out + m.basis_vec((k,), v)
-    return out
+    return ctx.ext(1, dual=True).element(((k,), v) for k, v in enumerate(phi_values))
 
 
 def koszul_dual_check(ctx, phi_values):
@@ -445,12 +421,11 @@ def koszul_dual_check(ctx, phi_values):
         delta = L.diff(-(r - n))
 
         def fn(v, delta=delta, tgt=tgt):
-            out = tgt.zero()
+            terms = []
             for (K, M), c in v.data.items():
                 img = delta.apply(delta.source.basis_vec(K, c))
-                for K2, c2 in img.data.items():
-                    out = out + tgt.basis_vec((K2, M), -c2)
-            return out
+                terms += [((K2, M), -c2) for K2, c2 in img.data.items()]
+            return tgt.element(terms)
 
         diffs[n] = LinMap.from_function(src, tgt, fn)
     rhs = CochainComplex(algebra, modules, diffs)
@@ -460,12 +435,11 @@ def koszul_dual_check(ctx, phi_values):
         shift_sign = (-1) ** ((r + 1) * n)
 
         def fn(v):
-            out = tgt.zero()
+            terms = []
             for (K, M), c in v.data.items():
                 img = ctx.contract_right(ctx.ext(r, dual=True).basis_vec(M), ctx.ext(r - n).basis_vec(K, c))
-                for J, c2 in img.data.items():
-                    out = out + tgt.basis_vec((-n, (J, ())), c2 * shift_sign)
-            return out
+                terms += [((-n, (J, ())), c2 * shift_sign) for J, c2 in img.data.items()]
+            return tgt.element(terms)
 
         return fn
 

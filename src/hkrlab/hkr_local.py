@@ -174,10 +174,7 @@ class LocalModel:
         A_cplx = self.a_complex()
 
         def fn(v):
-            out = A_cplx.module(0).zero()
-            for lab, c in v.data.items():
-                out = out + A_cplx.module(0).basis_vec((), self.reduce_poly(c))
-            return out
+            return A_cplx.module(0).element(((), self.reduce_poly(c)) for c in v.data.values())
 
         return ComplexMap.from_functions(L, A_cplx, {0: fn})
 
@@ -219,10 +216,7 @@ class LocalModel:
 
         def component(p):
             def fn(v):
-                out = RL.module(-p).zero()
-                for K, c in v.data.items():
-                    out = out + RL.module(-p).basis_vec(K, self.reduce_poly(c))
-                return out
+                return RL.module(-p).element((K, self.reduce_poly(c)) for K, c in v.data.items())
 
             return fn
 
@@ -232,16 +226,12 @@ class LocalModel:
         """A (x)_B P -> reduced complex (the j parts)."""
         P = P or self.p_complex()
         RP = self.reduced_p_complex()
-        ext = self.ext
 
-        def component(p):
-            def fn(v):
-                _, j = ext.split(v)
-                return RP.module(-p).zero() + _cast(RP.module(-p), j)
+        def fn(v):
+            # the j part of Lambda^{p+1} B lies in Lambda^p I, which is RP^{-p}
+            return self.ext.split(v)[1]
 
-            return fn
-
-        return ComplexMap.from_functions(P, RP, {-p: component(p) for p in range(self.r + 1)}), RP
+        return ComplexMap.from_functions(P, RP, {-p: fn for p in range(self.r + 1)}), RP
 
     def hkr_matrix_gamma(self):
         """The induced map on reduced complexes; must send e_K to y_K."""
@@ -314,16 +304,6 @@ class LocalModel:
         return True
 
 
-def _cast(module, vec):
-    """Re-home a vector onto a module with the same labels."""
-    out = module.zero()
-    if vec is None:
-        return out
-    for lab, c in vec.data.items():
-        out = out + module.basis_vec(lab, c)
-    return out
-
-
 def _compose_with_target_fix(f, g):
     """f o g when f.source and g.target are the same complex up to identity."""
     try:
@@ -386,14 +366,11 @@ def k_b_action(ext, p, b, x):
         (i1_data if tag == "i" else j1_data)[T] = c
     ib, ab = ext.split(b)
     a = ab.coeff(())
-    out = M.zero()
-    for T, c in i1_data.items():
-        out = out + M.basis_vec(("i", T), a * c)
+    terms = [(("i", T), a * c) for T, c in i1_data.items()]
     for S, c in j1_data.items():
-        out = out + M.basis_vec(("j", S), a * c)
-        for (k,), ci in ib.data.items():
-            out = out + M.basis_vec(("i", (k,) + S), ci * c)
-    return out
+        terms.append((("j", S), a * c))
+        terms += [(("i", (k,) + S), ci * c) for (k,), ci in ib.data.items()]
+    return M.element(terms)
 
 
 def zeta(ext, K=None, P=None):
@@ -409,13 +386,11 @@ def zeta(ext, K=None, P=None):
         tgt = ext.lam_b(p + 1)
 
         def fn(v):
-            out = tgt.zero()
-            for (tag, T), c in v.data.items():
-                s = perm_sign(T)
-                if s is None:
-                    continue
-                out = out + tgt.basis_vec((tag, tuple(sorted(T))), c * s)
-            return out
+            return tgt.element(
+                ((tag, tuple(sorted(T))), c * s)
+                for (tag, T), c in v.data.items()
+                if (s := perm_sign(T)) is not None
+            )
 
         return fn
 
@@ -445,11 +420,7 @@ def k_augmentation(ext, K=None, window=None):
         A_cplx = A_cplx.with_window(window)
 
     def fn(v):
-        out = A_mod.zero()
-        for (tag, T), c in v.data.items():
-            if tag == "j":
-                out = out + A_mod.basis_vec((), c)
-        return out
+        return A_mod.element(((), c) for (tag, T), c in v.data.items() if tag == "j")
 
     return ComplexMap.from_functions(K, A_cplx, {0: fn})
 
@@ -496,14 +467,13 @@ def kappa(model, L=None, K=None):
         w = Fraction(1, factorial(p))
 
         def fn(v):
-            out = M.zero()
+            terms = []
             for Kl, c in v.data.items():
                 b = model.psi(c)
                 for sigma in permutations(range(p)):
-                    s = perm_sign(sigma)
-                    T = tuple(Kl[sigma[t]] for t in range(p))
-                    out = out + k_b_action(ext, p, b, M.basis_vec(("j", T), w * s))
-            return out
+                    x = M.basis_vec(("j", tuple(Kl[t] for t in sigma)), w * perm_sign(sigma))
+                    terms += k_b_action(ext, p, b, x).data.items()
+            return M.element(terms)
 
         return fn
 
@@ -538,15 +508,11 @@ def compare_hkr_ac(model):
 
 def _reduce_k_then_antisym(model, kvec, p, RP):
     """j parts of a tensor-power element, antisymmetrized into Lambda^p I."""
-    out = RP.module(-p).zero()
-    for (tag, T), c in kvec.data.items():
-        if tag != "j":
-            continue
-        s = perm_sign(T)
-        if s is None:
-            continue
-        out = out + RP.module(-p).basis_vec(tuple(sorted(T)), c * s)
-    return out
+    return RP.module(-p).element(
+        (tuple(sorted(T)), c * s)
+        for (tag, T), c in kvec.data.items()
+        if tag == "j" and (s := perm_sign(T)) is not None
+    )
 
 
 def zeta_checks(ext, window=None):
@@ -608,15 +574,12 @@ def double_complex_n(r):
                 for (K, (tag, L)) in src.labels:
                     if tag != "j":
                         continue
-                    out = tgt.zero()
-                    for t, kt in enumerate(K):
-                        rest = K[:t] + K[t + 1 :]
-                        mw = merge_wedge((kt,), L)
-                        if mw is None:
-                            continue
-                        coeff = -((-1) ** (p - 1 - t)) * mw[0]
-                        out = out + tgt.basis_vec((rest, ("i", mw[1])), coeff)
-                    d.set_column((K, (tag, L)), out)
+                    terms = (
+                        ((K[:t] + K[t + 1 :], ("i", mw[1])), -((-1) ** (p - 1 - t)) * mw[0])
+                        for t, kt in enumerate(K)
+                        if (mw := merge_wedge((kt,), L)) is not None
+                    )
+                    d.set_column((K, (tag, L)), tgt.element(terms))
                 horiz[(-p, -q)] = d
             if q >= 1:
                 tgt = modules[(-p, -q + 1)]
@@ -798,10 +761,7 @@ def cycle_class_local(model, check_signs=True):
     lift_mod = L.module(0)
 
     def section_fn(v):
-        out = lift_mod.zero()
-        for _, a in v.data.items():
-            out = out + lift_mod.basis_vec((), model.lift_poly(a))
-        return out
+        return lift_mod.element(((), model.lift_poly(a)) for a in v.data.values())
 
     section = ComplexMap.from_functions(A_cplx, L, {0: section_fn})
     if not section.is_chain_map():
@@ -831,10 +791,7 @@ def cycle_class_local(model, check_signs=True):
     ext = model.ext
 
     def section_p_fn(v):
-        out = ext.lam_b(1).zero()
-        for _, a in v.data.items():
-            out = out + ext.lam_b(1).basis_vec(("j", ()), a)
-        return out
+        return ext.lam_b(1).element((("j", ()), a) for a in v.data.values())
 
     section_p = ComplexMap.from_functions(A_cplx, P, {0: section_p_fn})
     if not section_p.is_chain_map():

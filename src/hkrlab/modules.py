@@ -54,6 +54,20 @@ class BasedModule:
         c = coeff if isinstance(coeff, Poly) else self.algebra.const(coeff)
         return Vec(self, {label: c})
 
+    def element(self, terms):
+        """The element sum c * label over the (label, coeff) pairs of terms;
+        a coeff may be an int, a Fraction or a Poly, and labels may repeat."""
+        index = self.label_index
+        const = self.algebra.const
+
+        def coerced():
+            for lab, c in terms:
+                if lab not in index:
+                    raise StructuralError(f"label {lab!r} not in module {self.name!r}")
+                yield lab, (c if isinstance(c, Poly) else const(c))
+
+        return _vec(self, _accumulate({}, coerced()))
+
     def basis(self):
         return [self.basis_vec(lab) for lab in self.labels]
 
@@ -106,24 +120,15 @@ class Vec:
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.data)
-        for lab, c in other.data.items():
-            s = out.get(lab)
-            if s is None:
-                out[lab] = c
-            else:
-                s = s + c
-                if s.terms:
-                    out[lab] = s
-                else:
-                    del out[lab]
-        return _vec(self.module, out)
+        return _vec(self.module, _accumulate(dict(self.data), other.data.items()))
 
     def __neg__(self):
         return _vec(self.module, {lab: -c for lab, c in self.data.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        self._check(other)
+        negated = ((lab, -c) for lab, c in other.data.items())
+        return _vec(self.module, _accumulate(dict(self.data), negated))
 
     def scale(self, c):
         if isinstance(c, (int, Fraction)):
@@ -156,28 +161,36 @@ def _vec(module, data):
     return v
 
 
-def _image(cols, data):
-    """Coefficients of sum_lab data[lab] * cols[lab], zeros dropped as they
-    arise (the order of labels is that of adding the columns one by one)."""
-    out = {}
-    for lab, c in data.items():
-        col = cols.get(lab)
-        if col is None:
+def _accumulate(out, terms):
+    """out[label] += c for each (label, c) of terms, c a Poly, dropping zeros
+    as they arise: labels keep the order that adding the terms one at a time
+    to a Vec gives.  Returns out."""
+    for lab, c in terms:
+        if not c.terms:
             continue
-        for tlab, v in col.data.items():
-            p = c * v
-            if not p.terms:
-                continue
-            s = out.get(tlab)
-            if s is None:
-                out[tlab] = p
+        s = out.get(lab)
+        if s is None:
+            out[lab] = c
+        else:
+            s = s + c
+            if s.terms:
+                out[lab] = s
             else:
-                s = s + p
-                if s.terms:
-                    out[tlab] = s
-                else:
-                    del out[tlab]
+                del out[lab]
     return out
+
+
+def _image(cols, data):
+    """Coefficients of sum_lab data[lab] * cols[lab]."""
+    return _accumulate(
+        {},
+        [
+            (tlab, c * v)
+            for lab, c in data.items()
+            if (col := cols.get(lab)) is not None
+            for tlab, v in col.data.items()
+        ],
+    )
 
 
 class LinMap:

@@ -247,6 +247,8 @@ def test_model_json_interface():
         ({"m": 1, "r": 2, "D": 3, "Chi": [["x1", "0"]]}, "unknown model keys"),
         ([1, 2, 3], "must be a JSON object"),
         ('{"m": 1,', "malformed model"),
+        ({"m": 1, "r": 2, "D": 3, "chi": [["x1^4", "0"]]}, "malformed polynomial: term .* exceeds the degree bound"),
+        ({"m": 1, "r": 2, "D": 3, "chi": [["x1^2*x1^2", "0"]]}, "malformed polynomial: term .* exceeds"),
     ],
 )
 def test_model_json_rejects_malformed_or_oversized_input(monkeypatch, data, message):

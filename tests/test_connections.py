@@ -34,6 +34,9 @@ def test_poly_partial():
     p = A.parse("x1^2*x2 + 3*x2")
     assert poly_partial(p, 0) == A.parse("2*x1*x2")
     assert poly_partial(p, 1) == A.parse("x1^2 + 3")
+    # a term above the degree bound is an error, not a silent zero
+    with pytest.raises(ValueError, match="exceeds the degree bound 3"):
+        A.parse("x1^2*x2^2")
 
 
 def test_exterior_derivative_squares_to_zero():

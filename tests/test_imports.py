@@ -1,4 +1,6 @@
-"""Every name a module of the package imports is used in that module."""
+"""Static checks on the package source: every name a module imports is
+used in that module, and no module element is built by summing basis
+vectors one at a time (BasedModule.element builds it in one pass)."""
 
 import ast
 from pathlib import Path
@@ -32,3 +34,43 @@ def test_unused_import_is_found():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_module_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def basis_vec_folds(source):
+    """Lines of source that assign x = x + (an expression calling .basis_vec)."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Assign) and len(node.targets) == 1):
+            continue
+        target, value = node.targets[0], node.value
+        if (
+            isinstance(target, ast.Name)
+            and isinstance(value, ast.BinOp)
+            and isinstance(value.op, ast.Add)
+            and isinstance(value.left, ast.Name)
+            and value.left.id == target.id
+            and any(
+                isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and n.func.attr == "basis_vec"
+                for n in ast.walk(value.right)
+            )
+        ):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_basis_vec_fold_is_found():
+    source = (
+        "out = M.zero()\n"
+        "for lab, c in v.data.items():\n"
+        "    out = out + M.basis_vec(lab, c)\n"
+        "    acc = acc + f(N.basis_vec(lab))\n"
+        "    w = out + M.basis_vec(lab)\n"
+        "    out = out + f(v)\n"
+        "total = M.element(v.data.items())\n"
+    )
+    assert basis_vec_folds(source) == [3, 4]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_builds_no_element_by_a_basis_vec_fold(path):
+    assert basis_vec_folds(path.read_text()) == []

@@ -9,11 +9,12 @@ nilpotents that truncate to zero.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hkrlab.coeff import CoeffAlgebra
-from hkrlab.modules import BasedModule, LinMap, Vec
+from hkrlab.modules import BasedModule, LinMap, StructuralError, Vec
 
 QQ = CoeffAlgebra.rationals()
 QX = CoeffAlgebra.polynomial(2, 2)
@@ -157,3 +158,35 @@ def test_vec_arithmetic_keeps_no_zero_coefficient():
     assert (v - w).data == {"M1": QX.const(2), "M2": QX.const(1)}
     assert (v - v).is_zero() and v.scale(0).is_zero()
     assert v.scale(QX.gen(1) * QX.gen(1)).data == {"M1": QX.monomial((0, 2), 2)}
+
+
+@st.composite
+def term_lists(draw):
+    """(label, coeff) pairs over a few labels: labels repeat, and the
+    coefficients come from a pool holding its own negatives, zero and
+    int, Fraction and Poly values, so that entries cancel and come back."""
+    algebra = draw(ALGEBRAS)
+    M = module(algebra, draw(st.integers(1, 3)), "M")
+    polys = [draw(coefficients(algebra)) for _ in range(2)]
+    pool = polys + [-c for c in polys] + [0, 1, -1, Fraction(1, 2), Fraction(-1, 2)]
+    terms = draw(st.lists(st.tuples(st.sampled_from(M.labels), st.sampled_from(pool)), max_size=12))
+    return M, terms
+
+
+@settings(max_examples=100, deadline=None)
+@given(term_lists())
+def test_element_matches_the_fold_of_basis_vectors(drawn):
+    M, terms = drawn
+    want = M.zero()
+    for lab, c in terms:
+        want = want + M.basis_vec(lab, c)
+    for got in (M.element(terms), M.element(iter(terms))):
+        assert got == want
+        assert list(got.data) == list(want.data)
+        assert_clean(got)
+
+
+def test_element_rejects_a_foreign_label():
+    M = module(QQ, 2, "M")
+    with pytest.raises(StructuralError):
+        M.element([("M0", 1), ("N0", 1)])
