@@ -186,13 +186,10 @@ def hat_star(ext, l, q, x, y):
         raise StructuralError("hat_star: operands in wrong graded pieces")
     i1, j1 = ext.split(x)
     i2, j2 = ext.split(y)
-    i_out = ext.wedge_i(j1, i2).scale((-1) ** l)
-    if j2 is not None:
-        i_out = i_out + ext.wedge_i(i1, j2)
-        j_out = ext.wedge_i(j1, j2)
-    else:
-        j_out = None
-    return ext.join(q + l, i_out, j_out)
+    j1_i2 = ext.wedge_i(j1, i2).scale((-1) ** l)
+    if j2 is None:
+        return ext.join(q + l, j1_i2, None)
+    return ext.join(q + l, j1_i2 + ext.wedge_i(i1, j2), ext.wedge_i(j1, j2))
 
 
 def hat_star_is_chain_map(ext):

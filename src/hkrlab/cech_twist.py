@@ -98,6 +98,11 @@ class Nerve:
                     table[t[:k] + t[k + 1 :]].append((t, k))
         return {s: tuple(pairs) for s, pairs in table.items()}
 
+    @cached_property
+    def _cech_complexes(self):
+        """module -> its untwisted Cech complex, filled by cech_complex."""
+        return {}
+
     def has(self, simplex):
         return tuple(sorted(simplex)) in self.simplices
 
@@ -224,11 +229,11 @@ def cech_delta(cochain):
     nerve, l = cochain.nerve, cochain.degree
     out = Cochain(nerve, l + 1, cochain.module)
     for s in nerve.simplices_of_dim(l + 1):
-        acc = cochain.module.zero()
-        for k in range(l + 2):
-            face = s[:k] + s[k + 1 :]
-            acc = acc + cochain.value(face).scale((-1) ** k)
-        out[s] = acc
+        out[s] = cochain.module.element(
+            t
+            for k in range(l + 2)
+            for t in cochain.value(s[:k] + s[k + 1 :]).scale((-1) ** k).data.items()
+        )
     return out
 
 
@@ -275,8 +280,13 @@ def cech_complex(nerve, module, transitions=None):
     transitions maps ordered vertex pairs (a, b) on edges to algebra-linear
     automorphisms converting b-chart values into the a-chart; the Cech
     differential twists its leading face through the transition.  This is
-    the one place the twisted differential is written.
+    the one place the twisted differential is written.  The untwisted
+    complex is built once per module and kept on the nerve.
     """
+    if transitions is None:
+        C = nerve._cech_complexes.get(module)
+        if C is not None:
+            return C
     algebra = module.algebra
     modules = {}
     for l in range(nerve.depth + 1):
@@ -301,7 +311,10 @@ def cech_complex(nerve, module, transitions=None):
                     terms.append(((t, lab), (-1) ** k))
             d.set_column((s, lab), tgt.element(terms))
         diffs[l] = d
-    return CochainComplex(algebra, modules, diffs)
+    C = CochainComplex(algebra, modules, diffs)
+    if transitions is None:
+        nerve._cech_complexes[module] = C
+    return C
 
 
 def cech_total_complex(nerve, columns, vertical, transitions=None):
@@ -318,12 +331,7 @@ def cech_total_complex(nerve, columns, vertical, transitions=None):
         j: cech_complex(nerve, M, None if transitions is None else partial(transitions, j))
         for j, M in columns.items()
     }
-    modules, horiz, vert = {}, {}, {}
-    for j, C in cech.items():
-        for l in C.degrees():
-            modules[(l, j)] = C.module(l)
-        for l, d in C.diffs.items():
-            horiz[(l, j)] = d
+    vert = {}
     for j, v in vertical.items():
         images = {lab: v.apply(columns[j].basis_vec(lab)) for lab in columns[j].labels}
         for l in cech[j].degrees():
@@ -333,7 +341,7 @@ def cech_total_complex(nerve, columns, vertical, transitions=None):
                 d.set_column((s, lab), Vec(tgt, {(s, lab2): c for lab2, c in images[lab].data.items()}))
             vert[(l, j)] = d
     algebra = next(iter(columns.values())).algebra
-    return totalize(Bicomplex(algebra, modules, horiz, vert, check=True))
+    return totalize(Bicomplex.from_rows(algebra, cech, vert))
 
 
 def cech_cohomology(nerve, module, degree):
@@ -360,12 +368,12 @@ def cocycle_to_flat(C, l, cochain):
 def combine_representatives(nerve, degree, module, coeffs, reps):
     """The cochain sum of c * rep over coeffs and reps, where each rep is an
     element of cech_complex(nerve, module) in this degree."""
-    out = Cochain(nerve, degree, module)
+    terms = {}
     for c, rep in zip(coeffs, reps):
         if c:
             for (s, lab), poly in rep.data.items():
-                out[s] = out.value(s) + module.basis_vec(lab, poly * c)
-    return out
+                terms.setdefault(s, []).append((lab, poly * c))
+    return Cochain(nerve, degree, module, {s: module.element(t) for s, t in terms.items()})
 
 
 def is_cocycle(nerve, cochain):
@@ -379,10 +387,7 @@ def cohomologous(nerve, x, y):
     diff = [a - b for a, b in zip(cocycle_to_flat(C, l, x), cocycle_to_flat(C, l, y))]
     if not any(diff):
         return True
-    D = C.qdiff(l - 1)
-    if not D:
-        return False
-    return ql.solve_vec(D, diff) is not None
+    return C.qsolver(l - 1).solve(diff) is not None
 
 
 def class_coordinates(nerve, cochain):
@@ -456,12 +461,13 @@ class TwistFamily:
     def __init__(self, ext, nerve, cocycles):
         self.ext = ext
         self.nerve = nerve
-        self.cocycles = list(cocycles)
+        self.cocycles = tuple(cocycles)
         if len(self.cocycles) != ext.rank:
             raise StructuralError("need one twist level per 0 <= n < rank")
         for n, c in enumerate(self.cocycles):
             if c.level != n:
                 raise StructuralError("twist levels out of order")
+        self._transitions = {}
 
     @classmethod
     def zero(cls, ext, nerve):
@@ -476,7 +482,14 @@ class TwistFamily:
         )
 
     def transition(self, n, a, b):
-        """Chart change b -> a on Lambda^{n+1} B: (i, j) |-> (i - c_{ab}(j), j)."""
+        """Chart change b -> a on Lambda^{n+1} B: (i, j) |-> (i - c_{ab}(j), j),
+        built once per (n, a, b); callers must not change the map."""
+        key = (n, a, b)
+        if key not in self._transitions:
+            self._transitions[key] = self._build_transition(n, a, b)
+        return self._transitions[key]
+
+    def _build_transition(self, n, a, b):
         ext = self.ext
         M = ext.lam_b(n + 1)
         out = LinMap.identity(M)
@@ -1058,8 +1071,9 @@ def atiyah_twist(ext, kahler, nerve, transitions_g, nablas, chi=None, level=1):
         return LinMap.from_function(ext.lam_b(p + 1), ext.lam_b(p + 1), fn)
 
     conj_ok = True
-    fam = TwistFamily.zero(ext, nerve)
-    fam.cocycles[p] = twist
+    levels = [TwistCocycle.zero(ext, nerve, n) for n in range(ext.rank)]
+    levels[p] = twist
+    fam = TwistFamily(ext, nerve, levels)
     for s in nerve.simplices_of_dim(1):
         a, b = s
         for lab in ext.lam_b(p + 1).labels:
@@ -1086,8 +1100,7 @@ def codim2_matrix(ext, kahler, nerve, nablas, chi):
     if not at["difference_cocycle"] or not at["conjugation"]:
         raise StructuralError("curvature difference data is inconsistent")
     twist = at["twist"]
-    lam = TwistFamily.zero(ext, nerve)
-    lam.cocycles[1] = twist
+    lam = TwistFamily(ext, nerve, [TwistCocycle.zero(ext, nerve, 0), twist])
     mu = TwistFamily.zero(ext, nerve)
     delta, _ = delta_matrix(ext, nerve, lam, mu, "last-level")
     theta = twist.cochain.scale(Fraction(1, 2))

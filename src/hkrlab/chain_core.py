@@ -38,6 +38,8 @@ class CochainComplex:
         self.window = window
         self._flat = {}
         self._qdiff = {}
+        self._qsolver = {}
+        self._homology = {}
         for n, d in diffs.items():
             if d is None or d.is_zero():
                 continue
@@ -71,6 +73,12 @@ class CochainComplex:
         if n not in self._qdiff:
             self._qdiff[n] = flatten_map(self.diff(n), self.flat(n), self.flat(n + 1))
         return self._qdiff[n]
+
+    def qsolver(self, n):
+        """The exact solver for the flattened differential out of degree n."""
+        if n not in self._qsolver:
+            self._qsolver[n] = ql.Solver(self.qdiff(n))
+        return self._qsolver[n]
 
     def shift(self, k):
         """Reindex-only shift: C[k]^n = C^{n+k} with the same differential."""
@@ -298,6 +306,21 @@ class Bicomplex:
         if check:
             self.validate()
 
+    @classmethod
+    def from_rows(cls, algebra, rows, vert):
+        """The bicomplex with the complex rows[j] along row j and the vertical
+        maps vert[(i, j)].  Each row's d o d was checked when its
+        CochainComplex was built; d_v^2 and the squares are checked here."""
+        modules, horiz = {}, {}
+        for j, C in rows.items():
+            for i in C.degrees():
+                modules[(i, j)] = C.module(i)
+            for i, d in C.diffs.items():
+                horiz[(i, j)] = d
+        bic = cls(algebra, modules, horiz, vert, check=False)
+        bic._validate_vertical()
+        return bic
+
     def module(self, ij):
         return self.modules.get(ij) or zero_module(self.algebra)
 
@@ -319,6 +342,11 @@ class Bicomplex:
         for (i, j) in self.modules:
             if not self.h((i + 1, j)).compose(self.h((i, j))).is_zero():
                 raise ValueError(f"horizontal d^2 != 0 at {(i, j)}")
+        self._validate_vertical()
+
+    def _validate_vertical(self):
+        """d_v^2 = 0 and commuting squares."""
+        for (i, j) in self.modules:
             if not self.v((i, j + 1)).compose(self.v((i, j))).is_zero():
                 raise ValueError(f"vertical d^2 != 0 at {(i, j)}")
             lhs = self.v((i + 1, j)).compose(self.h((i, j)))
@@ -373,17 +401,20 @@ class HomologyResult:
     _boundary_cols: list = field(repr=False, default_factory=list)
     _flat: QBasis = field(repr=False, default=None)
     _indices: list = field(repr=False, default=None)
+    _solver: ql.Solver = field(repr=False, default=None)
 
     def project_flat(self, col):
         """Coordinates of a cycle in the representative basis (boundaries die)."""
         if self._indices is not None:
             col = [col[i] for i in self._indices]
-        basis = [list(c) for c in self._cycle_cols] + [list(c) for c in self._boundary_cols]
+        basis = self._cycle_cols + self._boundary_cols
         if not basis:
             if any(col):
                 raise ValueError("vector is not a cycle")
             return []
-        coords = ql.coords_in_basis(basis, col)
+        if self._solver is None:
+            self._solver = ql.Solver(ql.transpose(basis))
+        coords = self._solver.solve(col)
         if coords is None:
             raise ValueError("vector is not a cycle")
         return coords[: self.dim]
@@ -393,7 +424,15 @@ class HomologyResult:
 
 
 def homology(C, degree, grade=None):
-    """Exact homology at one degree (optionally one internal grade slice)."""
+    """Exact homology at one degree (optionally one internal grade slice),
+    computed once per (degree, grade) and kept on the complex."""
+    key = (degree, grade)
+    if key not in C._homology:
+        C._homology[key] = _homology(C, degree, grade)
+    return C._homology[key]
+
+
+def _homology(C, degree, grade):
     fb = C.flat(degree)
     d_in = C.qdiff(degree - 1)
     d_out = C.qdiff(degree)

@@ -136,12 +136,9 @@ class DerivationChi:
 
     def chi(self, a):
         """chi(a) = sum_i (da/dx_i) chi_i, by the Leibniz rule."""
-        out = self.ext.lam_i(1).zero()
-        for i, val in enumerate(self.values):
-            da = poly_partial(a, i)
-            if not da.is_zero():
-                out = out + val.scale(da)
-        return out
+        return self.ext.lam_i(1).element(
+            t for i, val in enumerate(self.values) for t in val.scale(poly_partial(a, i)).data.items()
+        )
 
     def chi_hat(self):
         """The associated module map Om^1 -> I."""

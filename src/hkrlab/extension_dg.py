@@ -41,6 +41,8 @@ class TrivialExtension:
         # as lam_i and lam_b build them, so degrees are never read off names
         self._degree = {}
         self._merges = _MergeTable()
+        # p -> the p-th tensor power of B over A, filled by hkr_local.tensor_power_module
+        self._tensor_power = {}
 
     # -- modules ---------------------------------------------------------
 

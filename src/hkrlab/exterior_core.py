@@ -207,13 +207,13 @@ class ExteriorContext:
         tgt = self.ext(self.rank - p, dual=True)
 
         def fn(w):
-            out = tgt.zero()
-            for (K, M), c in w.data.items():
-                img = self.contract_left(
+            return tgt.element(
+                t
+                for (K, M), c in w.data.items()
+                for t in self.contract_left(
                     self.ext(p).basis_vec(K, c), self.ext(self.rank, dual=True).basis_vec(M)
-                )
-                out = out + img
-            return out
+                ).data.items()
+            )
 
         return LinMap.from_function(src, tgt, fn)
 
@@ -223,13 +223,13 @@ class ExteriorContext:
         tgt = self.ext(self.rank - p, dual=True)
 
         def fn(w):
-            out = tgt.zero()
-            for (K, M), c in w.data.items():
-                img = self.contract_right(
+            return tgt.element(
+                t
+                for (K, M), c in w.data.items()
+                for t in self.contract_right(
                     self.ext(self.rank, dual=True).basis_vec(M), self.ext(p).basis_vec(K, c)
-                )
-                out = out + img
-            return out
+                ).data.items()
+            )
 
         return LinMap.from_function(src, tgt, fn)
 

@@ -123,10 +123,9 @@ class LocalModel:
         """
         if c.algebra != self.C:
             raise StructuralError("psi is defined on the coefficients of C")
-        out = self.ext.B.zero()
-        for e, v in c.terms.items():
-            out = out + self._psi_mono[e].scale(v)
-        return out
+        return self.ext.B.element(
+            t for e, v in c.terms.items() for t in self._psi_mono[e].scale(v).data.items()
+        )
 
     def j_class(self, k):
         return self.ext.b_elem([1 if t == k else 0 for t in range(self.r)], 0)
@@ -185,12 +184,14 @@ class LocalModel:
         ext = self.ext
 
         def component(p):
+            M = ext.lam_b(p + 1)
+
             def fn(v):
-                out = ext.lam_b(p + 1).zero()
-                for K, c in v.data.items():
-                    base = ext.lam_b(p + 1).basis_vec(("j", K))
-                    out = out + ext.b_action(p + 1, self.psi(c), base)
-                return out
+                return M.element(
+                    t
+                    for K, c in v.data.items()
+                    for t in ext.b_action(p + 1, self.psi(c), M.basis_vec(("j", K))).data.items()
+                )
 
             return fn
 
@@ -319,18 +320,21 @@ def tensor_power_module(ext, p):
     """(x)^p of M = B (x) I over B, in split form.
 
     Labels ('i', T) for (p+1)-tuples over the rank (the I (x) (x)^p I part,
-    extension coefficient in front) and ('j', S) for p-tuples.
+    extension coefficient in front) and ('j', S) for p-tuples.  Built once
+    per p and kept on the extension.
     """
-    r = ext.rank
-    labels = []
-    grades = []
-    for T in product(range(r), repeat=p + 1):
-        labels.append(("i", T))
-        grades.append(p + 1)
-    for S in product(range(r), repeat=p):
-        labels.append(("j", S))
-        grades.append(p)
-    return BasedModule(ext.algebra, tuple(labels), f"T^{p}M", tuple(grades))
+    if p not in ext._tensor_power:
+        r = ext.rank
+        labels = []
+        grades = []
+        for T in product(range(r), repeat=p + 1):
+            labels.append(("i", T))
+            grades.append(p + 1)
+        for S in product(range(r), repeat=p):
+            labels.append(("j", S))
+            grades.append(p)
+        ext._tensor_power[p] = BasedModule(ext.algebra, tuple(labels), f"T^{p}M", tuple(grades))
+    return ext._tensor_power[p]
 
 
 def build_k_complex(ext, window=None):

@@ -8,6 +8,7 @@ elimination with zero-skipping is fast enough and keeps everything exact.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 Matrix = "list[list[Fraction]]"
 
@@ -182,6 +183,52 @@ def solve_vec(A, b):
     return [row[0] for row in sol]
 
 
+class Solver:
+    """Exact solves A x = b for one matrix A and many right-hand sides b.
+
+    A is reduced once: rref([A | I]) = [R | E] with E A = R.  Then A x = b
+    is solvable iff (E b)_i = 0 on every zero row i of R, and the solution
+    whose free variables are zero has x[p_i] = (E b)_i at the i-th pivot
+    column p_i: the solution solve_vec(A, b) returns.  Each row of E is
+    kept as integers over one denominator, so a solve is integer dot
+    products and one Fraction per pivot.
+    """
+
+    def __init__(self, A):
+        n = len(A)
+        m = len(A[0]) if n else 0
+        aug = [A[i][:] + [ONE if j == i else ZERO for j in range(n)] for i in range(n)]
+        R, pivots = rref(aug)
+        self.pivots = [p for p in pivots if p < m]
+        self.ncols = m
+        r = len(self.pivots)
+        self._solution_rows = [_over_common_denominator(row[m:]) for row in R[:r]]
+        self._null_rows = [_over_common_denominator(row[m:])[0] for row in R[r:]]
+
+    def solve(self, b):
+        """The solution of A x = b as a list, or None if b is not in the column span."""
+        d = lcm(*(c.denominator for c in b if c))
+        nonzero = [(j, c.numerator * (d // c.denominator)) for j, c in enumerate(b) if c]
+
+        def dot(ints):
+            return sum(ints[j] * v for j, v in nonzero)
+
+        if any(dot(ints) for ints in self._null_rows):
+            return None
+        x = [ZERO] * self.ncols
+        for p, (ints, e) in zip(self.pivots, self._solution_rows):
+            s = dot(ints)
+            if s:
+                x[p] = Fraction(s, e * d)
+        return x
+
+
+def _over_common_denominator(row):
+    """(ints, d) with row[j] = ints[j] / d, d the least common denominator."""
+    d = lcm(*(x.denominator for x in row))
+    return [x.numerator * (d // x.denominator) for x in row], d
+
+
 def inverse(A):
     n = len(A)
     X = solve(A, identity(n))
@@ -198,10 +245,3 @@ def column_span_contains(cols, v):
         return all(not x for x in v)
     A = transpose(cols)
     return solve_vec(A, v) is not None
-
-
-def coords_in_basis(cols, v):
-    """Coordinates of v in the span of independent columns, or None."""
-    if not cols:
-        return [] if all(not x for x in v) else None
-    return solve_vec(transpose(cols), v)

@@ -10,7 +10,7 @@ import pytest
 from hkrlab.coeff import CoeffAlgebra
 from hkrlab.extension_dg import build_extension
 from hkrlab.chain_core import homology
-from hkrlab.modules import LinMap
+from hkrlab.modules import BasedModule, LinMap
 from hkrlab.cech_twist import (
     NERVE_LIBRARY,
     Cochain,
@@ -23,6 +23,7 @@ from hkrlab.cech_twist import (
     canonical_representative,
     cech_cohomology,
     cech_complex,
+    cech_total_complex,
     cech_delta,
     circle_nerve,
     class_coordinates,
@@ -670,6 +671,59 @@ def test_twisted_local_system_cohomology():
     assert homology(twisted, 1).dim == 0
     # trivial transitions recover the constant coefficients
     assert cech_cohomology(nerve, M, 0).dim == 1
+
+
+def test_untwisted_cech_complex_is_built_once_per_nerve_and_module():
+    ext = ext_of(2)
+    nerve = sphere_nerve(2)
+    M = ext.lam_i(1)
+    C = cech_complex(nerve, M)
+    assert cech_complex(nerve, M) is C
+    # modules compare by value, so an equal module finds the same complex
+    same = BasedModule(M.algebra, M.labels, M.name, M.grades)
+    assert cech_complex(nerve, same) is C
+    assert cech_complex(sphere_nerve(2), M) is not C
+    assert cech_complex(nerve, ext.lam_i(2)) is not C
+
+    def identity(a, b):
+        return LinMap.identity(M)
+
+    twisted = cech_complex(nerve, M, identity)
+    assert twisted is not C
+    assert cech_complex(nerve, M, identity) is not twisted
+    assert cech_complex(nerve, M) is C
+
+
+def test_cached_transitions_equal_fresh_ones_after_delta_matrix():
+    # a caller that changed a cached LinMap in place would show up here
+    ext = ext_of(2)
+    nerve = sphere_nerve(2)
+    rng = random.Random(5)
+    lam = wedge_family(ext, nerve, random_wedge_cochains(ext, nerve, rng))
+    mu = wedge_family(ext, nerve, random_wedge_cochains(ext, nerve, rng))
+    delta_matrix(ext, nerve, lam, mu, "wedge")
+    for fam in (lam, mu):
+        fresh = TwistFamily(ext, nerve, fam.cocycles)
+        keys = sorted(fam._transitions)
+        assert keys
+        for key in keys:
+            assert fam.transition(*key) is fam.transition(*key)
+            assert fam.transition(*key) == fresh.transition(*key)
+
+
+def test_cech_total_complex_rejects_a_column_with_nonzero_d_squared():
+    ext = ext_of(1)
+    nerve = sphere_nerve(2)
+    M = ext.lam_i(1)
+
+    def transitions(j, a, b):
+        # scaling along the one edge (0, 1) alone breaks the cocycle condition
+        return LinMap.identity(M).scale(2 if (a, b) == (0, 1) else 1)
+
+    with pytest.raises(ValueError, match="d o d"):
+        cech_total_complex(nerve, {0: M}, {}, transitions)
+    tot = cech_total_complex(nerve, {0: M}, {}, lambda j, a, b: LinMap.identity(M))
+    assert homology(tot, 2).dim == 1
 
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -243,3 +243,42 @@ def test_grade_sliced_homology():
         assert homology(C, -1, grade=g).dim == 0 or g > 3
         assert homology(C, 0, grade=g).dim == (1 if g == 0 else 0)
 
+
+
+def test_homology_is_computed_once_per_degree_and_grade():
+    A = CoeffAlgebra.polynomial(1, 3, ("y",))
+    M0 = BasedModule(A, ("e",), "M0", (1,))
+    M1 = BasedModule(A, ("u",), "M1", (0,))
+    d = LinMap(M0, M1)
+    d.set_column("e", M1.basis_vec("u", A.gen(0)))
+    C = CochainComplex(A, {-1: M0, 0: M1}, {-1: d})
+    H = homology(C, 0)
+    assert homology(C, 0) is H
+    H0 = homology(C, 0, grade=0)
+    assert H0 is not H
+    assert homology(C, 0, grade=0) is H0
+    assert homology(C, 0, grade=1) is not H0
+    assert homology(C, -1) is not H
+
+
+def test_solver_agrees_with_solve_vec():
+    rng = random.Random(13)
+    outcomes = set()
+    for _ in range(60):
+        n, m = rng.randint(1, 6), rng.randint(1, 6)
+        entry = lambda: Fraction(rng.choice([0, 0, 1, -1, 2, 3]), rng.choice([1, 2, 3]))
+        A = [[entry() for _ in range(m)] for _ in range(n)]
+        if n > 1:
+            # a repeated combination of rows makes A rank deficient
+            A[-1] = [a - 2 * b for a, b in zip(A[0], A[1 % (n - 1)])]
+        solver = ql.Solver(A)
+        for _ in range(4):
+            if rng.random() < 0.5:
+                x = [Fraction(rng.randint(-3, 3)) for _ in range(m)]
+                b = [sum((a * c for a, c in zip(row, x)), Fraction(0)) for row in A]
+            else:
+                b = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)]
+            got = solver.solve(b)
+            assert got == ql.solve_vec(A, b)
+            outcomes.add(got is None)
+    assert outcomes == {True, False}

@@ -21,6 +21,7 @@ from hkrlab.hkr_local import (
     dual_hkr_sign,
     dual_twist_signs,
     kappa,
+    tensor_power_module,
     zeta_checks,
 )
 
@@ -242,3 +243,13 @@ def test_dual_hkr_sign_rank_four():
 def test_dual_hkr_sign_rejects_rank_five():
     with pytest.raises(ValueError):
         dual_hkr_sign(5)
+
+
+def test_tensor_power_module_is_built_once_per_extension_and_power():
+    ext = build_extension(QQ, 2)
+    M = tensor_power_module(ext, 2)
+    assert len(M.labels) == 2**3 + 2**2
+    assert tensor_power_module(ext, 2) is M
+    assert tensor_power_module(ext, 1) is not M
+    other = tensor_power_module(build_extension(QQ, 2), 2)
+    assert other is not M and other == M
