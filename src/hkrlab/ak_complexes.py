@@ -200,22 +200,12 @@ def hat_star_is_chain_map(ext):
 
     def component(n):
         def fn(v):
-            out = Q.module(n).zero() if n in Q.modules else None
-            acc = None
+            terms = []
             for (m, (plab, qlab)), c in v.data.items():
-                l = -m
-                q = -(n - m)
-                w = hat_star(
-                    ext,
-                    l,
-                    q,
-                    ext.lam_b(l + 1).basis_vec(plab, c),
-                    ext.lam_b(q).basis_vec(qlab),
-                )
-                acc = w if acc is None else acc + w
-            if acc is None:
-                return Q.module(n).zero()
-            return acc
+                l, q = -m, m - n
+                w = hat_star(ext, l, q, ext.lam_b(l + 1).basis_vec(plab, c), ext.lam_b(q).basis_vec(qlab))
+                terms += w.data.items()
+            return Q.module(n).element(terms)
 
         return fn
 

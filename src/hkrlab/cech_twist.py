@@ -29,7 +29,7 @@ from .chain_core import (
     totalize,
 )
 from .coeff import CoeffAlgebra
-from .exterior_core import merge_wedge, perm_sign
+from .exterior_core import exterior_power_map, merge_wedge, perm_sign
 from .extension_dg import TrivialExtension
 from .modules import BasedModule, LinMap, QBasis, StructuralError, Vec
 from . import rational as ql
@@ -226,15 +226,9 @@ class Cochain:
 
 def cech_delta(cochain):
     """Untwisted Cech differential on sorted-simplex cochains."""
-    nerve, l = cochain.nerve, cochain.degree
-    out = Cochain(nerve, l + 1, cochain.module)
-    for s in nerve.simplices_of_dim(l + 1):
-        out[s] = cochain.module.element(
-            t
-            for k in range(l + 2)
-            for t in cochain.value(s[:k] + s[k + 1 :]).scale((-1) ** k).data.items()
-        )
-    return out
+    C = cech_complex(cochain.nerve, cochain.module)
+    image = C.diff(cochain.degree).apply(cochain_to_element(C, cochain))
+    return element_to_cochain(cochain.nerve, cochain.degree + 1, cochain.module, image)
 
 
 def cochain_wedge(wedge_fn, x, y, target_module):
@@ -255,20 +249,17 @@ def cochain_wedge(wedge_fn, x, y, target_module):
 
 def yoneda_compose(u, v, hom_module):
     """Yoneda product at cochain level: (-1)^{pq} times composition cup."""
-    nerve = u.nerve
-    p, q = u.degree, v.degree
-    out = Cochain(nerve, p + q, hom_module)
-    sgn = (-1) ** (p * q)
-    for s in nerve.simplices_of_dim(p + q):
-        uf = u.value(s[: p + 1])
-        vb = v.value(s[p:])
-        out[s] = hom_module.element(
+    sgn = (-1) ** (u.degree * v.degree)
+
+    def compose(uf, vb):
+        return hom_module.element(
             ((src, tgt), cu * cv * sgn)
             for (mid1, tgt), cu in uf.data.items()
             for (src, mid2), cv in vb.data.items()
             if mid1 == mid2
         )
-    return out
+
+    return cochain_wedge(compose, u, v, hom_module)
 
 
 # -- cohomology of constant and twisted local systems ------------------------
@@ -352,39 +343,42 @@ def cech_cohomology(nerve, module, degree):
     return homology(C, degree)
 
 
-def cocycle_to_flat(C, l, cochain):
-    """Flatten a module-valued cochain into the Cech complex's basis."""
-    fb = C.flat(l)
-    out = [Fraction(0)] * fb.dim
-    for s, v in cochain.values.items():
-        for lab, poly in v.data.items():
-            for mono, c in poly.terms.items():
-                idx = fb.index.get(((s, lab), mono))
-                if idx is not None:
-                    out[idx] = c
-    return out
+def cochain_to_element(C, cochain):
+    """The cochain as an element of C = cech_complex(cochain.nerve, cochain.module)
+    in its degree: the value's label lab on simplex s is the label (s, lab)."""
+    return C.module(cochain.degree).element(
+        ((s, lab), c) for s, v in cochain.values.items() for lab, c in v.data.items()
+    )
+
+
+def element_to_cochain(nerve, degree, module, element):
+    """The cochain that an element of cech_complex(nerve, module) in this
+    degree is; the inverse of cochain_to_element."""
+    values = {}
+    for (s, lab), c in element.data.items():
+        values.setdefault(s, []).append((lab, c))
+    return Cochain(nerve, degree, module, {s: module.element(t) for s, t in values.items()})
 
 
 def combine_representatives(nerve, degree, module, coeffs, reps):
     """The cochain sum of c * rep over coeffs and reps, where each rep is an
     element of cech_complex(nerve, module) in this degree."""
-    terms = {}
-    for c, rep in zip(coeffs, reps):
-        if c:
-            for (s, lab), poly in rep.data.items():
-                terms.setdefault(s, []).append((lab, poly * c))
-    return Cochain(nerve, degree, module, {s: module.element(t) for s, t in terms.items()})
+    total = cech_complex(nerve, module).module(degree).element(
+        (lab, poly * c) for c, rep in zip(coeffs, reps) if c for lab, poly in rep.data.items()
+    )
+    return element_to_cochain(nerve, degree, module, total)
 
 
 def is_cocycle(nerve, cochain):
-    return cech_delta(cochain).is_zero()
+    C = cech_complex(nerve, cochain.module)
+    return C.diff(cochain.degree).apply(cochain_to_element(C, cochain)).is_zero()
 
 
 def cohomologous(nerve, x, y):
     """Do two cocycles represent the same class?  Exact linear solve."""
     C = cech_complex(nerve, x.module)
     l = x.degree
-    diff = [a - b for a, b in zip(cocycle_to_flat(C, l, x), cocycle_to_flat(C, l, y))]
+    diff = C.flat(l).flatten_vec(cochain_to_element(C, x) - cochain_to_element(C, y))
     if not any(diff):
         return True
     return C.qsolver(l - 1).solve(diff) is not None
@@ -394,7 +388,7 @@ def class_coordinates(nerve, cochain):
     """Coordinates of a cocycle's class in the cohomology of its degree."""
     C = cech_complex(nerve, cochain.module)
     H = homology(C, cochain.degree)
-    return H.project_flat(cocycle_to_flat(C, cochain.degree, cochain))
+    return H.project_flat(C.flat(cochain.degree).flatten_vec(cochain_to_element(C, cochain)))
 
 
 # -- twist cocycles and twisted transition data ------------------------------
@@ -437,16 +431,7 @@ class TwistCocycle:
     @classmethod
     def from_wedge(cls, ext, nerve, level, one_cochain):
         """Wedge-type twist: the image of an I-valued 1-cocycle."""
-        hom = hom_lam_module(ext, level, level + 1)
-        out = Cochain(nerve, 1, hom)
-        for s in nerve.simplices_of_dim(1):
-            out[s] = hom.element(
-                ((K, mw[1]), cu * mw[0])
-                for (u,), cu in one_cochain.value(s).data.items()
-                for K in ext.lam_i(level).labels
-                if (mw := merge_wedge((u,), K)) is not None
-            )
-        return cls(ext, nerve, level, out)
+        return cls(ext, nerve, level, l_operator(ext, nerve, level + 1, level, one_cochain))
 
     def linmap(self, a, b):
         """The value on the ordered pair (a, b), as a module map."""
@@ -573,20 +558,17 @@ def eta_recursion(ext, nerve, c_cochains, d_cochains):
     for i in range(r + 1):
         etas[(i, i)] = unit
 
-    def wedge_fn(_):
-        return lambda x, y: ext.wedge_i(x, y)
-
     for i in range(r):
         base = etas[(i, 0)]
         diff = c_cochains[0] - d_cochains[i]
-        nxt = cochain_wedge(wedge_fn(None), diff, base, ext.lam_i(i + 1)).scale(
+        nxt = cochain_wedge(ext.wedge_i, diff, base, ext.lam_i(i + 1)).scale(
             Fraction((-1) ** i, i + 1)
         )
         etas[(i + 1, 0)] = nxt
         for j in range(1, i + 1):
             term1 = etas[(i, j - 1)]
             diffj = c_cochains[j] - d_cochains[i]
-            term2 = cochain_wedge(wedge_fn(None), diffj, etas[(i, j)], ext.lam_i(i + 1 - j)).scale(
+            term2 = cochain_wedge(ext.wedge_i, diffj, etas[(i, j)], ext.lam_i(i + 1 - j)).scale(
                 (-1) ** (i - j)
             )
             etas[(i + 1, j)] = (term1.scale(j) + term2).scale(Fraction(1, i + 1))
@@ -732,13 +714,10 @@ class DeltaMatrix:
         return Cochain(self.nerve, i - j, hom_lam_module(self.ext, j, i))
 
     def diagonal_is_identity(self):
-        for i in range(self.ext.rank + 1):
-            e = self.entry(i, i)
-            idv = hom_lam_module(self.ext, i, i).element(((K, K), 1) for K in self.ext.lam_i(i).labels)
-            for s in self.nerve.simplices_of_dim(0):
-                if not (e.value(s) - idv).is_zero():
-                    return False
-        return True
+        return all(
+            (self.entry(i, i) - identity_hom_cochain(self.ext, self.nerve, i)).is_zero()
+            for i in range(self.ext.rank + 1)
+        )
 
 
 def extract_delta(ext, nerve, T):
@@ -822,55 +801,44 @@ def l_operator(ext, nerve, i, j, v_cocycle):
 
 
 def q_operator(ext, nerve, i, j, v_cocycle):
-    """The cochain map (-1)^{(i-j) deg} v ^ (.) between Cech complexes.
+    """The cochain map x |-> (-1)^{(i-j) l} v ^ x on Cech degree l, from the
+    Cech complex of Lambda^j I to that of Lambda^i I.
 
-    Returns the pair of complexes and the map; the sign makes it commute
-    with the Cech differentials on the nose.
+    Returns the pair of complexes and the map as one LinMap per degree; the
+    sign makes it commute with the Cech differentials on the nose.
     """
     src = cech_complex(nerve, ext.lam_i(j))
     tgt = cech_complex(nerve, ext.lam_i(i))
-    deg_shift = i - j
-    comps = {}
-    for l in src.degrees():
-        tl = l + deg_shift
-        if tl not in tgt.modules:
-            continue
-        m = ql.zeros(tgt.flat(tl).dim, src.flat(l).dim)
-        sb, tb = src.flat(l), tgt.flat(tl)
-        for col, ((s, K), mono) in enumerate(sb.pairs):
-            # (v ^ eta) on the tl-simplices t with t[deg_shift:] = s, whose
-            # front is the v part: deg_shift leading-vertex cofaces up from s
-            ts = [s]
-            for _ in range(deg_shift):
-                ts = [t for u in ts for t, k in nerve.cofaces[u] if k == 0]
-            for t in ts:
-                vv = v_cocycle.value(t[: deg_shift + 1])
-                for E, c in vv.data.items():
-                    mw = merge_wedge(E, K)
-                    if mw is None:
-                        continue
-                    for mc, cc in c.terms.items():
-                        prod = tuple(a + b for a, b in zip(mc, mono))
-                        if sum(prod) > ext.algebra.degree_bound:
-                            continue
-                        row = tb.index.get(((t, mw[1]), prod))
-                        if row is not None:
-                            m[row][col] += cc * mw[0] * (-1) ** (deg_shift * l)
-        comps[l] = m
+    shift = i - j
+
+    def wedge_with_v(l):
+        def fn(e):
+            x = element_to_cochain(nerve, l, ext.lam_i(j), e)
+            vx = cochain_wedge(ext.wedge_i, v_cocycle, x, ext.lam_i(i))
+            return cochain_to_element(tgt, vx).scale((-1) ** (shift * l))
+
+        return fn
+
+    comps = {
+        l: LinMap.from_function(src.module(l), tgt.module(l + shift), wedge_with_v(l))
+        for l in src.degrees()
+        if l + shift in tgt.modules
+    }
     return src, tgt, comps
 
 
 def q_operator_is_chain_map(ext, nerve, i, j, v_cocycle):
+    """d o q = q o d in every Cech degree."""
     src, tgt, comps = q_operator(ext, nerve, i, j, v_cocycle)
     shift = i - j
-    for l in src.degrees():
-        if l + 1 + shift > nerve.depth and l + shift > nerve.depth:
-            continue
-        lhs = ql.mat_mul(tgt.qdiff(l + shift), comps.get(l, []))
-        rhs = ql.mat_mul(comps.get(l + 1, []), src.qdiff(l))
-        if not ql.mat_eq(lhs, rhs):
-            return False
-    return True
+
+    def q(l):
+        m = comps.get(l)
+        return m if m is not None else LinMap.zero(src.module(l), tgt.module(l + shift))
+
+    return all(
+        tgt.diff(l + shift).compose(q(l)) == q(l + 1).compose(src.diff(l)) for l in src.degrees()
+    )
 
 
 def t_operator(ext, nerve, k, p, m, hom_cochain):
@@ -915,7 +883,7 @@ def canonical_representative(nerve, cochain):
     """A representative of the class of a cocycle built from the homology basis."""
     C = cech_complex(nerve, cochain.module)
     H = homology(C, cochain.degree)
-    coords = H.project_flat(cocycle_to_flat(C, cochain.degree, cochain))
+    coords = H.project_flat(C.flat(cochain.degree).flatten_vec(cochain_to_element(C, cochain)))
     return combine_representatives(nerve, cochain.degree, cochain.module, coords, H.representatives)
 
 
@@ -960,26 +928,6 @@ def delta_entries_cohomologous(nerve, A, B):
 # -- the curvature-difference twist --------------------------------------------
 
 
-def lam_power_map(ext, p, g):
-    """The p-th exterior power of a module map on I."""
-    src = tgt = ext.lam_i(p)
-    m = LinMap(src, tgt)
-    for K in src.labels:
-        acc = [(ext.algebra.one(), ())]
-        for k in K:
-            img = g.apply(ext.lam_i(1).basis_vec((k,)))
-            nxt = []
-            for coeff, cur in acc:
-                for (u,), c in img.data.items():
-                    nxt.append((coeff * c, cur + (u,)))
-            acc = nxt
-        terms = (
-            (tuple(sorted(seq)), coeff * s) for coeff, seq in acc if (s := perm_sign(seq)) is not None
-        )
-        m.set_column(K, tgt.element(terms))
-    return m
-
-
 def _linmap_inverse(m):
     from .modules import QBasis, flatten_map
 
@@ -1008,7 +956,7 @@ def atiyah_twist(ext, kahler, nerve, transitions_g, nablas, chi=None, level=1):
     p = level
     g_maps = {}
     for (a, b), g in transitions_g.items():
-        g_maps[(a, b)] = lam_power_map(ext, p, g)
+        g_maps[(a, b)] = exterior_power_map(g, ext.lam_i(p), ext.lam_i(p))
 
     def through_g(a, b, w):
         """g_{ab} applied to the module slot of w in Om^1 (x) Lambda^p I."""

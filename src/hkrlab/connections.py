@@ -14,7 +14,7 @@ from itertools import combinations
 from .ak_complexes import build_p_complex, build_q_complex
 from .chain_core import ComplexMap
 from .coeff import Poly
-from .exterior_core import merge_wedge, perm_sign
+from .exterior_core import exterior_power_map, merge_wedge, perm_sign
 from .modules import BasedModule, LinMap, QBasis, StructuralError, flatten_map
 from . import rational as ql
 
@@ -197,8 +197,8 @@ def _r_from_connection(ext, chi, nabla, p):
 
 def _r_from_iso(ext, kahler, chi, p, window):
     """R_p = Lambda^{p+1} chi_hat o d o (Lambda^p chi_hat)^{-1} (flattened)."""
-    lam_hat_p = _lam_chi_hat(ext, kahler, chi, p)
-    lam_hat_p1 = _lam_chi_hat(ext, kahler, chi, p + 1)
+    lam_hat_p = exterior_power_map(chi.chi_hat(), kahler.omega(p), ext.lam_i(p))
+    lam_hat_p1 = exterior_power_map(chi.chi_hat(), kahler.omega(p + 1), ext.lam_i(p + 1))
     sb_om = QBasis(kahler.omega(p), window)
     tb_om = QBasis(kahler.omega(p + 1), window)
     sb_i = QBasis(ext.lam_i(p), window)
@@ -219,34 +219,11 @@ def _r_from_iso(ext, kahler, chi, p, window):
     return fn
 
 
-def _lam_chi_hat(ext, kahler, chi, p):
-    """Lambda^p of chi_hat: Om^p -> Lambda^p I."""
-    src = kahler.omega(p)
-    tgt = ext.lam_i(p)
-
-    def fn(v):
-        terms = []
-        for K, c in v.data.items():
-            acc = [(c, ())]
-            for i in K:
-                nxt = []
-                for coeff, cur in acc:
-                    for (u,), cc in chi.values[i].data.items():
-                        nxt.append((coeff * cc, cur + (u,)))
-                acc = nxt
-            terms += [
-                (tuple(sorted(seq)), coeff * s) for coeff, seq in acc if (s := perm_sign(seq)) is not None
-            ]
-        return tgt.element(terms)
-
-    return LinMap.from_function(src, tgt, fn)
-
-
 def chi_hat_determinant(ext, kahler, chi):
     """Determinant of chi_hat over A (m = r); the invertibility witness."""
     if kahler.m != ext.rank:
         raise StructuralError("chi_hat can only be inverted when m = r")
-    lam_top = _lam_chi_hat(ext, kahler, chi, ext.rank)
+    lam_top = exterior_power_map(chi.chi_hat(), kahler.omega(ext.rank), ext.lam_i(ext.rank))
     img = lam_top.apply(kahler.omega(ext.rank).basis_vec(tuple(range(ext.rank))))
     return img.coeff(tuple(range(ext.rank)))
 

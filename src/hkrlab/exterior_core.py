@@ -55,6 +55,27 @@ def split_sign(J, K):
     return None if m is None else m[0]
 
 
+def exterior_power_map(g, src, tgt):
+    """The exterior power src -> tgt of a map g between degree-1 modules.
+
+    The basis vectors of g's modules are labelled (k,), and src and tgt are
+    degree-p powers of them labelled by increasing p-tuples, so e_K maps to
+    the wedge of the images g(e_k) over k in K.
+    """
+    one = src.algebra.one()
+
+    def column(K):
+        acc = [(one, ())]
+        for k in K:
+            img = g.apply(g.source.basis_vec((k,)))
+            acc = [(coeff * c, cur + (u,)) for coeff, cur in acc for (u,), c in img.data.items()]
+        return tgt.element(
+            (tuple(sorted(seq)), coeff * s) for coeff, seq in acc if (s := perm_sign(seq)) is not None
+        )
+
+    return LinMap(src, tgt, {K: column(K) for K in src.labels})
+
+
 class ExteriorContext:
     """Exterior and tensor powers of a rank-s free module E and its dual."""
 

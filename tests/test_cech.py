@@ -144,6 +144,49 @@ def test_torus_cohomology_and_cup():
     assert cohomologous(n, uv, vu.scale(-1))
 
 
+def random_cochain(nerve, degree, module, rng):
+    """A cochain with a random value on every simplex of its degree."""
+    algebra = module.algebra
+    out = Cochain(nerve, degree, module)
+    for s in nerve.simplices_of_dim(degree):
+        out[s] = module.element(
+            (lab, algebra.monomial(mono, rng.randint(-2, 2)))
+            for lab in module.labels
+            for mono in algebra.monomials
+        )
+    return out
+
+
+def reference_delta(x):
+    """The alternating face sum (dx)_s = sum_k (-1)^k x_{s minus its k-th vertex}."""
+    out = Cochain(x.nerve, x.degree + 1, x.module)
+    for s in x.nerve.simplices_of_dim(x.degree + 1):
+        v = x.module.zero()
+        for k in range(len(s)):
+            v = v + x.value(s[:k] + s[k + 1 :]).scale((-1) ** k)
+        out[s] = v
+    return out
+
+
+@pytest.mark.parametrize("algebra", [QQ, CoeffAlgebra.polynomial(1, 2)], ids=["Q", "Q[x1]"])
+@pytest.mark.parametrize("name", sorted(NERVE_LIBRARY))
+def test_cech_delta_is_the_alternating_face_sum(name, algebra):
+    nerve = NERVE_LIBRARY[name]()
+    ext = ext_of(2, algebra)
+    rng = random.Random(11)
+    for module in (ext.lam_i(1), hom_lam_module(ext, 1, 2)):
+        for l in range(nerve.depth + 1):
+            x = random_cochain(nerve, l, module, rng)
+            want = reference_delta(x)
+            got = cech_delta(x)
+            assert (got.degree, got.module) == (l + 1, module)
+            assert (got - want).is_zero()
+            assert is_cocycle(nerve, x) == want.is_zero()
+            assert is_cocycle(nerve, got)
+        # below the top degree a random cochain is no cocycle
+        assert not is_cocycle(nerve, random_cochain(nerve, nerve.depth - 1, module, rng))
+
+
 def test_cochain_wedge_leibniz():
     rng = random.Random(3)
     ext = ext_of(2)
@@ -177,12 +220,28 @@ def test_l_operator_unit():
     assert (got - identity_hom_cochain(ext, nerve, 1)).is_zero()
 
 
-def test_q_operator_chain_map():
+@pytest.mark.parametrize("name", ["circle", "sphere2", "torus"])
+def test_q_operator_chain_map(name):
     ext = ext_of(2)
-    nerve = circle_nerve()
-    v = h1_generator_cochain(ext, nerve)
-    assert q_operator_is_chain_map(ext, nerve, 2, 1, v)
-    assert q_operator_is_chain_map(ext, nerve, 1, 0, v)
+    nerve = NERVE_LIBRARY[name]()
+    gen = h1_generator_cochain(ext, nerve)
+    # plus a coboundary: a nonzero cocycle on every nerve, sphere2 (H^1 = 0) too
+    noise = random_cochain(nerve, 0, ext.lam_i(1), random.Random(4))
+    shifted = gen + cech_delta(noise)
+    assert not shifted.is_zero()
+    for v in (gen, shifted):
+        assert q_operator_is_chain_map(ext, nerve, 2, 1, v)
+        assert q_operator_is_chain_map(ext, nerve, 1, 0, v)
+
+
+@pytest.mark.parametrize("name", ["sphere2", "torus"])
+def test_q_operator_of_a_non_cocycle_is_no_chain_map(name):
+    ext = ext_of(2)
+    nerve = NERVE_LIBRARY[name]()
+    v = random_cochain(nerve, 1, ext.lam_i(1), random.Random(6))
+    assert not is_cocycle(nerve, v)
+    assert not q_operator_is_chain_map(ext, nerve, 2, 1, v)
+    assert not q_operator_is_chain_map(ext, nerve, 1, 0, v)
 
 
 def test_yoneda_rule_against_cup():

@@ -197,6 +197,7 @@ GOLDEN_RUNS = {
     "cycle_class_circle_seed0": {"suite": "cycle_class", "nerve": "circle", "seed": 0},
     "comparison_last_level_sphere2_seed1": {"suite": "comparison_last_level", "nerve": "sphere2", "seed": 1},
     "comparison_wedge_sphere2_seed0": {"suite": "comparison_wedge", "nerve": "sphere2", "seed": 0},
+    "comparison_wedge_torus_rank2_seed0": {"suite": "comparison_wedge", "nerve": "torus", "max_rank": 2, "seed": 0},
     "conjecture_seed0": {"suite": "conjecture", "seed": 0},
     "all_circle_rank2_seed0": {"suite": "all", "max_rank": 2, "nerve": "circle", "seed": 0},
 }

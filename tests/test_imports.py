@@ -1,6 +1,8 @@
 """Static checks on the package source: every name a module imports is
-used in that module, and no module element is built by summing basis
-vectors one at a time (BasedModule.element builds it in one pass)."""
+used in that module, no module element is built by summing basis vectors
+one at a time (BasedModule.element builds it in one pass), and only
+cech_complex walks a nerve's coface table (every other Cech operation goes
+through the complex it builds)."""
 
 import ast
 from pathlib import Path
@@ -74,3 +76,42 @@ def test_basis_vec_fold_is_found():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_module_builds_no_element_by_a_basis_vec_fold(path):
     assert basis_vec_folds(path.read_text()) == []
+
+
+def coface_reads(source):
+    """(line, outermost enclosing function or None) of each read of an
+    attribute named cofaces in source."""
+    reads = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if owner is None and isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == "cofaces":
+                reads.append((child.lineno, owner))
+            visit(child, owner)
+
+    visit(ast.parse(source), None)
+    return reads
+
+
+def test_coface_read_is_found():
+    source = (
+        "class Nerve:\n"
+        "    def cofaces(self):\n"
+        "        return {}\n"
+        "def cech_complex(nerve):\n"
+        "    return nerve.cofaces\n"
+        "def q_operator(nerve, s):\n"
+        "    def walk(u):\n"
+        "        return [t for t, k in nerve.cofaces[u]]\n"
+        "    return walk(s)\n"
+        "table = n.cofaces\n"
+    )
+    assert coface_reads(source) == [(5, "cech_complex"), (8, "q_operator"), (10, None)]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_cech_complex_reads_cofaces(path):
+    assert {owner for _, owner in coface_reads(path.read_text())} <= {"cech_complex"}
