@@ -31,7 +31,7 @@ from .chain_core import (
 from .coeff import CoeffAlgebra
 from .exterior_core import exterior_power_map, merge_wedge, perm_sign
 from .extension_dg import TrivialExtension
-from .modules import BasedModule, LinMap, QBasis, StructuralError, Vec
+from .modules import BasedModule, LinMap, QBasis, StructuralError, Vec, _accumulate
 from . import rational as ql
 
 
@@ -652,30 +652,35 @@ def t_chain_check(ext, lam, mu, T):
         for l in range(nerve.depth + 1):
             if n - 1 + l > r and n > 0:
                 continue
+            src = ext.lam_b(n + 1)
+            tgt = ext.lam_b(n + l)
             for s in nerve.simplices_of_dim(l):
-                src = ext.lam_b(n + 1)
-                tgt = ext.lam_b(n + l)
-                total = LinMap.zero(src, tgt)
+                # (map, sign) pairs whose signed sum must vanish
+                pieces = []
                 if l >= 1:
                     for k in range(l + 1):
-                        face = s[:k] + s[k + 1 :]
-                        comp = T.component(n, l - 1, face)
+                        comp = T.component(n, l - 1, s[:k] + s[k + 1 :])
                         if k == 0:
                             conv_out = mu.transition(n + l - 1, s[0], s[1])
                             conv_in = lam.transition(n, s[1], s[0])
-                            piece = conv_out.compose(comp).compose(conv_in)
-                        else:
-                            piece = comp.scale((-1) ** k)
-                        total = total + piece
+                            comp = conv_out.compose(comp).compose(conv_in)
+                        pieces.append((comp, (-1) ** k))
                 dd = ext.hat_d(n + l)  # (n+l) d_{n+l+1}
-                total = total + dd.compose(T.component(n, l, s)).scale((-1) ** l)
-                rhs = (
-                    T.component(n - 1, l, s).compose(ext.hat_d(n))
-                    if n >= 1
-                    else LinMap.zero(src, tgt)
-                )
-                if not (total - rhs).is_zero():
-                    return False
+                pieces.append((dd.compose(T.component(n, l, s)), (-1) ** l))
+                if n >= 1:
+                    pieces.append((T.component(n - 1, l, s).compose(ext.hat_d(n)), -1))
+                for m, _ in pieces:
+                    if m.source != src or m.target != tgt:
+                        raise StructuralError("sum of maps with different source/target")
+                for lab in src.labels:
+                    terms = (
+                        (tlab, c if sign == 1 else -c)
+                        for m, sign in pieces
+                        if (col := m.cols.get(lab)) is not None
+                        for tlab, c in col.data.items()
+                    )
+                    if _accumulate({}, terms):
+                        return False
     return True
 
 

@@ -12,15 +12,19 @@ Conventions, fixed once for the whole package:
 All rank computations happen on flattened rational matrices.  A complex
 may carry a grade window w: its flattened space is the quotient spanned
 by basis vectors of total grade <= w (label grade plus monomial degree).
+A map of complexes (ComplexMap) stores each degree as sparse columns over
+the flattened bases and is applied, composed and chain-checked on them;
+its dense matrix exists only through ComplexMap.qmap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import zip_longest
 
-
-from .modules import BasedModule, LinMap, QBasis, StructuralError, flatten_map
+from .coeff import Poly
+from .modules import BasedModule, LinMap, QBasis, StructuralError, Vec, flatten_map
 from . import rational as ql
 
 
@@ -130,71 +134,140 @@ def single_module_complex(algebra, module, degree=0):
 
 
 class ComplexMap:
-    """Degree-preserving map of complexes, stored as flattened matrices.
+    """Degree-preserving map of complexes, stored as sparse flattened columns.
 
-    The per-degree components are rational matrices relative to the
-    flattened bases, so a map may be only rational-linear, or change
-    coefficient algebras.
+    The component at degree n is a list with one column per pair of
+    ``source.flat(n)``; a column is a dict {target index: Fraction} over
+    ``target.flat(n)`` that stores no zero entry.  Working on the flattened
+    bases lets a map be only rational-linear, or change coefficient
+    algebras.  ``apply``, ``compose``, ``-`` and the chain-map check work on
+    the columns; ``qmap`` builds the dense matrix only for the callers that
+    need rank, inverse or matrix equality.
     """
 
     def __init__(self, source, target, components):
         self.source = source
         self.target = target
-        self.maps = dict(components)
+        self.cols = dict(components)
 
     @classmethod
     def from_functions(cls, source, target, fns):
         comps = {}
         for n, fn in fns.items():
-            sb, tb = source.flat(n), target.flat(n)
-            cols = []
-            algebra = sb.module.algebra
-            for lab, mono in sb.pairs:
-                v = sb.module.basis_vec(lab, algebra.monomial(mono))
-                cols.append(tb.flatten_vec(fn(v)))
-            comps[n] = ql.transpose(cols) if cols else [[] for _ in range(tb.dim)]
+            sb, index = source.flat(n), target.flat(n).index
+            monomial = sb.module.algebra.monomial
+            basis_vec = sb.module.basis_vec
+            comps[n] = [_flatten(index, fn(basis_vec(lab, monomial(mono)))) for lab, mono in sb.pairs]
         return cls(source, target, comps)
 
+    def _columns(self, n):
+        cols = self.cols.get(n)
+        return cols if cols is not None else [{}] * self.source.flat(n).dim
+
     def qmap(self, n):
-        m = self.maps.get(n)
-        if m is None:
-            return ql.zeros(self.target.flat(n).dim, self.source.flat(n).dim)
-        return m
+        """The dense rational matrix at degree n, rows indexed by target.flat(n)."""
+        out = ql.zeros(self.target.flat(n).dim, self.source.flat(n).dim)
+        for j, col in enumerate(self._columns(n)):
+            for i, c in col.items():
+                out[i][j] = c
+        return out
 
     def apply(self, n, vec):
-        col = self.source.flat(n).flatten_vec(vec)
-        nonzero = [(j, c) for j, c in enumerate(col) if c]
-        out = [sum((row[j] * c for j, c in nonzero), Fraction(0)) for row in self.qmap(n)]
-        return self.target.flat(n).unflatten(out)
+        (image,) = _compose_columns(self._columns(n), [_flatten(self.source.flat(n).index, vec)])
+        return _unflatten(self.target.flat(n), image)
 
     def is_chain_map(self):
+        """d_T o f = f o d_S in every degree, compared column by column."""
         degs = set(self.source.degrees()) | set(self.target.degrees())
         for n in degs:
-            lhs = ql.mat_mul(self.target.qdiff(n), self.qmap(n))
-            rhs = ql.mat_mul(self.qmap(n + 1), self.source.qdiff(n))
-            if not ql.mat_eq(lhs, rhs):
+            d_t = _matrix_columns(self.target.qdiff(n), self.target.flat(n).dim)
+            d_s = _matrix_columns(self.source.qdiff(n), self.source.flat(n).dim)
+            lhs = _compose_columns(d_t, self._columns(n))
+            rhs = _compose_columns(self._columns(n + 1), d_s)
+            if any(a != b for a, b in zip_longest(lhs, rhs, fillvalue={})):
                 return False
         return True
 
     def compose(self, other):
-        degs = set(self.maps) | set(other.maps)
+        """self o other."""
+        degs = set(self.cols) | set(other.cols)
         for n in degs:
             if self.source.flat(n).pairs != other.target.flat(n).pairs:
                 raise StructuralError("composition of non-matching complex maps")
         return ComplexMap(
             other.source,
             self.target,
-            {n: ql.mat_mul(self.qmap(n), other.qmap(n)) for n in degs},
+            {n: _compose_columns(self._columns(n), other._columns(n)) for n in degs},
         )
 
     def __sub__(self, other):
-        degs = set(self.maps) | set(other.maps)
-        return ComplexMap(
-            self.source, self.target, {n: ql.mat_sub(self.qmap(n), other.qmap(n)) for n in degs}
-        )
+        comps = {}
+        for n in set(self.cols) | set(other.cols):
+            pairs = zip_longest(self._columns(n), other._columns(n), fillvalue={})
+            comps[n] = [_add_scaled(dict(a), -1, b) for a, b in pairs]
+        return ComplexMap(self.source, self.target, comps)
 
     def is_zero(self):
-        return all(ql.is_zero_matrix(m) for m in self.maps.values())
+        return not any(col for cols in self.cols.values() for col in cols)
+
+
+def _add_scaled(out, c, col):
+    """out += c * col on sparse columns, dropping zeros as they arise.
+    Returns out."""
+    for i, e in col.items():
+        s = out.get(i)
+        if s is None:
+            out[i] = c * e
+        else:
+            s += c * e
+            if s:
+                out[i] = s
+            else:
+                del out[i]
+    return out
+
+
+def _compose_columns(a, b):
+    """Sparse columns of A o B from those of A and B."""
+    out = []
+    for col in b:
+        acc = {}
+        for i, c in col.items():
+            _add_scaled(acc, c, a[i])
+        out.append(acc)
+    return out
+
+
+def _matrix_columns(M, width):
+    """Sparse columns of a dense matrix with width columns (M may have no rows)."""
+    cols = [{} for _ in range(width)]
+    for i, row in enumerate(M):
+        for j, c in enumerate(row):
+            if c:
+                cols[j][i] = c
+    return cols
+
+
+def _flatten(index, vec):
+    """Sparse flattened coordinates {index: Fraction} of vec; terms outside
+    the flattened basis (beyond its grade window) are dropped."""
+    return {
+        i: c
+        for lab, poly in vec.data.items()
+        for mono, c in poly.terms.items()
+        if (i := index.get((lab, mono))) is not None
+    }
+
+
+def _unflatten(fb, entries):
+    """The element of fb.module with flattened coordinates {index: Fraction}."""
+    data = {}
+    pairs = fb.pairs
+    for i in sorted(entries):
+        lab, mono = pairs[i]
+        data.setdefault(lab, {})[mono] = entries[i]
+    algebra = fb.module.algebra
+    return Vec(fb.module, {lab: Poly(algebra, t) for lab, t in data.items()})
 
 
 # -- Hom and tensor complexes -------------------------------------------

@@ -18,6 +18,8 @@ from hkrlab.chain_core import (
     tensor_complex,
     totalize,
 )
+from hkrlab.ak_complexes import build_p_complex, p_augmentation
+from hkrlab.hkr_local import LocalModel, build_k_complex, k_augmentation, kappa, zeta
 from hkrlab.modules import BasedModule, LinMap
 from hkrlab import rational as ql
 
@@ -224,9 +226,9 @@ def test_totalize_rejects_bad_square():
 
 def test_is_quasi_iso_identity_and_zero():
     C = two_term([[0]])
-    I = ComplexMap(C, C, {n: ql.identity(C.flat(n).dim) for n in C.degrees()})
+    I = ComplexMap(C, C, {n: [{j: Fraction(1)} for j in range(C.flat(n).dim)] for n in C.degrees()})
     assert is_quasi_iso(I)
-    Z = ComplexMap(C, C, {n: ql.zeros(C.flat(n).dim, C.flat(n).dim) for n in C.degrees()})
+    Z = ComplexMap(C, C, {n: [{} for _ in range(C.flat(n).dim)] for n in C.degrees()})
     assert not is_quasi_iso(Z)
 
 
@@ -282,3 +284,118 @@ def test_solver_agrees_with_solve_vec():
             assert got == ql.solve_vec(A, b)
             outcomes.add(got is None)
     assert outcomes == {True, False}
+
+
+# -- sparse complex maps against their dense matrices --------------------
+
+DESK_MODELS = [(1, 3, 3), (1, 3, 4), (2, 2, 4), (1, 4, 4)]
+
+
+def desk_chi(m, r, D, rng):
+    """A random splitting with entries of degree <= 1, coefficients in [-2, 2]."""
+    A = CoeffAlgebra.polynomial(m, D)
+    linear = [e for e in A.monomials if sum(e) <= 1]
+    return [[sum((A.monomial(e, rng.randint(-2, 2)) for e in linear), A.zero()) for _ in range(r)] for _ in range(m)]
+
+
+@pytest.fixture(scope="module")
+def desk_maps():
+    """gamma: L -> P, zeta: K -> P and kappa: L -> K on every desk model,
+    untwisted and with one seeded random splitting, with the augmentations
+    they cover."""
+    rng = random.Random(10)
+    out = []
+    for m, r, D in DESK_MODELS:
+        for chi in (None, desk_chi(m, r, D, rng)):
+            model = LocalModel(m, r, D, chi=chi)
+            ext = model.ext
+            L, P = model.koszul_L(), model.p_complex()
+            K = build_k_complex(ext, window=D)
+            maps = {
+                "gamma": model.gamma(L, P),
+                "zeta": zeta(ext, K, build_p_complex(ext).with_window(D)),
+                "kappa": kappa(model, L, K),
+                "aug_p": p_augmentation(ext, window=D),
+                "aug_k": k_augmentation(ext, K, window=D),
+            }
+            out.append(((m, r, D, chi is not None), maps))
+    return out
+
+
+def dense_apply(f, n, vec):
+    """f at degree n applied through its dense matrix."""
+    col = f.source.flat(n).flatten_vec(vec)
+    nonzero = [(j, c) for j, c in enumerate(col) if c]
+    Q = f.qmap(n)
+    return f.target.flat(n).unflatten([sum((row[j] * c for j, c in nonzero), Fraction(0)) for row in Q])
+
+
+def test_apply_matches_dense_matrix_on_desk_models(desk_maps):
+    rng = random.Random(11)
+    for case, maps in desk_maps:
+        for name in ("gamma", "zeta", "kappa"):
+            f = maps[name]
+            for n in f.cols:
+                sb = f.source.flat(n)
+                monomial = sb.module.algebra.monomial
+                vecs = [sb.module.basis_vec(lab, monomial(mono)) for lab, mono in sb.pairs]
+                for _ in range(3):
+                    col = [
+                        Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.3 else Fraction(0)
+                        for _ in range(sb.dim)
+                    ]
+                    vecs.append(sb.unflatten(col))
+                for v in vecs:
+                    assert f.apply(n, v) == dense_apply(f, n, v), (case, name, n)
+
+
+def test_perturbed_zeta_is_not_a_chain_map(desk_maps):
+    case, maps = desk_maps[0]
+    z = maps["zeta"]
+    assert z.is_chain_map()
+    # an entry (i, j) at degree n whose target differential column i is
+    # nonzero: scaling it changes d o zeta and leaves zeta o d alone
+    n, j, i = next(
+        (n, j, i)
+        for n in sorted(z.cols)
+        for j, col in enumerate(z.cols[n])
+        for i in col
+        if any(row[i] for row in z.target.qdiff(n))
+    )
+    cols = {k: [dict(col) for col in v] for k, v in z.cols.items()}
+    cols[n][j][i] *= 2
+    bad = ComplexMap(z.source, z.target, cols)
+    assert bad.is_chain_map() is False
+    Q = bad.qmap(n)
+    assert not ql.mat_eq(ql.mat_mul(z.target.qdiff(n), Q), ql.mat_mul(bad.qmap(n + 1), z.source.qdiff(n)))
+    diff = bad - z
+    assert not diff.is_zero()
+    assert ql.mat_eq(diff.qmap(n), ql.mat_sub(bad.qmap(n), z.qmap(n)))
+
+
+def assert_matches_dense(f, dense_fn, degrees):
+    for n in degrees:
+        assert ql.mat_eq(f.qmap(n), dense_fn(n)), n
+    assert f.is_zero() == all(ql.is_zero_matrix(dense_fn(n)) for n in degrees)
+
+
+def test_compose_sub_is_zero_match_dense_matrices(desk_maps):
+    for case, maps in desk_maps:
+        gamma, zeta_, kappa_, aug_p, aug_k = (maps[k] for k in ("gamma", "zeta", "kappa", "aug_p", "aug_k"))
+        composites = {}
+        for name, f, g in (("pg", aug_p, gamma), ("pz", aug_p, zeta_), ("kk", aug_k, kappa_)):
+            fg = composites[name] = f.compose(g)
+            assert_matches_dense(fg, lambda n: ql.mat_mul(f.qmap(n), g.qmap(n)), set(f.cols) | set(g.cols))
+        differences = (
+            (composites["pz"], aug_k),
+            (composites["pg"], composites["kk"]),
+            (gamma, gamma),
+            # gamma o 0 stores every column, all of them empty
+            (gamma, gamma.compose(ComplexMap(gamma.source, gamma.source, {}))),
+        )
+        for f, g in differences:
+            assert_matches_dense(f - g, lambda n: ql.mat_sub(f.qmap(n), g.qmap(n)), set(f.cols) | set(g.cols))
+        # aug_p o zeta covers aug_k, and both routes from L cover the same augmentation
+        assert (composites["pz"] - aug_k).is_zero(), case
+        assert (composites["pg"] - composites["kk"]).is_zero(), case
+        assert not gamma.is_zero()

@@ -176,6 +176,17 @@ def test_zeta_battery_polynomial():
     assert all(checks.values()), checks
 
 
+def test_zeta_battery_at_rank_four():
+    checks = zeta_checks(LocalModel(1, 4, 4).ext, window=4)
+    assert checks == {
+        "chain_map": True,
+        "quasi_iso": True,
+        "b_linear": True,
+        "augmentation": True,
+        "short_exact": True,
+    }
+
+
 def test_kappa_chain_map():
     model = LocalModel(1, 2, 3)
     assert kappa(model).is_chain_map()
