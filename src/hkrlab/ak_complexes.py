@@ -30,7 +30,7 @@ from .chain_core import (
 from .coeff import CoeffAlgebra
 from .exterior_core import ExteriorContext, merge_wedge
 from .extension_dg import TrivialExtension, shifted_complex
-from .modules import BasedModule, LinMap, StructuralError
+from .modules import BasedModule, LinMap, QBasis, StructuralError, flatten_map
 from . import rational as ql
 
 
@@ -130,8 +130,10 @@ def q_realization_identity(ext):
     for p in range(r):
         phi_src = q_pairing(ext, p)       # L^{r-p} B -> Hom(L^{p+1} B, th)
         phi_tgt = q_pairing(ext, p + 1)   # L^{r-p-1} B -> Hom(L^{p+2} B, th)
-        if ql.inverse(_flat(phi_src)) is None or ql.inverse(_flat(phi_tgt)) is None:
-            return False
+        for phi in (phi_src, phi_tgt):
+            sb, tb = QBasis(phi.source), QBasis(phi.target)
+            if ql.inverse(ql.from_columns(flatten_map(phi.apply, sb, tb), tb.dim)) is None:
+                return False
         # Hom differential on f in Hom(P^{-(p+1)}, theta[r]):
         # (-1)^r * [ -(-1)^{deg f} f o d_P ], deg f = p - r; the relevant
         # d_P is (p+1) d_{p+2}: P^{-(p+1)} -> P^{-p}
@@ -146,12 +148,6 @@ def q_realization_identity(ext):
             if not (lhs - rhs).is_zero():
                 return False
     return True
-
-
-def _flat(linmap):
-    from .modules import QBasis, flatten_map
-
-    return flatten_map(linmap, QBasis(linmap.source), QBasis(linmap.target))
 
 
 def _precompose(ext, hom_vec, dmap, p):

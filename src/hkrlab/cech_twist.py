@@ -378,8 +378,8 @@ def cohomologous(nerve, x, y):
     """Do two cocycles represent the same class?  Exact linear solve."""
     C = cech_complex(nerve, x.module)
     l = x.degree
-    diff = C.flat(l).flatten_vec(cochain_to_element(C, x) - cochain_to_element(C, y))
-    if not any(diff):
+    diff = C.flat(l).flatten(cochain_to_element(C, x) - cochain_to_element(C, y))
+    if not diff:
         return True
     return C.qsolver(l - 1).solve(diff) is not None
 
@@ -388,7 +388,7 @@ def class_coordinates(nerve, cochain):
     """Coordinates of a cocycle's class in the cohomology of its degree."""
     C = cech_complex(nerve, cochain.module)
     H = homology(C, cochain.degree)
-    return H.project_flat(C.flat(cochain.degree).flatten_vec(cochain_to_element(C, cochain)))
+    return H.project(cochain_to_element(C, cochain))
 
 
 # -- twist cocycles and twisted transition data ------------------------------
@@ -888,7 +888,7 @@ def canonical_representative(nerve, cochain):
     """A representative of the class of a cocycle built from the homology basis."""
     C = cech_complex(nerve, cochain.module)
     H = homology(C, cochain.degree)
-    coords = H.project_flat(C.flat(cochain.degree).flatten_vec(cochain_to_element(C, cochain)))
+    coords = H.project(cochain_to_element(C, cochain))
     return combine_representatives(nerve, cochain.degree, cochain.module, coords, H.representatives)
 
 
@@ -937,14 +937,14 @@ def _linmap_inverse(m):
     from .modules import QBasis, flatten_map
 
     sb, tb = QBasis(m.source), QBasis(m.target)
-    inv = ql.inverse(flatten_map(m, sb, tb))
+    inv = ql.inverse(ql.from_columns(flatten_map(m.apply, sb, tb), tb.dim))
     if inv is None:
         raise StructuralError("map is not invertible")
+    inv = ql.to_columns(inv, tb.dim)
 
     def fn(v):
-        col = tb.flatten_vec(v)
-        out = [sum(row[t] * col[t] for t in range(len(col)) if col[t]) for row in inv]
-        return sb.unflatten(out)
+        (col,) = ql.compose_columns(inv, [tb.flatten(v)])
+        return sb.unflatten(col)
 
     return LinMap.from_function(m.target, m.source, fn)
 
@@ -1148,12 +1148,9 @@ def divisor_class(nerve, delta_cochain):
     w = W1.module(0).element((((0, 0), (s, unit)), -1) for s in nerve.simplices_of_dim(0))
     if not W1.diff(0).apply(w).is_zero():
         raise StructuralError("unit section is not a cocycle")
-    v2 = W2.flat(0).flatten_vec(G1.apply(0, w))
+    v2 = W2.flat(0).flatten(G1.apply(0, w))
     # solve G2(u) + d(h) = v2
-    G2m = G2.qmap(0)
-    Dh = W2.qdiff(-1)
-    cols = ql.transpose(G2m) + ql.transpose(Dh)
-    sol = ql.solve_vec(ql.transpose(cols), v2)
+    sol = ql.solve_vec(ql.from_columns(G2.cols[0] + W2.qdiff(-1), W2.flat(0).dim), v2)
     if sol is None:
         raise StructuralError("comparison system is not solvable")
     u = sol[: W3.flat(0).dim]

@@ -12,19 +12,19 @@ Conventions, fixed once for the whole package:
 All rank computations happen on flattened rational matrices.  A complex
 may carry a grade window w: its flattened space is the quotient spanned
 by basis vectors of total grade <= w (label grade plus monomial degree).
-A map of complexes (ComplexMap) stores each degree as sparse columns over
-the flattened bases and is applied, composed and chain-checked on them;
-its dense matrix exists only through ComplexMap.qmap.
+Every flattened differential (CochainComplex.qdiff) and every degree of a
+map of complexes (ComplexMap) is kept as the sparse columns that
+modules.flatten_map returns; maps are applied, composed and chain-checked
+on them.  Dense matrices are built by ``rational`` only for an elimination
+(homology, solves) or through ComplexMap.qmap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import zip_longest
 
-from .coeff import Poly
-from .modules import BasedModule, LinMap, QBasis, StructuralError, Vec, flatten_map
+from .modules import BasedModule, LinMap, QBasis, StructuralError, flatten_map
 from . import rational as ql
 
 
@@ -74,14 +74,15 @@ class CochainComplex:
         return self._flat[n]
 
     def qdiff(self, n):
+        """The flattened differential out of degree n, as sparse columns."""
         if n not in self._qdiff:
-            self._qdiff[n] = flatten_map(self.diff(n), self.flat(n), self.flat(n + 1))
+            self._qdiff[n] = flatten_map(self.diff(n).apply, self.flat(n), self.flat(n + 1))
         return self._qdiff[n]
 
     def qsolver(self, n):
         """The exact solver for the flattened differential out of degree n."""
         if n not in self._qsolver:
-            self._qsolver[n] = ql.Solver(self.qdiff(n))
+            self._qsolver[n] = ql.Solver(ql.from_columns(self.qdiff(n), self.flat(n + 1).dim))
         return self._qsolver[n]
 
     def shift(self, k):
@@ -109,13 +110,10 @@ class CochainComplex:
     def is_homogeneous(self):
         """Do all differentials preserve total grade?"""
         for n in self.degrees():
-            fb, tb = self.flat(n), self.flat(n + 1)
-            M = self.qdiff(n)
-            for j, (slab, smono) in enumerate(fb.pairs):
-                g = fb.module.grade_of(slab) + sum(smono)
-                for i, (tlab, tmono) in enumerate(tb.pairs):
-                    if M[i][j] and tb.module.grade_of(tlab) + sum(tmono) != g:
-                        return False
+            tgt = self.flat(n + 1).grades()
+            for g, col in zip(self.flat(n).grades(), self.qdiff(n)):
+                if any(tgt[i] != g for i in col):
+                    return False
         return True
 
     def to_json(self):
@@ -152,13 +150,11 @@ class ComplexMap:
 
     @classmethod
     def from_functions(cls, source, target, fns):
-        comps = {}
-        for n, fn in fns.items():
-            sb, index = source.flat(n), target.flat(n).index
-            monomial = sb.module.algebra.monomial
-            basis_vec = sb.module.basis_vec
-            comps[n] = [_flatten(index, fn(basis_vec(lab, monomial(mono)))) for lab, mono in sb.pairs]
-        return cls(source, target, comps)
+        return cls(
+            source,
+            target,
+            {n: flatten_map(fn, source.flat(n), target.flat(n)) for n, fn in fns.items()},
+        )
 
     def _columns(self, n):
         cols = self.cols.get(n)
@@ -166,24 +162,20 @@ class ComplexMap:
 
     def qmap(self, n):
         """The dense rational matrix at degree n, rows indexed by target.flat(n)."""
-        out = ql.zeros(self.target.flat(n).dim, self.source.flat(n).dim)
-        for j, col in enumerate(self._columns(n)):
-            for i, c in col.items():
-                out[i][j] = c
-        return out
+        return ql.from_columns(self._columns(n), self.target.flat(n).dim)
 
     def apply(self, n, vec):
-        (image,) = _compose_columns(self._columns(n), [_flatten(self.source.flat(n).index, vec)])
-        return _unflatten(self.target.flat(n), image)
+        if vec.module != self.source.module(n):
+            raise StructuralError(f"complex map at degree {n} applied to {vec.module.name!r}")
+        (image,) = ql.compose_columns(self._columns(n), [self.source.flat(n).flatten(vec)])
+        return self.target.flat(n).unflatten(image)
 
     def is_chain_map(self):
         """d_T o f = f o d_S in every degree, compared column by column."""
         degs = set(self.source.degrees()) | set(self.target.degrees())
         for n in degs:
-            d_t = _matrix_columns(self.target.qdiff(n), self.target.flat(n).dim)
-            d_s = _matrix_columns(self.source.qdiff(n), self.source.flat(n).dim)
-            lhs = _compose_columns(d_t, self._columns(n))
-            rhs = _compose_columns(self._columns(n + 1), d_s)
+            lhs = ql.compose_columns(self.target.qdiff(n), self._columns(n))
+            rhs = ql.compose_columns(self._columns(n + 1), self.source.qdiff(n))
             if any(a != b for a, b in zip_longest(lhs, rhs, fillvalue={})):
                 return False
         return True
@@ -197,77 +189,22 @@ class ComplexMap:
         return ComplexMap(
             other.source,
             self.target,
-            {n: _compose_columns(self._columns(n), other._columns(n)) for n in degs},
+            {n: ql.compose_columns(self._columns(n), other._columns(n)) for n in degs},
         )
 
     def __sub__(self, other):
         comps = {}
         for n in set(self.cols) | set(other.cols):
-            pairs = zip_longest(self._columns(n), other._columns(n), fillvalue={})
-            comps[n] = [_add_scaled(dict(a), -1, b) for a, b in pairs]
+            if (
+                self.source.flat(n).pairs != other.source.flat(n).pairs
+                or self.target.flat(n).pairs != other.target.flat(n).pairs
+            ):
+                raise StructuralError("difference of complex maps with different source/target")
+            comps[n] = [ql.add_scaled(dict(a), -1, b) for a, b in zip(self._columns(n), other._columns(n))]
         return ComplexMap(self.source, self.target, comps)
 
     def is_zero(self):
         return not any(col for cols in self.cols.values() for col in cols)
-
-
-def _add_scaled(out, c, col):
-    """out += c * col on sparse columns, dropping zeros as they arise.
-    Returns out."""
-    for i, e in col.items():
-        s = out.get(i)
-        if s is None:
-            out[i] = c * e
-        else:
-            s += c * e
-            if s:
-                out[i] = s
-            else:
-                del out[i]
-    return out
-
-
-def _compose_columns(a, b):
-    """Sparse columns of A o B from those of A and B."""
-    out = []
-    for col in b:
-        acc = {}
-        for i, c in col.items():
-            _add_scaled(acc, c, a[i])
-        out.append(acc)
-    return out
-
-
-def _matrix_columns(M, width):
-    """Sparse columns of a dense matrix with width columns (M may have no rows)."""
-    cols = [{} for _ in range(width)]
-    for i, row in enumerate(M):
-        for j, c in enumerate(row):
-            if c:
-                cols[j][i] = c
-    return cols
-
-
-def _flatten(index, vec):
-    """Sparse flattened coordinates {index: Fraction} of vec; terms outside
-    the flattened basis (beyond its grade window) are dropped."""
-    return {
-        i: c
-        for lab, poly in vec.data.items()
-        for mono, c in poly.terms.items()
-        if (i := index.get((lab, mono))) is not None
-    }
-
-
-def _unflatten(fb, entries):
-    """The element of fb.module with flattened coordinates {index: Fraction}."""
-    data = {}
-    pairs = fb.pairs
-    for i in sorted(entries):
-        lab, mono = pairs[i]
-        data.setdefault(lab, {})[mono] = entries[i]
-    algebra = fb.module.algebra
-    return Vec(fb.module, {lab: Poly(algebra, t) for lab, t in data.items()})
 
 
 # -- Hom and tensor complexes -------------------------------------------
@@ -473,27 +410,30 @@ class HomologyResult:
     _cycle_cols: list = field(repr=False, default_factory=list)
     _boundary_cols: list = field(repr=False, default_factory=list)
     _flat: QBasis = field(repr=False, default=None)
-    _indices: list = field(repr=False, default=None)
+    _positions: dict = field(repr=False, default=None)
     _solver: ql.Solver = field(repr=False, default=None)
 
     def project_flat(self, col):
-        """Coordinates of a cycle in the representative basis (boundaries die)."""
-        if self._indices is not None:
-            col = [col[i] for i in self._indices]
+        """Coordinates of a cycle, given as a sparse column over the flattened
+        basis, in the representative basis (boundaries die)."""
+        pos = self._positions
+        if pos is not None:
+            col = {pos[i]: c for i, c in col.items() if i in pos}
         basis = self._cycle_cols + self._boundary_cols
         if not basis:
-            if any(col):
+            if col:
                 raise ValueError("vector is not a cycle")
             return []
         if self._solver is None:
-            self._solver = ql.Solver(ql.transpose(basis))
+            n = len(pos) if pos is not None else self._flat.dim
+            self._solver = ql.Solver(ql.from_columns(basis, n))
         coords = self._solver.solve(col)
         if coords is None:
             raise ValueError("vector is not a cycle")
         return coords[: self.dim]
 
     def project(self, vec):
-        return self.project_flat(self._flat.flatten_vec(vec))
+        return self.project_flat(self._flat.flatten(vec))
 
 
 def homology(C, degree, grade=None):
@@ -505,49 +445,49 @@ def homology(C, degree, grade=None):
     return C._homology[key]
 
 
+def _slice(cols, col_indices, positions):
+    """The columns at col_indices, restricted to the rows in positions
+    {row index: new row index}."""
+    return [{positions[i]: c for i, c in cols[j].items() if i in positions} for j in col_indices]
+
+
 def _homology(C, degree, grade):
     fb = C.flat(degree)
     d_in = C.qdiff(degree - 1)
     d_out = C.qdiff(degree)
-    indices = None
+    n_out = C.flat(degree + 1).dim
+    positions = None
     if grade is not None:
         if not C.is_homogeneous():
             raise ValueError("grade slicing requires a homogeneous complex")
         indices = fb.grade_indices(grade)
-        in_idx = C.flat(degree - 1).grade_indices(grade)
+        positions = {i: k for k, i in enumerate(indices)}
+        d_in = _slice(d_in, C.flat(degree - 1).grade_indices(grade), positions)
         out_idx = C.flat(degree + 1).grade_indices(grade)
-        d_in = [[d_in[i][j] for j in in_idx] for i in indices]
-        d_out = [[d_out[i][j] for j in indices] for i in out_idx]
-    n_cols = len(indices) if indices is not None else fb.dim
-    if n_cols == 0:
+        d_out = _slice(d_out, indices, {i: k for k, i in enumerate(out_idx)})
+        n_out = len(out_idx)
+    n = len(positions) if positions is not None else fb.dim
+    if n == 0:
         kernel = []
-    elif not d_out:
-        kernel = list(ql.identity(n_cols))
+    elif n_out == 0:
+        kernel = [{i: ql.ONE} for i in range(n)]
     else:
-        kernel = ql.nullspace(d_out)
+        kernel = ql.nullspace(ql.from_columns(d_out, n_out))
     boundaries = []
-    if d_in and d_in[0]:
-        cols = ql.transpose(d_in)
-        _, piv = ql.rref(d_in)
-        boundaries = [cols[p] for p in piv]
+    if n and d_in:
+        _, piv = ql.rref(ql.from_columns(d_in, n))
+        boundaries = [d_in[p] for p in piv]
     # choose representatives: kernel vectors completing the boundary span
     reps = []
     if kernel:
-        stacked = ql.transpose([list(b) for b in boundaries] + [list(k) for k in kernel])
-        _, piv = ql.rref(stacked)
+        _, piv = ql.rref(ql.from_columns(boundaries + kernel, n))
         nb = len(boundaries)
         reps = [kernel[p - nb] for p in piv if p >= nb]
-    dim = len(reps)
-    rep_vecs = []
-    for r in reps:
-        if indices is not None:
-            full = [Fraction(0)] * fb.dim
-            for pos, i in enumerate(indices):
-                full[i] = r[pos]
-            rep_vecs.append(fb.unflatten(full))
-        else:
-            rep_vecs.append(fb.unflatten(r))
-    return HomologyResult(degree, grade, dim, rep_vecs, reps, boundaries, fb, indices)
+    if positions is not None:
+        rep_vecs = [fb.unflatten({indices[k]: c for k, c in r.items()}) for r in reps]
+    else:
+        rep_vecs = [fb.unflatten(r) for r in reps]
+    return HomologyResult(degree, grade, len(reps), rep_vecs, reps, boundaries, fb, positions)
 
 
 def homology_dims(C):
@@ -572,10 +512,8 @@ def is_quasi_iso(f, degrees=None):
             return False
         if hs.dim == 0:
             continue
-        cols = []
-        for rep in hs.representatives:
-            img = f.apply(n, rep)
-            cols.append(ht.project(img))
-        if ql.rank(ql.transpose(cols)) != ht.dim:
+        # one row of class coordinates per image of a representative
+        rows = [ht.project(f.apply(n, rep)) for rep in hs.representatives]
+        if ql.rank(rows) != ht.dim:
             return False
     return True

@@ -57,13 +57,6 @@ class KahlerModule:
             if (mw := merge_wedge((i,), K)) is not None
         )
 
-    def d_flat(self, p, window):
-        sb = QBasis(self.omega(p), window)
-        tb = QBasis(self.omega(p + 1), window)
-        cols = [tb.flatten_vec(self.d_vec(self.omega(p).basis_vec(lab, self.algebra.monomial(mono))))
-                for lab, mono in sb.pairs]
-        return sb, tb, (ql.transpose(cols) if cols else [[] for _ in range(tb.dim)])
-
 
 class Connection:
     """nabla = d + Gamma on the free module I, Gamma a matrix of one-forms."""
@@ -175,8 +168,8 @@ def u_chi_checks(ext, kahler, chi, window):
         return False
     for x in pairs:
         for y in pairs:
-            lhs = fb.flatten_vec(chi.u_chi_vec(ext.b_mul(x, y)))
-            rhs = fb.flatten_vec(ext.b_mul(chi.u_chi_vec(x), chi.u_chi_vec(y)))
+            lhs = fb.flatten(chi.u_chi_vec(ext.b_mul(x, y)))
+            rhs = fb.flatten(ext.b_mul(chi.u_chi_vec(x), chi.u_chi_vec(y)))
             if lhs != rhs:
                 return False
     minus = DerivationChi(ext, kahler, [v.scale(-1) for v in chi.values])
@@ -203,18 +196,16 @@ def _r_from_iso(ext, kahler, chi, p, window):
     tb_om = QBasis(kahler.omega(p + 1), window)
     sb_i = QBasis(ext.lam_i(p), window)
     tb_i = QBasis(ext.lam_i(p + 1), window)
-    M_hat_p = flatten_map(lam_hat_p, sb_om, sb_i)
-    inv = ql.inverse(M_hat_p)
+    inv = ql.inverse(ql.from_columns(flatten_map(lam_hat_p.apply, sb_om, sb_i), sb_i.dim))
     if inv is None:
         raise StructuralError("windowed flattening of Lambda^p chi_hat is singular")
-    _, _, d_mat = kahler.d_flat(p, window)
-    M_hat_p1 = flatten_map(lam_hat_p1, tb_om, tb_i)
-    R = ql.mat_mul(M_hat_p1, ql.mat_mul(d_mat, inv))
+    d = flatten_map(kahler.d_vec, sb_om, tb_om)
+    M_hat_p1 = flatten_map(lam_hat_p1.apply, tb_om, tb_i)
+    R = ql.compose_columns(M_hat_p1, ql.compose_columns(d, ql.to_columns(inv, sb_i.dim)))
 
     def fn(v):
-        col = sb_i.flatten_vec(v)
-        out = [sum(row[j] * col[j] for j in range(len(col)) if col[j]) for row in R]
-        return tb_i.unflatten(out)
+        (col,) = ql.compose_columns(R, [sb_i.flatten(v)])
+        return tb_i.unflatten(col)
 
     return fn
 
@@ -272,7 +263,7 @@ def r_map_twisted_leibniz(ext, chi, r_map, p, window):
                 continue
             lhs = r_map(lam.basis_vec(K, a))
             rhs = base.scale(a) + ext.wedge_i(chi.chi(a), lam.basis_vec(K))
-            if tb.flatten_vec(lhs) != tb.flatten_vec(rhs):
+            if tb.flatten(lhs) != tb.flatten(rhs):
                 return False
     return True
 
@@ -290,7 +281,7 @@ def semilinearity_check(ext, chi, phi, P, window):
             for b in b_elems:
                 lhs = phi.apply(-p, ext.b_action(p + 1, b, x))
                 rhs = ext.b_action(p + 1, chi.u_chi_vec(b), phix)
-                if not fb.flatten_vec(lhs - rhs) == [Fraction(0)] * fb.dim:
+                if fb.flatten(lhs - rhs):
                     return False
     return True
 
@@ -345,7 +336,7 @@ def dual_auto_checks(ext, chi, r_maps, window):
             for b in b_elems:
                 lhs = psi.apply(-q, b_action_on_q(ext, q, b, y))
                 rhs = b_action_on_q(ext, q, chi.u_chi_vec(b), psiy)
-                if fb.flatten_vec(lhs - rhs) != [Fraction(0)] * fb.dim:
+                if fb.flatten(lhs - rhs):
                     ok = False
     res["semilinear"] = ok
     return Q, psi, res

@@ -235,7 +235,8 @@ class LocalModel:
         return ComplexMap.from_functions(P, RP, {-p: fn for p in range(self.r + 1)}), RP
 
     def hkr_matrix_gamma(self):
-        """The induced map on reduced complexes; must send e_K to y_K."""
+        """The induced map on reduced complexes; must send e_K to y_K.
+        Returns (ok, {degree: sparse columns of the map, one per e_K})."""
         L = self.koszul_L()
         P = self.p_complex()
         g = self.gamma(L, P)
@@ -244,20 +245,12 @@ class LocalModel:
         out = {}
         ok = True
         for p in range(self.r + 1):
-            # reduced gamma on the canonical basis: e_K |-> j part of gamma(e_K)
-            matrix = []
-            for K in RL.module(-p).labels:
-                v = L.module(-p).basis_vec(K)
-                img = red_p.apply(-p, g.apply(-p, v))
-                row = RP.flat(-p).flatten_vec(img)
-                matrix.append(row)
-            M = ql.transpose(matrix) if matrix else []
-            out[-p] = M
+            # reduced gamma on the canonical basis: e_K |-> j part of gamma(e_K),
+            # one sparse column over RP.flat(-p) per label K
+            fb, labels = RP.flat(-p), RL.module(-p).labels
+            out[-p] = [fb.flatten(red_p.apply(-p, g.apply(-p, L.module(-p).basis_vec(K)))) for K in labels]
             # e_K and y_K have matching labels in RL and RP
-            for j, K in enumerate(RL.module(-p).labels):
-                expect = RP.flat(-p).flatten_vec(RP.module(-p).basis_vec(K))
-                col = [M[i][j] for i in range(len(M))]
-                ok = ok and col == expect
+            ok = ok and out[-p] == [fb.flatten(RP.module(-p).basis_vec(K)) for K in labels]
         return ok, out
 
     def gamma_checks(self):
@@ -642,13 +635,11 @@ def dual_hkr_sign(r):
         ]
         r_indices[n] = idx
         D = T.qdiff(-n)
-        ker_dim = len(ql.nullspace(D)) if D else fb.dim
+        n_out = T.flat(-n + 1).dim
+        ker_dim = len(ql.nullspace(ql.from_columns(D, n_out))) if n_out else fb.dim
         claim1 = claim1 and ker_dim == len(idx)
-        for t in idx:
-            col = [Fraction(0)] * fb.dim
-            col[t] = Fraction(1)
-            img = [sum(row[j] * col[j] for j in range(len(col)) if col[j]) for row in D]
-            claim1 = claim1 and not any(img)
+        # D sends each pure basis vector to zero
+        claim1 = claim1 and not any(D[t] for t in idx)
     claims["kernel_is_pure_subspace"] = claim1
 
     # the projector pi_n on the pure subspace, and claim 2: ker pi_n = im s_{n+1}
@@ -660,8 +651,9 @@ def dual_hkr_sign(r):
         pos = {fb.pairs[t][0]: k for k, t in enumerate(idx)}
         dim_r = len(idx)
         tgt_labels = [((-(n - r), -r), (K, ("i", full))) for K in combinations(range(r), n - r)]
-        P_mat = ql.zeros(len(tgt_labels), dim_r)
         tgt_pos = {lab: t for t, lab in enumerate(tgt_labels)}
+        # pi_n as sparse columns, one per pure basis vector
+        P_cols = [{} for _ in range(dim_r)]
         for lab, k in pos.items():
             (mp, mq), (K, (tag, M)) = lab
             p, q = -mp, -mq
@@ -669,22 +661,18 @@ def dual_hkr_sign(r):
             w = eps * comb(p, n - r)
             if w == 0:
                 continue
-            for (K1, Mfull), c in _pi_pq(ext, r, p, q, K, M).items():
-                row = tgt_pos[((-(n - r), -r), (K1, ("i", Mfull)))]
-                P_mat[row][k] += w * c
+            P_cols[k] = {
+                tgt_pos[((-(n - r), -r), (K1, ("i", Mfull)))]: w * c
+                for (K1, Mfull), c in _pi_pq(ext, r, p, q, K, M).items()
+                if c
+            }
         # image of the incoming total differential, in pure coordinates
-        D_in = T.qdiff(-n - 1)
-        img_cols = []
-        if D_in:
-            for col in ql.transpose(D_in):
-                if any(col):
-                    img_cols.append([col[t] for t in idx])
-        im_rank = ql.rank(ql.transpose(img_cols)) if img_cols else 0
-        ker_pi = len(ql.nullspace(P_mat)) if P_mat else dim_r
+        slot = {t: k for k, t in enumerate(idx)}
+        img_cols = [{slot[t]: c for t, c in col.items() if t in slot} for col in T.qdiff(-n - 1) if col]
+        im_rank = ql.rank(ql.from_columns(img_cols, dim_r)) if img_cols else 0
+        ker_pi = len(ql.nullspace(ql.from_columns(P_cols, len(tgt_labels)))) if tgt_labels else dim_r
         claim2 = claim2 and ker_pi == im_rank
-        for col in img_cols:
-            img = [sum(P_mat[i][j] * col[j] for j in range(dim_r)) for i in range(len(tgt_labels))]
-            claim2 = claim2 and not any(img)
+        claim2 = claim2 and not any(ql.compose_columns(P_cols, img_cols))
         # pi restricted to the (r, n-r) block is the stated multiple of the swap
         scal = Fraction((-1) ** (n * (n - r)), comb(r, n - r))
         for M in combinations(range(r), n - r):
@@ -710,15 +698,13 @@ def dual_hkr_sign(r):
         expected = (-1) ** (((r - i) * (r - i - 1)) // 2)
         found = None
         for K in combinations(range(r), i):
-            alpha = fb.flatten_vec(tot_vec(-n, i, r, K, ("i", full), (-1) ** r))
-            beta = fb.flatten_vec(tot_vec(-n, r, i, full, ("i", K), (-1) ** r))
+            alpha = fb.flatten(tot_vec(-n, i, r, K, ("i", full), (-1) ** r))
+            beta = fb.flatten(tot_vec(-n, r, i, full, ("i", K), (-1) ** r))
             # alpha must not be a boundary (the class is a basis vector)
-            if ql.column_span_contains(ql.transpose(D_in) if D_in else [], alpha):
+            if D_in and ql.solve_vec(ql.from_columns(D_in, fb.dim), alpha) is not None:
                 chase_ok = False
                 continue
-            cols = [alpha] + (ql.transpose(D_in) if D_in else [])
-            aug = ql.transpose(cols)
-            x = ql.solve_vec(aug, beta)
+            x = ql.solve_vec(ql.from_columns([alpha] + D_in, fb.dim), beta)
             if x is None:
                 chase_ok = False
                 continue

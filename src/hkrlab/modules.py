@@ -6,6 +6,11 @@ labels.  Labels may carry an internal grade (exterior degree, Cech degree,
 the degree of its monomial.  Flattening turns any module into a finite
 dimensional rational vector space, optionally restricted to total grade
 <= window (the quotient by the span of higher-grade basis vectors).
+
+There is one flattened form: a vector is a sparse column {index: Fraction}
+over a QBasis (QBasis.flatten and QBasis.unflatten convert), and a map is
+the list of such columns that flatten_map returns, one per source pair.
+Dense rational matrices are built only inside ``rational``.
 """
 
 from __future__ import annotations
@@ -13,7 +18,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .coeff import Poly
-from . import rational as ql
 
 
 class StructuralError(ValueError):
@@ -344,40 +348,44 @@ class QBasis:
     def dim(self):
         return len(self.pairs)
 
-    def flatten_vec(self, vec):
-        out = [Fraction(0)] * self.dim
-        for lab, poly in vec.data.items():
-            for mono, c in poly.terms.items():
-                i = self.index.get((lab, mono))
-                if i is not None:
-                    out[i] = c
-        return out
+    def flatten(self, vec):
+        """Sparse coordinates {index: Fraction} of vec; terms outside the
+        basis (beyond its grade window) are dropped."""
+        index = self.index
+        return {
+            i: c
+            for lab, poly in vec.data.items()
+            for mono, c in poly.terms.items()
+            if (i := index.get((lab, mono))) is not None
+        }
 
-    def unflatten(self, column):
+    def unflatten(self, entries):
+        """The element of the module with sparse coordinates {index: Fraction}."""
         data = {}
-        for (lab, mono), c in zip(self.pairs, column):
-            if c:
-                cur = data.setdefault(lab, {})
-                cur[mono] = cur.get(mono, Fraction(0)) + c
-        return Vec(self.module, {lab: Poly(self.module.algebra, t) for lab, t in data.items()})
+        pairs = self.pairs
+        for i in sorted(entries):
+            lab, mono = pairs[i]
+            data.setdefault(lab, {})[mono] = entries[i]
+        algebra = self.module.algebra
+        return Vec(self.module, {lab: Poly(algebra, t) for lab, t in data.items()})
+
+    def grades(self):
+        """The total grade (label grade plus monomial degree) of each pair."""
+        grade = self.module.grade_of
+        return [grade(lab) + sum(mono) for lab, mono in self.pairs]
 
     def grade_indices(self, grade):
-        gr = self.module.grades
-        idx = self.module.label_index
-        return [i for i, (lab, mono) in enumerate(self.pairs) if gr[idx[lab]] + sum(mono) == grade]
+        return [i for i, g in enumerate(self.grades()) if g == grade]
 
 
-def flatten_map(linmap, src_basis, tgt_basis):
-    """Rational matrix of an algebra-linear map on flattened bases.
-
-    Column for (label, mono) is the flattening of map(basis_vec(label)) * mono;
-    entries outside the target window are dropped (quotient semantics).
-    """
-    cols = []
-    algebra = linmap.source.algebra
-    for lab, mono in src_basis.pairs:
-        mono_poly = algebra.monomial(mono)
-        image = linmap.apply(linmap.source.basis_vec(lab, mono_poly))
-        cols.append(tgt_basis.flatten_vec(image))
-    return ql.transpose(cols) if cols else [[] for _ in range(tgt_basis.dim)]
-
+def flatten_map(fn, src_basis, tgt_basis):
+    """Sparse rational columns of a map fn from src_basis.module to
+    tgt_basis.module: the column of the pair (label, mono) is the flattening
+    of fn(basis_vec(label, mono)), one per src_basis pair.  The map need only
+    be rational-linear; entries outside the target window are dropped
+    (quotient semantics)."""
+    module = src_basis.module
+    monomial = module.algebra.monomial
+    basis_vec = module.basis_vec
+    flatten = tgt_basis.flatten
+    return [flatten(fn(basis_vec(lab, monomial(mono)))) for lab, mono in src_basis.pairs]

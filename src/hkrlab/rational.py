@@ -1,16 +1,21 @@
-"""Dense exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
-All matrices are lists of row lists with Fraction entries.  Sizes in this
-package are small (a few hundred rows at most), so plain Gaussian
-elimination with zero-skipping is fast enough and keeps everything exact.
+Outside this module a rational matrix is a list of sparse columns, one
+dict {row index: Fraction} per column that stores no zero entry: the form
+``modules.flatten_map`` returns for a map and ``QBasis.flatten`` for a
+vector.  ``compose_columns`` multiplies matrices in that form.  Dense
+matrices, lists of row lists with Fraction entries, exist only here:
+``from_columns`` builds one where an elimination (rank, kernel, solve,
+inverse) or a matrix equality needs it, and ``to_columns`` reads an
+inverse back into columns.  Sizes in this package are small (a few hundred
+rows at most), so plain Gaussian elimination with zero-skipping is fast
+enough and keeps everything exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-
-Matrix = "list[list[Fraction]]"
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -36,10 +41,50 @@ def copy(M):
     return [row[:] for row in M]
 
 
-def transpose(M):
-    if not M:
-        return []
-    return [list(col) for col in zip(*M)]
+def add_scaled(out, c, col):
+    """out += c * col on sparse columns, dropping zeros as they arise.
+    Returns out."""
+    for i, e in col.items():
+        s = out.get(i)
+        if s is None:
+            out[i] = c * e
+        else:
+            s += c * e
+            if s:
+                out[i] = s
+            else:
+                del out[i]
+    return out
+
+
+def compose_columns(a, b):
+    """Sparse columns of A o B from those of A and B."""
+    out = []
+    for col in b:
+        acc = {}
+        for i, c in col.items():
+            add_scaled(acc, c, a[i])
+        out.append(acc)
+    return out
+
+
+def from_columns(cols, nrows):
+    """The dense matrix with nrows rows whose j-th column is the sparse cols[j]."""
+    out = zeros(nrows, len(cols))
+    for j, col in enumerate(cols):
+        for i, c in col.items():
+            out[i][j] = c
+    return out
+
+
+def to_columns(M, ncols):
+    """Sparse columns of a dense matrix with ncols columns (M may have no rows)."""
+    cols = [{} for _ in range(ncols)]
+    for i, row in enumerate(M):
+        for j, c in enumerate(row):
+            if c:
+                cols[j][i] = c
+    return cols
 
 
 def mat_mul(A, B):
@@ -68,19 +113,13 @@ def _entry(M, i, j):
     return ZERO
 
 
-def mat_add(A, B):
-    """Entrywise sum; shapes are reconciled by zero padding.
+def mat_sub(A, B):
+    """Entrywise difference; shapes are reconciled by zero padding.
 
     Products with a zero-dimensional inner factor legitimately produce
     matrices with no columns, so all binary operations treat a matrix as
     the finite corner of an infinite zero matrix.
     """
-    n = max(len(A), len(B))
-    m = max([len(r) for r in A + B], default=0)
-    return [[_entry(A, i, j) + _entry(B, i, j) for j in range(m)] for i in range(n)]
-
-
-def mat_sub(A, B):
     n = max(len(A), len(B))
     m = max([len(r) for r in A + B], default=0)
     return [[_entry(A, i, j) - _entry(B, i, j) for j in range(m)] for i in range(n)]
@@ -141,7 +180,7 @@ def rank(M):
 
 
 def nullspace(M):
-    """Basis of the right kernel, as a list of column vectors."""
+    """Basis of the right kernel, as sparse columns."""
     if not M:
         return []
     m = len(M[0])
@@ -150,10 +189,10 @@ def nullspace(M):
     free = [j for j in range(m) if j not in pivset]
     basis = []
     for f in free:
-        v = [ZERO] * m
-        v[f] = ONE
+        v = {f: ONE}
         for i, p in enumerate(pivots):
-            v[p] = -R[i][f]
+            if R[i][f]:
+                v[p] = -R[i][f]
         basis.append(v)
     return basis
 
@@ -177,7 +216,8 @@ def solve(A, B):
 
 
 def solve_vec(A, b):
-    sol = solve(A, [[x] for x in b])
+    """The solution of A x = b for a sparse column b, as a list; None if inconsistent."""
+    sol = solve(A, [[b.get(i, ZERO)] for i in range(len(A))])
     if sol is None:
         return None
     return [row[0] for row in sol]
@@ -206,9 +246,10 @@ class Solver:
         self._null_rows = [_over_common_denominator(row[m:])[0] for row in R[r:]]
 
     def solve(self, b):
-        """The solution of A x = b as a list, or None if b is not in the column span."""
-        d = lcm(*(c.denominator for c in b if c))
-        nonzero = [(j, c.numerator * (d // c.denominator)) for j, c in enumerate(b) if c]
+        """The solution of A x = b for a sparse column b, as a list, or None
+        if b is not in the column span."""
+        d = lcm(*(c.denominator for c in b.values()))
+        nonzero = [(j, c.numerator * (d // c.denominator)) for j, c in b.items()]
 
         def dot(ints):
             return sum(ints[j] * v for j, v in nonzero)
@@ -238,10 +279,3 @@ def inverse(A):
         return None
     return X
 
-
-def column_span_contains(cols, v):
-    """Is the vector v in the span of the given column vectors?"""
-    if not cols:
-        return all(not x for x in v)
-    A = transpose(cols)
-    return solve_vec(A, v) is not None

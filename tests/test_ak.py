@@ -70,7 +70,8 @@ def test_q_pairing_invertible(r):
     ext = build_extension(QQ, r)
     for p in range(r):
         phi = q_pairing(ext, p)
-        M = flatten_map(phi, QBasis(phi.source), QBasis(phi.target))
+        sb, tb = QBasis(phi.source), QBasis(phi.target)
+        M = ql.from_columns(flatten_map(phi.apply, sb, tb), tb.dim)
         assert ql.inverse(M) is not None
 
 

@@ -20,7 +20,7 @@ from hkrlab.chain_core import (
 )
 from hkrlab.ak_complexes import build_p_complex, p_augmentation
 from hkrlab.hkr_local import LocalModel, build_k_complex, k_augmentation, kappa, zeta
-from hkrlab.modules import BasedModule, LinMap
+from hkrlab.modules import BasedModule, LinMap, StructuralError
 from hkrlab import rational as ql
 
 QQ = CoeffAlgebra.rationals()
@@ -75,7 +75,7 @@ def test_homology_rank_nullity_oracle():
         d0 = LinMap(M0, M1)
         for j, col in enumerate(d0cols):
             v = M1.zero()
-            for i, c in enumerate(col):
+            for i, c in col.items():
                 v = v + M1.basis_vec(i, c)
             d0.set_column(j, v)
         d1 = LinMap(M1, M2)
@@ -86,7 +86,7 @@ def test_homology_rank_nullity_oracle():
             d1.set_column(j, v)
         C = CochainComplex(QQ, {0: M0, 1: M1, 2: M2}, {0: d0, 1: d1})
         # oracle: dim H^1 = dim ker d1 - rank d0
-        expect = len(ql.nullspace(A)) - ql.rank(ql.transpose(d0cols))
+        expect = len(ql.nullspace(A)) - ql.rank(ql.from_columns(d0cols, n))
         assert homology(C, 1).dim == expect
 
 
@@ -280,6 +280,7 @@ def test_solver_agrees_with_solve_vec():
                 b = [sum((a * c for a, c in zip(row, x)), Fraction(0)) for row in A]
             else:
                 b = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)]
+            b = {i: c for i, c in enumerate(b) if c}
             got = solver.solve(b)
             assert got == ql.solve_vec(A, b)
             outcomes.add(got is None)
@@ -324,10 +325,9 @@ def desk_maps():
 
 def dense_apply(f, n, vec):
     """f at degree n applied through its dense matrix."""
-    col = f.source.flat(n).flatten_vec(vec)
-    nonzero = [(j, c) for j, c in enumerate(col) if c]
-    Q = f.qmap(n)
-    return f.target.flat(n).unflatten([sum((row[j] * c for j, c in nonzero), Fraction(0)) for row in Q])
+    nonzero = f.source.flat(n).flatten(vec).items()
+    image = (sum((row[j] * c for j, c in nonzero), Fraction(0)) for row in f.qmap(n))
+    return f.target.flat(n).unflatten({i: c for i, c in enumerate(image) if c})
 
 
 def test_apply_matches_dense_matrix_on_desk_models(desk_maps):
@@ -344,7 +344,7 @@ def test_apply_matches_dense_matrix_on_desk_models(desk_maps):
                         Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.3 else Fraction(0)
                         for _ in range(sb.dim)
                     ]
-                    vecs.append(sb.unflatten(col))
+                    vecs.append(sb.unflatten({j: c for j, c in enumerate(col) if c}))
                 for v in vecs:
                     assert f.apply(n, v) == dense_apply(f, n, v), (case, name, n)
 
@@ -360,14 +360,16 @@ def test_perturbed_zeta_is_not_a_chain_map(desk_maps):
         for n in sorted(z.cols)
         for j, col in enumerate(z.cols[n])
         for i in col
-        if any(row[i] for row in z.target.qdiff(n))
+        if z.target.qdiff(n)[i]
     )
     cols = {k: [dict(col) for col in v] for k, v in z.cols.items()}
     cols[n][j][i] *= 2
     bad = ComplexMap(z.source, z.target, cols)
     assert bad.is_chain_map() is False
     Q = bad.qmap(n)
-    assert not ql.mat_eq(ql.mat_mul(z.target.qdiff(n), Q), ql.mat_mul(bad.qmap(n + 1), z.source.qdiff(n)))
+    d_t = ql.from_columns(z.target.qdiff(n), z.target.flat(n + 1).dim)
+    d_s = ql.from_columns(z.source.qdiff(n), z.source.flat(n + 1).dim)
+    assert not ql.mat_eq(ql.mat_mul(d_t, Q), ql.mat_mul(bad.qmap(n + 1), d_s))
     diff = bad - z
     assert not diff.is_zero()
     assert ql.mat_eq(diff.qmap(n), ql.mat_sub(bad.qmap(n), z.qmap(n)))
@@ -399,3 +401,25 @@ def test_compose_sub_is_zero_match_dense_matrices(desk_maps):
         assert (composites["pz"] - aug_k).is_zero(), case
         assert (composites["pg"] - composites["kk"]).is_zero(), case
         assert not gamma.is_zero()
+
+
+def identity_map(C):
+    return ComplexMap.from_functions(C, C, {n: (lambda v: v) for n in C.degrees()})
+
+
+def test_complex_map_apply_rejects_a_vector_of_another_module():
+    C = two_term([[1, 0], [0, 1]])
+    f = identity_map(C)
+    assert f.apply(0, C.module(0).basis_vec(1)) == C.module(0).basis_vec(1)
+    # C^1 has the same labels as C^0, but it is another module
+    with pytest.raises(StructuralError):
+        f.apply(0, C.module(1).basis_vec(1))
+
+
+def test_complex_map_difference_rejects_maps_of_other_shapes():
+    f, g = identity_map(two_term([[1]])), identity_map(two_term([[1, 0]]))
+    assert (f - f).is_zero()
+    with pytest.raises(StructuralError):
+        f - g
+    with pytest.raises(StructuralError):
+        g - f

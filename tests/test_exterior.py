@@ -485,7 +485,8 @@ def test_duality_maps_invertible_rank_oracle():
         c = ctx(r)
         for p in range(r + 1):
             for dual_map in (c.duality_left(p), c.duality_right(p)):
-                M = flatten_map(dual_map, QBasis(dual_map.source), QBasis(dual_map.target))
+                sb, tb = QBasis(dual_map.source), QBasis(dual_map.target)
+                M = ql.from_columns(flatten_map(dual_map.apply, sb, tb), tb.dim)
                 assert ql.inverse(M) is not None
 
 

@@ -155,12 +155,10 @@ def test_hkr_matrix_gamma_rank1():
     model = LocalModel(1, 1, 3)
     ok, mats = model.hkr_matrix_gamma()
     assert ok
-    # each degree's matrix is an identity
-    for M in mats.values():
-        n = len(M)
-        for i in range(n):
-            for j in range(len(M[0]) if M else 0):
-                assert M[i][j] == (1 if i == j else 0)
+    # each degree's matrix is an identity: column j is the j-th basis vector
+    for cols in mats.values():
+        for j, col in enumerate(cols):
+            assert col == {j: 1}
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])

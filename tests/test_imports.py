@@ -1,8 +1,9 @@
 """Static checks on the package source: every name a module imports is
 used in that module, no module element is built by summing basis vectors
-one at a time (BasedModule.element builds it in one pass), and only
+one at a time (BasedModule.element builds it in one pass), only
 cech_complex walks a nerve's coface table (every other Cech operation goes
-through the complex it builds)."""
+through the complex it builds), and no module but rational builds a dense
+rational vector (outside rational a flattened vector is a sparse column)."""
 
 import ast
 from pathlib import Path
@@ -115,3 +116,51 @@ def test_coface_read_is_found():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_only_cech_complex_reads_cofaces(path):
     assert {owner for _, owner in coface_reads(path.read_text())} <= {"cech_complex"}
+
+
+def _is_rational_zero(node):
+    """Is node the expression ZERO, ql.ZERO or Fraction(0)?"""
+    if isinstance(node, ast.Name):
+        return node.id == "ZERO"
+    if isinstance(node, ast.Attribute):
+        return node.attr == "ZERO"
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "Fraction"
+        and len(node.args) == 1
+        and isinstance(node.args[0], ast.Constant)
+        and node.args[0].value == 0
+    )
+
+
+def dense_vector_builds(source):
+    """Lines of source that build a dense vector as [Fraction(0)] * n or [ZERO] * n."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+            for side in (node.left, node.right):
+                if isinstance(side, ast.List) and len(side.elts) == 1 and _is_rational_zero(side.elts[0]):
+                    lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_dense_vector_build_is_found():
+    source = (
+        "a = [Fraction(0)] * fb.dim\n"
+        "b = n * [ZERO]\n"
+        "c = [ql.ZERO] * m\n"
+        "d = [Fraction(1)] * n\n"
+        "e = [Fraction(0), Fraction(0)]\n"
+        "f = {i: ZERO for i in range(n)}\n"
+        "if col == [Fraction(0)] * len(col):\n"
+        "    pass\n"
+    )
+    assert dense_vector_builds(source) == [1, 2, 3, 7]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "rational.py"], ids=lambda p: p.name
+)
+def test_only_rational_builds_dense_vectors(path):
+    assert dense_vector_builds(path.read_text()) == []

@@ -4,7 +4,10 @@ Each map operation is compared with the map defined by its action on basis
 vectors through LinMap.from_function, where every image is computed from
 the dense matrix with plain Poly arithmetic.  Draws include columns that
 cancel exactly and, over Q[x1,x2] truncated at degree 2, products of
-nilpotents that truncate to zero.
+nilpotents that truncate to zero.  The sparse flattening (QBasis.flatten,
+QBasis.unflatten, flatten_map) is compared with the dense flattening it
+replaced, kept here as the reference, on graded modules with and without
+a grade window.
 """
 
 from fractions import Fraction
@@ -13,8 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hkrlab.coeff import CoeffAlgebra
-from hkrlab.modules import BasedModule, LinMap, StructuralError, Vec
+from hkrlab.coeff import CoeffAlgebra, Poly
+from hkrlab.modules import BasedModule, LinMap, QBasis, StructuralError, Vec, flatten_map
+from hkrlab import rational as ql
 
 QQ = CoeffAlgebra.rationals()
 QX = CoeffAlgebra.polynomial(2, 2)
@@ -190,3 +194,121 @@ def test_element_rejects_a_foreign_label():
     M = module(QQ, 2, "M")
     with pytest.raises(StructuralError):
         M.element([("M0", 1), ("N0", 1)])
+
+
+# -- flattening against the dense reference ---------------------------------
+
+
+def dense_flatten_vec(fb, vec):
+    """The dense flattening of vec over fb (the former QBasis.flatten_vec)."""
+    out = [Fraction(0)] * fb.dim
+    for lab, poly in vec.data.items():
+        for mono, c in poly.terms.items():
+            i = fb.index.get((lab, mono))
+            if i is not None:
+                out[i] = c
+    return out
+
+
+def dense_unflatten(fb, column):
+    """The element with dense coordinates column (the former QBasis.unflatten)."""
+    data = {}
+    for (lab, mono), c in zip(fb.pairs, column):
+        if c:
+            cur = data.setdefault(lab, {})
+            cur[mono] = cur.get(mono, Fraction(0)) + c
+    return Vec(fb.module, {lab: Poly(fb.module.algebra, t) for lab, t in data.items()})
+
+
+def dense_flatten_map(linmap, src_basis, tgt_basis):
+    """The dense matrix of linmap on flattened bases (the former flatten_map)."""
+    cols = []
+    algebra = linmap.source.algebra
+    for lab, mono in src_basis.pairs:
+        image = linmap.apply(linmap.source.basis_vec(lab, algebra.monomial(mono)))
+        cols.append(dense_flatten_vec(tgt_basis, image))
+    return [list(row) for row in zip(*cols)] if cols else [[] for _ in range(tgt_basis.dim)]
+
+
+def sparse(column):
+    return {i: c for i, c in enumerate(column) if c}
+
+
+@st.composite
+def graded_module(draw, algebra, name):
+    n = draw(st.integers(1, 3))
+    grades = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    return BasedModule(algebra, tuple(f"{name}{i}" for i in range(n)), name, grades)
+
+
+WINDOWS = st.one_of(st.none(), st.integers(0, 3))
+
+
+def in_window(fb, vec):
+    """vec without its terms of total grade above the window of fb."""
+    M = fb.module
+    if fb.window is None:
+        return vec
+    return Vec(M, {
+        lab: Poly(M.algebra, {e: c for e, c in p.terms.items() if M.grade_of(lab) + sum(e) <= fb.window})
+        for lab, p in vec.data.items()
+    })
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_flatten_matches_the_dense_reference(data):
+    algebra = data.draw(ALGEBRAS)
+    fb = QBasis(data.draw(graded_module(algebra, "M")), data.draw(WINDOWS))
+    v = data.draw(vectors(algebra, fb.module))
+    col = fb.flatten(v)
+    assert col == sparse(dense_flatten_vec(fb, v))
+    assert all(col.values())
+    # terms beyond the window are dropped, and inside it the round trip is exact
+    back = fb.unflatten(col)
+    assert back == dense_unflatten(fb, dense_flatten_vec(fb, v)) == in_window(fb, v)
+    assert list(back.data) == list(dense_unflatten(fb, dense_flatten_vec(fb, v)).data)
+    assert fb.flatten(back) == col
+    assert_clean(back)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_unflatten_matches_the_dense_reference(data):
+    algebra = data.draw(ALGEBRAS)
+    fb = QBasis(data.draw(graded_module(algebra, "M")), data.draw(WINDOWS))
+    entry = st.sampled_from([Fraction(0), Fraction(0), Fraction(1), Fraction(-2), Fraction(1, 3)])
+    column = data.draw(st.lists(entry, min_size=fb.dim, max_size=fb.dim))
+    # the entries may come in any order; the labels keep the basis order
+    entries = dict(data.draw(st.permutations(list(sparse(column).items()))))
+    v, want = fb.unflatten(entries), dense_unflatten(fb, column)
+    assert v == want
+    assert list(v.data) == list(want.data)
+    assert fb.flatten(v) == sparse(column)
+    assert_clean(v)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_flatten_map_matches_the_dense_reference(data):
+    algebra = data.draw(ALGEBRAS)
+    L, M = data.draw(graded_module(algebra, "L")), data.draw(graded_module(algebra, "M"))
+    f = data.draw(linmaps(algebra, L, M))
+    sb, tb = QBasis(L, data.draw(WINDOWS)), QBasis(M, data.draw(WINDOWS))
+    cols = flatten_map(f.apply, sb, tb)
+    dense = dense_flatten_map(f, sb, tb)
+    assert len(cols) == sb.dim
+    assert all(all(col.values()) for col in cols)
+    assert ql.from_columns(cols, tb.dim) == dense
+    assert ql.to_columns(dense, sb.dim) == cols
+
+
+def test_flatten_drops_terms_beyond_the_window():
+    x1, x2 = QX.gen(0), QX.gen(1)
+    M = BasedModule(QX, ("a", "b"), "M", (0, 1))
+    v = M.basis_vec("a", QX.one() + x1 + x1 * x2) + M.basis_vec("b", x2 + 2)
+    fb = QBasis(M, 1)
+    assert fb.pairs == [("a", (0, 0)), ("a", (0, 1)), ("a", (1, 0)), ("b", (0, 0))]
+    assert fb.flatten(v) == {0: 1, 2: 1, 3: 2}
+    assert fb.unflatten(fb.flatten(v)) == M.basis_vec("a", x1 + 1) + M.basis_vec("b", 2)
+    assert QBasis(M).unflatten(QBasis(M).flatten(v)) == v
