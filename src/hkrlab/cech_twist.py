@@ -937,10 +937,9 @@ def _linmap_inverse(m):
     from .modules import QBasis, flatten_map
 
     sb, tb = QBasis(m.source), QBasis(m.target)
-    inv = ql.inverse(ql.from_columns(flatten_map(m.apply, sb, tb), tb.dim))
+    inv = ql.inverse(flatten_map(m.apply, sb, tb), tb.dim)
     if inv is None:
         raise StructuralError("map is not invertible")
-    inv = ql.to_columns(inv, tb.dim)
 
     def fn(v):
         (col,) = ql.compose_columns(inv, [tb.flatten(v)])
@@ -1150,10 +1149,10 @@ def divisor_class(nerve, delta_cochain):
         raise StructuralError("unit section is not a cocycle")
     v2 = W2.flat(0).flatten(G1.apply(0, w))
     # solve G2(u) + d(h) = v2
-    sol = ql.solve_vec(ql.from_columns(G2.cols[0] + W2.qdiff(-1), W2.flat(0).dim), v2)
+    sol = ql.solve(G2.cols[0] + W2.qdiff(-1), W2.flat(0).dim, v2)
     if sol is None:
         raise StructuralError("comparison system is not solvable")
-    u = sol[: W3.flat(0).dim]
+    u = [sol.get(k, ql.ZERO) for k in range(W3.flat(0).dim)]
     # split u into the degree-0 coefficient and the degree-1 cochain
     q1 = Cochain(nerve, 1, N)
     for val, (((l, j), (s, lab)), mono) in zip(u, W3.flat(0).pairs):

@@ -13,10 +13,10 @@ All rank computations happen on flattened rational matrices.  A complex
 may carry a grade window w: its flattened space is the quotient spanned
 by basis vectors of total grade <= w (label grade plus monomial degree).
 Every flattened differential (CochainComplex.qdiff) and every degree of a
-map of complexes (ComplexMap) is kept as the sparse columns that
+map of complexes (ComplexMap.columns) is kept as the sparse columns that
 modules.flatten_map returns; maps are applied, composed and chain-checked
-on them.  Dense matrices are built by ``rational`` only for an elimination
-(homology, solves) or through ComplexMap.qmap.
+on them, and homology, solves, ranks and inverses hand them to
+``rational`` as they are.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ class CochainComplex:
     def qsolver(self, n):
         """The exact solver for the flattened differential out of degree n."""
         if n not in self._qsolver:
-            self._qsolver[n] = ql.Solver(ql.from_columns(self.qdiff(n), self.flat(n + 1).dim))
+            self._qsolver[n] = ql.Solver(self.qdiff(n), self.flat(n + 1).dim)
         return self._qsolver[n]
 
     def shift(self, k):
@@ -139,8 +139,8 @@ class ComplexMap:
     ``target.flat(n)`` that stores no zero entry.  Working on the flattened
     bases lets a map be only rational-linear, or change coefficient
     algebras.  ``apply``, ``compose``, ``-`` and the chain-map check work on
-    the columns; ``qmap`` builds the dense matrix only for the callers that
-    need rank, inverse or matrix equality.
+    the columns, and ``columns(n)`` hands them to ``rational`` for a rank
+    or an inverse, or to a comparison.
     """
 
     def __init__(self, source, target, components):
@@ -156,26 +156,23 @@ class ComplexMap:
             {n: flatten_map(fn, source.flat(n), target.flat(n)) for n, fn in fns.items()},
         )
 
-    def _columns(self, n):
+    def columns(self, n):
+        """The sparse columns at degree n, over target.flat(n)."""
         cols = self.cols.get(n)
         return cols if cols is not None else [{}] * self.source.flat(n).dim
-
-    def qmap(self, n):
-        """The dense rational matrix at degree n, rows indexed by target.flat(n)."""
-        return ql.from_columns(self._columns(n), self.target.flat(n).dim)
 
     def apply(self, n, vec):
         if vec.module != self.source.module(n):
             raise StructuralError(f"complex map at degree {n} applied to {vec.module.name!r}")
-        (image,) = ql.compose_columns(self._columns(n), [self.source.flat(n).flatten(vec)])
+        (image,) = ql.compose_columns(self.columns(n), [self.source.flat(n).flatten(vec)])
         return self.target.flat(n).unflatten(image)
 
     def is_chain_map(self):
         """d_T o f = f o d_S in every degree, compared column by column."""
         degs = set(self.source.degrees()) | set(self.target.degrees())
         for n in degs:
-            lhs = ql.compose_columns(self.target.qdiff(n), self._columns(n))
-            rhs = ql.compose_columns(self._columns(n + 1), self.source.qdiff(n))
+            lhs = ql.compose_columns(self.target.qdiff(n), self.columns(n))
+            rhs = ql.compose_columns(self.columns(n + 1), self.source.qdiff(n))
             if any(a != b for a, b in zip_longest(lhs, rhs, fillvalue={})):
                 return False
         return True
@@ -189,7 +186,7 @@ class ComplexMap:
         return ComplexMap(
             other.source,
             self.target,
-            {n: ql.compose_columns(self._columns(n), other._columns(n)) for n in degs},
+            {n: ql.compose_columns(self.columns(n), other.columns(n)) for n in degs},
         )
 
     def __sub__(self, other):
@@ -200,7 +197,7 @@ class ComplexMap:
                 or self.target.flat(n).pairs != other.target.flat(n).pairs
             ):
                 raise StructuralError("difference of complex maps with different source/target")
-            comps[n] = [ql.add_scaled(dict(a), -1, b) for a, b in zip(self._columns(n), other._columns(n))]
+            comps[n] = [ql.add_scaled(dict(a), -1, b) for a, b in zip(self.columns(n), other.columns(n))]
         return ComplexMap(self.source, self.target, comps)
 
     def is_zero(self):
@@ -426,11 +423,11 @@ class HomologyResult:
             return []
         if self._solver is None:
             n = len(pos) if pos is not None else self._flat.dim
-            self._solver = ql.Solver(ql.from_columns(basis, n))
+            self._solver = ql.Solver(basis, n)
         coords = self._solver.solve(col)
         if coords is None:
             raise ValueError("vector is not a cycle")
-        return coords[: self.dim]
+        return [coords.get(k, ql.ZERO) for k in range(self.dim)]
 
     def project(self, vec):
         return self.project_flat(self._flat.flatten(vec))
@@ -467,20 +464,15 @@ def _homology(C, degree, grade):
         d_out = _slice(d_out, indices, {i: k for k, i in enumerate(out_idx)})
         n_out = len(out_idx)
     n = len(positions) if positions is not None else fb.dim
-    if n == 0:
-        kernel = []
-    elif n_out == 0:
-        kernel = [{i: ql.ONE} for i in range(n)]
-    else:
-        kernel = ql.nullspace(ql.from_columns(d_out, n_out))
+    kernel = ql.nullspace(d_out, n_out)
     boundaries = []
-    if n and d_in:
-        _, piv = ql.rref(ql.from_columns(d_in, n))
+    if n and d_in:  # else there is nothing to reduce
+        _, piv = ql.rref(d_in, n)
         boundaries = [d_in[p] for p in piv]
     # choose representatives: kernel vectors completing the boundary span
     reps = []
     if kernel:
-        _, piv = ql.rref(ql.from_columns(boundaries + kernel, n))
+        _, piv = ql.rref(boundaries + kernel, n)
         nb = len(boundaries)
         reps = [kernel[p - nb] for p in piv if p >= nb]
     if positions is not None:
@@ -512,8 +504,10 @@ def is_quasi_iso(f, degrees=None):
             return False
         if hs.dim == 0:
             continue
-        # one row of class coordinates per image of a representative
-        rows = [ht.project(f.apply(n, rep)) for rep in hs.representatives]
-        if ql.rank(rows) != ht.dim:
+        # one column of class coordinates per image of a representative
+        cols = [
+            {k: c for k, c in enumerate(ht.project(f.apply(n, rep))) if c} for rep in hs.representatives
+        ]
+        if ql.rank(cols, ht.dim) != ht.dim:
             return False
     return True

@@ -196,12 +196,12 @@ def _r_from_iso(ext, kahler, chi, p, window):
     tb_om = QBasis(kahler.omega(p + 1), window)
     sb_i = QBasis(ext.lam_i(p), window)
     tb_i = QBasis(ext.lam_i(p + 1), window)
-    inv = ql.inverse(ql.from_columns(flatten_map(lam_hat_p.apply, sb_om, sb_i), sb_i.dim))
+    inv = ql.inverse(flatten_map(lam_hat_p.apply, sb_om, sb_i), sb_i.dim)
     if inv is None:
         raise StructuralError("windowed flattening of Lambda^p chi_hat is singular")
     d = flatten_map(kahler.d_vec, sb_om, tb_om)
     M_hat_p1 = flatten_map(lam_hat_p1.apply, tb_om, tb_i)
-    R = ql.compose_columns(M_hat_p1, ql.compose_columns(d, ql.to_columns(inv, sb_i.dim)))
+    R = ql.compose_columns(M_hat_p1, ql.compose_columns(d, inv))
 
     def fn(v):
         (col,) = ql.compose_columns(R, [sb_i.flatten(v)])
@@ -321,7 +321,9 @@ def dual_auto_checks(ext, chi, r_maps, window):
     Q, psi = dual_auto(ext, r_maps, window)
     res = {}
     res["chain_map"] = psi.is_chain_map()
-    res["invertible"] = all(ql.inverse(psi.qmap(-q)) is not None for q in range(ext.rank + 1))
+    res["invertible"] = all(
+        ql.inverse(psi.columns(-q), Q.flat(-q).dim) is not None for q in range(ext.rank + 1)
+    )
     coaug = q_coaugmentation(ext, window)
     res["coaugmentation"] = (psi.compose(coaug) - coaug).is_zero()
     ok = True
@@ -347,7 +349,9 @@ def prop_battery_from_connection(ext, kahler, chi, nabla, window):
     P, phi, r_maps = ak_auto_from_connection(ext, kahler, chi, nabla, window)
     res = {}
     res["p_chain_map"] = phi.is_chain_map()
-    res["p_invertible"] = all(ql.inverse(phi.qmap(-p)) is not None for p in range(ext.rank + 1))
+    res["p_invertible"] = all(
+        ql.inverse(phi.columns(-p), P.flat(-p).dim) is not None for p in range(ext.rank + 1)
+    )
     res["p_semilinear"] = semilinearity_check(ext, chi, phi, P, window)
     res["p_augmentation"] = augmentation_identity_check(ext, chi, phi, P)
     res["r_twisted_leibniz"] = all(
@@ -362,7 +366,9 @@ def prop_battery_from_iso(ext, kahler, chi, window):
     P, phi, r_maps = ak_auto_from_iso(ext, kahler, chi, window)
     res = {}
     res["p_chain_map"] = phi.is_chain_map()
-    res["p_invertible"] = all(ql.inverse(phi.qmap(-p)) is not None for p in range(ext.rank + 1))
+    res["p_invertible"] = all(
+        ql.inverse(phi.columns(-p), P.flat(-p).dim) is not None for p in range(ext.rank + 1)
+    )
     res["p_semilinear"] = semilinearity_check(ext, chi, phi, P, window)
     res["p_augmentation"] = augmentation_identity_check(ext, chi, phi, P)
     res["r_twisted_leibniz"] = all(

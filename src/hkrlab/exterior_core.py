@@ -467,6 +467,7 @@ def koszul_dual_check(ctx, phi_values):
     dr = ComplexMap.from_functions(rhs, Lstar, {n: dual_fn(n) for n in range(r + 1)})
     chain_ok = dr.is_chain_map()
     invertible = all(
-        ql.rank(dr.qmap(n)) == Lstar.flat(n).dim == rhs.flat(n).dim for n in range(r + 1)
+        ql.rank(dr.columns(n), Lstar.flat(n).dim) == Lstar.flat(n).dim == rhs.flat(n).dim
+        for n in range(r + 1)
     )
     return chain_ok and invertible, {"chain_map": chain_ok, "invertible": invertible, "map": dr}

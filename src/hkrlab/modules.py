@@ -10,7 +10,7 @@ dimensional rational vector space, optionally restricted to total grade
 There is one flattened form: a vector is a sparse column {index: Fraction}
 over a QBasis (QBasis.flatten and QBasis.unflatten convert), and a map is
 the list of such columns that flatten_map returns, one per source pair.
-Dense rational matrices are built only inside ``rational``.
+``rational`` reduces, solves and inverts matrices in this form.
 """
 
 from __future__ import annotations

@@ -1,15 +1,15 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, on sparse columns.
 
-Outside this module a rational matrix is a list of sparse columns, one
-dict {row index: Fraction} per column that stores no zero entry: the form
-``modules.flatten_map`` returns for a map and ``QBasis.flatten`` for a
-vector.  ``compose_columns`` multiplies matrices in that form.  Dense
-matrices, lists of row lists with Fraction entries, exist only here:
-``from_columns`` builds one where an elimination (rank, kernel, solve,
-inverse) or a matrix equality needs it, and ``to_columns`` reads an
-inverse back into columns.  Sizes in this package are small (a few hundred
-rows at most), so plain Gaussian elimination with zero-skipping is fast
-enough and keeps everything exact.
+A rational matrix is a list of sparse columns, one dict {row index:
+Fraction} per column that stores no zero entry, together with its number
+of rows: the columns alone cannot tell a matrix with no rows from one whose
+rows are all zero.  ``modules.flatten_map`` returns a map in this form and
+``QBasis.flatten`` a vector.  ``compose_columns`` multiplies matrices;
+``rref``, ``rank``, ``nullspace``, ``solve``, ``Solver`` and ``inverse``
+take (cols, nrows), and solutions, kernels and inverses come back as
+sparse columns.  Every elimination is one ``rref``, a Gauss-Jordan
+reduction on sparse rows.  Sizes in this package are small (a few hundred
+rows at most), so it is fast enough and keeps everything exact.
 """
 
 from __future__ import annotations
@@ -21,24 +21,8 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def mat(rows):
-    """Coerce nested lists of numbers into a Fraction matrix."""
-    return [[Fraction(x) for x in row] for row in rows]
-
-
-def zeros(n, m):
-    return [[ZERO] * m for _ in range(n)]
-
-
 def identity(n):
-    out = zeros(n, n)
-    for i in range(n):
-        out[i][i] = ONE
-    return out
-
-
-def copy(M):
-    return [row[:] for row in M]
+    return [{i: ONE} for i in range(n)]
 
 
 def add_scaled(out, c, col):
@@ -68,159 +52,74 @@ def compose_columns(a, b):
     return out
 
 
-def from_columns(cols, nrows):
-    """The dense matrix with nrows rows whose j-th column is the sparse cols[j]."""
-    out = zeros(nrows, len(cols))
+def rref(cols, nrows):
+    """Reduced row echelon form of the matrix with nrows rows and columns cols.
+
+    Returns (rows, pivots): the nonzero rows of the form, top to bottom, as
+    sparse dicts {column: Fraction}, and the pivot column of each.  Rows
+    are taken in order; each is cleared at the pivot columns it holds, and
+    a nonzero remainder, scaled to 1 at its least column, becomes the row
+    of that new pivot, which is cleared from the rows before it.  The rows
+    kept are then reduced and lead with their pivots, so the result is the
+    unique reduced row echelon form.
+    """
+    rows = [{} for _ in range(nrows)]
     for j, col in enumerate(cols):
         for i, c in col.items():
-            out[i][j] = c
-    return out
-
-
-def to_columns(M, ncols):
-    """Sparse columns of a dense matrix with ncols columns (M may have no rows)."""
-    cols = [{} for _ in range(ncols)]
-    for i, row in enumerate(M):
-        for j, c in enumerate(row):
-            if c:
-                cols[j][i] = c
-    return cols
-
-
-def mat_mul(A, B):
-    n = len(A)
-    k = len(B)
-    m = len(B[0]) if k else 0
-    out = zeros(n, m)
-    for i in range(n):
-        Ai = A[i]
-        oi = out[i]
-        for t in range(k):
-            a = Ai[t]
-            if not a:
-                continue
-            Bt = B[t]
-            for j in range(m):
-                b = Bt[j]
-                if b:
-                    oi[j] += a * b
-    return out
-
-
-def _entry(M, i, j):
-    if i < len(M) and j < len(M[i]):
-        return M[i][j]
-    return ZERO
-
-
-def mat_sub(A, B):
-    """Entrywise difference; shapes are reconciled by zero padding.
-
-    Products with a zero-dimensional inner factor legitimately produce
-    matrices with no columns, so all binary operations treat a matrix as
-    the finite corner of an infinite zero matrix.
-    """
-    n = max(len(A), len(B))
-    m = max([len(r) for r in A + B], default=0)
-    return [[_entry(A, i, j) - _entry(B, i, j) for j in range(m)] for i in range(n)]
-
-
-def is_zero_matrix(A):
-    return all(not x for row in A for x in row)
-
-
-def mat_eq(A, B):
-    n = max(len(A), len(B))
-    m = max([len(r) for r in A + B], default=0)
-    return all(_entry(A, i, j) == _entry(B, i, j) for i in range(n) for j in range(m))
-
-
-def rref(M):
-    """Reduced row echelon form.  Returns (R, pivot_columns)."""
-    R = copy(M)
-    n = len(R)
-    m = len(R[0]) if n else 0
-    pivots = []
-    r = 0
-    for c in range(m):
-        if r == n:
-            break
-        # pick a pivot; favour entries of small complexity
-        piv = None
-        for i in range(r, n):
-            if R[i][c]:
-                piv = i
-                if abs(R[i][c]) == 1:
-                    break
-        if piv is None:
+            rows[i][j] = c
+    by_pivot = {}
+    for row in rows:
+        # a pivot row is 0 at every other pivot column, so one pass clears them all
+        for p in [j for j in row if j in by_pivot]:
+            add_scaled(row, -row[p], by_pivot[p])
+        if not row:
             continue
-        R[r], R[piv] = R[piv], R[r]
-        pv = R[r][c]
+        c = min(row)
+        pv = row[c]
         if pv != 1:
-            R[r] = [x / pv for x in R[r]]
-        Rr = R[r]
-        for i in range(n):
-            if i == r:
-                continue
-            f = R[i][c]
+            row = {j: x / pv for j, x in row.items()}
+        for other in by_pivot.values():
+            f = other.get(c)
             if f:
-                Ri = R[i]
-                for j in range(c, m):
-                    if Rr[j]:
-                        Ri[j] -= f * Rr[j]
-        pivots.append(c)
-        r += 1
-    return R, pivots
+                add_scaled(other, -f, row)
+        by_pivot[c] = row
+    pivots = sorted(by_pivot)
+    return [by_pivot[p] for p in pivots], pivots
 
 
-def rank(M):
-    if not M or not M[0]:
+def rank(cols, nrows):
+    if not cols or not nrows:
         return 0
-    return len(rref(M)[1])
+    return len(rref(cols, nrows)[1])
 
 
-def nullspace(M):
+def nullspace(cols, nrows):
     """Basis of the right kernel, as sparse columns."""
-    if not M:
-        return []
-    m = len(M[0])
-    R, pivots = rref(M)
+    if not cols or not nrows:
+        return identity(len(cols))
+    rows, pivots = rref(cols, nrows)
     pivset = set(pivots)
-    free = [j for j in range(m) if j not in pivset]
     basis = []
-    for f in free:
+    for f in range(len(cols)):
+        if f in pivset:
+            continue
         v = {f: ONE}
-        for i, p in enumerate(pivots):
-            if R[i][f]:
-                v[p] = -R[i][f]
+        for row, p in zip(rows, pivots):
+            c = row.get(f)
+            if c:
+                v[p] = -c
         basis.append(v)
     return basis
 
 
-def solve(A, B):
-    """Solve A X = B for a matrix of right-hand columns.  None if inconsistent."""
-    n = len(A)
-    m = len(A[0]) if n else 0
-    k = len(B[0]) if B else 0
-    aug = [A[i][:] + B[i][:] for i in range(n)]
-    R, pivots = rref(aug)
-    pivots_in_A = [p for p in pivots if p < m]
-    # inconsistency: a pivot in the augmented part
-    if len(pivots_in_A) != len(pivots):
+def solve(cols, nrows, b):
+    """The solution of A x = b whose free variables are zero, for a sparse
+    column b, as a sparse column; None if b is not in the column span."""
+    m = len(cols)
+    rows, pivots = rref(cols + [b], nrows)
+    if pivots and pivots[-1] == m:
         return None
-    X = zeros(m, k)
-    for i, p in enumerate(pivots_in_A):
-        for j in range(k):
-            X[p][j] = R[i][m + j]
-    return X
-
-
-def solve_vec(A, b):
-    """The solution of A x = b for a sparse column b, as a list; None if inconsistent."""
-    sol = solve(A, [[b.get(i, ZERO)] for i in range(len(A))])
-    if sol is None:
-        return None
-    return [row[0] for row in sol]
+    return {p: row[m] for row, p in zip(rows, pivots) if m in row}
 
 
 class Solver:
@@ -229,35 +128,36 @@ class Solver:
     A is reduced once: rref([A | I]) = [R | E] with E A = R.  Then A x = b
     is solvable iff (E b)_i = 0 on every zero row i of R, and the solution
     whose free variables are zero has x[p_i] = (E b)_i at the i-th pivot
-    column p_i: the solution solve_vec(A, b) returns.  Each row of E is
-    kept as integers over one denominator, so a solve is integer dot
+    column p_i: the solution ``solve`` returns.  Each row of E is kept as
+    sparse integers over one denominator, so a solve is integer dot
     products and one Fraction per pivot.
     """
 
-    def __init__(self, A):
-        n = len(A)
-        m = len(A[0]) if n else 0
-        aug = [A[i][:] + [ONE if j == i else ZERO for j in range(n)] for i in range(n)]
-        R, pivots = rref(aug)
-        self.pivots = [p for p in pivots if p < m]
-        self.ncols = m
-        r = len(self.pivots)
-        self._solution_rows = [_over_common_denominator(row[m:]) for row in R[:r]]
-        self._null_rows = [_over_common_denominator(row[m:])[0] for row in R[r:]]
+    def __init__(self, cols, nrows):
+        m = len(cols)
+        rows, pivots = rref(cols + identity(nrows), nrows)
+        self._solution_rows = []
+        self._null_rows = []
+        for row, p in zip(rows, pivots):
+            ints, d = _over_common_denominator({j - m: c for j, c in row.items() if j >= m})
+            if p < m:
+                self._solution_rows.append((p, ints, d))
+            else:
+                self._null_rows.append(ints)
 
     def solve(self, b):
-        """The solution of A x = b for a sparse column b, as a list, or None
-        if b is not in the column span."""
+        """The solution of A x = b for a sparse column b, as a sparse column,
+        or None if b is not in the column span."""
         d = lcm(*(c.denominator for c in b.values()))
         nonzero = [(j, c.numerator * (d // c.denominator)) for j, c in b.items()]
 
         def dot(ints):
-            return sum(ints[j] * v for j, v in nonzero)
+            return sum(ints[j] * v for j, v in nonzero if j in ints)
 
         if any(dot(ints) for ints in self._null_rows):
             return None
-        x = [ZERO] * self.ncols
-        for p, (ints, e) in zip(self.pivots, self._solution_rows):
+        x = {}
+        for p, ints, e in self._solution_rows:
             s = dot(ints)
             if s:
                 x[p] = Fraction(s, e * d)
@@ -266,16 +166,17 @@ class Solver:
 
 def _over_common_denominator(row):
     """(ints, d) with row[j] = ints[j] / d, d the least common denominator."""
-    d = lcm(*(x.denominator for x in row))
-    return [x.numerator * (d // x.denominator) for x in row], d
+    d = lcm(*(x.denominator for x in row.values()))
+    return {j: x.numerator * (d // x.denominator) for j, x in row.items()}, d
 
 
-def inverse(A):
-    n = len(A)
-    X = solve(A, identity(n))
-    if X is None:
+def inverse(cols, nrows):
+    """The inverse of a square matrix, as sparse columns; None if the matrix
+    is not square or singular."""
+    if len(cols) != nrows:
         return None
-    if not mat_eq(mat_mul(A, X), identity(n)):
+    solver = Solver(cols, nrows)
+    inv = [solver.solve({i: ONE}) for i in range(nrows)]
+    if None in inv or compose_columns(cols, inv) != identity(nrows):
         return None
-    return X
-
+    return inv

@@ -21,7 +21,9 @@ from hkrlab.chain_core import (
 from hkrlab.ak_complexes import build_p_complex, p_augmentation
 from hkrlab.hkr_local import LocalModel, build_k_complex, k_augmentation, kappa, zeta
 from hkrlab.modules import BasedModule, LinMap, StructuralError
-from hkrlab import rational as ql
+from hkrlab.rational import Solver
+
+import dense_rational as dense
 
 QQ = CoeffAlgebra.rationals()
 
@@ -65,7 +67,7 @@ def test_homology_rank_nullity_oracle():
         n = 4
         A = [[Fraction(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
         # build C: Q^n -> Q^n -> Q^n with d1 = A, d0 = generator of ker A
-        ker = ql.nullspace(A)
+        ker = dense.nullspace(A)
         if not ker:
             continue
         d0cols = ker
@@ -86,7 +88,7 @@ def test_homology_rank_nullity_oracle():
             d1.set_column(j, v)
         C = CochainComplex(QQ, {0: M0, 1: M1, 2: M2}, {0: d0, 1: d1})
         # oracle: dim H^1 = dim ker d1 - rank d0
-        expect = len(ql.nullspace(A)) - ql.rank(ql.from_columns(d0cols, n))
+        expect = len(dense.nullspace(A)) - dense.rank(dense.from_columns(d0cols, n))
         assert homology(C, 1).dim == expect
 
 
@@ -273,7 +275,7 @@ def test_solver_agrees_with_solve_vec():
         if n > 1:
             # a repeated combination of rows makes A rank deficient
             A[-1] = [a - 2 * b for a, b in zip(A[0], A[1 % (n - 1)])]
-        solver = ql.Solver(A)
+        solver = Solver(dense.to_columns(A, m), n)
         for _ in range(4):
             if rng.random() < 0.5:
                 x = [Fraction(rng.randint(-3, 3)) for _ in range(m)]
@@ -282,7 +284,8 @@ def test_solver_agrees_with_solve_vec():
                 b = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)]
             b = {i: c for i, c in enumerate(b) if c}
             got = solver.solve(b)
-            assert got == ql.solve_vec(A, b)
+            got = got if got is None else [got.get(j, Fraction(0)) for j in range(m)]
+            assert got == dense.solve_vec(A, b)
             outcomes.add(got is None)
     assert outcomes == {True, False}
 
@@ -323,10 +326,15 @@ def desk_maps():
     return out
 
 
+def qmap(f, n):
+    """The dense matrix of the complex map f at degree n."""
+    return dense.from_columns(f.columns(n), f.target.flat(n).dim)
+
+
 def dense_apply(f, n, vec):
     """f at degree n applied through its dense matrix."""
     nonzero = f.source.flat(n).flatten(vec).items()
-    image = (sum((row[j] * c for j, c in nonzero), Fraction(0)) for row in f.qmap(n))
+    image = (sum((row[j] * c for j, c in nonzero), Fraction(0)) for row in qmap(f, n))
     return f.target.flat(n).unflatten({i: c for i, c in enumerate(image) if c})
 
 
@@ -366,19 +374,19 @@ def test_perturbed_zeta_is_not_a_chain_map(desk_maps):
     cols[n][j][i] *= 2
     bad = ComplexMap(z.source, z.target, cols)
     assert bad.is_chain_map() is False
-    Q = bad.qmap(n)
-    d_t = ql.from_columns(z.target.qdiff(n), z.target.flat(n + 1).dim)
-    d_s = ql.from_columns(z.source.qdiff(n), z.source.flat(n + 1).dim)
-    assert not ql.mat_eq(ql.mat_mul(d_t, Q), ql.mat_mul(bad.qmap(n + 1), d_s))
+    Q = qmap(bad, n)
+    d_t = dense.from_columns(z.target.qdiff(n), z.target.flat(n + 1).dim)
+    d_s = dense.from_columns(z.source.qdiff(n), z.source.flat(n + 1).dim)
+    assert not dense.mat_eq(dense.mat_mul(d_t, Q), dense.mat_mul(qmap(bad, n + 1), d_s))
     diff = bad - z
     assert not diff.is_zero()
-    assert ql.mat_eq(diff.qmap(n), ql.mat_sub(bad.qmap(n), z.qmap(n)))
+    assert dense.mat_eq(qmap(diff, n), dense.mat_sub(qmap(bad, n), qmap(z, n)))
 
 
 def assert_matches_dense(f, dense_fn, degrees):
     for n in degrees:
-        assert ql.mat_eq(f.qmap(n), dense_fn(n)), n
-    assert f.is_zero() == all(ql.is_zero_matrix(dense_fn(n)) for n in degrees)
+        assert dense.mat_eq(qmap(f, n), dense_fn(n)), n
+    assert f.is_zero() == all(dense.is_zero_matrix(dense_fn(n)) for n in degrees)
 
 
 def test_compose_sub_is_zero_match_dense_matrices(desk_maps):
@@ -387,7 +395,7 @@ def test_compose_sub_is_zero_match_dense_matrices(desk_maps):
         composites = {}
         for name, f, g in (("pg", aug_p, gamma), ("pz", aug_p, zeta_), ("kk", aug_k, kappa_)):
             fg = composites[name] = f.compose(g)
-            assert_matches_dense(fg, lambda n: ql.mat_mul(f.qmap(n), g.qmap(n)), set(f.cols) | set(g.cols))
+            assert_matches_dense(fg, lambda n: dense.mat_mul(qmap(f, n), qmap(g, n)), set(f.cols) | set(g.cols))
         differences = (
             (composites["pz"], aug_k),
             (composites["pg"], composites["kk"]),
@@ -396,7 +404,7 @@ def test_compose_sub_is_zero_match_dense_matrices(desk_maps):
             (gamma, gamma.compose(ComplexMap(gamma.source, gamma.source, {}))),
         )
         for f, g in differences:
-            assert_matches_dense(f - g, lambda n: ql.mat_sub(f.qmap(n), g.qmap(n)), set(f.cols) | set(g.cols))
+            assert_matches_dense(f - g, lambda n: dense.mat_sub(qmap(f, n), qmap(g, n)), set(f.cols) | set(g.cols))
         # aug_p o zeta covers aug_k, and both routes from L cover the same augmentation
         assert (composites["pz"] - aug_k).is_zero(), case
         assert (composites["pg"] - composites["kk"]).is_zero(), case

@@ -123,7 +123,7 @@ def test_auto_from_flat_connection_chi_zero_is_identity():
     from hkrlab import rational as ql
 
     for p in range(ext.rank + 1):
-        assert ql.mat_eq(phi.qmap(-p), ql.identity(P.flat(-p).dim))
+        assert phi.columns(-p) == ql.identity(P.flat(-p).dim)
 
 
 def test_battery_from_connection_flat():

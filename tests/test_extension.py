@@ -11,6 +11,8 @@ from hkrlab.chain_core import homology_dims
 from hkrlab.modules import LinMap, StructuralError, Vec
 from hkrlab import rational as ql
 
+import dense_rational as dense
+
 QQ = CoeffAlgebra.rationals()
 QX2 = CoeffAlgebra.polynomial(1, 2)
 
@@ -68,8 +70,8 @@ def test_split_iso_and_differential_transport():
         ext = build_extension(QQ, r)
         for k in range(r + 2):
             iso = ext.eq_split_iso(k)
-            dense = [[e.constant_term() for e in row] for row in iso.dense()]
-            assert ql.inverse(ql.mat(dense)) is not None
+            rows = dense.mat([[e.constant_term() for e in row] for row in iso.dense()])
+            assert ql.inverse(dense.to_columns(rows, iso.source.rank), iso.target.rank) is not None
             if k >= 1:
                 lhs = ext.d_unsplit(k).compose(iso)
                 rhs = ext.eq_split_iso(k - 1).compose(ext.d(k))

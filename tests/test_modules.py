@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 
 from hkrlab.coeff import CoeffAlgebra, Poly
 from hkrlab.modules import BasedModule, LinMap, QBasis, StructuralError, Vec, flatten_map
-from hkrlab import rational as ql
+
+import dense_rational
 
 QQ = CoeffAlgebra.rationals()
 QX = CoeffAlgebra.polynomial(2, 2)
@@ -299,8 +300,8 @@ def test_flatten_map_matches_the_dense_reference(data):
     dense = dense_flatten_map(f, sb, tb)
     assert len(cols) == sb.dim
     assert all(all(col.values()) for col in cols)
-    assert ql.from_columns(cols, tb.dim) == dense
-    assert ql.to_columns(dense, sb.dim) == cols
+    assert dense_rational.from_columns(cols, tb.dim) == dense
+    assert dense_rational.to_columns(dense, sb.dim) == cols
 
 
 def test_flatten_drops_terms_beyond_the_window():
