@@ -39,15 +39,10 @@ def build_p_complex(ext):
     return shifted_complex(ext)
 
 
-def p_augmentation(ext, window=None):
-    """The quasi-isomorphism P -> A (degree 0: pr_2)."""
-    P = build_p_complex(ext)
-    if window is not None:
-        P = P.with_window(window)
+def p_augmentation(ext, P):
+    """The quasi-isomorphism P -> A (degree 0: pr_2), at P's window."""
     A_mod = BasedModule(ext.algebra, ((),), "A")
-    A_cplx = single_module_complex(ext.algebra, A_mod, 0)
-    if window is not None:
-        A_cplx = A_cplx.with_window(window)
+    A_cplx = single_module_complex(ext.algebra, A_mod, 0).with_window(P.window)
 
     def fn(v):
         _, a = ext.split(v)
@@ -70,14 +65,10 @@ def build_q_complex(ext):
     return CochainComplex(ext.algebra, modules, diffs)
 
 
-def q_coaugmentation(ext, window=None):
-    """theta[r] -> Q, in split form the inclusion of Lambda^r I."""
+def q_coaugmentation(ext, Q):
+    """theta[r] -> Q, in split form the inclusion of Lambda^r I, at Q's window."""
     r = ext.rank
-    Q = build_q_complex(ext)
-    theta_cplx = single_module_complex(ext.algebra, theta_module(ext), -r)
-    if window is not None:
-        Q = Q.with_window(window)
-        theta_cplx = theta_cplx.with_window(window)
+    theta_cplx = single_module_complex(ext.algebra, theta_module(ext), -r).with_window(Q.window)
 
     def fn(v):
         return ext.lam_b(r).element((("i", K), c) for K, c in v.data.items())
@@ -309,8 +300,8 @@ def contraction_realization_check(r):
 def p_q_battery(ext):
     """Resolution checks for P and Q: homology, coaugmentations, pairing."""
     results = {}
-    results["p_aug_quasi_iso"] = is_quasi_iso(p_augmentation(ext))
-    results["q_coaug_quasi_iso"] = is_quasi_iso(q_coaugmentation(ext))
+    results["p_aug_quasi_iso"] = is_quasi_iso(p_augmentation(ext, build_p_complex(ext)))
+    results["q_coaug_quasi_iso"] = is_quasi_iso(q_coaugmentation(ext, build_q_complex(ext)))
     results["q_realized_differential"] = q_realization_identity(ext)
     results["hat_star_chain_map"] = hat_star_is_chain_map(ext)
     results["hat_star_module_action"] = hat_star_matches_module_action(ext)

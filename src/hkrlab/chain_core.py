@@ -465,15 +465,14 @@ def _homology(C, degree, grade):
         n_out = len(out_idx)
     n = len(positions) if positions is not None else fb.dim
     kernel = ql.nullspace(d_out, n_out)
-    boundaries = []
-    if n and d_in:  # else there is nothing to reduce
-        _, piv = ql.rref(d_in, n)
-        boundaries = [d_in[p] for p in piv]
-    # choose representatives: kernel vectors completing the boundary span
-    reps = []
-    if kernel:
-        _, piv = ql.rref(boundaries + kernel, n)
-        nb = len(boundaries)
+    # a pivot of [d_in | kernel] is a column independent of the columns before
+    # it: the pivots in d_in are a boundary basis, and those in the kernel
+    # complete it, so they represent the homology
+    boundaries, reps = [], []
+    if n and (d_in or kernel):  # else there is nothing to reduce
+        _, piv = ql.rref(d_in + kernel, n)
+        nb = len(d_in)
+        boundaries = [d_in[p] for p in piv if p < nb]
         reps = [kernel[p - nb] for p in piv if p >= nb]
     if positions is not None:
         rep_vecs = [fb.unflatten({indices[k]: c for k, c in r.items()}) for r in reps]

@@ -324,7 +324,7 @@ def dual_auto_checks(ext, chi, r_maps, window):
     res["invertible"] = all(
         ql.inverse(psi.columns(-q), Q.flat(-q).dim) is not None for q in range(ext.rank + 1)
     )
-    coaug = q_coaugmentation(ext, window)
+    coaug = q_coaugmentation(ext, Q)
     res["coaugmentation"] = (psi.compose(coaug) - coaug).is_zero()
     ok = True
     B = ext.lam_b(1)

@@ -85,6 +85,8 @@ class ExteriorContext:
         self.name = name
         self._ext = {}
         self._tens = {}
+        # each power built here -> (p, dual), the one source of its degree and side
+        self._degree = {}
 
     def ext(self, p, dual=False):
         """Lambda^p of E (or of E*)."""
@@ -92,7 +94,8 @@ class ExteriorContext:
         if key not in self._ext:
             nm = f"L^{p}({self.name}{'*' if dual else ''})"
             labels = tuple(combinations(range(self.rank), p)) if 0 <= p <= self.rank else ()
-            self._ext[key] = BasedModule(self.algebra, labels, nm, tuple(p for _ in labels))
+            M = self._ext[key] = BasedModule(self.algebra, labels, nm, tuple(p for _ in labels))
+            self._degree[M] = key
         return self._ext[key]
 
     def tens(self, p, dual=False):
@@ -100,26 +103,31 @@ class ExteriorContext:
         if key not in self._tens:
             nm = f"T^{p}({self.name}{'*' if dual else ''})"
             labels = tuple(product(range(self.rank), repeat=p))
-            self._tens[key] = BasedModule(self.algebra, labels, nm, tuple(p for _ in labels))
+            M = self._tens[key] = BasedModule(self.algebra, labels, nm, tuple(p for _ in labels))
+            self._degree[M] = key
         return self._tens[key]
 
+    def _record(self, vec):
+        """(p, dual) of the power of E or E* that vec lives in."""
+        rec = self._degree.get(vec.module)
+        if rec is None:
+            raise StructuralError(f"{vec.module.name!r} is not a power built by this context")
+        return rec
+
     def degree_of(self, vec):
-        if vec.module.labels:
-            return len(vec.module.labels[0])
-        return vec.module.grades[0] if vec.module.grades else 0
+        return self._record(vec)[0]
 
     def _side(self, vec):
-        return vec.module.name.endswith("*)")
+        return self._record(vec)[1]
 
     def wedge(self, x, y):
         """x ^ y; bilinear, alternating, graded commutative."""
         if x.module.algebra != y.module.algebra:
             raise StructuralError("wedge over different coefficient algebras")
-        dual = self._side(x)
-        if dual != self._side(y):
+        p, dual = self._record(x)
+        q, y_dual = self._record(y)
+        if dual != y_dual:
             raise StructuralError("wedge of elements from different home modules")
-        p = len(x.module.labels[0]) if x.module.labels else 0
-        q = len(y.module.labels[0]) if y.module.labels else 0
         tgt = self.ext(p + q, dual)
         if p + q > self.rank:
             return tgt.zero()  # Lambda^{p+q} = 0 beyond the rank
@@ -134,16 +142,14 @@ class ExteriorContext:
 
     def antisymmetrize(self, t):
         """a_n: v_1 x ... x v_n  |->  v_1 ^ ... ^ v_n, extended linearly."""
-        n = len(t.module.labels[0]) if t.module.labels else 0
-        dual = self._side(t)
+        n, dual = self._record(t)
         return self.ext(n, dual).element(
             (tuple(sorted(T)), c * s) for T, c in t.data.items() if (s := perm_sign(T)) is not None
         )
 
     def symmetrize(self, x):
         """s_n: the (1/n!)-weighted signed sum over all permutations."""
-        n = len(x.module.labels[0]) if x.module.labels else 0
-        dual = self._side(x)
+        n, dual = self._record(x)
         w = Fraction(1, factorial(n))
         return self.tens(n, dual).element(
             (tuple(K[i] for i in sigma), c * perm_sign(sigma) * w)
@@ -156,13 +162,13 @@ class ExteriorContext:
 
     def shuffle_W(self, p, q, x):
         """W_{p,q}: the normalized shuffle splitting of Lambda^{p+q}."""
-        dual = self._side(x)
+        n, dual = self._record(x)
+        if n != p + q:
+            raise StructuralError("shuffle degree mismatch")
         tgt = self.ext_pair_module(p, q, dual)
         w = Fraction(factorial(p) * factorial(q), factorial(p + q))
         terms = []
         for S, c in x.data.items():
-            if len(S) != p + q:
-                raise StructuralError("shuffle degree mismatch")
             for K in combinations(S, p):
                 L = tuple(i for i in S if i not in K)
                 terms.append(((K, L), c * perm_sign(K + L) * w))

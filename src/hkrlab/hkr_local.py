@@ -12,11 +12,24 @@ truncation of C is only an algebra quotient up to that window, and every
 map in sight is grade-non-decreasing, so each identity checked below is
 the image of the corresponding untruncated identity.  The Koszul
 resolution is exact on the whole window; no grade is excluded.
+
+Each complex has one owner.  A LocalModel builds, once and on first use,
+the Koszul resolution L of A over C, the resolutions P and K of A over B
+and A itself, all at window D, the reduced complexes RL and RP, the maps
+gamma: L -> P and kappa: L -> K, the augmentations aug_l and aug_p, and
+the reductions red_l and red_p; every check of the model reads these.
+Builders outside the model take the complexes they map between and use
+their window: zeta(ext, K, P), k_augmentation(ext, K) and, in
+ak_complexes, p_augmentation(ext, P) and q_coaugmentation(ext, Q).
+build_k_complex and build_p_complex build unwindowed complexes; zeta_checks
+windows its own K and P at the window it is given, and zeta_is_b_linear
+checks zeta on the unwindowed ones.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import comb, factorial
 from itertools import combinations, permutations, product
 
@@ -149,38 +162,42 @@ class LocalModel:
                 if not (lhs - rhs).is_zero():
                     raise ModelError("psi is not multiplicative")
 
-    # -- complexes --------------------------------------------------------
+    # -- complexes and maps, each built once on first use -----------------
 
-    def koszul_ctx(self):
-        return ExteriorContext(self.C, self.r, name="KzM")
-
-    def koszul_L(self):
+    @cached_property
+    def L(self):
         """Koszul resolution of A over C on the sequence (y_1..y_r)."""
-        ctx = self.koszul_ctx()
-        phi = [self.C.gen(self.m + k) for k in range(self.r)]
-        return koszul_complex(ctx, phi).with_window(self.D)
+        ctx = ExteriorContext(self.C, self.r, name="KzM")
+        return koszul_complex(ctx, [self.C.gen(self.m + k) for k in range(self.r)]).with_window(self.D)
 
-    def p_complex(self):
+    @cached_property
+    def P(self):
         return build_p_complex(self.ext).with_window(self.D)
 
-    def a_complex(self):
-        A_mod = BasedModule(self.A, ((),), "A")
-        return single_module_complex(self.A, A_mod, 0).with_window(self.D)
+    @cached_property
+    def K(self):
+        return build_k_complex(self.ext).with_window(self.D)
 
-    def l_augmentation(self, L=None):
+    @cached_property
+    def A_cplx(self):
+        return single_module_complex(self.A, BasedModule(self.A, ((),), "A"), 0).with_window(self.D)
+
+    @cached_property
+    def aug_l(self):
         """L -> A, reduction of the degree-0 coefficient ring."""
-        L = L or self.koszul_L()
-        A_cplx = self.a_complex()
 
         def fn(v):
-            return A_cplx.module(0).element(((), self.reduce_poly(c)) for c in v.data.values())
+            return self.A_cplx.module(0).element(((), self.reduce_poly(c)) for c in v.data.values())
 
-        return ComplexMap.from_functions(L, A_cplx, {0: fn})
+        return ComplexMap.from_functions(self.L, self.A_cplx, {0: fn})
 
-    def gamma(self, L=None, P=None):
+    @cached_property
+    def aug_p(self):
+        return p_augmentation(self.ext, self.P)
+
+    @cached_property
+    def gamma(self):
         """The comparison chain map L -> P: c (x) e_K |-> psi(c) * (1_B ^ y_K)."""
-        L = L or self.koszul_L()
-        P = P or self.p_complex()
         ext = self.ext
 
         def component(p):
@@ -195,59 +212,80 @@ class LocalModel:
 
             return fn
 
-        return ComplexMap.from_functions(L, P, {-p: component(p) for p in range(self.r + 1)})
+        return ComplexMap.from_functions(self.L, self.P, {-p: component(p) for p in range(self.r + 1)})
+
+    @cached_property
+    def kappa(self):
+        """The symmetrization chain map L -> K over C, covering the identity of A:
+
+        c (x) e_K |-> psi(c) . s_p(j_K)  (the (1/p!)-weighted signed sum).
+        """
+        ext = self.ext
+
+        def component(p):
+            M = tensor_power_module(ext, p)
+            w = Fraction(1, factorial(p))
+
+            def fn(v):
+                terms = []
+                for Kl, c in v.data.items():
+                    b = self.psi(c)
+                    for sigma in permutations(range(p)):
+                        x = M.basis_vec(("j", tuple(Kl[t] for t in sigma)), w * perm_sign(sigma))
+                        terms += k_b_action(ext, p, b, x).data.items()
+                return M.element(terms)
+
+            return fn
+
+        return ComplexMap.from_functions(self.L, self.K, {-p: component(p) for p in range(self.r + 1)})
 
     # -- reductions along A ----------------------------------------------
 
-    def reduced_l_complex(self):
+    @cached_property
+    def RL(self):
         mods = {}
         for p in range(self.r + 1):
             labels = tuple(combinations(range(self.r), p))
             mods[-p] = BasedModule(self.A, labels, f"A(x)L^{p}", tuple(p for _ in labels))
         return CochainComplex(self.A, mods, {}, window=self.D, check=False)
 
-    def reduced_p_complex(self):
+    @cached_property
+    def RP(self):
         mods = {-p: self.ext.lam_i(p) for p in range(self.r + 1)}
         return CochainComplex(self.A, mods, {}, window=self.D, check=False)
 
-    def reduce_l(self, L=None):
-        """A (x)_C L -> reduced complex (coefficients reduced mod J)."""
-        L = L or self.koszul_L()
-        RL = self.reduced_l_complex()
+    @cached_property
+    def red_l(self):
+        """A (x)_C L -> RL (coefficients reduced mod J)."""
 
         def component(p):
             def fn(v):
-                return RL.module(-p).element((K, self.reduce_poly(c)) for K, c in v.data.items())
+                return self.RL.module(-p).element((K, self.reduce_poly(c)) for K, c in v.data.items())
 
             return fn
 
-        return ComplexMap.from_functions(L, RL, {-p: component(p) for p in range(self.r + 1)}), RL
+        return ComplexMap.from_functions(self.L, self.RL, {-p: component(p) for p in range(self.r + 1)})
 
-    def reduce_p(self, P=None):
-        """A (x)_B P -> reduced complex (the j parts)."""
-        P = P or self.p_complex()
-        RP = self.reduced_p_complex()
+    @cached_property
+    def red_p(self):
+        """A (x)_B P -> RP (the j parts)."""
 
         def fn(v):
             # the j part of Lambda^{p+1} B lies in Lambda^p I, which is RP^{-p}
             return self.ext.split(v)[1]
 
-        return ComplexMap.from_functions(P, RP, {-p: fn for p in range(self.r + 1)}), RP
+        return ComplexMap.from_functions(self.P, self.RP, {-p: fn for p in range(self.r + 1)})
 
     def hkr_matrix_gamma(self):
         """The induced map on reduced complexes; must send e_K to y_K.
         Returns (ok, {degree: sparse columns of the map, one per e_K})."""
-        L = self.koszul_L()
-        P = self.p_complex()
-        g = self.gamma(L, P)
-        red_l, RL = self.reduce_l(L)
-        red_p, RP = self.reduce_p(P)
+        L, RP, g, red_p = self.L, self.RP, self.gamma, self.red_p
         out = {}
         ok = True
         for p in range(self.r + 1):
             # reduced gamma on the canonical basis: e_K |-> j part of gamma(e_K),
             # one sparse column over RP.flat(-p) per label K
-            fb, labels = RP.flat(-p), RL.module(-p).labels
+            fb, labels = RP.flat(-p), self.RL.module(-p).labels
             out[-p] = [fb.flatten(red_p.apply(-p, g.apply(-p, L.module(-p).basis_vec(K)))) for K in labels]
             # e_K and y_K have matching labels in RL and RP
             ok = ok and out[-p] == [fb.flatten(RP.module(-p).basis_vec(K)) for K in labels]
@@ -255,27 +293,18 @@ class LocalModel:
 
     def gamma_checks(self):
         """Chain map, quasi-isomorphism, augmentation compatibility."""
-        L = self.koszul_L()
-        P = self.p_complex()
-        g = self.gamma(L, P)
-        res = {}
-        res["chain_map"] = g.is_chain_map()
-        res["quasi_iso"] = is_quasi_iso(g)
-        aug_l = self.l_augmentation(L)
-        aug_p = p_augmentation(self.ext, window=self.D)
-        comp = _compose_with_target_fix(aug_p, g)
-        res["augmentation"] = (comp - aug_l).is_zero() if comp is not None else False
-        hkr_ok, _ = self.hkr_matrix_gamma()
-        res["reduced_is_canonical"] = hkr_ok
-        res["wedge_compatible"] = self._reduced_wedge_compatible(g)
-        return res
+        g = self.gamma
+        return {
+            "chain_map": g.is_chain_map(),
+            "quasi_iso": is_quasi_iso(g),
+            "augmentation": (self.aug_p.compose(g) - self.aug_l).is_zero(),
+            "reduced_is_canonical": self.hkr_matrix_gamma()[0],
+            "wedge_compatible": self._reduced_wedge_compatible(),
+        }
 
-    def _reduced_wedge_compatible(self, g):
+    def _reduced_wedge_compatible(self):
         """The reduced comparison intertwines the wedge products on homology."""
-        ext = self.ext
-        L = g.source
-        red_p, RP = self.reduce_p(g.target)
-        ctx = self.koszul_ctx()
+        ext, L, g, red_p, RP = self.ext, self.L, self.gamma, self.red_p, self.RP
         for p1 in range(self.r + 1):
             for p2 in range(self.r + 1 - p1):
                 for K in combinations(range(self.r), p1):
@@ -296,14 +325,6 @@ class LocalModel:
                             if not (lhs - want).is_zero():
                                 return False
         return True
-
-
-def _compose_with_target_fix(f, g):
-    """f o g when f.source and g.target are the same complex up to identity."""
-    try:
-        return f.compose(g)
-    except StructuralError:
-        return None
 
 
 # -- the tensor-algebra resolution ----------------------------------------
@@ -330,7 +351,7 @@ def tensor_power_module(ext, p):
     return ext._tensor_power[p]
 
 
-def build_k_complex(ext, window=None):
+def build_k_complex(ext):
     """The tensor-algebra resolution of A over B, brutally truncated.
 
     The true resolution is unbounded; terms are kept through degree
@@ -351,8 +372,7 @@ def build_k_complex(ext, window=None):
             if tag == "j":
                 d.set_column(lab, tgt.basis_vec(("i", S), p))
         diffs[-p] = d
-    K = CochainComplex(ext.algebra, modules, diffs)
-    return K.with_window(window) if window is not None else K
+    return CochainComplex(ext.algebra, modules, diffs)
 
 
 def k_b_action(ext, p, b, x):
@@ -370,14 +390,12 @@ def k_b_action(ext, p, b, x):
     return M.element(terms)
 
 
-def zeta(ext, K=None, P=None):
+def zeta(ext, K, P):
     """Antisymmetrization K -> P: ('i', T) |-> a(T) in the pure part, etc.
 
     Beyond degree -rank every antisymmetrization vanishes (repeated
     indices), which is why the truncation tail of K maps to zero.
     """
-    K = K if K is not None else build_k_complex(ext)
-    P = P if P is not None else build_p_complex(ext)
 
     def component(p):
         tgt = ext.lam_b(p + 1)
@@ -397,7 +415,7 @@ def zeta(ext, K=None, P=None):
 
 def zeta_is_b_linear(ext):
     """zeta intertwines the module structures, exhaustively on bases."""
-    z = zeta(ext)
+    z = zeta(ext, build_k_complex(ext), build_p_complex(ext))
     for p in range(ext.rank + 1):
         M = tensor_power_module(ext, p)
         for b in ext.lam_b(1).basis():
@@ -409,12 +427,10 @@ def zeta_is_b_linear(ext):
     return True
 
 
-def k_augmentation(ext, K=None, window=None):
-    K = K if K is not None else build_k_complex(ext, window)
+def k_augmentation(ext, K):
+    """K -> A (degree 0: the j part), at K's window."""
     A_mod = BasedModule(ext.algebra, ((),), "A")
-    A_cplx = single_module_complex(ext.algebra, A_mod, 0)
-    if window is not None:
-        A_cplx = A_cplx.with_window(window)
+    A_cplx = single_module_complex(ext.algebra, A_mod, 0).with_window(K.window)
 
     def fn(v):
         return A_mod.element(((), c) for (tag, T), c in v.data.items() if tag == "j")
@@ -450,33 +466,6 @@ def k_short_exact_sequences(ext):
     return True
 
 
-def kappa(model, L=None, K=None):
-    """The symmetrization chain map L -> K over C, covering the identity of A:
-
-    c (x) e_K |-> psi(c) . s_p(j_K)  (the (1/p!)-weighted signed sum).
-    """
-    ext = model.ext
-    L = L or model.koszul_L()
-    K = K if K is not None else build_k_complex(ext, window=model.D)
-
-    def component(p):
-        M = tensor_power_module(ext, p)
-        w = Fraction(1, factorial(p))
-
-        def fn(v):
-            terms = []
-            for Kl, c in v.data.items():
-                b = model.psi(c)
-                for sigma in permutations(range(p)):
-                    x = M.basis_vec(("j", tuple(Kl[t] for t in sigma)), w * perm_sign(sigma))
-                    terms += k_b_action(ext, p, b, x).data.items()
-            return M.element(terms)
-
-        return fn
-
-    return ComplexMap.from_functions(L, K, {-p: component(p) for p in range(model.r + 1)})
-
-
 def compare_hkr_ac(model):
     """Both comparison routes agree after reduction and antisymmetrization.
 
@@ -484,28 +473,23 @@ def compare_hkr_ac(model):
     tensor parts.  Route 2: L -> P (gamma), reduce along A.  Equality is
     exact, degreewise, on the nose.
     """
-    ext = model.ext
-    L = model.koszul_L()
-    K = build_k_complex(ext, window=model.D)
-    P = model.p_complex()
-    kap = kappa(model, L, K)
+    kap = model.kappa
     if not kap.is_chain_map():
         return False
-    g = model.gamma(L, P)
-    red_p, RP = model.reduce_p(P)
+    L, g, red_p = model.L, model.gamma, model.red_p
     for p in range(model.r + 1):
         for Kl in L.module(-p).labels:
             v = L.module(-p).basis_vec(Kl)
-            route1 = _reduce_k_then_antisym(model, kap.apply(-p, v), p, RP)
+            route1 = _reduce_k_then_antisym(kap.apply(-p, v), model.RP.module(-p))
             route2 = red_p.apply(-p, g.apply(-p, v))
             if not (route1 - route2).is_zero():
                 return False
     return True
 
 
-def _reduce_k_then_antisym(model, kvec, p, RP):
+def _reduce_k_then_antisym(kvec, target):
     """j parts of a tensor-power element, antisymmetrized into Lambda^p I."""
-    return RP.module(-p).element(
+    return target.element(
         (tuple(sorted(T)), c * s)
         for (tag, T), c in kvec.data.items()
         if tag == "j" and (s := perm_sign(T)) is not None
@@ -513,19 +497,16 @@ def _reduce_k_then_antisym(model, kvec, p, RP):
 
 
 def zeta_checks(ext, window=None):
-    K = build_k_complex(ext, window)
-    P = build_p_complex(ext)
-    if window is not None:
-        P = P.with_window(window)
+    """The zeta battery on K and P, both at the given window."""
+    K = build_k_complex(ext).with_window(window)
+    P = build_p_complex(ext).with_window(window)
     z = zeta(ext, K, P)
     res = {}
     res["chain_map"] = z.is_chain_map()
     # degrees below -rank only see the truncation tail of K
     res["quasi_iso"] = is_quasi_iso(z, degrees=range(-ext.rank, 1))
     res["b_linear"] = zeta_is_b_linear(ext)
-    aug_k = k_augmentation(ext, K, window)
-    aug_p = p_augmentation(ext, window)
-    res["augmentation"] = (aug_p.compose(z) - aug_k).is_zero()
+    res["augmentation"] = (p_augmentation(ext, P).compose(z) - k_augmentation(ext, K)).is_zero()
     res["short_exact"] = k_short_exact_sequences(ext)
     return res
 
@@ -742,8 +723,10 @@ def cycle_class_local(model, check_signs=True):
             combined = chase["signs"][i] * (-1) ** (r * (r - i) + (r * (r + 1)) // 2)
             if combined != twist[i]:
                 raise ModelError("twist signs inconsistent with the chase")
-    L = model.koszul_L().scale_diff(-1)
-    A_cplx = model.a_complex()
+    # (L, -delta) and (P, -delta) keep the bases of the model's L and P, so
+    # the model's flattened augmentation and reductions serve them unchanged
+    L = model.L.scale_diff(-1)
+    A_cplx = model.A_cplx
     lift_mod = L.module(0)
 
     def section_fn(v):
@@ -752,7 +735,7 @@ def cycle_class_local(model, check_signs=True):
     section = ComplexMap.from_functions(A_cplx, L, {0: section_fn})
     if not section.is_chain_map():
         raise ModelError("section is not a chain map")
-    aug = model.l_augmentation(L)
+    aug = ComplexMap(L, A_cplx, model.aug_l.cols)
     if not aug.is_chain_map() or not is_quasi_iso(aug):
         raise ModelError("augmentation of (L, -delta) is not a quasi-isomorphism")
     # aug o section = id certifies the inversion of the wrong-way arrow
@@ -760,8 +743,7 @@ def cycle_class_local(model, check_signs=True):
     identity = ql.identity(A_cplx.flat(0).dim)
     if comp.columns(0) != identity:
         raise ModelError("section does not invert the augmentation")
-    red_l, RL = model.reduce_l(L)
-    route = red_l.compose(section)
+    route = model.red_l.compose(section)
     qs = []
     # degree-0 component before the twist must be the inclusion of A
     # (RL^0 basis pairs: ((), mono) in the same order as A's basis)
@@ -773,7 +755,7 @@ def cycle_class_local(model, check_signs=True):
             raise ModelError("higher component of the chain section is nonzero")
         qs.append(Fraction(0))
     # cross-check through the extension complex route
-    P = model.p_complex().scale_diff(-1)
+    P = model.P.scale_diff(-1)
     ext = model.ext
 
     def section_p_fn(v):
@@ -782,8 +764,7 @@ def cycle_class_local(model, check_signs=True):
     section_p = ComplexMap.from_functions(A_cplx, P, {0: section_p_fn})
     if not section_p.is_chain_map():
         raise ModelError("extension-route section is not a chain map")
-    red_p, _ = model.reduce_p(P)
-    route_p = red_p.compose(section_p)
+    route_p = model.red_p.compose(section_p)
     if route_p.columns(0) != identity:
         raise ModelError("extension route disagrees in degree 0")
     for i in range(1, r + 1):

@@ -88,8 +88,8 @@ def test_augmentations_quasi_iso(r):
         ext = build_extension(algebra, r)
         from hkrlab.chain_core import is_quasi_iso
 
-        assert is_quasi_iso(p_augmentation(ext))
-        assert is_quasi_iso(q_coaugmentation(ext))
+        assert is_quasi_iso(p_augmentation(ext, build_p_complex(ext)))
+        assert is_quasi_iso(q_coaugmentation(ext, build_q_complex(ext)))
 
 
 def test_hat_star_unit():

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hkrlab.coeff import CoeffAlgebra
 from hkrlab.chain_core import (
@@ -18,9 +20,9 @@ from hkrlab.chain_core import (
     tensor_complex,
     totalize,
 )
-from hkrlab.ak_complexes import build_p_complex, p_augmentation
-from hkrlab.hkr_local import LocalModel, build_k_complex, k_augmentation, kappa, zeta
+from hkrlab.hkr_local import LocalModel, k_augmentation, zeta
 from hkrlab.modules import BasedModule, LinMap, StructuralError
+from hkrlab import rational as ql
 from hkrlab.rational import Solver
 
 import dense_rational as dense
@@ -90,6 +92,58 @@ def test_homology_rank_nullity_oracle():
         # oracle: dim H^1 = dim ker d1 - rank d0
         expect = len(dense.nullspace(A)) - dense.rank(dense.from_columns(d0cols, n))
         assert homology(C, 1).dim == expect
+
+
+def two_step_homology(d_in, kernel, n):
+    """The reference choice of boundary basis and representatives: first
+    rref(d_in) picks the boundaries, then rref(boundaries + kernel) picks
+    the kernel vectors that complete them."""
+    boundaries = []
+    if n and d_in:
+        _, piv = ql.rref(d_in, n)
+        boundaries = [d_in[p] for p in piv]
+    reps = []
+    if kernel:
+        _, piv = ql.rref(boundaries + kernel, n)
+        nb = len(boundaries)
+        reps = [kernel[p - nb] for p in piv if p >= nb]
+    return boundaries, reps
+
+
+def matrix_map(src, tgt, cols):
+    """The LinMap src -> tgt with the given sparse columns."""
+    return LinMap(src, tgt, {j: tgt.element(col.items()) for j, col in zip(src.labels, cols)})
+
+
+@st.composite
+def three_term_complexes(draw):
+    """Q^a -> Q^b -> Q^c with d1 random and sparse, and d0 random integer
+    combinations of a kernel basis of d1 (repeated and zero columns allowed)."""
+    a, b, c = (draw(st.integers(0, 5)) for _ in range(3))
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2])
+    d1 = [{i: Fraction(x) for i in range(c) if (x := draw(entry))} for _ in range(b)]
+    kernel = ql.nullspace(d1, c)
+    d0 = []
+    for _ in range(a):
+        col = {}
+        for k in kernel:
+            if t := draw(st.integers(-2, 2)):
+                ql.add_scaled(col, t, k)
+        d0.append(col)
+    M0, M1, M2 = (free_module(n, f"M{t}") for t, n in enumerate((a, b, c)))
+    return CochainComplex(QQ, {0: M0, 1: M1, 2: M2}, {0: matrix_map(M0, M1, d0), 1: matrix_map(M1, M2, d1)})
+
+
+@settings(max_examples=200, deadline=None)
+@given(three_term_complexes())
+def test_one_elimination_picks_the_two_step_boundaries_and_representatives(C):
+    for n in (0, 1, 2):
+        kernel = ql.nullspace(C.qdiff(n), C.flat(n + 1).dim)
+        boundaries, reps = two_step_homology(C.qdiff(n - 1), kernel, C.flat(n).dim)
+        H = homology(C, n)
+        assert H._boundary_cols == boundaries
+        assert H._cycle_cols == reps
+        assert H.representatives == [C.flat(n).unflatten(r) for r in reps]
 
 
 def test_homology_representatives_are_cycles_and_projection_kills_boundaries():
@@ -312,15 +366,12 @@ def desk_maps():
     for m, r, D in DESK_MODELS:
         for chi in (None, desk_chi(m, r, D, rng)):
             model = LocalModel(m, r, D, chi=chi)
-            ext = model.ext
-            L, P = model.koszul_L(), model.p_complex()
-            K = build_k_complex(ext, window=D)
             maps = {
-                "gamma": model.gamma(L, P),
-                "zeta": zeta(ext, K, build_p_complex(ext).with_window(D)),
-                "kappa": kappa(model, L, K),
-                "aug_p": p_augmentation(ext, window=D),
-                "aug_k": k_augmentation(ext, K, window=D),
+                "gamma": model.gamma,
+                "zeta": zeta(model.ext, model.K, model.P),
+                "kappa": model.kappa,
+                "aug_p": model.aug_p,
+                "aug_k": k_augmentation(model.ext, model.K),
             }
             out.append(((m, r, D, chi is not None), maps))
     return out

@@ -24,7 +24,7 @@ from hkrlab.exterior_core import (
     sign_census,
 )
 from hkrlab.chain_core import homology
-from hkrlab.modules import StructuralError
+from hkrlab.modules import BasedModule, StructuralError
 from hkrlab import rational as ql
 
 QQ = CoeffAlgebra.rationals()
@@ -547,3 +547,30 @@ def test_translate_rank_too_small_rejected():
     c = ctx(2)
     with pytest.raises(StructuralError):
         c.translate(2, 1, 1, LinMap(c.ext(1), c.ext(2)))
+
+
+def test_degree_and_side_are_read_from_the_power_the_context_built():
+    ctx = ExteriorContext(QQ, 2)
+    zero3 = ctx.ext(3).zero()  # Lambda^3 of a rank-2 module: no basis vectors
+    assert ctx.degree_of(zero3) == 3
+    w = ctx.wedge(zero3, ctx.ext(1).basis_vec((0,)))
+    assert w.module == ctx.ext(4) and w.is_zero()
+    assert ctx.symmetrize(zero3).module == ctx.tens(3)
+    assert ctx.symmetrize(ctx.ext(3, dual=True).zero()).module == ctx.tens(3, dual=True)
+    with pytest.raises(StructuralError):
+        ctx.shuffle_W(1, 1, zero3)
+    empty = ExteriorContext(QQ, 0)
+    assert empty.antisymmetrize(empty.tens(2).zero()).module == empty.ext(2)
+
+
+def test_module_the_context_did_not_build_is_rejected():
+    ctx = ExteriorContext(QQ, 2)
+    # a dual-looking name does not make a module a power of E*
+    foreign = BasedModule(QQ, ((0,), (1,)), "M(E*)", (1, 1))
+    x = foreign.basis_vec((0,))
+    with pytest.raises(StructuralError):
+        ctx.wedge(x, ctx.ext(1, dual=True).basis_vec((1,)))
+    with pytest.raises(StructuralError):
+        ctx.degree_of(x)
+    with pytest.raises(StructuralError):
+        ctx.contract_left(ctx.ext(1).basis_vec((0,)), x)

@@ -9,18 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hkrlab.chain_core import homology, is_quasi_iso
+from hkrlab.chain_core import ComplexMap, homology, is_quasi_iso
 from hkrlab.coeff import CoeffAlgebra, poly_to_string
 from hkrlab.extension_dg import build_extension
 from hkrlab.hkr_local import (
     LocalModel,
     ModelError,
-    build_k_complex,
     compare_hkr_ac,
     cycle_class_local,
     dual_hkr_sign,
     dual_twist_signs,
-    kappa,
     tensor_power_module,
     zeta_checks,
 )
@@ -123,7 +121,7 @@ def test_model_accepts_string_chi():
 
 def test_koszul_L_resolution():
     model = LocalModel(1, 2, 3)
-    L = model.koszul_L()
+    L = model.L
     assert homology(L, 0).dim == model.A.dimension()
     for p in (1, 2):
         assert homology(L, -p).dim == 0
@@ -131,7 +129,7 @@ def test_koszul_L_resolution():
 
 def test_koszul_L_rank_one_shape():
     model = LocalModel(1, 1, 2)
-    L = model.koszul_L()
+    L = model.L
     d = L.diff(-1)
     img = d.apply(L.module(-1).basis_vec((0,)))
     assert img == L.module(0).basis_vec((), model.C.gen(1))
@@ -187,7 +185,29 @@ def test_zeta_battery_at_rank_four():
 
 def test_kappa_chain_map():
     model = LocalModel(1, 2, 3)
-    assert kappa(model).is_chain_map()
+    assert model.kappa.is_chain_map()
+
+
+def test_one_model_builds_each_comparison_map_once(monkeypatch):
+    built = []
+    from_functions = ComplexMap.from_functions.__func__
+
+    def recording(cls, source, target, fns):
+        f = from_functions(cls, source, target, fns)
+        built.append(tuple(
+            (n, tuple(source.flat(n).pairs), tuple(target.flat(n).pairs), tuple(tuple(sorted(c.items())) for c in cols))
+            for n, cols in sorted(f.cols.items())
+        ))
+        return f
+
+    monkeypatch.setattr(ComplexMap, "from_functions", classmethod(recording))
+    model = LocalModel(1, 2, 3, chi=[["1+x1", "-2"]])
+    assert all(model.gamma_checks().values())
+    assert model.hkr_matrix_gamma()[0]
+    assert compare_hkr_ac(model)
+    assert len(set(built)) == len(built)
+    # gamma, kappa, the two augmentations and red_p
+    assert len(built) == 5
 
 
 @pytest.mark.parametrize("m,r,D", [(1, 1, 3), (1, 2, 3), (1, 3, 3)])

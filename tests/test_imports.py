@@ -2,8 +2,10 @@
 used in that module, no module element is built by summing basis vectors
 one at a time (BasedModule.element builds it in one pass), only
 cech_complex walks a nerve's coface table (every other Cech operation goes
-through the complex it builds), and no module builds a dense rational
-vector (a flattened vector is a sparse column everywhere)."""
+through the complex it builds), no module builds a dense rational vector
+(a flattened vector is a sparse column everywhere), and no function takes
+an optional prebuilt value that it builds itself when it is left out (each
+complex has one owner that builds it)."""
 
 import ast
 from pathlib import Path
@@ -163,3 +165,86 @@ def test_dense_vector_build_is_found():
 def test_only_rational_builds_dense_vectors(path):
     # no module builds one, rational included: its matrices are sparse columns too
     assert dense_vector_builds(path.read_text()) == []
+
+
+def _is_name(node, name):
+    return isinstance(node, ast.Name) and node.id == name
+
+
+def _is_none_test(node, name, op):
+    """Is node the comparison `name op None`?"""
+    return (
+        isinstance(node, ast.Compare)
+        and _is_name(node.left, name)
+        and len(node.ops) == 1
+        and isinstance(node.ops[0], op)
+        and isinstance(node.comparators[0], ast.Constant)
+        and node.comparators[0].value is None
+    )
+
+
+def _calls(node):
+    return any(isinstance(n, ast.Call) for n in ast.walk(node))
+
+
+def none_default_rebinds(source):
+    """(line, function, parameter) of each assignment that rebinds a
+    None-defaulted parameter from a freshly built value:
+    x = x or f(...), x = x if x is not None else f(...), or
+    x = f(...) if x is None else x."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = fn.args
+        positional = a.posonlyargs + a.args
+        pairs = list(zip(positional[len(positional) - len(a.defaults) :], a.defaults))
+        pairs += [(arg, d) for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+        optional = {arg.arg for arg, d in pairs if isinstance(d, ast.Constant) and d.value is None}
+        for node in ast.walk(fn):
+            if not (isinstance(node, ast.Assign) and len(node.targets) == 1):
+                continue
+            target, v = node.targets[0], node.value
+            if not (isinstance(target, ast.Name) and target.id in optional):
+                continue
+            x = target.id
+            rebinds = (
+                isinstance(v, ast.BoolOp)
+                and isinstance(v.op, ast.Or)
+                and _is_name(v.values[0], x)
+                and any(_calls(w) for w in v.values[1:])
+            ) or (
+                isinstance(v, ast.IfExp)
+                and (
+                    (_is_none_test(v.test, x, ast.IsNot) and _is_name(v.body, x) and _calls(v.orelse))
+                    or (_is_none_test(v.test, x, ast.Is) and _is_name(v.orelse, x) and _calls(v.body))
+                )
+            )
+            if rebinds:
+                found.append((node.lineno, fn.name, x))
+    return found
+
+
+def test_none_default_rebind_is_found():
+    source = (
+        "def gamma(self, L=None, P=None, *, K=None):\n"
+        "    L = L or self.koszul_L()\n"
+        "    P = P if P is not None else build_p(ext)\n"
+        "    K = build_k(ext) if K is None else K\n"
+        "    return L, P, K\n"
+        "def zeta_checks(ext, window=None, seed=0):\n"
+        "    window = window or 3\n"
+        "    seed = seed or draw()\n"
+        "    K = build_k(ext).with_window(window)\n"
+        "    return K\n"
+        "def model(m, chi=None):\n"
+        "    other = chi or make_chi(m)\n"
+        "    chi = chi if chi is not None else default\n"
+        "    return other, chi\n"
+    )
+    assert none_default_rebinds(source) == [(2, "gamma", "L"), (3, "gamma", "P"), (4, "gamma", "K")]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_function_builds_an_optional_argument_it_was_not_given(path):
+    assert none_default_rebinds(path.read_text()) == []
