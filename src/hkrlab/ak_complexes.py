@@ -12,8 +12,9 @@ identity, kept as a certificate).  Q resolves theta placed in degree -r;
 the coaugmentation is the top Koszul differential, i.e. in split form the
 inclusion of theta = Lambda^r I into Lambda^r B.
 
-The product on P (x) Q uses the same split formula as the shifted algebra
-product and is a map of complexes.
+The product P (x) Q -> Q is the shifted algebra product
+TrivialExtension.star, on P^{-l} (x) Q^{-q} = Lambda^{l+1} B (x) Lambda^q B
+as star(l, q - 1), and it is a map of complexes.
 """
 
 from __future__ import annotations
@@ -23,14 +24,15 @@ from fractions import Fraction
 from .chain_core import (
     CochainComplex,
     ComplexMap,
+    hom_module,
     is_quasi_iso,
     single_module_complex,
     tensor_complex,
 )
 from .coeff import CoeffAlgebra
-from .exterior_core import ExteriorContext, merge_wedge
+from .exterior_core import merge_wedge
 from .extension_dg import TrivialExtension, shifted_complex
-from .modules import BasedModule, LinMap, QBasis, StructuralError, flatten_map
+from .modules import BasedModule, LinMap, QBasis, flatten_map
 from . import rational as ql
 
 
@@ -86,11 +88,7 @@ def q_pairing(ext, p):
     src = ext.lam_b(r - p)
     arg = ext.lam_b(p + 1)
     theta_lab = tuple(range(r))
-    hom = BasedModule(
-        ext.algebra,
-        tuple((a, theta_lab) for a in arg.labels),
-        f"Hom(L^{p+1}B,th)",
-    )
+    hom = hom_module(arg, theta_module(ext))
     m = LinMap(src, hom)
     for lab in src.labels:
         tag, K = lab
@@ -134,23 +132,18 @@ def q_realization_identity(ext):
         # check: sign * (phi_src(u,v) o dP) == phi_tgt(realized(u,v)) for all columns
         for lab in ext.lam_b(r - p).labels:
             f = phi_src.apply(ext.lam_b(r - p).basis_vec(lab))
-            lhs = _precompose(ext, f, dP, p).scale(sign)
+            lhs = _precompose(ext, f, dP).scale(sign)
             rhs = phi_tgt.apply(realized.apply(ext.lam_b(r - p).basis_vec(lab)))
             if not (lhs - rhs).is_zero():
                 return False
     return True
 
 
-def _precompose(ext, hom_vec, dmap, p):
+def _precompose(ext, hom_vec, dmap):
     """(f o d) for f a Hom(L^{p+1}B, theta) element, d into L^{p+1}B."""
-    r = ext.rank
-    theta_lab = tuple(range(r))
+    theta_lab = tuple(range(ext.rank))
     arg = dmap.source
-    hom = BasedModule(
-        ext.algebra,
-        tuple((a, theta_lab) for a in arg.labels),
-        f"Hom(L^{ext.degree_of(arg)}B,th)",
-    )
+    hom = hom_module(arg, theta_module(ext))
     terms = []
     for src_lab in arg.labels:
         img = dmap.apply(arg.basis_vec(src_lab))
@@ -164,21 +157,6 @@ def _precompose(ext, hom_vec, dmap, p):
     return hom.element(terms)
 
 
-def hat_star(ext, l, q, x, y):
-    """The product P^{-l} (x) Q^{-q} -> Q^{-(q+l)} in split coordinates:
-
-    (i1, j1) * (i2, j2) = (i1 ^ j2 + (-1)^l j1 ^ i2, j1 ^ j2).
-    """
-    if x.module != ext.lam_b(l + 1) or y.module != ext.lam_b(q):
-        raise StructuralError("hat_star: operands in wrong graded pieces")
-    i1, j1 = ext.split(x)
-    i2, j2 = ext.split(y)
-    j1_i2 = ext.wedge_i(j1, i2).scale((-1) ** l)
-    if j2 is None:
-        return ext.join(q + l, j1_i2, None)
-    return ext.join(q + l, j1_i2 + ext.wedge_i(i1, j2), ext.wedge_i(j1, j2))
-
-
 def hat_star_is_chain_map(ext):
     """Exhaustive check that the product is a map of complexes P (x) Q -> Q."""
     P = build_p_complex(ext)
@@ -190,7 +168,7 @@ def hat_star_is_chain_map(ext):
             terms = []
             for (m, (plab, qlab)), c in v.data.items():
                 l, q = -m, m - n
-                w = hat_star(ext, l, q, ext.lam_b(l + 1).basis_vec(plab, c), ext.lam_b(q).basis_vec(qlab))
+                w = ext.star(l, q - 1, ext.lam_b(l + 1).basis_vec(plab, c), ext.lam_b(q).basis_vec(qlab))
                 terms += w.data.items()
             return Q.module(n).element(terms)
 
@@ -201,11 +179,12 @@ def hat_star_is_chain_map(ext):
 
 
 def hat_star_matches_module_action(ext):
-    """On degree-0 (x) Q the product is the module action of B."""
+    """On degree-0 (x) Q the product is the module action of B, written
+    independently of star through split and join."""
     for q in range(ext.rank + 1):
         for b in ext.lam_b(1).basis():
             for y in ext.lam_b(q).basis():
-                via_star = hat_star(ext, 0, q, b, y)
+                via_star = ext.star(0, q - 1, b, y)
                 via_action = b_action_on_q(ext, q, b, y)
                 if not (via_star - via_action).is_zero():
                     return False
@@ -220,7 +199,7 @@ def b_action_on_q(ext, q, b, y):
     i_out = i2.scale(a)
     j_out = j2.scale(a) if j2 is not None else None
     if j2 is not None:
-        i_out = i_out + ext.wedge_i(i1, j2)
+        i_out = i_out + ext.exterior.wedge(i1, j2)
     return ext.join(q, i_out, j_out)
 
 
@@ -232,10 +211,10 @@ def homology_action_check(ext):
     for K in ext.lam_i(r).labels:
         u = ext.lam_b(r).basis_vec(("i", K))
         one = ext.unit()
-        ok = ok and (hat_star(ext, 0, r, one, u) - u).is_zero()
+        ok = ok and (ext.star(0, r - 1, one, u) - u).is_zero()
         for k in range(r):
             i_elt = ext.b_elem([1 if t == k else 0 for t in range(r)], 0)
-            ok = ok and hat_star(ext, 0, r, i_elt, u).is_zero()
+            ok = ok and ext.star(0, r - 1, i_elt, u).is_zero()
     return ok
 
 
@@ -253,32 +232,26 @@ def contraction_realization_check(r):
     transported through the left duality is exactly left contraction,
     checked on every basis pair.
     """
-    algebra = CoeffAlgebra.rationals()
-    ext = TrivialExtension(algebra, r)
-    ctx = ExteriorContext(algebra, r, name="I")
+    ext = TrivialExtension(CoeffAlgebra.rationals(), r)
+    ctx = ext.exterior
     xi = ctx.ext(r, dual=True).basis_vec(tuple(range(r)))
     for l in range(r + 1):
         for q in range(r + 1 - l):
             for K in ext.lam_i(l).labels:
                 lifted = ext.lam_b(l + 1).basis_vec(("j", K))
-                x_e = ctx.ext(l).basis_vec(K)
+                x_e = ext.lam_i(l).basis_vec(K)
                 for M in ext.lam_i(q).labels:
-                    included = (
-                        ext.lam_b(q).basis_vec(("i", M))
-                        if q
-                        else ext.lam_b(0).basis_vec(("i", ()))
-                    )
-                    w = hat_star(ext, l, q, lifted, included)
+                    included = ext.lam_b(q).basis_vec(("i", M))
+                    w = ext.star(l, q - 1, lifted, included)
                     i_w, j_w = ext.split(w)
                     if j_w is not None and not j_w.is_zero():
                         return False
                     # transported action, with the (-1)^q / (-1)^{q+l} signs
                     # of the shift identification on source and target
-                    acted = ctx.ext(q + l).element(i_w.data.items())
                     sign = Fraction((-1) ** (q + l) * (-1) ** q)
-                    got = ctx.contract_left(acted.scale(sign), xi)
+                    got = ctx.contract_left(i_w.scale(sign), xi)
                     want = ctx.contract_left(
-                        x_e, ctx.contract_left(ctx.ext(q).basis_vec(M), xi)
+                        x_e, ctx.contract_left(ext.lam_i(q).basis_vec(M), xi)
                     )
                     if not (got - want).is_zero():
                         return False
@@ -287,12 +260,8 @@ def contraction_realization_check(r):
                 for Kp in ext.lam_i(l + 1).labels:
                     other = ext.lam_b(l + 1).basis_vec(("i", Kp))
                     for M in ext.lam_i(q).labels:
-                        included = (
-                            ext.lam_b(q).basis_vec(("i", M))
-                            if q
-                            else ext.lam_b(0).basis_vec(("i", ()))
-                        )
-                        if not hat_star(ext, l, q, other, included).is_zero():
+                        included = ext.lam_b(q).basis_vec(("i", M))
+                        if not ext.star(l, q - 1, other, included).is_zero():
                             return False
     return True
 

@@ -19,12 +19,12 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
 
 from .chain_core import (
     Bicomplex,
     CochainComplex,
     ComplexMap,
+    hom_module,
     homology,
     totalize,
 )
@@ -396,11 +396,7 @@ def class_coordinates(nerve, cochain):
 
 def hom_lam_module(ext, j, i):
     """Hom(Lambda^j I, Lambda^i I) as a based module with (src, tgt) labels."""
-    src = ext.lam_i(j)
-    tgt = ext.lam_i(i)
-    labels = tuple((a, b) for a in src.labels for b in tgt.labels)
-    grades = tuple(i - j for _ in labels)
-    return BasedModule(ext.algebra, labels, f"Hom(L{j}I,L{i}I)", grades)
+    return hom_module(ext.lam_i(j), ext.lam_i(i))
 
 
 def hom_value_to_linmap(ext, j, i, v):
@@ -561,14 +557,14 @@ def eta_recursion(ext, nerve, c_cochains, d_cochains):
     for i in range(r):
         base = etas[(i, 0)]
         diff = c_cochains[0] - d_cochains[i]
-        nxt = cochain_wedge(ext.wedge_i, diff, base, ext.lam_i(i + 1)).scale(
+        nxt = cochain_wedge(ext.exterior.wedge, diff, base, ext.lam_i(i + 1)).scale(
             Fraction((-1) ** i, i + 1)
         )
         etas[(i + 1, 0)] = nxt
         for j in range(1, i + 1):
             term1 = etas[(i, j - 1)]
             diffj = c_cochains[j] - d_cochains[i]
-            term2 = cochain_wedge(ext.wedge_i, diffj, etas[(i, j)], ext.lam_i(i + 1 - j)).scale(
+            term2 = cochain_wedge(ext.exterior.wedge, diffj, etas[(i, j)], ext.lam_i(i + 1 - j)).scale(
                 (-1) ** (i - j)
             )
             etas[(i + 1, j)] = (term1.scale(j) + term2).scale(Fraction(1, i + 1))
@@ -819,7 +815,7 @@ def q_operator(ext, nerve, i, j, v_cocycle):
     def wedge_with_v(l):
         def fn(e):
             x = element_to_cochain(nerve, l, ext.lam_i(j), e)
-            vx = cochain_wedge(ext.wedge_i, v_cocycle, x, ext.lam_i(i))
+            vx = cochain_wedge(ext.exterior.wedge, v_cocycle, x, ext.lam_i(i))
             return cochain_to_element(tgt, vx).scale((-1) ** (shift * l))
 
         return fn
@@ -847,27 +843,15 @@ def q_operator_is_chain_map(ext, nerve, i, j, v_cocycle):
 
 
 def t_operator(ext, nerve, k, p, m, hom_cochain):
-    """The translated Hom-valued cochain, by the shuffle composite per simplex."""
-    src_hom = hom_lam_module(ext, p, k)
-    if hom_cochain.module != src_hom:
+    """The translated Hom-valued cochain: on each simplex the translation
+    t^m_{k,p} of the value, read as a map Lambda^p I -> Lambda^k I."""
+    if hom_cochain.module != hom_lam_module(ext, p, k):
         raise StructuralError("translation: wrong Hom type")
     tgt_hom = hom_lam_module(ext, p + m, k + m)
     out = Cochain(nerve, hom_cochain.degree, tgt_hom)
-    w = Fraction(factorial(p) * factorial(m), factorial(p + m))
     for s, val in hom_cochain.values.items():
-        terms = []
-        for S in ext.lam_i(p + m).labels:
-            # W_{p,m}, then the Hom value, then the wedge
-            for K1 in combinations(S, p):
-                K2 = tuple(t for t in S if t not in K1)
-                sgn = perm_sign(K1 + K2)
-                for (Ksrc, Ktgt), c in val.data.items():
-                    if Ksrc != K1:
-                        continue
-                    mw = merge_wedge(Ktgt, K2)
-                    if mw is not None:
-                        terms.append(((S, mw[1]), c * sgn * mw[0] * w))
-        out[s] = tgt_hom.element(terms)
+        t = ext.exterior.translate(k, p, m, hom_value_to_linmap(ext, p, k, val))
+        out[s] = tgt_hom.element(((S, T), c) for S, col in t.cols.items() for T, c in col.data.items())
     return out
 
 

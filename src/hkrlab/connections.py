@@ -9,13 +9,12 @@ one, so the exterior derivative descends to the truncated quotient.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 
 from .ak_complexes import build_p_complex, build_q_complex
-from .chain_core import ComplexMap
+from .chain_core import ComplexMap, tensor_module
 from .coeff import Poly
-from .exterior_core import exterior_power_map, merge_wedge, perm_sign
-from .modules import BasedModule, LinMap, QBasis, StructuralError, flatten_map
+from .exterior_core import ExteriorContext, exterior_power_map, merge_wedge, sort_sign
+from .modules import LinMap, QBasis, StructuralError, flatten_map
 from . import rational as ql
 
 
@@ -32,25 +31,21 @@ def poly_partial(p, i):
 
 
 class KahlerModule:
-    """Forms over A = Q[x] <= D, with dx_K labels graded by |K|."""
+    """Forms over A = Q[x] <= D: the exterior algebra of Om^1, with dx_K
+    labels graded by |K|."""
 
     def __init__(self, algebra):
         self.algebra = algebra
         self.m = algebra.num_vars
         self.D = algebra.degree_bound
-        self._omega = {}
+        self.forms = ExteriorContext(algebra, self.m, name="Om")
 
     def omega(self, p):
-        if p not in self._omega:
-            labels = tuple(combinations(range(self.m), p)) if 0 <= p <= self.m else ()
-            self._omega[p] = BasedModule(self.algebra, labels, f"Om^{p}", tuple(p for _ in labels))
-        return self._omega[p]
+        return self.forms.ext(p)
 
     def d_vec(self, v):
         """Exterior derivative of a form, as a vector map."""
-        plabels = v.module.labels
-        p = len(plabels[0]) if plabels else 0
-        return self.omega(p + 1).element(
+        return self.omega(self.forms.degree_of(v) + 1).element(
             (mw[1], poly_partial(f, i) * mw[0])
             for K, f in v.data.items()
             for i in range(self.m)
@@ -65,30 +60,23 @@ class Connection:
         self.ext = ext
         self.kahler = kahler
         r = ext.rank
-        self.omega_i = {}
+        self._forms = {}
         if gamma is None:
-            gamma = {k: self._oi(1).zero() for k in range(r)}
+            gamma = {k: self.form_module(1).zero() for k in range(r)}
         self.gamma = dict(gamma)
         for k in range(r):
             g = self.gamma.get(k)
             if g is None:
-                self.gamma[k] = self._oi(1).zero()
-            elif g.module != self._oi(1):
+                self.gamma[k] = self.form_module(1).zero()
+            elif g.module != self.form_module(1):
                 raise StructuralError("connection forms must live in Om^1 (x) I")
 
-    def _oi(self, p):
-        """Om^1 (x) Lambda^p I."""
-        key = p
-        if key not in self.omega_i:
-            om = self.kahler.omega(1)
-            lam = self.ext.lam_i(p)
-            labels = tuple((a, b) for a in om.labels for b in lam.labels)
-            grades = tuple(1 + p for _ in labels)
-            self.omega_i[key] = BasedModule(self.ext.algebra, labels, f"Om1xL{p}I", grades)
-        return self.omega_i[key]
-
     def form_module(self, p):
-        return self._oi(p)
+        """Om^1 (x) Lambda^p I."""
+        M = self._forms.get(p)
+        if M is None:
+            M = self._forms[p] = tensor_module(self.kahler.omega(1), self.ext.lam_i(p))
+        return M
 
     def lam_apply(self, p, v):
         """The induced connection on Lambda^p I."""
@@ -99,11 +87,10 @@ class Connection:
             # f sum_t (..., Gamma(y_{k_t}) in slot t, ...)
             for t, kt in enumerate(K):
                 for ((i,), (u,)), c in self.gamma[kt].data.items():
-                    seq = K[:t] + (u,) + K[t + 1 :]
-                    s = perm_sign(seq)
+                    s = sort_sign(K[:t] + (u,) + K[t + 1 :])
                     if s is not None:
-                        terms.append((((i,), tuple(sorted(seq))), f * c * s))
-        return self._oi(p).element(terms)
+                        terms.append((((i,), s[1]), f * c * s[0]))
+        return self.form_module(p).element(terms)
 
     def leibniz_defect(self, p, a, K):
         """nabla(a y_K) - a nabla(y_K) - da (x) y_K; zero within the window."""
@@ -111,7 +98,7 @@ class Connection:
         lhs = self.lam_apply(p, lam.basis_vec(K, a))
         rhs = self.lam_apply(p, lam.basis_vec(K)).scale(a)
         da = [(((i,), K), poly_partial(a, i)) for i in range(self.kahler.m)]
-        return lhs - self._oi(p).element([*rhs.data.items(), *da])
+        return lhs - self.form_module(p).element([*rhs.data.items(), *da])
 
 
 class DerivationChi:
@@ -262,7 +249,7 @@ def r_map_twisted_leibniz(ext, chi, r_map, p, window):
             if lam.grade_of(K) + sum(mono) > window:
                 continue
             lhs = r_map(lam.basis_vec(K, a))
-            rhs = base.scale(a) + ext.wedge_i(chi.chi(a), lam.basis_vec(K))
+            rhs = base.scale(a) + ext.exterior.wedge(chi.chi(a), lam.basis_vec(K))
             if tb.flatten(lhs) != tb.flatten(rhs):
                 return False
     return True
@@ -346,24 +333,17 @@ def dual_auto_checks(ext, chi, r_maps, window):
 
 def prop_battery_from_connection(ext, kahler, chi, nabla, window):
     """Full verification battery for the connection-induced automorphisms."""
-    P, phi, r_maps = ak_auto_from_connection(ext, kahler, chi, nabla, window)
-    res = {}
-    res["p_chain_map"] = phi.is_chain_map()
-    res["p_invertible"] = all(
-        ql.inverse(phi.columns(-p), P.flat(-p).dim) is not None for p in range(ext.rank + 1)
-    )
-    res["p_semilinear"] = semilinearity_check(ext, chi, phi, P, window)
-    res["p_augmentation"] = augmentation_identity_check(ext, chi, phi, P)
-    res["r_twisted_leibniz"] = all(
-        r_map_twisted_leibniz(ext, chi, r_maps[p], p, window) for p in range(ext.rank)
-    )
-    _, _, qres = dual_auto_checks(ext, chi, r_maps, window)
-    res.update({f"q_{k}": v for k, v in qres.items()})
-    return res
+    return _prop_battery(ext, chi, window, *ak_auto_from_connection(ext, kahler, chi, nabla, window))
 
 
 def prop_battery_from_iso(ext, kahler, chi, window):
-    P, phi, r_maps = ak_auto_from_iso(ext, kahler, chi, window)
+    """The same battery for the canonical automorphism of an invertible chi_hat."""
+    return _prop_battery(ext, chi, window, *ak_auto_from_iso(ext, kahler, chi, window))
+
+
+def _prop_battery(ext, chi, window, P, phi, r_maps):
+    """The checks on an automorphism phi of P, its family R and the induced
+    automorphism of Q."""
     res = {}
     res["p_chain_map"] = phi.is_chain_map()
     res["p_invertible"] = all(

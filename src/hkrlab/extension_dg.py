@@ -11,9 +11,11 @@ The shifted module puts Lambda^{k+1} B in degree k; its product is
 
     (i1, j1) * (i2, j2) = (i1 ^ j2 + (-1)^k j1 ^ i2, j1 ^ j2)
 
-and its differential is k d_{k+1}.  All identities (associativity,
-Leibniz, module axioms) are exact in the truncated coefficient algebra
-because truncation is an algebra quotient.
+and its differential is k d_{k+1}.  Lambda I is the exterior algebra of
+the extension's own ExteriorContext; star reads the merge table of its
+wedge.  All identities (associativity, Leibniz, module axioms) are exact
+in the truncated coefficient algebra because truncation is an algebra
+quotient.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .chain_core import CochainComplex
-from .exterior_core import merge_wedge
+from .exterior_core import MERGES, ExteriorContext, merge_wedge
 from .modules import BasedModule, LinMap, StructuralError, _accumulate, _vec
 
 
@@ -34,25 +36,26 @@ class TrivialExtension:
         self.algebra = algebra
         self.rank = rank
         self.name = name
+        # the exterior algebra of I: its powers, wedge and contractions
+        self.exterior = ExteriorContext(algebra, rank, name="I")
         self._lam_b = {}
         self._lam_i = {}
         self._unsplit = {}
-        # module -> ("i", p) for Lambda^p I, ("b", k) for Lambda^k B; filled
-        # as lam_i and lam_b build them, so degrees are never read off names
+        # Lambda^k B -> k, filled as lam_b builds them, so degrees are never
+        # read off names
         self._degree = {}
-        self._merges = _MergeTable()
         # p -> the p-th tensor power of B over A, filled by hkr_local.tensor_power_module
         self._tensor_power = {}
 
     # -- modules ---------------------------------------------------------
 
     def lam_i(self, p):
-        """Lambda^p I with labels = increasing tuples."""
-        if p not in self._lam_i:
-            labels = tuple(combinations(range(self.rank), p)) if 0 <= p <= self.rank else ()
-            M = self._lam_i[p] = BasedModule(self.algebra, labels, f"L^{p}I", tuple(p for _ in labels))
-            self._degree[M] = ("i", p)
-        return self._lam_i[p]
+        """Lambda^p I with labels = increasing tuples: the power built by the
+        extension's exterior context, kept per p for the hot callers."""
+        M = self._lam_i.get(p)
+        if M is None:
+            M = self._lam_i[p] = self.exterior.ext(p)
+        return M
 
     def lam_b(self, k):
         """Lambda^k B in split form: ('i', K) for |K| = k, ('j', L) for |L| = k-1."""
@@ -68,7 +71,7 @@ class TrivialExtension:
                     labels.append(("j", L))
                     grades.append(k - 1)
             M = self._lam_b[k] = BasedModule(self.algebra, tuple(labels), f"L^{k}{self.name}", tuple(grades))
-            self._degree[M] = ("b", k)
+            self._degree[M] = k
         return self._lam_b[k]
 
     @property
@@ -105,33 +108,18 @@ class TrivialExtension:
                     data[label] = c
         return _vec(M, data)
 
-    def _degree_of(self, module, kind):
-        rec = self._degree.get(module)
-        if rec is None or rec[0] != kind:
-            raise StructuralError(f"{module.name!r} is not a module of this extension")
-        return rec[1]
-
     def degree_of(self, module):
         """k for the module Lambda^k B of this extension."""
-        return self._degree_of(module, "b")
+        k = self._degree.get(module)
+        if k is None:
+            raise StructuralError(f"{module.name!r} is not a module of this extension")
+        return k
 
     # -- products --------------------------------------------------------
 
     def b_mul(self, x, y):
         """Product in B, the degree-0 shifted product: (i,a)(i',a') = (ia' + ai', aa')."""
         return self.star(0, 0, x, y)
-
-    def wedge_i(self, x, y):
-        """Wedge in Lambda I."""
-        tgt = self.lam_i(self._degree_of(x.module, "i") + self._degree_of(y.module, "i"))
-        merges = self._merges
-        terms = []
-        for K, a in x.data.items():
-            for L, b in y.data.items():
-                m = merges[K, L]
-                if m is not None:
-                    terms.append((m[1], a * b if m[0] > 0 else -(a * b)))
-        return _vec(tgt, _accumulate({}, terms))
 
     def wedge_b(self, x, y):
         """Wedge in Lambda B, computed on split labels.
@@ -183,12 +171,12 @@ class TrivialExtension:
         """Shifted product on degree-k and degree-l pieces, one pass over split labels:
 
         (i,K)(j,L) = (i, K^L), (j,K)(i,L) = (-1)^k (i, K^L), (j,K)(j,L) = (j, K^L)
-        and (i,K)(i,L) = 0.
+        and (i,K)(i,L) = 0.  With l = q - 1 it is also the product
+        P^{-k} (x) Q^{-q} -> Q^{-(k+q)} of ak_complexes, q = 0 included.
         """
         if x.module != self.lam_b(k + 1) or y.module != self.lam_b(l + 1):
             raise StructuralError("star: operands in wrong graded pieces")
         ji_sign = -1 if k % 2 else 1
-        merges = self._merges
         terms = []
         for (t1, K), a in x.data.items():
             for (t2, L), b in y.data.items():
@@ -200,7 +188,7 @@ class TrivialExtension:
                     tag, sign = "i", ji_sign
                 else:
                     tag, sign = "j", 1
-                m = merges[K, L]
+                m = MERGES[K, L]
                 if m is not None:
                     terms.append(((tag, m[1]), a * b if sign * m[0] > 0 else -(a * b)))
         return _vec(self.lam_b(k + l + 1), _accumulate({}, terms))
@@ -269,14 +257,6 @@ class TrivialExtension:
             # pr_2(1_B) = 1, pr_2(y) = 0
             terms = ((K[:i] + K[i + 1 :], (-1) ** i) for i, ki in enumerate(K) if ki == -1)
             m.set_column(K, tgt.element(terms))
-        return m
-
-
-class _MergeTable(dict):
-    """merge_wedge(K, L) keyed by (K, L), each computed on first use."""
-
-    def __missing__(self, key):
-        m = self[key] = merge_wedge(*key)
         return m
 
 

@@ -10,6 +10,14 @@ tuples K, ordered lexicographically; all signs are relative to this order.
 Dual bases pair by det: <f_K, e_L> = delta_{KL}.  Contractions of higher
 degree into lower degree return zero.
 
+Every sign and weight convention of the exterior algebra is written once,
+here, on labels: sort_sign (the sign of e_{k_1} ^ ... ^ e_{k_n} against
+e_{sorted K}), shuffles (the terms of W_{p,q}, weight p!q!/(p+q)!) and
+symmetrizations (the terms of s_n, weight 1/n!).  Every other module
+builds its exterior powers through an ExteriorContext and wedges through
+ExteriorContext.wedge, or calls these kernels on the labels of its own
+split modules.
+
 Of the four sign conventions admitted by the census, the trivial one
 (chi = 1) is the convention used by every other module of this package;
 the other three are exposed for inspection only.
@@ -24,13 +32,14 @@ from math import factorial
 
 from .chain_core import CochainComplex, ComplexMap, hom_complex, single_module_complex, tensor_module
 from .coeff import CoeffAlgebra, Poly
-from .modules import BasedModule, LinMap, StructuralError
+from .modules import BasedModule, LinMap, StructuralError, _accumulate, _vec
 from . import rational as ql
 
 
-def perm_sign(seq):
-    """Sign of the permutation sorting seq; None if entries repeat."""
-    seq = list(seq)
+def sort_sign(seq):
+    """(sign, sorted tuple) with e_{seq_1} ^ ... ^ e_{seq_n} = sign * e_{sorted};
+    None if entries repeat."""
+    seq = tuple(seq)
     if len(set(seq)) != len(seq):
         return None
     sign = 1
@@ -38,21 +47,55 @@ def perm_sign(seq):
         for j in range(i + 1, len(seq)):
             if seq[i] > seq[j]:
                 sign = -sign
-    return sign
+    return sign, tuple(sorted(seq))
+
+
+def perm_sign(seq):
+    """Sign of the permutation sorting seq; None if entries repeat."""
+    s = sort_sign(seq)
+    return None if s is None else s[0]
 
 
 def merge_wedge(K, L):
     """(sign, sorted tuple) with e_K ^ e_L = sign * e_{K u L}; None if they meet."""
-    s = perm_sign(tuple(K) + tuple(L))
-    if s is None:
-        return None
-    return s, tuple(sorted(tuple(K) + tuple(L)))
+    return sort_sign(tuple(K) + tuple(L))
 
 
 def split_sign(J, K):
     """Sign with e_J ^ e_K = sign * e_{sorted(J u K)} for disjoint J, K."""
     m = merge_wedge(J, K)
     return None if m is None else m[0]
+
+
+def shuffles(S, p):
+    """The terms (weight * sign, K, L) of W_{p,q}(e_S), q = |S| - p: K runs
+    over the p-subsets of S, L is the rest, the sign is that of e_K ^ e_L
+    against e_S and the weight is p! q! / (p+q)!."""
+    w = Fraction(factorial(p) * factorial(len(S) - p), factorial(len(S)))
+    terms = []
+    for K in combinations(S, p):
+        L = tuple(i for i in S if i not in K)
+        terms.append((w * perm_sign(K + L), K, L))
+    return terms
+
+
+def symmetrizations(K):
+    """The terms (sign / n!, permuted K) of the symmetrization s_n(e_K), n = |K|."""
+    n = len(K)
+    w = Fraction(1, factorial(n))
+    return [(w * perm_sign(sigma), tuple(K[i] for i in sigma)) for sigma in permutations(range(n))]
+
+
+class _MergeTable(dict):
+    """merge_wedge(K, L) keyed by (K, L), each computed on first use."""
+
+    def __missing__(self, key):
+        m = self[key] = merge_wedge(*key)
+        return m
+
+
+# the one table of e_K ^ e_L, shared by every wedge and split product
+MERGES = _MergeTable()
 
 
 def exterior_power_map(g, src, tgt):
@@ -69,9 +112,7 @@ def exterior_power_map(g, src, tgt):
         for k in K:
             img = g.apply(g.source.basis_vec((k,)))
             acc = [(coeff * c, cur + (u,)) for coeff, cur in acc for (u,), c in img.data.items()]
-        return tgt.element(
-            (tuple(sorted(seq)), coeff * s) for coeff, seq in acc if (s := perm_sign(seq)) is not None
-        )
+        return tgt.element((s[1], coeff * s[0]) for coeff, seq in acc if (s := sort_sign(seq)) is not None)
 
     return LinMap(src, tgt, {K: column(K) for K in src.labels})
 
@@ -121,22 +162,20 @@ class ExteriorContext:
         return self._record(vec)[1]
 
     def wedge(self, x, y):
-        """x ^ y; bilinear, alternating, graded commutative."""
-        if x.module.algebra != y.module.algebra:
-            raise StructuralError("wedge over different coefficient algebras")
+        """x ^ y; bilinear, alternating, graded commutative.  The one wedge on
+        Lambda E: one pass over the pairs of terms, through the merge table."""
         p, dual = self._record(x)
         q, y_dual = self._record(y)
         if dual != y_dual:
             raise StructuralError("wedge of elements from different home modules")
-        tgt = self.ext(p + q, dual)
-        if p + q > self.rank:
-            return tgt.zero()  # Lambda^{p+q} = 0 beyond the rank
-        return tgt.element(
-            (m[1], a * b * m[0])
-            for K, a in x.data.items()
-            for L, b in y.data.items()
-            if (m := merge_wedge(K, L)) is not None
-        )
+        terms = []
+        for K, a in x.data.items():
+            for L, b in y.data.items():
+                m = MERGES[K, L]
+                if m is not None:
+                    terms.append((m[1], a * b if m[0] > 0 else -(a * b)))
+        # beyond the rank every pair meets, and Lambda^{p+q} = 0
+        return _vec(self.ext(p + q, dual), _accumulate({}, terms))
 
     # -- (anti)symmetrization and shuffles -----------------------------
 
@@ -144,18 +183,13 @@ class ExteriorContext:
         """a_n: v_1 x ... x v_n  |->  v_1 ^ ... ^ v_n, extended linearly."""
         n, dual = self._record(t)
         return self.ext(n, dual).element(
-            (tuple(sorted(T)), c * s) for T, c in t.data.items() if (s := perm_sign(T)) is not None
+            (s[1], c * s[0]) for T, c in t.data.items() if (s := sort_sign(T)) is not None
         )
 
     def symmetrize(self, x):
         """s_n: the (1/n!)-weighted signed sum over all permutations."""
         n, dual = self._record(x)
-        w = Fraction(1, factorial(n))
-        return self.tens(n, dual).element(
-            (tuple(K[i] for i in sigma), c * perm_sign(sigma) * w)
-            for K, c in x.data.items()
-            for sigma in permutations(range(n))
-        )
+        return self.tens(n, dual).element((T, c * w) for K, c in x.data.items() for w, T in symmetrizations(K))
 
     def ext_pair_module(self, p, q, dual=False):
         return tensor_module(self.ext(p, dual), self.ext(q, dual))
@@ -165,14 +199,9 @@ class ExteriorContext:
         n, dual = self._record(x)
         if n != p + q:
             raise StructuralError("shuffle degree mismatch")
-        tgt = self.ext_pair_module(p, q, dual)
-        w = Fraction(factorial(p) * factorial(q), factorial(p + q))
-        terms = []
-        for S, c in x.data.items():
-            for K in combinations(S, p):
-                L = tuple(i for i in S if i not in K)
-                terms.append(((K, L), c * perm_sign(K + L) * w))
-        return tgt.element(terms)
+        return self.ext_pair_module(p, q, dual).element(
+            ((K, L), c * w) for S, c in x.data.items() for w, K, L in shuffles(S, p)
+        )
 
     def translate(self, k, p, m, phi):
         """t^m_{k,p}(phi) = wedge o (phi x id) o W_{p,m}."""
@@ -180,17 +209,17 @@ class ExteriorContext:
             raise StructuralError("translate: phi must map Lambda^p E -> Lambda^k E")
         if self.rank < max(p + m, k + m):
             raise StructuralError("translate: rank too small")
-        src = self.ext(p + m)
-        tgt = self.ext(k + m)
+        lam_p, lam_m, tgt = self.ext(p), self.ext(m), self.ext(k + m)
 
         def fn(v):
-            terms = []
-            for (K, L), c in self.shuffle_W(p, m, v).data.items():
-                img = phi.apply(self.ext(p).basis_vec(K, c))
-                terms += self.wedge(img, self.ext(m).basis_vec(L)).data.items()
-            return tgt.element(terms)
+            return tgt.element(
+                t
+                for S, c in v.data.items()
+                for w, K, L in shuffles(S, p)
+                for t in self.wedge(phi.apply(lam_p.basis_vec(K, c * w)), lam_m.basis_vec(L)).data.items()
+            )
 
-        return LinMap.from_function(src, tgt, fn)
+        return LinMap.from_function(self.ext(p + m), tgt, fn)
 
     # -- contractions ---------------------------------------------------
 

@@ -30,8 +30,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import comb, factorial
-from itertools import combinations, permutations, product
+from math import comb
+from itertools import combinations, product
 
 from .chain_core import (
     Bicomplex,
@@ -44,7 +44,7 @@ from .chain_core import (
     totalize,
 )
 from .coeff import CoeffAlgebra, Poly
-from .exterior_core import ExteriorContext, koszul_complex, merge_wedge, perm_sign
+from .exterior_core import ExteriorContext, koszul_complex, merge_wedge, shuffles, sort_sign, symmetrizations
 from .extension_dg import TrivialExtension
 from .modules import BasedModule, LinMap, StructuralError
 from .ak_complexes import build_p_complex, p_augmentation
@@ -224,15 +224,13 @@ class LocalModel:
 
         def component(p):
             M = tensor_power_module(ext, p)
-            w = Fraction(1, factorial(p))
 
             def fn(v):
                 terms = []
                 for Kl, c in v.data.items():
                     b = self.psi(c)
-                    for sigma in permutations(range(p)):
-                        x = M.basis_vec(("j", tuple(Kl[t] for t in sigma)), w * perm_sign(sigma))
-                        terms += k_b_action(ext, p, b, x).data.items()
+                    for w, T in symmetrizations(Kl):
+                        terms += k_b_action(ext, p, b, M.basis_vec(("j", T), w)).data.items()
                 return M.element(terms)
 
             return fn
@@ -402,9 +400,7 @@ def zeta(ext, K, P):
 
         def fn(v):
             return tgt.element(
-                ((tag, tuple(sorted(T))), c * s)
-                for (tag, T), c in v.data.items()
-                if (s := perm_sign(T)) is not None
+                ((tag, s[1]), c * s[0]) for (tag, T), c in v.data.items() if (s := sort_sign(T)) is not None
             )
 
         return fn
@@ -490,9 +486,7 @@ def compare_hkr_ac(model):
 def _reduce_k_then_antisym(kvec, target):
     """j parts of a tensor-power element, antisymmetrized into Lambda^p I."""
     return target.element(
-        (tuple(sorted(T)), c * s)
-        for (tag, T), c in kvec.data.items()
-        if tag == "j" and (s := perm_sign(T)) is not None
+        (s[1], c * s[0]) for (tag, T), c in kvec.data.items() if tag == "j" and (s := sort_sign(T)) is not None
     )
 
 
@@ -512,18 +506,6 @@ def zeta_checks(ext, window=None):
 
 
 # -- the dual comparison signs ---------------------------------------------
-
-
-def _shuffle_pairs(K, a, b):
-    """(sign, K1, K2) over splittings of K into |K1| = a, |K2| = b, with the
-    normalization a! b! / (a+b)! of the shuffle splitting."""
-    w = Fraction(factorial(a) * factorial(b), factorial(a + b))
-    out = []
-    for K1 in combinations(K, a):
-        K2 = tuple(t for t in K if t not in K1)
-        s = perm_sign(K1 + K2)
-        out.append((w * s, K1, K2))
-    return out
 
 
 def double_complex_n(r):
@@ -570,9 +552,10 @@ def double_complex_n(r):
 
 
 def _pi_pq(ext, r, p, q, K, M):
-    """pi_{p,q} on a basis vector of Lambda^p I (x) Lambda^q I."""
+    """pi_{p,q} on a basis vector of Lambda^p I (x) Lambda^q I: the shuffle
+    W_{p+q-r, r-q} of e_K, its second factor wedged onto e_M."""
     out = {}
-    for w, K1, K2 in _shuffle_pairs(K, p + q - r, r - q):
+    for w, K1, K2 in shuffles(K, p + q - r):
         mw = merge_wedge(K2, M)
         if mw is None:
             continue

@@ -66,7 +66,8 @@ def rref(cols, nrows):
     rows = [{} for _ in range(nrows)]
     for j, col in enumerate(cols):
         for i, c in col.items():
-            rows[i][j] = c
+            # an int entry is read as a Fraction, so every division stays exact
+            rows[i][j] = c if type(c) is Fraction else Fraction(c)
     by_pivot = {}
     for row in rows:
         # a pivot row is 0 at every other pivot column, so one pass clears them all

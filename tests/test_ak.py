@@ -9,7 +9,6 @@ from hkrlab.ak_complexes import (
     build_p_complex,
     build_q_complex,
     contraction_realization_check,
-    hat_star,
     hat_star_is_chain_map,
     hat_star_matches_module_action,
     homology_action_check,
@@ -20,7 +19,7 @@ from hkrlab.ak_complexes import (
     q_realization_identity,
 )
 from hkrlab import rational as ql
-from hkrlab.modules import QBasis, flatten_map
+from hkrlab.modules import QBasis, StructuralError, flatten_map
 
 QQ = CoeffAlgebra.rationals()
 QX2 = CoeffAlgebra.polynomial(1, 2)
@@ -97,7 +96,33 @@ def test_hat_star_unit():
     one = ext.unit()
     for q in range(3):
         for y in ext.lam_b(q).basis():
-            assert hat_star(ext, 0, q, one, y) == y
+            assert ext.star(0, q - 1, one, y) == y
+
+
+def reference_product(ext, l, q, x, y):
+    """The product P^{-l} (x) Q^{-q} -> Q^{-(q+l)} written through split and
+    join: (i1, j1) * (i2, j2) = (i1 ^ j2 + (-1)^l j1 ^ i2, j1 ^ j2)."""
+    if x.module != ext.lam_b(l + 1) or y.module != ext.lam_b(q):
+        raise StructuralError("operands in wrong graded pieces")
+    wedge = ext.exterior.wedge
+    i1, j1 = ext.split(x)
+    i2, j2 = ext.split(y)
+    j1_i2 = wedge(j1, i2).scale((-1) ** l)
+    if j2 is None:
+        return ext.join(q + l, j1_i2, None)
+    return ext.join(q + l, j1_i2 + wedge(i1, j2), wedge(j1, j2))
+
+
+@pytest.mark.parametrize("algebra", [QQ, QX2], ids=["Q", "Q[x1]<=2"])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_pairing_product_is_star_on_every_basis_pair(algebra, r):
+    # q = 0 included, where star reads Lambda^0 B as its degree -1 piece
+    ext = build_extension(algebra, r)
+    for l in range(r + 1):
+        for q in range(r + 1):
+            for x in ext.lam_b(l + 1).basis():
+                for y in ext.lam_b(q).basis():
+                    assert ext.star(l, q - 1, x, y) == reference_product(ext, l, q, x, y)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])

@@ -199,7 +199,7 @@ def test_cochain_wedge_leibniz():
         y = Cochain(nerve, 1, ext.lam_i(1))
         for s in nerve.simplices_of_dim(1):
             y[s] = ext.lam_i(1).basis_vec((0,), rng.randint(-2, 2))
-        wf = lambda a, b: ext.wedge_i(a, b)
+        wf = ext.exterior.wedge
         lhs = cech_delta(cochain_wedge(wf, x, y, ext.lam_i(2)))
         rhs = cochain_wedge(wf, cech_delta(x), y, ext.lam_i(2)) + cochain_wedge(
             wf, x, cech_delta(y), ext.lam_i(2)
@@ -257,7 +257,7 @@ def test_yoneda_rule_against_cup():
     lv = l_operator(ext, nerve, 2, 1, v)
     lw = l_operator(ext, nerve, 1, 0, w)
     got = yoneda_compose(lv, lw, hom_lam_module(ext, 0, 2))
-    cup = cochain_wedge(lambda a, b: ext.wedge_i(a, b), v, w, ext.lam_i(2))
+    cup = cochain_wedge(ext.exterior.wedge, v, w, ext.lam_i(2))
     want = l_operator(ext, nerve, 2, 0, cup).scale((-1) ** (1 * 1))
     assert cohomologous(nerve, got, want)
 
@@ -303,7 +303,7 @@ def test_eta_recursion_spot_values():
     assert (etas[(1, 0)] - (cs[0] - ds[0])).is_zero()
     want21 = (cs[0] - ds[0] + cs[1] - ds[1]).scale(Fraction(1, 2))
     assert (etas[(2, 1)] - want21).is_zero()
-    wf = lambda a, b: ext.wedge_i(a, b)
+    wf = ext.exterior.wedge
     # the degree-2 entry keeps the 1/(i+1) prefactor (on this nerve both
     # sides vanish; the torus test below pins the normalization)
     want20 = cochain_wedge(wf, cs[0] - ds[1], cs[0] - ds[0], ext.lam_i(2)).scale(

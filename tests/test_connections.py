@@ -50,6 +50,14 @@ def test_exterior_derivative_squares_to_zero():
                 assert fb.flatten(ddv) == {}
 
 
+def test_exterior_derivative_raises_the_form_degree_by_one():
+    # also above the top degree m, where Om^p has no basis vectors to read p from
+    for m in (1, 2):
+        kah = KahlerModule(CoeffAlgebra.polynomial(m, 2))
+        for p in range(m + 2):
+            assert kah.d_vec(kah.omega(p).zero()).module == kah.omega(p + 1)
+
+
 def test_exterior_derivative_leibniz_windowed():
     A, ext, kah = setup(1, 1, 3)
     f = A.parse("x1^2")

@@ -100,23 +100,45 @@ def test_split_join_round_trip_and_foreign_module_is_rejected():
 def test_degrees_come_from_the_extension_not_from_module_names():
     ext = build_extension(QX2, 2)
     other = build_extension(QX2, 3)
+    wedge = ext.exterior.wedge
     for k in range(4):
         assert ext.degree_of(ext.lam_b(k)) == k
     e0, e1 = ext.lam_i(1).basis_vec((0,)), ext.lam_i(1).basis_vec((1,))
-    assert ext.wedge_i(e0, e1) == ext.lam_i(2).basis_vec((0, 1))
-    # "L^1I" and "L^2B" of the rank-3 extension: the names match, the modules do not
+    assert wedge(e0, e1) == ext.lam_i(2).basis_vec((0, 1))
+    # "L^1(I)" and "L^2B" of the rank-3 extension: the names match, the modules do not
     foreign = other.lam_i(1).basis_vec((0,))
     with pytest.raises(StructuralError):
-        ext.wedge_i(foreign, e1)
+        wedge(foreign, e1)
     with pytest.raises(StructuralError):
-        ext.wedge_i(e1, foreign)
+        wedge(e1, foreign)
     with pytest.raises(StructuralError):
         ext.degree_of(other.lam_b(2))
     # a Lambda^k B element is not a Lambda^k I element
     with pytest.raises(StructuralError):
-        ext.wedge_i(ext.lam_b(1).basis_vec(("i", (0,))), e1)
+        wedge(ext.lam_b(1).basis_vec(("i", (0,))), e1)
     with pytest.raises(StructuralError):
         ext.degree_of(ext.lam_i(1))
+
+
+def test_the_extensions_own_context_takes_its_exterior_powers():
+    ext = build_extension(QX2, 3)
+    ctx = ext.exterior
+    for p in range(4):
+        assert ctx.ext(p) is ext.lam_i(p)
+        assert ctx.degree_of(ext.lam_i(p).zero()) == p
+    e0, e12 = ext.lam_i(1).basis_vec((0,), QX2.gen(0)), ext.lam_i(2).basis_vec((1, 2))
+    assert ctx.wedge(e0, e12) == ext.lam_i(3).basis_vec((0, 1, 2), QX2.gen(0))
+    f012 = ctx.ext(3, dual=True).basis_vec((0, 1, 2))
+    assert ctx.contract_left(e12, f012) == ctx.ext(1, dual=True).basis_vec((0,))
+    # a foreign extension's Lambda^p I, of another rank or another algebra
+    for foreign in (build_extension(QX2, 2), build_extension(QQ, 3)):
+        x = foreign.lam_i(1).basis_vec((0,))
+        with pytest.raises(StructuralError):
+            ctx.wedge(x, e12)
+        with pytest.raises(StructuralError):
+            ctx.wedge(e12, x)
+        with pytest.raises(StructuralError):
+            ctx.contract_left(x, f012)
 
 
 def test_hat_d_squares_to_zero():
@@ -181,7 +203,7 @@ def test_b_action_formula():
     x = M.basis_vec(("i", (1, 2))) + M.basis_vec(("j", (1,)), 3)
     got_i = ext.b_action(2, i, x)
     i1, j1 = ext.split(x)
-    expect_i = ext.join(2, ext.wedge_i(ext.lam_i(1).basis_vec((0,)), j1), None)
+    expect_i = ext.join(2, ext.exterior.wedge(ext.lam_i(1).basis_vec((0,)), j1), None)
     assert got_i == expect_i
     got_a = ext.b_action(2, a, x)
     assert got_a == x.scale(5)

@@ -5,7 +5,9 @@ cech_complex walks a nerve's coface table (every other Cech operation goes
 through the complex it builds), no module builds a dense rational vector
 (a flattened vector is a sparse column everywhere), and no function takes
 an optional prebuilt value that it builds itself when it is left out (each
-complex has one owner that builds it)."""
+complex has one owner that builds it), and only exterior_core uses
+factorial or permutations (every symmetrization and shuffle weight of the
+exterior algebra is written there once)."""
 
 import ast
 from pathlib import Path
@@ -248,3 +250,38 @@ def test_none_default_rebind_is_found():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_function_builds_an_optional_argument_it_was_not_given(path):
     assert none_default_rebinds(path.read_text()) == []
+
+
+CONVENTION_NAMES = {"factorial", "permutations"}
+
+
+def convention_uses(source):
+    """(line, name) of each import of factorial or permutations in source,
+    by name or as an attribute such as math.factorial."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, a.name) for a in node.names if a.name in CONVENTION_NAMES]
+        elif isinstance(node, ast.Attribute) and node.attr in CONVENTION_NAMES:
+            found.append((node.lineno, node.attr))
+    return sorted(found)
+
+
+def test_convention_use_is_found():
+    source = (
+        "from math import comb, factorial\n"
+        "from itertools import combinations, permutations as perms\n"
+        "import math, itertools\n"
+        "w = math.factorial(3)\n"
+        "orders = list(itertools.permutations(range(3)))\n"
+        "from .exterior_core import shuffles, symmetrizations\n"
+        "factorials = [comb(4, k) for k in range(5)]\n"
+    )
+    assert convention_uses(source) == [(1, "factorial"), (2, "permutations"), (4, "factorial"), (5, "permutations")]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "exterior_core.py"), ids=lambda p: p.name
+)
+def test_only_exterior_core_uses_factorial_or_permutations(path):
+    assert convention_uses(path.read_text()) == []

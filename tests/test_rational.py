@@ -105,3 +105,42 @@ def test_matrices_with_no_rows_or_no_columns(nrows, ncols):
     if nrows:
         assert ql.solve(cols, nrows, {0: Fraction(1)}) is solver.solve({0: Fraction(1)}) is None
     assert ql.inverse(cols, nrows) == ([] if nrows == ncols else None)
+
+
+def _entries(result):
+    """Every entry of a sparse column, a list of columns, or rref's rows."""
+    if result is None:
+        return []
+    if isinstance(result, dict):
+        return list(result.values())
+    return [x for col in result for x in col.values()]
+
+
+def test_int_columns_stay_exact():
+    assert ql.rref([{0: 2}, {0: 1}], 1) == ([{0: Fraction(1), 1: Fraction(1, 2)}], [0])
+    assert ql.solve([{0: 3}], 1, {0: 1}) == {0: Fraction(1, 3)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_int_columns_give_the_fraction_results(data):
+    # rref, nullspace, solve, Solver.solve and inverse return Fractions on
+    # int columns, equal to their results on the same columns as Fractions
+    n, m = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+    ints = st.sampled_from([0, 0, 0, 1, -1, 2, 3, -4])
+    cols = [
+        {i: c for i, c in enumerate(data.draw(st.lists(ints, min_size=n, max_size=n))) if c} for _ in range(m)
+    ]
+    b = {i: c for i, c in enumerate(data.draw(st.lists(ints, min_size=n, max_size=n))) if c}
+    fcols = [{i: Fraction(c) for i, c in col.items()} for col in cols]
+    fb = {i: Fraction(c) for i, c in b.items()}
+    pairs = [
+        (ql.rref(cols, n)[0], ql.rref(fcols, n)[0]),
+        (ql.nullspace(cols, n), ql.nullspace(fcols, n)),
+        (ql.solve(cols, n, b), ql.solve(fcols, n, fb)),
+        (ql.Solver(cols, n).solve(b), ql.Solver(fcols, n).solve(fb)),
+        (ql.inverse(cols[:n], n), ql.inverse(fcols[:n], n)),
+    ]
+    for got, want in pairs:
+        assert got == want
+        assert all(type(x) is Fraction for x in _entries(got))
