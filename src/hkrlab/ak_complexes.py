@@ -114,8 +114,8 @@ def q_realization_identity(ext):
     invertible.  Exact matrix identities."""
     r = ext.rank
     P = build_p_complex(ext)
-    # Hom(P^{-p-1}, theta) -> Hom(P^{-p}, ...) wait: transport through both
-    # pairings and compare with the realized differential.
+    # transport the Hom differential through both pairings and compare it
+    # with the realized differential
     for p in range(r):
         phi_src = q_pairing(ext, p)       # L^{r-p} B -> Hom(L^{p+1} B, th)
         phi_tgt = q_pairing(ext, p + 1)   # L^{r-p-1} B -> Hom(L^{p+2} B, th)

@@ -135,7 +135,7 @@ class ComplexMap:
     """Degree-preserving map of complexes, stored as sparse flattened columns.
 
     The component at degree n is a list with one column per pair of
-    ``source.flat(n)``; a column is a dict {target index: Fraction} over
+    ``source.flat(n)``; a column is a dict {target index: value} over
     ``target.flat(n)`` that stores no zero entry.  Working on the flattened
     bases lets a map be only rational-linear, or change coefficient
     algebras.  ``apply``, ``compose``, ``-`` and the chain-map check work on

@@ -6,6 +6,13 @@ degree > D.  Multiplication silently drops overflowing monomials; since
 this is an algebra quotient, every ring identity (associativity,
 distributivity) holds exactly on what is kept.  The rationals are the
 m = 0, D = 0 case, so a single element type covers both.
+
+A coefficient value is an ``int`` when its denominator is 1, else a
+``Fraction``.  Nearly every value met in practice is a small integer and
+nearly every product has the constant 1 or -1 as a factor, so ``Poly``
+arithmetic keeps integers as ``int`` and returns an operand unchanged when
+the other is the constant 1.  ``Poly`` values are never changed in place,
+so returning an operand is safe.
 """
 
 from __future__ import annotations
@@ -13,6 +20,15 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import combinations_with_replacement
+
+
+def _number(c):
+    """c as an int when its denominator is 1, else as a Fraction."""
+    if c.__class__ is int:
+        return c
+    if c.__class__ is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 def _monomials_up_to(num_vars, degree_bound):
@@ -44,6 +60,7 @@ class CoeffAlgebra:
             raise ValueError("var_names length mismatch")
         self.var_names = tuple(var_names)
         self.monomials = _monomials_up_to(num_vars, degree_bound)
+        self.constant_exps = (0,) * num_vars
         self.monomial_index = {m: i for i, m in enumerate(self.monomials)}
 
     @classmethod
@@ -85,13 +102,13 @@ class CoeffAlgebra:
         return Poly(self, {})
 
     def one(self):
-        return Poly(self, {(0,) * self.num_vars: Fraction(1)})
+        return _poly(self, {self.constant_exps: 1})
 
     def const(self, c):
-        c = Fraction(c)
+        c = _number(c)
         if not c:
             return self.zero()
-        return Poly(self, {(0,) * self.num_vars: c})
+        return _poly(self, {self.constant_exps: c})
 
     def gen(self, i):
         if not 0 <= i < self.num_vars:
@@ -100,30 +117,31 @@ class CoeffAlgebra:
             return self.zero()
         e = [0] * self.num_vars
         e[i] = 1
-        return Poly(self, {tuple(e): Fraction(1)})
+        return _poly(self, {tuple(e): 1})
 
     def monomial(self, exps, c=1):
         exps = tuple(exps)
         if sum(exps) > self.degree_bound:
             return self.zero()
-        c = Fraction(c)
-        return Poly(self, {exps: c}) if c else self.zero()
+        c = _number(c)
+        return _poly(self, {exps: c}) if c else self.zero()
 
     def basis(self):
-        return [Poly(self, {m: Fraction(1)}) for m in self.monomials]
+        return [_poly(self, {m: 1}) for m in self.monomials]
 
     def parse(self, text):
         return _parse_poly(self, text)
 
 
 class Poly:
-    """Sparse element of a CoeffAlgebra: {exponent tuple: Fraction}."""
+    """Sparse element of a CoeffAlgebra: {exponent tuple: value}, each value
+    nonzero, an int when its denominator is 1, else a Fraction."""
 
     __slots__ = ("algebra", "terms")
 
     def __init__(self, algebra, terms):
         self.algebra = algebra
-        self.terms = {e: c for e, c in terms.items() if c}
+        self.terms = {e: _number(c) for e, c in terms.items() if c}
 
     def is_zero(self):
         return not self.terms
@@ -135,26 +153,36 @@ class Poly:
         return max(sum(e) for e in self.terms)
 
     def constant_term(self):
-        return self.terms.get((0,) * self.algebra.num_vars, Fraction(0))
+        return self.terms.get(self.algebra.constant_exps, 0)
 
     def is_unit(self):
         # the truncated ring is local: units have nonzero constant term
         return bool(self.constant_term())
 
     def __add__(self, other):
-        other = self._coerce(other)
+        if other.__class__ is not Poly or other.algebra is not self.algebra:
+            other = self._coerce(other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
+        algebra = self.algebra
+        if not algebra.num_vars:
+            # over Q the only monomial is the empty one
+            s = _number(self.terms[()] + other.terms[()])
+            return _poly(algebra, {(): s} if s else {})
         out = dict(self.terms)
         for e, c in other.terms.items():
             s = out.get(e)
             if s is None:
                 out[e] = c
             else:
-                s += c
+                s = _number(s + c)
                 if s:
                     out[e] = s
                 else:
                     del out[e]
-        return _poly(self.algebra, out)
+        return _poly(algebra, out)
 
     def __neg__(self):
         return _poly(self.algebra, {e: -c for e, c in self.terms.items()})
@@ -164,30 +192,41 @@ class Poly:
 
     def __mul__(self, other):
         algebra = self.algebra
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
+        if other.__class__ is not Poly:
+            if not isinstance(other, (int, Fraction)):
+                raise TypeError(f"cannot coerce {other!r}")
+            c = _number(other)
+            if c == 1:
+                return self
+            if c == -1:
+                return -self
             if not c:
                 return algebra.zero()
-            return _poly(algebra, {e: c * v for e, v in self.terms.items()})
-        other = self._coerce(other)
+            return _poly(algebra, {e: _number(c * v) for e, v in self.terms.items()})
+        if other.algebra is not algebra:
+            self._coerce(other)
+        a, b = self.terms, other.terms
+        one = algebra.constant_exps
+        if not a or (len(b) == 1 and b.get(one) == 1):
+            return self
+        if not b or (len(a) == 1 and a.get(one) == 1):
+            return other
         if not algebra.num_vars:
             # over Q the only monomial is the empty one
-            a = self.terms.get(())
-            b = other.terms.get(())
-            return _poly(algebra, {(): a * b} if a is not None and b is not None else {})
+            return _poly(algebra, {(): _number(a[()] * b[()])})
         D = algebra.degree_bound
         out = {}
-        for e1, c1 in self.terms.items():
+        for e1, c1 in a.items():
             d1 = sum(e1)
-            for e2, c2 in other.terms.items():
+            for e2, c2 in b.items():
                 if d1 + sum(e2) > D:
                     continue
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(x + y for x, y in zip(e1, e2))
                 s = out.get(e)
                 if s is None:
-                    out[e] = c1 * c2
+                    out[e] = _number(c1 * c2)
                 else:
-                    s += c1 * c2
+                    s = _number(s + c1 * c2)
                     if s:
                         out[e] = s
                     else:
@@ -198,7 +237,7 @@ class Poly:
 
     def _coerce(self, other):
         if isinstance(other, Poly):
-            if other.algebra != self.algebra:
+            if other.algebra is not self.algebra and other.algebra != self.algebra:
                 raise ValueError("mixed coefficient algebras")
             return other
         if isinstance(other, (int, Fraction)):
@@ -218,7 +257,8 @@ class Poly:
 
 
 def _poly(algebra, terms):
-    """The Poly holding terms as is; every coefficient must be nonzero."""
+    """The Poly holding terms as is; every value must be nonzero, and an int
+    when its denominator is 1."""
     p = object.__new__(Poly)
     p.algebra = algebra
     p.terms = terms
@@ -266,11 +306,11 @@ def _parse_poly(algebra, text):
     result = algebra.zero()
     name_to_idx = {n: i for i, n in enumerate(algebra.var_names)}
     for chunk in chunks:
-        sign = Fraction(1)
+        sign = 1
         body = chunk
         if body and body[0] in "+-":
             if body[0] == "-":
-                sign = Fraction(-1)
+                sign = -1
             body = body[1:]
         m = _TERM_RE.match(body)
         if not m or not body:

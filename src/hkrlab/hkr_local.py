@@ -152,7 +152,7 @@ class LocalModel:
             if a.coeff(()) != self.A.gen(i) + self.A.const(0):
                 raise ModelError("splitting is not a section")
         # psi multiplicative on all monomial pairs within the window
-        mons = [Poly(self.C, {e: Fraction(1)}) for e in self.C.monomials]
+        mons = self.C.basis()
         for f in mons:
             for g in mons:
                 if f.degree() + g.degree() > self.D:
@@ -551,7 +551,7 @@ def double_complex_n(r):
     return ext, Bicomplex(algebra, modules, horiz, vert)
 
 
-def _pi_pq(ext, r, p, q, K, M):
+def _pi_pq(r, p, q, K, M):
     """pi_{p,q} on a basis vector of Lambda^p I (x) Lambda^q I: the shuffle
     W_{p+q-r, r-q} of e_K, its second factor wedged onto e_M."""
     out = {}
@@ -625,7 +625,7 @@ def dual_hkr_sign(r):
                 continue
             P_cols[k] = {
                 tgt_pos[((-(n - r), -r), (K1, ("i", Mfull)))]: w * c
-                for (K1, Mfull), c in _pi_pq(ext, r, p, q, K, M).items()
+                for (K1, Mfull), c in _pi_pq(r, p, q, K, M).items()
                 if c
             }
         # image of the incoming total differential, in pure coordinates
@@ -640,7 +640,7 @@ def dual_hkr_sign(r):
             k = pos[src_lab]
             for want_lab, t in tgt_pos.items():
                 got = Fraction(0)
-                for (K1, Mf), c in _pi_pq(ext, r, r, n - r, full, M).items():
+                for (K1, Mf), c in _pi_pq(r, r, n - r, full, M).items():
                     if ((-(n - r), -r), (K1, ("i", Mf))) == want_lab:
                         got = c
                 expect = scal if want_lab == ((-(n - r), -r), (M, ("i", full))) else Fraction(0)

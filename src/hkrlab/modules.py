@@ -7,10 +7,12 @@ the degree of its monomial.  Flattening turns any module into a finite
 dimensional rational vector space, optionally restricted to total grade
 <= window (the quotient by the span of higher-grade basis vectors).
 
-There is one flattened form: a vector is a sparse column {index: Fraction}
+There is one flattened form: a vector is a sparse column {index: value}
 over a QBasis (QBasis.flatten and QBasis.unflatten convert), and a map is
 the list of such columns that flatten_map returns, one per source pair.
-``rational`` reduces, solves and inverts matrices in this form.
+A value is an int when its denominator is 1, else a Fraction, as in the
+Poly coefficients it comes from.  ``rational`` reduces, solves and
+inverts matrices in this form.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ class StructuralError(ValueError):
 class BasedModule:
     """Free module with a finite labelled basis."""
 
-    __slots__ = ("algebra", "labels", "name", "grades", "label_index")
+    __slots__ = ("algebra", "labels", "name", "grades", "label_index", "_hash")
 
     def __init__(self, algebra, labels, name="", grades=None):
         self.algebra = algebra
@@ -41,6 +43,8 @@ class BasedModule:
         self.label_index = {lab: i for i, lab in enumerate(self.labels)}
         if len(self.label_index) != len(self.labels):
             raise ValueError("duplicate basis labels")
+        # a module is a dict key in many caches; hashing its labels once suffices
+        self._hash = hash((algebra, self.labels, self.grades, name))
 
     @property
     def rank(self):
@@ -90,14 +94,15 @@ class BasedModule:
         )
 
     def __hash__(self):
-        return hash((self.algebra, self.labels, self.grades, self.name))
+        return self._hash
 
     def __repr__(self):
         return f"BasedModule({self.name or self.labels}, rank={self.rank})"
 
 
 class Vec:
-    """Sparse module element: {label: Poly}.
+    """Sparse module element: {label: Poly}, each Poly holding int values
+    where their denominator is 1, else Fraction ones.
 
     Invariant: no stored coefficient is zero.  The constructor cleans its
     input; arithmetic keeps the invariant as it goes and builds its result
@@ -349,8 +354,9 @@ class QBasis:
         return len(self.pairs)
 
     def flatten(self, vec):
-        """Sparse coordinates {index: Fraction} of vec; terms outside the
-        basis (beyond its grade window) are dropped."""
+        """Sparse coordinates {index: value} of vec, each value an int when
+        its denominator is 1, else a Fraction; terms outside the basis
+        (beyond its grade window) are dropped."""
         index = self.index
         return {
             i: c
@@ -360,7 +366,8 @@ class QBasis:
         }
 
     def unflatten(self, entries):
-        """The element of the module with sparse coordinates {index: Fraction}."""
+        """The element of the module with sparse coordinates {index: value},
+        values int or Fraction; Poly stores the integral ones as int."""
         data = {}
         pairs = self.pairs
         for i in sorted(entries):

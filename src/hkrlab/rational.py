@@ -1,15 +1,18 @@
 """Exact linear algebra over the rationals, on sparse columns.
 
-A rational matrix is a list of sparse columns, one dict {row index:
-Fraction} per column that stores no zero entry, together with its number
-of rows: the columns alone cannot tell a matrix with no rows from one whose
-rows are all zero.  ``modules.flatten_map`` returns a map in this form and
-``QBasis.flatten`` a vector.  ``compose_columns`` multiplies matrices;
-``rref``, ``rank``, ``nullspace``, ``solve``, ``Solver`` and ``inverse``
-take (cols, nrows), and solutions, kernels and inverses come back as
-sparse columns.  Every elimination is one ``rref``, a Gauss-Jordan
-reduction on sparse rows.  Sizes in this package are small (a few hundred
-rows at most), so it is fast enough and keeps everything exact.
+A rational matrix is a list of sparse columns, one dict {row index: value}
+per column that stores no zero entry, together with its number of rows: the
+columns alone cannot tell a matrix with no rows from one whose rows are all
+zero.  A value is an ``int`` when its denominator is 1, else a ``Fraction``;
+``rref`` reads every entry as a ``Fraction``, so eliminations stay exact,
+and what it returns holds ``Fraction``s.  ``modules.flatten_map`` returns
+a map in this form and ``QBasis.flatten`` a vector.  ``compose_columns``
+multiplies matrices; ``rref``, ``rank``, ``nullspace``, ``solve``,
+``Solver`` and ``inverse`` take (cols, nrows), and solutions, kernels and
+inverses come back as sparse columns.  Every elimination is one ``rref``,
+a Gauss-Jordan reduction on sparse rows.  Sizes in this package are small
+(a few hundred rows at most), so it is fast enough and keeps everything
+exact.
 """
 
 from __future__ import annotations

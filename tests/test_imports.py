@@ -7,7 +7,8 @@ through the complex it builds), no module builds a dense rational vector
 an optional prebuilt value that it builds itself when it is left out (each
 complex has one owner that builds it), and only exterior_core uses
 factorial or permutations (every symmetrization and shuffle weight of the
-exterior algebra is written there once)."""
+exterior algebra is written there once), and only rational divides with /
+(a coefficient may be an int, and int / int is a float)."""
 
 import ast
 from pathlib import Path
@@ -285,3 +286,33 @@ def test_convention_use_is_found():
 )
 def test_only_exterior_core_uses_factorial_or_permutations(path):
     assert convention_uses(path.read_text()) == []
+
+
+def true_divisions(source):
+    """Lines of source that use the true-division operator /, as a binary
+    operator or in an augmented assignment."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+    )
+
+
+def test_true_division_is_found():
+    source = (
+        "half = Fraction(1, 2)\n"
+        "q = a // b\n"
+        "w = x / pv\n"
+        "w /= 2\n"
+        "path = root / 'src'\n"
+        "'a/b'\n"
+    )
+    assert true_divisions(source) == [3, 4, 5]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "rational.py"), ids=lambda p: p.name
+)
+def test_only_rational_divides(path):
+    # rational divides Fractions only: rref reads every entry as a Fraction first
+    assert true_divisions(path.read_text()) == []
