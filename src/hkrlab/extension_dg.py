@@ -46,6 +46,8 @@ class TrivialExtension:
         self._degree = {}
         # p -> the p-th tensor power of B over A, filled by hkr_local.tensor_power_module
         self._tensor_power = {}
+        # window -> the zeta battery's results, filled by hkr_local.zeta_checks
+        self._zeta_checks = {}
 
     # -- modules ---------------------------------------------------------
 

@@ -13,21 +13,26 @@ map in sight is grade-non-decreasing, so each identity checked below is
 the image of the corresponding untruncated identity.  The Koszul
 resolution is exact on the whole window; no grade is excluded.
 
-Each complex has one owner.  A LocalModel builds, once and on first use,
-the Koszul resolution L of A over C, the resolutions P and K of A over B
-and A itself, all at window D, the reduced complexes RL and RP, the maps
-gamma: L -> P and kappa: L -> K, the augmentations aug_l and aug_p, and
-the reductions red_l and red_p; every check of the model reads these.
-Builders outside the model take the complexes they map between and use
-their window: zeta(ext, K, P), k_augmentation(ext, K) and, in
-ak_complexes, p_augmentation(ext, P) and q_coaugmentation(ext, Q).
+Each complex has one owner.  Only psi, gamma and kappa read the splitting,
+so a model has two halves.  Its ModelBase, shared by every live LocalModel
+with the same (m, r, D) and dropped with the last of them, builds once and
+on first use the Koszul resolution L of A over C, the resolutions P and K
+of A over B and A itself, all at window D, the reduced complexes RL and
+RP, the augmentations aug_l and aug_p, and the reductions red_l and red_p.
+The LocalModel holds chi, psi and the maps gamma: L -> P and kappa: L -> K,
+and reads the base's attributes under the same names; every check of the
+model reads these.  Builders outside the model take the complexes they map
+between and use their window: zeta(ext, K, P), k_augmentation(ext, K) and,
+in ak_complexes, p_augmentation(ext, P) and q_coaugmentation(ext, Q).
 build_k_complex and build_p_complex build unwindowed complexes; zeta_checks
-windows its own K and P at the window it is given, and zeta_is_b_linear
-checks zeta on the unwindowed ones.
+windows its own K and P at the window it is given and keeps its results on
+the extension, one entry per window, and zeta_is_b_linear checks zeta on
+the unwindowed ones.
 """
 
 from __future__ import annotations
 
+import weakref
 from fractions import Fraction
 from functools import cached_property
 from math import comb
@@ -55,10 +60,12 @@ class ModelError(ValueError):
     pass
 
 
-class LocalModel:
-    """(C, J, A, I, B) with a chosen splitting chi of the extension."""
+class ModelBase:
+    """The splitting-independent half of a local model: C, A, the extension
+    and every complex and map that does not read chi, shared by all live
+    models with the same (m, r, D)."""
 
-    def __init__(self, m, r, D, chi=None):
+    def __init__(self, m, r, D):
         if D < 2:
             raise ModelError("need degree bound D >= 2")
         if r < 1:
@@ -71,26 +78,6 @@ class LocalModel:
         self.C = CoeffAlgebra.polynomial(m + r, D, x_names + y_names)
         self.A = CoeffAlgebra.polynomial(m, D, x_names)
         self.ext = TrivialExtension(self.A, r)
-        if chi is None:
-            chi = [[self.A.zero()] * r for _ in range(m)]
-        self.chi = [[self._coerce_chi(e) for e in row] for row in chi]
-        if len(self.chi) != m or any(len(row) != r for row in self.chi):
-            raise ModelError("chi must be an m x r matrix over A")
-        for row in self.chi:
-            for e in row:
-                if e.degree() >= D:
-                    raise ModelError("splitting entry of degree >= D overflows the bound")
-        self._psi_mono = self._psi_monomial_table()
-        self.validate()
-
-    def _coerce_chi(self, e):
-        if isinstance(e, Poly):
-            if e.algebra != self.A:
-                raise ModelError("chi entries must live in A")
-            return e
-        if isinstance(e, str):
-            return self.A.parse(e)
-        return self.A.const(e)
 
     # -- coefficient plumbing -------------------------------------------
 
@@ -106,6 +93,123 @@ class LocalModel:
     def lift_poly(self, a):
         """The monomial section A -> C."""
         return Poly(self.C, {e + (0,) * self.r: v for e, v in a.terms.items()})
+
+    # -- complexes and maps, each built once on first use -----------------
+
+    @cached_property
+    def L(self):
+        """Koszul resolution of A over C on the sequence (y_1..y_r)."""
+        ctx = ExteriorContext(self.C, self.r, name="KzM")
+        return koszul_complex(ctx, [self.C.gen(self.m + k) for k in range(self.r)]).with_window(self.D)
+
+    @cached_property
+    def P(self):
+        return build_p_complex(self.ext).with_window(self.D)
+
+    @cached_property
+    def K(self):
+        return build_k_complex(self.ext).with_window(self.D)
+
+    @cached_property
+    def A_cplx(self):
+        return single_module_complex(self.A, BasedModule(self.A, ((),), "A"), 0).with_window(self.D)
+
+    @cached_property
+    def aug_l(self):
+        """L -> A, reduction of the degree-0 coefficient ring."""
+
+        def fn(v):
+            return self.A_cplx.module(0).element(((), self.reduce_poly(c)) for c in v.data.values())
+
+        return ComplexMap.from_functions(self.L, self.A_cplx, {0: fn})
+
+    @cached_property
+    def aug_p(self):
+        return p_augmentation(self.ext, self.P)
+
+    # -- reductions along A ----------------------------------------------
+
+    @cached_property
+    def RL(self):
+        mods = {}
+        for p in range(self.r + 1):
+            labels = tuple(combinations(range(self.r), p))
+            mods[-p] = BasedModule(self.A, labels, f"A(x)L^{p}", tuple(p for _ in labels))
+        return CochainComplex(self.A, mods, {}, window=self.D, check=False)
+
+    @cached_property
+    def RP(self):
+        mods = {-p: self.ext.lam_i(p) for p in range(self.r + 1)}
+        return CochainComplex(self.A, mods, {}, window=self.D, check=False)
+
+    @cached_property
+    def red_l(self):
+        """A (x)_C L -> RL (coefficients reduced mod J)."""
+
+        def component(p):
+            def fn(v):
+                return self.RL.module(-p).element((K, self.reduce_poly(c)) for K, c in v.data.items())
+
+            return fn
+
+        return ComplexMap.from_functions(self.L, self.RL, {-p: component(p) for p in range(self.r + 1)})
+
+    @cached_property
+    def red_p(self):
+        """A (x)_B P -> RP (the j parts)."""
+
+        def fn(v):
+            # the j part of Lambda^{p+1} B lies in Lambda^p I, which is RP^{-p}
+            return self.ext.split(v)[1]
+
+        return ComplexMap.from_functions(self.P, self.RP, {-p: fn for p in range(self.r + 1)})
+
+
+# the base of every live model, by (m, r, D); an entry goes with its last model
+_BASES = weakref.WeakValueDictionary()
+
+
+class LocalModel:
+    """(C, J, A, I, B) with a chosen splitting chi of the extension.
+
+    It holds m, r, D, C, A and ext of its shared ModelBase, and the base's
+    other attributes (reduce_poly, lift_poly, L, P, K, A_cplx, RL, RP, the
+    augmentations and the reductions) read through.
+    """
+
+    def __init__(self, m, r, D, chi=None):
+        base = _BASES.get((m, r, D))
+        if base is None:
+            base = _BASES[(m, r, D)] = ModelBase(m, r, D)
+        self._base = base
+        # held here, not read through, since psi and validate read them on every call
+        self.m, self.r, self.D, self.C, self.A, self.ext = m, r, D, base.C, base.A, base.ext
+        if chi is None:
+            chi = [[self.A.zero()] * r for _ in range(m)]
+        self.chi = [[self._coerce_chi(e) for e in row] for row in chi]
+        if len(self.chi) != m or any(len(row) != r for row in self.chi):
+            raise ModelError("chi must be an m x r matrix over A")
+        for row in self.chi:
+            for e in row:
+                if e.degree() >= D:
+                    raise ModelError("splitting entry of degree >= D overflows the bound")
+        self._psi_mono = self._psi_monomial_table()
+        self.validate()
+
+    def __getattr__(self, name):
+        # reached only for names the model does not hold itself
+        if name.startswith("_"):
+            raise AttributeError(name)
+        return getattr(self._base, name)
+
+    def _coerce_chi(self, e):
+        if isinstance(e, Poly):
+            if e.algebra != self.A:
+                raise ModelError("chi entries must live in A")
+            return e
+        if isinstance(e, str):
+            return self.A.parse(e)
+        return self.A.const(e)
 
     def _psi_monomial_table(self):
         """psi of every monomial of C, keyed by exponent tuple.
@@ -149,51 +253,18 @@ class LocalModel:
         for i in range(self.m):
             b = self.psi(self.lift_poly(self.A.gen(i)))
             _, a = self.ext.split(b)
-            if a.coeff(()) != self.A.gen(i) + self.A.const(0):
+            if a.coeff(()) != self.A.gen(i):
                 raise ModelError("splitting is not a section")
         # psi multiplicative on all monomial pairs within the window
-        mons = self.C.basis()
-        for f in mons:
-            for g in mons:
-                if f.degree() + g.degree() > self.D:
+        mons = [(f, f.degree(), self.psi(f)) for f in self.C.basis()]
+        for f, df, pf in mons:
+            for g, dg, pg in mons:
+                if df + dg > self.D:
                     continue
-                lhs = self.psi(f * g)
-                rhs = self.ext.b_mul(self.psi(f), self.psi(g))
-                if not (lhs - rhs).is_zero():
+                if not (self.psi(f * g) - self.ext.b_mul(pf, pg)).is_zero():
                     raise ModelError("psi is not multiplicative")
 
-    # -- complexes and maps, each built once on first use -----------------
-
-    @cached_property
-    def L(self):
-        """Koszul resolution of A over C on the sequence (y_1..y_r)."""
-        ctx = ExteriorContext(self.C, self.r, name="KzM")
-        return koszul_complex(ctx, [self.C.gen(self.m + k) for k in range(self.r)]).with_window(self.D)
-
-    @cached_property
-    def P(self):
-        return build_p_complex(self.ext).with_window(self.D)
-
-    @cached_property
-    def K(self):
-        return build_k_complex(self.ext).with_window(self.D)
-
-    @cached_property
-    def A_cplx(self):
-        return single_module_complex(self.A, BasedModule(self.A, ((),), "A"), 0).with_window(self.D)
-
-    @cached_property
-    def aug_l(self):
-        """L -> A, reduction of the degree-0 coefficient ring."""
-
-        def fn(v):
-            return self.A_cplx.module(0).element(((), self.reduce_poly(c)) for c in v.data.values())
-
-        return ComplexMap.from_functions(self.L, self.A_cplx, {0: fn})
-
-    @cached_property
-    def aug_p(self):
-        return p_augmentation(self.ext, self.P)
+    # -- the comparison maps, which read chi through psi ------------------
 
     @cached_property
     def gamma(self):
@@ -236,43 +307,6 @@ class LocalModel:
             return fn
 
         return ComplexMap.from_functions(self.L, self.K, {-p: component(p) for p in range(self.r + 1)})
-
-    # -- reductions along A ----------------------------------------------
-
-    @cached_property
-    def RL(self):
-        mods = {}
-        for p in range(self.r + 1):
-            labels = tuple(combinations(range(self.r), p))
-            mods[-p] = BasedModule(self.A, labels, f"A(x)L^{p}", tuple(p for _ in labels))
-        return CochainComplex(self.A, mods, {}, window=self.D, check=False)
-
-    @cached_property
-    def RP(self):
-        mods = {-p: self.ext.lam_i(p) for p in range(self.r + 1)}
-        return CochainComplex(self.A, mods, {}, window=self.D, check=False)
-
-    @cached_property
-    def red_l(self):
-        """A (x)_C L -> RL (coefficients reduced mod J)."""
-
-        def component(p):
-            def fn(v):
-                return self.RL.module(-p).element((K, self.reduce_poly(c)) for K, c in v.data.items())
-
-            return fn
-
-        return ComplexMap.from_functions(self.L, self.RL, {-p: component(p) for p in range(self.r + 1)})
-
-    @cached_property
-    def red_p(self):
-        """A (x)_B P -> RP (the j parts)."""
-
-        def fn(v):
-            # the j part of Lambda^{p+1} B lies in Lambda^p I, which is RP^{-p}
-            return self.ext.split(v)[1]
-
-        return ComplexMap.from_functions(self.P, self.RP, {-p: fn for p in range(self.r + 1)})
 
     def hkr_matrix_gamma(self):
         """The induced map on reduced complexes; must send e_K to y_K.
@@ -491,18 +525,24 @@ def _reduce_k_then_antisym(kvec, target):
 
 
 def zeta_checks(ext, window=None):
-    """The zeta battery on K and P, both at the given window."""
-    K = build_k_complex(ext).with_window(window)
-    P = build_p_complex(ext).with_window(window)
-    z = zeta(ext, K, P)
-    res = {}
-    res["chain_map"] = z.is_chain_map()
-    # degrees below -rank only see the truncation tail of K
-    res["quasi_iso"] = is_quasi_iso(z, degrees=range(-ext.rank, 1))
-    res["b_linear"] = zeta_is_b_linear(ext)
-    res["augmentation"] = (p_augmentation(ext, P).compose(z) - k_augmentation(ext, K)).is_zero()
-    res["short_exact"] = k_short_exact_sequences(ext)
-    return res
+    """The zeta battery on K and P, both at the given window.
+
+    It never reads a splitting, so it runs once per window of an extension
+    and is kept on it; each call returns a fresh copy.
+    """
+    if window not in ext._zeta_checks:
+        K = build_k_complex(ext).with_window(window)
+        P = build_p_complex(ext).with_window(window)
+        z = zeta(ext, K, P)
+        res = {}
+        res["chain_map"] = z.is_chain_map()
+        # degrees below -rank only see the truncation tail of K
+        res["quasi_iso"] = is_quasi_iso(z, degrees=range(-ext.rank, 1))
+        res["b_linear"] = zeta_is_b_linear(ext)
+        res["augmentation"] = (p_augmentation(ext, P).compose(z) - k_augmentation(ext, K)).is_zero()
+        res["short_exact"] = k_short_exact_sequences(ext)
+        ext._zeta_checks[window] = res
+    return dict(ext._zeta_checks[window])
 
 
 # -- the dual comparison signs ---------------------------------------------

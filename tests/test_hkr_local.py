@@ -1,5 +1,6 @@
 """Local model: resolutions, comparison maps, sign chase, cycle class."""
 
+import gc
 import json
 import random
 from fractions import Fraction
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from hkrlab.chain_core import ComplexMap, homology, is_quasi_iso
 from hkrlab.coeff import CoeffAlgebra, poly_to_string
+from hkrlab import hkr_local
 from hkrlab.extension_dg import build_extension
 from hkrlab.hkr_local import (
     LocalModel,
@@ -107,6 +109,32 @@ def test_psi_is_the_product_of_generator_images(twisted_model, data):
     assert model.psi(c) == want
 
 
+def test_validate_rejects_a_non_multiplicative_psi(monkeypatch):
+    table = LocalModel._psi_monomial_table
+
+    def perturbed(self):
+        out = table(self)
+        out[(1, 1)] = out[(1, 1)] + self.j_class(0)  # psi(x1*y1) gains y1
+        return out
+
+    monkeypatch.setattr(LocalModel, "_psi_monomial_table", perturbed)
+    with pytest.raises(ModelError, match="psi is not multiplicative"):
+        LocalModel(1, 1, 3)
+
+
+def test_validate_rejects_a_splitting_that_is_not_a_section(monkeypatch):
+    table = LocalModel._psi_monomial_table
+
+    def perturbed(self):
+        out = table(self)
+        out[(1, 0)] = out[(1, 0)] + self.ext.unit()  # psi(x1) maps to x1 + 1 in A
+        return out
+
+    monkeypatch.setattr(LocalModel, "_psi_monomial_table", perturbed)
+    with pytest.raises(ModelError, match="splitting is not a section"):
+        LocalModel(1, 1, 3)
+
+
 def test_build_model_rejects_overflowing_chi():
     A = CoeffAlgebra.polynomial(1, 3)
     x3 = A.monomial((3,))
@@ -183,6 +211,39 @@ def test_zeta_battery_at_rank_four():
     }
 
 
+def test_zeta_checks_run_once_per_window_and_return_fresh_copies(monkeypatch):
+    runs = []
+    short_exact = hkr_local.k_short_exact_sequences
+
+    def counting(ext):
+        runs.append(ext)
+        return short_exact(ext)
+
+    monkeypatch.setattr(hkr_local, "k_short_exact_sequences", counting)
+    ext = build_extension(QQ, 2)
+    first = zeta_checks(ext, window=3)
+    second = zeta_checks(ext, window=3)
+    assert first == second and first is not second
+    first["chain_map"] = False
+    assert all(second.values()) and all(zeta_checks(ext, window=3).values())
+    assert len(runs) == 1
+    assert all(zeta_checks(ext, window=4).values())
+    assert len(runs) == 2
+
+
+def test_zeta_checks_on_a_fresh_extension_see_a_wrong_sign(monkeypatch):
+    zeta = hkr_local.zeta
+
+    def wrong_sign(ext, K, P):
+        # negate the degree -1 component
+        z = zeta(ext, K, P)
+        return ComplexMap(K, P, {**z.cols, -1: [{t: -c for t, c in col.items()} for col in z.cols[-1]]})
+
+    assert zeta_checks(build_extension(QQ, 2), window=3)["chain_map"]
+    monkeypatch.setattr(hkr_local, "zeta", wrong_sign)
+    assert zeta_checks(build_extension(QQ, 2), window=3)["chain_map"] is False
+
+
 def test_kappa_chain_map():
     model = LocalModel(1, 2, 3)
     assert model.kappa.is_chain_map()
@@ -200,14 +261,33 @@ def test_one_model_builds_each_comparison_map_once(monkeypatch):
         ))
         return f
 
+    def run_checks(model):
+        assert all(model.gamma_checks().values())
+        assert model.hkr_matrix_gamma()[0]
+        assert compare_hkr_ac(model)
+
     monkeypatch.setattr(ComplexMap, "from_functions", classmethod(recording))
     model = LocalModel(1, 2, 3, chi=[["1+x1", "-2"]])
-    assert all(model.gamma_checks().values())
-    assert model.hkr_matrix_gamma()[0]
-    assert compare_hkr_ac(model)
-    assert len(set(built)) == len(built)
+    run_checks(model)
     # gamma, kappa, the two augmentations and red_p
     assert len(built) == 5
+    # a second splitting while the first model lives shares its base, so
+    # only its own gamma and kappa are built
+    other = LocalModel(1, 2, 3, chi=[["x1", "1"]])
+    run_checks(other)
+    assert len(built) == 7
+    assert len(set(built)) == len(built)
+    # the base goes with the last model, by reference counting alone
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del model, other
+        assert (1, 2, 3) not in hkr_local._BASES
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    run_checks(LocalModel(1, 2, 3))
+    assert len(built) == 12
 
 
 @pytest.mark.parametrize("m,r,D", [(1, 1, 3), (1, 2, 3), (1, 3, 3)])
