@@ -728,7 +728,7 @@ def dual_twist_signs(r):
     ]
 
 
-def cycle_class_local(model, check_signs=True):
+def cycle_class_local(model):
     """The local quantized cycle class, by chasing the resolution route.
 
     Inverts the augmentation of (L, -delta) by a chain-level section,
@@ -738,7 +738,7 @@ def cycle_class_local(model, check_signs=True):
     """
     r = model.r
     twist = dual_twist_signs(r)
-    if check_signs and r <= 3:
+    if r <= 3:
         chase = dual_hkr_sign(r)
         if not chase["ok"]:
             raise ModelError("dual comparison chase failed")

@@ -10,7 +10,8 @@ import pytest
 from hkrlab.coeff import CoeffAlgebra
 from hkrlab.extension_dg import build_extension
 from hkrlab.chain_core import homology
-from hkrlab.modules import BasedModule, LinMap
+from hkrlab import cech_twist
+from hkrlab.modules import BasedModule, LinMap, StructuralError
 from hkrlab.cech_twist import (
     NERVE_LIBRARY,
     Cochain,
@@ -50,9 +51,7 @@ from hkrlab.cech_twist import (
     torus_nerve,
     translation_fixes_wedge_classes,
     twisted_resolution_homology_check,
-    wedge_family,
     yoneda_compose,
-    zeta_recursion,
 )
 from hkrlab.connections import Connection, DerivationChi, KahlerModule
 
@@ -315,24 +314,20 @@ def test_eta_recursion_spot_values():
 def test_eta_two_zero_normalization_forced_by_chain_equations():
     # on a depth-2 nerve the (2,0) component without the 1/2 prefactor
     # fails the comparison chain equations; with it, they hold
-    from hkrlab.cech_twist import TMorphism, build_t_wedge, merge_wedge, t_chain_check
-    from hkrlab.modules import LinMap
+    from hkrlab.cech_twist import build_t_wedge, t_chain_check
 
     ext = ext_of(2)
     nerve = sphere_nerve(2)
     rng = random.Random(13)
     cs = random_wedge_cochains(ext, nerve, rng)
     ds = random_wedge_cochains(ext, nerve, rng)
-    lam = wedge_family(ext, nerve, cs)
-    mu = wedge_family(ext, nerve, ds)
-    T, etas = build_t_wedge(ext, nerve, cs, ds)
+    lam = TwistFamily.from_wedge_cochains(ext, nerve, cs)
+    mu = TwistFamily.from_wedge_cochains(ext, nerve, ds)
+    T = build_t_wedge(ext, nerve, cs, ds)
     assert t_chain_check(ext, lam, mu, T)
     # rebuild with the doubled (2,0) component: the equations must fail
-    bad = dict(T.components)
-    for s in nerve.simplices_of_dim(2):
-        comp = T.component(0, 2, s)
-        bad[(0, 2, s)] = comp.scale(2)
-    assert not t_chain_check(ext, lam, mu, TMorphism(ext, nerve, bad))
+    bad = {key: m.scale(2) if key[:2] == (0, 2) else m for key, m in T.items()}
+    assert not t_chain_check(ext, lam, mu, bad)
 
 
 def test_eta_vanishes_above_diagonal_when_twists_agree():
@@ -357,14 +352,14 @@ def test_wedge_comparison_on_circle(r):
     for _ in range(3):
         cs = random_wedge_cochains(ext, nerve, rng)
         ds = random_wedge_cochains(ext, nerve, rng)
-        lam = wedge_family(ext, nerve, cs)
-        mu = wedge_family(ext, nerve, ds)
-        assert lam.transition_cocycle_check()
-        delta, T = delta_matrix(ext, nerve, lam, mu, "wedge")
+        lam = TwistFamily.from_wedge_cochains(ext, nerve, cs)
+        mu = TwistFamily.from_wedge_cochains(ext, nerve, ds)
+        assert transitions_compose(lam)
+        delta = delta_matrix(ext, nerve, lam, mu, "wedge")
         assert delta.diagonal_is_identity()
         cs_canon = [canonical_representative(nerve, c) for c in cs]
         ds_canon = [canonical_representative(nerve, d) for d in ds]
-        zetas = zeta_recursion(ext, nerve, cs_canon, ds_canon)
+        zetas = eta_recursion(ext, nerve, cs_canon, ds_canon)
         for i in range(r + 1):
             for j in range(i):
                 if i - j > nerve.depth:
@@ -378,9 +373,9 @@ def test_wedge_comparison_equal_twists_identity_matrix():
     nerve = circle_nerve()
     rng = random.Random(7)
     cs = random_wedge_cochains(ext, nerve, rng)
-    lam = wedge_family(ext, nerve, cs)
-    mu = wedge_family(ext, nerve, cs)
-    delta, _ = delta_matrix(ext, nerve, lam, mu, "wedge")
+    lam = TwistFamily.from_wedge_cochains(ext, nerve, cs)
+    mu = TwistFamily.from_wedge_cochains(ext, nerve, cs)
+    delta = delta_matrix(ext, nerve, lam, mu, "wedge")
     assert delta.diagonal_is_identity()
     for i in range(3):
         for j in range(i):
@@ -395,9 +390,9 @@ def test_wedge_comparison_on_sphere_with_coboundary_twists():
     rng = random.Random(11)
     cs = random_wedge_cochains(ext, nerve, rng)  # pure coboundaries here
     ds = random_wedge_cochains(ext, nerve, rng)
-    lam = wedge_family(ext, nerve, cs)
-    mu = wedge_family(ext, nerve, ds)
-    delta, _ = delta_matrix(ext, nerve, lam, mu, "wedge")
+    lam = TwistFamily.from_wedge_cochains(ext, nerve, cs)
+    mu = TwistFamily.from_wedge_cochains(ext, nerve, ds)
+    delta = delta_matrix(ext, nerve, lam, mu, "wedge")
     assert delta.diagonal_is_identity()
     for i in range(3):
         for j in range(i):
@@ -412,10 +407,10 @@ def test_wedge_comparison_on_torus_quadratic_entry():
     rng = random.Random(23)
     cs = random_wedge_cochains(ext, nerve, rng)
     ds = random_wedge_cochains(ext, nerve, rng)
-    lam = wedge_family(ext, nerve, cs)
-    mu = wedge_family(ext, nerve, ds)
-    delta, _ = delta_matrix(ext, nerve, lam, mu, "wedge")
-    zetas = zeta_recursion(ext, nerve, cs, ds)
+    lam = TwistFamily.from_wedge_cochains(ext, nerve, cs)
+    mu = TwistFamily.from_wedge_cochains(ext, nerve, ds)
+    delta = delta_matrix(ext, nerve, lam, mu, "wedge")
+    zetas = eta_recursion(ext, nerve, cs, ds)
     for i in range(3):
         for j in range(i):
             want = l_operator(ext, nerve, i, j, zetas[(i, j)])
@@ -429,12 +424,12 @@ def test_composition_law_at_class_level():
     cs = random_wedge_cochains(ext, nerve, rng)
     ds = random_wedge_cochains(ext, nerve, rng)
     zeros = [Cochain(nerve, 1, ext.lam_i(1)) for _ in range(2)]
-    lam = wedge_family(ext, nerve, cs)
-    mu = wedge_family(ext, nerve, ds)
-    zero_fam = wedge_family(ext, nerve, zeros)
-    d_mu_lam, _ = delta_matrix(ext, nerve, lam, mu, "wedge")
-    d_0_lam, _ = delta_matrix(ext, nerve, lam, zero_fam, "wedge")
-    d_0_mu, _ = delta_matrix(ext, nerve, mu, zero_fam, "wedge")
+    lam = TwistFamily.from_wedge_cochains(ext, nerve, cs)
+    mu = TwistFamily.from_wedge_cochains(ext, nerve, ds)
+    zero_fam = TwistFamily.from_wedge_cochains(ext, nerve, zeros)
+    d_mu_lam = delta_matrix(ext, nerve, lam, mu, "wedge")
+    d_0_lam = delta_matrix(ext, nerve, lam, zero_fam, "wedge")
+    d_0_mu = delta_matrix(ext, nerve, mu, zero_fam, "wedge")
     lhs = delta_product(ext, nerve, d_0_mu, d_mu_lam)
     assert delta_entries_cohomologous(nerve, lhs, d_0_lam)
 
@@ -447,7 +442,7 @@ def test_last_level_comparison(r):
     shared = [random_hom_twist(ext, nerve, n, rng) for n in range(r - 1)]
     lam = TwistFamily(ext, nerve, shared + [random_hom_twist(ext, nerve, r - 1, rng)])
     mu = TwistFamily(ext, nerve, shared + [random_hom_twist(ext, nerve, r - 1, rng)])
-    delta, T = delta_matrix(ext, nerve, lam, mu, "last-level")
+    delta = delta_matrix(ext, nerve, lam, mu, "last-level")
     assert delta.diagonal_is_identity()
     want = (lam.cocycles[r - 1].cochain - mu.cocycles[r - 1].cochain).scale(Fraction(1, r))
     assert cohomologous(nerve, delta.entry(r, r - 1), want)
@@ -477,6 +472,103 @@ def test_delta_matrix_unsupported_shape():
         delta_matrix(ext, nerve, lam, lam, "general")
 
 
+def test_wedge_comparison_needs_families_built_from_wedge_cochains():
+    ext = ext_of(2)
+    nerve = circle_nerve()
+    zero = TwistFamily.zero(ext, nerve)
+    wedge = TwistFamily.from_wedge_cochains(ext, nerve, [Cochain(nerve, 1, ext.lam_i(1))] * 2)
+    assert zero.wedge_data is None
+    for lam, mu in ((zero, zero), (wedge, zero), (zero, wedge)):
+        with pytest.raises(UnsupportedTwistError):
+            delta_matrix(ext, nerve, lam, mu, "wedge")
+    assert delta_matrix(ext, nerve, wedge, wedge, "wedge").diagonal_is_identity()
+
+
+# -- negative controls: each comparison claim can fail -------------------------------
+
+
+def sphere2_wedge_families(seed):
+    ext = ext_of(2)
+    nerve = sphere_nerve(2)
+    rng = random.Random(seed)
+    lam = TwistFamily.from_wedge_cochains(ext, nerve, random_wedge_cochains(ext, nerve, rng))
+    mu = TwistFamily.from_wedge_cochains(ext, nerve, random_wedge_cochains(ext, nerve, rng))
+    return ext, nerve, lam, mu
+
+
+def test_transitions_with_the_opposite_sign_break_the_chain_map(monkeypatch):
+    ext, nerve, lam, mu = sphere2_wedge_families(41)
+    delta_matrix(ext, nerve, lam, mu, "wedge")  # unmutated, the same data passes
+    build = TwistFamily._build_transition
+
+    def plus_c(self, n, a, b):
+        # (i, j) |-> (i + c_ab(j), j) is 2 id - (i, j) |-> (i - c_ab(j), j)
+        return LinMap.identity(self.ext.lam_b(n + 1)).scale(2) - build(self, n, a, b)
+
+    monkeypatch.setattr(TwistFamily, "_build_transition", plus_c)
+    ext, nerve, lam, mu = sphere2_wedge_families(41)
+    with pytest.raises(StructuralError, match="comparison morphism is not a chain map"):
+        delta_matrix(ext, nerve, lam, mu, "wedge")
+
+
+def test_doubled_comparison_morphism_is_a_chain_map_that_misses_the_identity(monkeypatch):
+    ext, nerve, lam, mu = sphere2_wedge_families(42)
+    build = cech_twist.build_t_wedge
+
+    def doubled(*args):
+        return {key: m.scale(2) for key, m in build(*args).items()}
+
+    assert cech_twist.t_chain_check(ext, lam, mu, doubled(ext, nerve, lam.wedge_data, mu.wedge_data))
+    monkeypatch.setattr(cech_twist, "build_t_wedge", doubled)
+    with pytest.raises(StructuralError, match="does not cover the identity"):
+        delta_matrix(ext, nerve, lam, mu, "wedge")
+
+
+def test_non_cocycle_twist_data_is_rejected():
+    # the circle has no 2-simplices, so every 1-cochain on it is a cocycle
+    ext = ext_of(2)
+    nerve = sphere_nerve(2)
+    rng = random.Random(43)
+    cs = [random_cochain(nerve, 1, ext.lam_i(1), rng) for _ in range(ext.rank)]
+    assert not is_cocycle(nerve, cs[0])
+    with pytest.raises(StructuralError, match="twist data violates the cocycle condition"):
+        TwistFamily.from_wedge_cochains(ext, nerve, cs)
+
+
+def transitions_compose(fam):
+    """The transition cocycle law, on maps: T_ab o T_bc = T_ac and
+    T_ba o T_ab = id on every triangle (a, b, c), at every twist level.
+    It follows from the cocycle condition on the twist data."""
+    ext = fam.ext
+    for n in range(ext.rank):
+        for s in fam.nerve.simplices_of_dim(2):
+            a, b, c = s
+            lhs = fam.transition(n, a, b).compose(fam.transition(n, b, c))
+            rhs = fam.transition(n, a, c)
+            if not (lhs - rhs).is_zero():
+                return False
+            inv = fam.transition(n, b, a).compose(fam.transition(n, a, b))
+            if not (inv - LinMap.identity(ext.lam_b(n + 1))).is_zero():
+                return False
+    return True
+
+
+@pytest.mark.parametrize("name", ["sphere2", "torus"])
+@pytest.mark.parametrize("r", [2, 3])
+def test_transitions_compose_along_triangles(name, r):
+    ext = ext_of(r)
+    nerve = NERVE_LIBRARY[name]()
+    rng = random.Random(f"{name}:{r}")
+    for _ in range(2):
+        wedge = TwistFamily.from_wedge_cochains(ext, nerve, random_wedge_cochains(ext, nerve, rng))
+        hom = TwistFamily(ext, nerve, [random_hom_twist(ext, nerve, n, rng) for n in range(r)])
+        assert transitions_compose(wedge)
+        assert transitions_compose(hom)
+    # the law is not vacuous: a non-cocycle put past the TwistCocycle check breaks it
+    hom.cocycles[0].cochain = random_cochain(nerve, 1, hom_lam_module(ext, 0, 1), rng)
+    assert not transitions_compose(TwistFamily(ext, nerve, hom.cocycles))
+
+
 @pytest.mark.parametrize(
     "name, dims",
     [
@@ -490,7 +582,7 @@ def test_twisted_resolution_homology(name, dims):
     ext = ext_of(2)
     nerve = NERVE_LIBRARY[name]()
     rng = random.Random(31)
-    lam = wedge_family(ext, nerve, random_wedge_cochains(ext, nerve, rng))
+    lam = TwistFamily.from_wedge_cochains(ext, nerve, random_wedge_cochains(ext, nerve, rng))
     assert twisted_resolution_homology_check(ext, lam, dims)
 
 
@@ -623,8 +715,8 @@ def test_probe_agrees_on_wedge_domain():
     ext = ext_of(2)
     nerve = circle_nerve()
     rng = random.Random(97)
-    lam = wedge_family(ext, nerve, random_wedge_cochains(ext, nerve, rng))
-    mu = wedge_family(ext, nerve, random_wedge_cochains(ext, nerve, rng))
+    lam = TwistFamily.from_wedge_cochains(ext, nerve, random_wedge_cochains(ext, nerve, rng))
+    mu = TwistFamily.from_wedge_cochains(ext, nerve, random_wedge_cochains(ext, nerve, rng))
     report = conjecture_probe(ext, nerve, lam, mu, shape="wedge")
     assert report["agrees"] is True
 
@@ -703,8 +795,8 @@ def test_probe_documents_cup_sign_tension_on_torus():
     ext = ext_of(2)
     nerve = torus_nerve()
     rng = random.Random(5)
-    lam = wedge_family(ext, nerve, random_wedge_cochains(ext, nerve, rng))
-    mu = wedge_family(ext, nerve, random_wedge_cochains(ext, nerve, rng))
+    lam = TwistFamily.from_wedge_cochains(ext, nerve, random_wedge_cochains(ext, nerve, rng))
+    mu = TwistFamily.from_wedge_cochains(ext, nerve, random_wedge_cochains(ext, nerve, rng))
     report = conjecture_probe(ext, nerve, lam, mu, shape="wedge")
     assert report["agrees"] is False
     assert report["entries"]["2,0"]["status"] == "disagree"
@@ -758,8 +850,8 @@ def test_cached_transitions_equal_fresh_ones_after_delta_matrix():
     ext = ext_of(2)
     nerve = sphere_nerve(2)
     rng = random.Random(5)
-    lam = wedge_family(ext, nerve, random_wedge_cochains(ext, nerve, rng))
-    mu = wedge_family(ext, nerve, random_wedge_cochains(ext, nerve, rng))
+    lam = TwistFamily.from_wedge_cochains(ext, nerve, random_wedge_cochains(ext, nerve, rng))
+    mu = TwistFamily.from_wedge_cochains(ext, nerve, random_wedge_cochains(ext, nerve, rng))
     delta_matrix(ext, nerve, lam, mu, "wedge")
     for fam in (lam, mu):
         fresh = TwistFamily(ext, nerve, fam.cocycles)
@@ -795,9 +887,9 @@ def delta_golden_text(nerve_name, r, seed):
     nerve = NERVE_LIBRARY[nerve_name]()
     ext = ext_of(r)
     rng = random.Random(f"{seed}:wedge:{r}")
-    lam = wedge_family(ext, nerve, random_wedge_cochains(ext, nerve, rng))
-    mu = wedge_family(ext, nerve, random_wedge_cochains(ext, nerve, rng))
-    delta, _ = delta_matrix(ext, nerve, lam, mu, "wedge")
+    lam = TwistFamily.from_wedge_cochains(ext, nerve, random_wedge_cochains(ext, nerve, rng))
+    mu = TwistFamily.from_wedge_cochains(ext, nerve, random_wedge_cochains(ext, nerve, rng))
+    delta = delta_matrix(ext, nerve, lam, mu, "wedge")
     entries = {}
     for i in range(r + 1):
         for j in range(i + 1):

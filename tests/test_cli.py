@@ -336,7 +336,7 @@ def test_json_driven_model_cycle_class():
     from hkrlab.hkr_local import LocalModel, cycle_class_local
 
     model = LocalModel(1, 2, 3, chi=[["x1", "1"]])
-    qs = cycle_class_local(model, check_signs=False)
+    qs = cycle_class_local(model)
     assert qs[0] == 1 and all(q == 0 for q in qs[1:])
 
 
@@ -360,6 +360,6 @@ def test_json_driven_last_level_comparison():
     mu_tw = TwistCocycle.zero(ext, nerve, 0)
     lam = TwistFamily(ext, nerve, [lam_tw])
     mu = TwistFamily(ext, nerve, [mu_tw])
-    delta, _ = delta_matrix(ext, nerve, lam, mu, "last-level")
+    delta = delta_matrix(ext, nerve, lam, mu, "last-level")
     want = lam_tw.cochain.scale(Fraction(1, 1))
     assert cohomologous(nerve, delta.entry(1, 0), want)

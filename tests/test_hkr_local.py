@@ -331,7 +331,7 @@ def test_cycle_class_local(m, r, D):
 def test_cycle_class_local_twisted():
     A = CoeffAlgebra.polynomial(1, 3)
     model = LocalModel(1, 2, 3, chi=[[A.gen(0), A.zero()]])
-    qs = cycle_class_local(model, check_signs=False)
+    qs = cycle_class_local(model)
     assert qs[0] == 1 and all(q == 0 for q in qs[1:])
 
 

@@ -8,7 +8,9 @@ an optional prebuilt value that it builds itself when it is left out (each
 complex has one owner that builds it), and only exterior_core uses
 factorial or permutations (every symmetrization and shuffle weight of the
 exterior algebra is written there once), and only rational divides with /
-(a coefficient may be an int, and int / int is a float)."""
+(a coefficient may be an int, and int / int is a float), and the functions
+and classes that only tests reach are an exact, listed inventory (new
+unreachable code fails, and so does a listed name that gains a caller)."""
 
 import ast
 from pathlib import Path
@@ -16,6 +18,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "hkrlab"
+TESTS = Path(__file__).resolve().parent
 
 
 def unused_imports(source):
@@ -316,3 +319,127 @@ def test_true_division_is_found():
 def test_only_rational_divides(path):
     # rational divides Fractions only: rref reads every entry as a Fraction first
     assert true_divisions(path.read_text()) == []
+
+
+def _reads_by_owner(source):
+    """{owner: names read} of source, where owner is the top-level function
+    or class around the read (None at module level) and a name is read as a
+    bare name or as an attribute, such as ql.solve or self.helper."""
+    reads = {}
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            inner = owner
+            if owner is None and isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = child.name
+            if isinstance(child, ast.Name):
+                reads.setdefault(inner, set()).add(child.id)
+            elif isinstance(child, ast.Attribute):
+                reads.setdefault(inner, set()).add(child.attr)
+            visit(child, inner)
+
+    visit(ast.parse(source), None)
+    return reads
+
+
+def unreached_definitions(sources, roots=()):
+    """Sorted (module, name) of each top-level function or class of sources,
+    {module: source text}, that nothing reaches: no module-level code and no
+    definition already reached reads its name, and it is not one of roots.
+    An import alone is no read; a definition does not reach itself."""
+    defined = {}
+    edges = {}
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined[node.name] = module
+        for owner, names in _reads_by_owner(source).items():
+            edges.setdefault(owner, set()).update(names)
+    reached = set()
+    todo = [None, *roots]
+    while todo:
+        owner = todo.pop()
+        reached.add(owner)
+        todo += [n for n in edges.get(owner, ()) if n in defined and n not in reached and n not in todo]
+    return sorted((module, name) for name, module in defined.items() if name not in reached)
+
+
+def test_unreached_definition_is_found():
+    sources = {
+        "a.py": (
+            "def used():\n"
+            "    return helper()\n"
+            "def helper():\n"
+            "    return 1\n"
+            "def orphan():\n"
+            "    return ql.inner()\n"
+            "def inner():\n"
+            "    return 2\n"
+            "class Box:\n"
+            "    def get(self):\n"
+            "        return boxed()\n"
+            "def boxed():\n"
+            "    return 3\n"
+            "TABLE = {'used': used}\n"
+        ),
+        "b.py": "from .a import orphan\ndef recursive():\n    return recursive()\n",
+    }
+    assert unreached_definitions(sources) == [
+        ("a.py", "Box"),
+        ("a.py", "boxed"),
+        ("a.py", "inner"),
+        ("a.py", "orphan"),
+        ("b.py", "recursive"),
+    ]
+    assert unreached_definitions(sources, roots={"orphan", "Box"}) == [("b.py", "recursive")]
+
+
+# The functions and classes that no code of the package reaches (verify
+# itself starts from cli_report's module-level code): tests are their only
+# callers.  Give one a suite or delete it, and take it off this list.
+TEST_ONLY = [
+    ("cech_twist.py", "_linmap_inverse"),
+    ("cech_twist.py", "atiyah_twist"),
+    ("cech_twist.py", "cech_cohomology"),
+    ("cech_twist.py", "class_coordinates"),
+    ("cech_twist.py", "codim2_matrix"),
+    ("cech_twist.py", "delta_entries_cohomologous"),
+    ("cech_twist.py", "delta_product"),
+    ("cech_twist.py", "q_operator"),
+    ("cech_twist.py", "q_operator_is_chain_map"),
+    ("cech_twist.py", "translation_fixes_wedge_classes"),
+    ("cech_twist.py", "twisted_resolution_homology_check"),
+    ("cech_twist.py", "twisted_total_complex"),
+    ("cli_report.py", "parse_model_json"),
+    ("connections.py", "Connection"),
+    ("connections.py", "DerivationChi"),
+    ("connections.py", "KahlerModule"),
+    ("connections.py", "_prop_battery"),
+    ("connections.py", "_r_from_connection"),
+    ("connections.py", "_r_from_iso"),
+    ("connections.py", "ak_auto"),
+    ("connections.py", "ak_auto_from_connection"),
+    ("connections.py", "ak_auto_from_iso"),
+    ("connections.py", "augmentation_identity_check"),
+    ("connections.py", "chi_hat_determinant"),
+    ("connections.py", "dual_auto"),
+    ("connections.py", "dual_auto_checks"),
+    ("connections.py", "poly_partial"),
+    ("connections.py", "prop_battery_from_connection"),
+    ("connections.py", "prop_battery_from_iso"),
+    ("connections.py", "r_map_twisted_leibniz"),
+    ("connections.py", "semilinearity_check"),
+    ("connections.py", "u_chi_checks"),
+    ("exterior_core.py", "exterior_power_map"),
+    ("exterior_core.py", "koszul_dual_form"),
+]
+
+
+def test_tests_alone_reach_exactly_the_listed_definitions():
+    package = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert unreached_definitions(package) == TEST_ONLY
+    # tests reach every listed one, so none is dead code
+    test_reads = set()
+    for path in TESTS.glob("test_*.py"):
+        test_reads = test_reads.union(*_reads_by_owner(path.read_text()).values())
+    assert unreached_definitions(package, roots=test_reads) == []
