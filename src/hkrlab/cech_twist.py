@@ -26,11 +26,10 @@ from fractions import Fraction
 from itertools import combinations
 
 from .chain_core import (
-    Bicomplex,
-    CochainComplex,
     ComplexMap,
     hom_module,
     homology,
+    total_complex,
     totalize,
 )
 from .coeff import CoeffAlgebra
@@ -283,50 +282,40 @@ def cech_complex(nerve, module, transitions=None):
         C = nerve._cech_complexes.get(module)
         if C is not None:
             return C
-    algebra = module.algebra
-    modules = {}
-    for l in range(nerve.depth + 1):
-        labels = []
-        grades = []
-        for s in nerve.simplices_of_dim(l):
-            for lab, g in zip(module.labels, module.grades):
-                labels.append((s, lab))
-                grades.append(g)
-        modules[l] = BasedModule(algebra, tuple(labels), f"C^{l}({module.name})", tuple(grades))
-    diffs = {}
-    for l in range(nerve.depth):
-        src, tgt = modules[l], modules[l + 1]
-        d = LinMap(src, tgt)
-        for (s, lab) in src.labels:
-            terms = []
-            for t, k in nerve.cofaces[s]:
-                if k == 0 and transitions is not None:
-                    conv = transitions(t[0], t[1]).apply(module.basis_vec(lab))
-                    terms += [((t, lab2), c) for lab2, c in conv.data.items()]
-                else:
-                    terms.append(((t, lab), (-1) ** k))
-            d.set_column((s, lab), tgt.element(terms))
-        diffs[l] = d
-    C = CochainComplex(algebra, modules, diffs)
+    spots = {l: [(s, module) for s in nerve.simplices_of_dim(l)] for l in range(nerve.depth + 1)}
+
+    def column(l, s, lab):
+        for t, k in nerve.cofaces[s]:
+            if k == 0 and transitions is not None:
+                conv = transitions(t[0], t[1]).apply(module.basis_vec(lab))
+                yield from (((t, lab2), c) for lab2, c in conv.data.items())
+            else:
+                yield (t, lab), (-1) ** k
+
+    C = total_complex(module.algebra, spots, column, lambda l: f"C^{l}({module.name})")
     if transitions is None:
         nerve._cech_complexes[module] = C
     return C
 
 
 def cech_total_complex(nerve, columns, vertical, transitions=None):
-    """Tot of the Cech bicomplex of a complex of local systems.
+    """Tot of the Cech double complex of a complex of local systems.
 
     columns maps each complex degree j to the module of that term;
     vertical[j] is the chart-independent differential columns[j] ->
     columns[j + 1] (absent means zero); transitions(j, a, b), when given,
     is the b -> a chart change on columns[j].  Spot (l, j) holds the Cech
-    l-cochains of columns[j]; the totalization inserts (-1)^l on the
-    vertical part.
+    l-cochains of columns[j]; totalize inserts (-1)^l on the vertical part.
+    A vertical map that does not commute with the chart changes makes a
+    square of the double complex fail to commute, and so fails the total's
+    d o d check (a ValueError).
     """
     cech = {
         j: cech_complex(nerve, M, None if transitions is None else partial(transitions, j))
         for j, M in columns.items()
     }
+    modules = {(l, j): C.module(l) for j, C in cech.items() for l in C.degrees()}
+    horiz = {(l, j): d for j, C in cech.items() for l, d in C.diffs.items()}
     vert = {}
     for j, v in vertical.items():
         images = {lab: v.apply(columns[j].basis_vec(lab)) for lab in columns[j].labels}
@@ -337,7 +326,7 @@ def cech_total_complex(nerve, columns, vertical, transitions=None):
                 d.set_column((s, lab), Vec(tgt, {(s, lab2): c for lab2, c in images[lab].data.items()}))
             vert[(l, j)] = d
     algebra = next(iter(columns.values())).algebra
-    return totalize(Bicomplex.from_rows(algebra, cech, vert))
+    return totalize(algebra, modules, horiz, vert)
 
 
 def cech_cohomology(nerve, module, degree):
@@ -484,7 +473,7 @@ class TwistFamily:
 
 
 def twisted_total_complex(ext, twists):
-    """Tot of the Cech bicomplex of the twisted resolution complex.
+    """Tot of the Cech double complex of the twisted resolution complex.
 
     Column -n holds Lambda^{n+1} B, twisted by the level-n transitions,
     with vertical differential n d_{n+1}.

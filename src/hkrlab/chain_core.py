@@ -1,4 +1,4 @@
-"""Bounded cochain complexes, maps, homology, Hom/tensor complexes.
+"""Bounded cochain complexes, maps, homology, direct-sum complexes.
 
 Conventions, fixed once for the whole package:
 
@@ -6,8 +6,15 @@ Conventions, fixed once for the whole package:
 * Hom complexes: (df) = d o f - (-1)^{|f|} f o d;
 * shifts C[k] reindex only (C[k]^n = C^{n+k}, same differential); where a
   sign-twisted differential is wanted it is written out explicitly;
-* totalization of a bicomplex with commuting squares: on the (i, j) spot
-  the total differential is d_h + (-1)^i d_v.
+* every complex assembled from labelled blocks (Hom, tensor, Cech, and
+  the totalization of a double complex) is built by total_complex, which
+  checks d o d once;
+* totalization (totalize): on the (i, j) spot the total differential is
+  D = d_h + (-1)^i d_v.  On that spot D^2 has three parts, each in its
+  own spot: d_h^2 in (i + 2, j), d_v^2 in (i, j + 2), and
+  (-1)^i (d_h d_v - d_v d_h) in (i + 1, j + 1).  So D^2 = 0 holds exactly
+  when the rows and columns are complexes and every square commutes, and
+  the total's one d o d check is the whole check of the double complex.
 
 All rank computations happen on flattened rational matrices.  A complex
 may carry a grade window w: its flattened space is the quotient spanned
@@ -204,7 +211,7 @@ class ComplexMap:
         return not any(col for cols in self.cols.values() for col in cols)
 
 
-# -- Hom and tensor complexes -------------------------------------------
+# -- direct-sum complexes: Hom, tensor, totals ---------------------------
 
 
 def tensor_module(M, N, name=None):
@@ -221,178 +228,92 @@ def hom_module(M, N):
     return BasedModule(M.algebra, labels, f"Hom({M.name},{N.name})", grades)
 
 
+def total_complex(algebra, spots, column, name):
+    """The direct-sum complex of labelled blocks, checked for d o d once.
+
+    spots is {n: [(spot, module), ...]}: the degree-n term is the direct sum
+    of those modules in the listed order, with labels (spot, label) and the
+    grades of the spot modules, named name(n).  column(n, spot, label)
+    yields the (target label, coefficient) terms of the differential on
+    that basis vector.
+    """
+    modules = {}
+    for n, blocks in spots.items():
+        labels, grades = [], []
+        for spot, M in blocks:
+            labels += [(spot, lab) for lab in M.labels]
+            grades += M.grades
+        modules[n] = BasedModule(algebra, labels, name(n), grades)
+    diffs = {}
+    for n in sorted(modules):
+        src, tgt = modules[n], modules.get(n + 1)
+        if tgt is not None:
+            d = diffs[n] = LinMap(src, tgt)
+            for spot, lab in src.labels:
+                d.set_column((spot, lab), tgt.element(column(n, spot, lab)))
+    return CochainComplex(algebra, modules, diffs)
+
+
 def hom_complex(C, D):
     """Hom complex with differential d o f - (-1)^{|f|} f o d."""
-    algebra = C.algebra
-    cdegs, ddegs = C.degrees(), D.degrees()
-    modules = {}
-    for m in cdegs:
-        for n in ddegs:
-            deg = n - m
-            pairs = modules.setdefault(deg, [])
-            pairs.append((m, n))
-    hom_modules = {}
-    for deg, pairs in modules.items():
-        labels, grades = [], []
-        for m, n in pairs:
-            hm = hom_module(C.module(m), D.module(n))
-            for lab, g in zip(hm.labels, hm.grades):
-                labels.append((m, lab))
-                grades.append(g)
-        hom_modules[deg] = BasedModule(algebra, labels, f"Hom(C,D)^{deg}", grades)
-    diffs = {}
-    for deg in sorted(hom_modules):
-        src = hom_modules[deg]
-        tgt = hom_modules.get(deg + 1)
-        if tgt is None:
-            continue
-        dmap = LinMap(src, tgt)
-        for m, (a, b) in src.labels:
-            # elementary map sending basis vector a of C^m to b of D^{m+deg}
-            # post-compose with d_D
-            img = D.diff(m + deg).apply(D.module(m + deg).basis_vec(b))
-            terms = [((m, (a, b2)), c) for b2, c in img.data.items()]
-            # pre-compose with d_C, Koszul sign -(-1)^deg
-            sgn = -1 if deg % 2 == 0 else 1
-            dC = C.diff(m - 1)
-            for a2 in dC.source.labels:
-                colv = dC.cols.get(a2)
-                if colv is not None:
-                    terms.append(((m - 1, (a2, b)), colv.coeff(a) * sgn))
-            dmap.set_column((m, (a, b)), tgt.element(terms))
-        diffs[deg] = dmap
-    return CochainComplex(algebra, hom_modules, diffs, check=True)
+    spots = {}
+    for m in C.degrees():
+        for n in D.degrees():
+            spots.setdefault(n - m, []).append((m, hom_module(C.module(m), D.module(n))))
+
+    def column(deg, m, lab):
+        # the elementary map sending basis vector a of C^m to b of D^{m+deg},
+        # post-composed with d_D, then pre-composed with d_C with sign -(-1)^deg
+        a, b = lab
+        img = D.diff(m + deg).apply(D.module(m + deg).basis_vec(b))
+        yield from (((m, (a, b2)), c) for b2, c in img.data.items())
+        sgn = -1 if deg % 2 == 0 else 1
+        dC = C.diff(m - 1)
+        for a2 in dC.source.labels:
+            colv = dC.cols.get(a2)
+            if colv is not None:
+                yield (m - 1, (a2, b)), colv.coeff(a) * sgn
+
+    return total_complex(C.algebra, spots, column, lambda deg: f"Hom(C,D)^{deg}")
 
 
 def tensor_complex(C, D):
     """Tensor product complex with d(x tensor y) = dx tensor y + (-1)^{|x|} x tensor dy."""
-    algebra = C.algebra
-    modules = {}
+    spots = {}
     for m in C.degrees():
         for n in D.degrees():
-            modules.setdefault(m + n, []).append((m, n))
-    t_modules = {}
-    for deg, pairs in modules.items():
-        labels, grades = [], []
-        for m, n in pairs:
-            tm = tensor_module(C.module(m), D.module(n))
-            for lab, g in zip(tm.labels, tm.grades):
-                labels.append((m, lab))
-                grades.append(g)
-        t_modules[deg] = BasedModule(algebra, labels, f"(C(x)D)^{deg}", grades)
-    diffs = {}
-    for deg in sorted(t_modules):
-        src = t_modules[deg]
-        tgt = t_modules.get(deg + 1)
-        if tgt is None:
-            continue
-        dmap = LinMap(src, tgt)
-        for m, (a, b) in src.labels:
-            n = deg - m
-            img = C.diff(m).apply(C.module(m).basis_vec(a))
-            terms = [((m + 1, (a2, b)), c) for a2, c in img.data.items()]
-            sgn = -1 if m % 2 else 1
-            img = D.diff(n).apply(D.module(n).basis_vec(b))
-            terms += [((m, (a, b2)), c * sgn) for b2, c in img.data.items()]
-            dmap.set_column((m, (a, b)), tgt.element(terms))
-        diffs[deg] = dmap
-    return CochainComplex(algebra, t_modules, diffs, check=True)
+            spots.setdefault(m + n, []).append((m, tensor_module(C.module(m), D.module(n))))
+
+    def column(deg, m, lab):
+        a, b = lab
+        n = deg - m
+        img = C.diff(m).apply(C.module(m).basis_vec(a))
+        yield from (((m + 1, (a2, b)), c) for a2, c in img.data.items())
+        sgn = -1 if m % 2 else 1
+        img = D.diff(n).apply(D.module(n).basis_vec(b))
+        yield from (((m, (a, b2)), c * sgn) for b2, c in img.data.items())
+
+    return total_complex(C.algebra, spots, column, lambda deg: f"(C(x)D)^{deg}")
 
 
-# -- bicomplexes ---------------------------------------------------------
-
-
-class Bicomplex:
-    """Modules indexed by (i, j) with commuting horizontal/vertical differentials."""
-
-    def __init__(self, algebra, modules, horiz, vert, check=True):
-        self.algebra = algebra
-        self.modules = dict(modules)
-        self.horiz = {k: v for k, v in horiz.items() if v is not None and not v.is_zero()}
-        self.vert = {k: v for k, v in vert.items() if v is not None and not v.is_zero()}
-        if check:
-            self.validate()
-
-    @classmethod
-    def from_rows(cls, algebra, rows, vert):
-        """The bicomplex with the complex rows[j] along row j and the vertical
-        maps vert[(i, j)].  Each row's d o d was checked when its
-        CochainComplex was built; d_v^2 and the squares are checked here."""
-        modules, horiz = {}, {}
-        for j, C in rows.items():
-            for i in C.degrees():
-                modules[(i, j)] = C.module(i)
-            for i, d in C.diffs.items():
-                horiz[(i, j)] = d
-        bic = cls(algebra, modules, horiz, vert, check=False)
-        bic._validate_vertical()
-        return bic
-
-    def module(self, ij):
-        return self.modules.get(ij) or zero_module(self.algebra)
-
-    def h(self, ij):
-        d = self.horiz.get(ij)
-        if d is None:
-            i, j = ij
-            return LinMap.zero(self.module(ij), self.module((i + 1, j)))
-        return d
-
-    def v(self, ij):
-        d = self.vert.get(ij)
-        if d is None:
-            i, j = ij
-            return LinMap.zero(self.module(ij), self.module((i, j + 1)))
-        return d
-
-    def validate(self):
-        for (i, j) in self.modules:
-            if not self.h((i + 1, j)).compose(self.h((i, j))).is_zero():
-                raise ValueError(f"horizontal d^2 != 0 at {(i, j)}")
-        self._validate_vertical()
-
-    def _validate_vertical(self):
-        """d_v^2 = 0 and commuting squares."""
-        for (i, j) in self.modules:
-            if not self.v((i, j + 1)).compose(self.v((i, j))).is_zero():
-                raise ValueError(f"vertical d^2 != 0 at {(i, j)}")
-            lhs = self.v((i + 1, j)).compose(self.h((i, j)))
-            rhs = self.h((i, j + 1)).compose(self.v((i, j)))
-            if not (lhs - rhs).is_zero():
-                raise ValueError(f"square at {(i, j)} does not commute")
-
-
-def totalize(bic):
-    """Total complex; the vertical differential picks up the sign (-1)^i."""
+def totalize(algebra, modules, horiz, vert):
+    """Tot of the double complex with spot modules {(i, j): M} and the maps
+    horiz[(i, j)]: (i, j) -> (i + 1, j) and vert[(i, j)]: (i, j) -> (i, j + 1)
+    (a missing map is zero).  See the module docstring for the convention."""
     spots = {}
-    for (i, j) in bic.modules:
-        spots.setdefault(i + j, []).append((i, j))
-    t_modules = {}
-    for n, ijs in spots.items():
-        labels, grades = [], []
-        for ij in sorted(ijs):
-            M = bic.module(ij)
-            for lab, g in zip(M.labels, M.grades):
-                labels.append((ij, lab))
-                grades.append(g)
-        t_modules[n] = BasedModule(bic.algebra, labels, f"Tot^{n}", grades)
-    diffs = {}
-    for n in sorted(t_modules):
-        src = t_modules[n]
-        tgt = t_modules.get(n + 1)
-        if tgt is None:
-            continue
-        dmap = LinMap(src, tgt)
-        for (i, j), lab in src.labels:
-            x = bic.module((i, j)).basis_vec(lab)
-            img = bic.h((i, j)).apply(x)
-            terms = [(((i + 1, j), lab2), c) for lab2, c in img.data.items()]
+    for i, j in sorted(modules):
+        spots.setdefault(i + j, []).append(((i, j), modules[(i, j)]))
+
+    def column(n, ij, lab):
+        i, j = ij
+        x = modules[ij].basis_vec(lab)
+        if ij in horiz:
+            yield from ((((i + 1, j), lab2), c) for lab2, c in horiz[ij].apply(x).data.items())
+        if ij in vert:
             sgn = -1 if i % 2 else 1
-            img = bic.v((i, j)).apply(x)
-            terms += [(((i, j + 1), lab2), c * sgn) for lab2, c in img.data.items()]
-            dmap.set_column(((i, j), lab), tgt.element(terms))
-        diffs[n] = dmap
-    return CochainComplex(bic.algebra, t_modules, diffs, check=True)
+            yield from ((((i, j + 1), lab2), c * sgn) for lab2, c in vert[ij].apply(x).data.items())
+
+    return total_complex(algebra, spots, column, lambda n: f"Tot^{n}")
 
 
 # -- homology ------------------------------------------------------------

@@ -39,7 +39,6 @@ from math import comb
 from itertools import combinations, product
 
 from .chain_core import (
-    Bicomplex,
     CochainComplex,
     ComplexMap,
     homology,
@@ -549,7 +548,8 @@ def zeta_checks(ext, window=None):
 
 
 def double_complex_n(r):
-    """The double complex with spots Lambda^p I (x) Lambda^q B over Q.
+    """The rank-r extension over Q and the total complex of the double
+    complex N with spots Lambda^p I (x) Lambda^q B.
 
     Horizontal differential: minus the shuffle expansion of the Koszul
     contraction of the tensor factor Lambda^p, wedged into the pure part
@@ -588,7 +588,7 @@ def double_complex_n(r):
                     if tag == "j":
                         d.set_column((K, (tag, L)), tgt.basis_vec((K, ("i", L)), -(r - q + 1)))
                 vert[(-p, -q)] = d
-    return ext, Bicomplex(algebra, modules, horiz, vert)
+    return ext, totalize(algebra, modules, horiz, vert)
 
 
 def _pi_pq(r, p, q, K, M):
@@ -613,8 +613,7 @@ def dual_hkr_sign(r):
     """
     if r > 4:
         raise ValueError("desk-scale cap: r <= 4")
-    ext, bic = double_complex_n(r)
-    T = totalize(bic)
+    ext, T = double_complex_n(r)
     full = tuple(range(r))
     claims = {}
     # expected homology of the total complex: one copy of Lambda^i I at -(r+i)

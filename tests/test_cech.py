@@ -877,6 +877,24 @@ def test_cech_total_complex_rejects_a_column_with_nonzero_d_squared():
     assert homology(tot, 2).dim == 1
 
 
+def test_cech_total_complex_rejects_a_vertical_map_that_ignores_the_chart_changes():
+    # column 0 is twisted by the coboundary of g = (2 at vertex 0, else 1),
+    # column 1 is untwisted, and the identity between them is no map of
+    # local systems: its square fails, so the total's d o d check fails
+    ext = ext_of(1)
+    nerve = sphere_nerve(2)
+    M = ext.lam_i(1)
+
+    def transitions(j, a, b):
+        g = {0: 2}
+        return LinMap.identity(M).scale(Fraction(g.get(a, 1), g.get(b, 1)) if j == 0 else 1)
+
+    # each column alone is a complex of local systems
+    assert homology(cech_total_complex(nerve, {0: M, 1: M}, {}, transitions), 0).dim == 1
+    with pytest.raises(ValueError, match="d o d"):
+        cech_total_complex(nerve, {0: M, 1: M}, {0: LinMap.identity(M)}, transitions)
+
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
