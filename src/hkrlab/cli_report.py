@@ -231,47 +231,86 @@ def check_koszul_duality(config):
 
 def check_dg_battery(config):
     ranks = _ranks(config, lowest=1)
-    algebras = [CoeffAlgebra.rationals(), CoeffAlgebra.polynomial(1, 2)]
-    for algebra in algebras:
+    for algebra in (CoeffAlgebra.rationals(), CoeffAlgebra.polynomial(1, 2)):
         for r in ranks:
-            ext = build_extension(algebra, r)
-            basis = {}
-            for k in range(r + 1):
-                M = ext.lam_b(k + 1)
-                basis[k] = [
-                    M.basis_vec(lab, algebra.monomial(mono))
-                    for lab in M.labels
-                    for mono in algebra.monomials
-                ]
-            # star(l, m, y, z) for every pair, read by the associativity check
-            yz = {
-                (l, m): [[ext.star(l, m, y, z) for z in basis[m]] for y in basis[l]]
-                for l in range(r + 1)
-                for m in range(r + 1 - l)
-            }
-            for k in range(r + 1):
-                for l in range(r + 1 - k):
-                    dk, dl, dkl = ext.hat_d(k), ext.hat_d(l), ext.hat_d(k + l)
-                    for x in basis[k]:
-                        dx = dk.apply(x)
-                        for yi, y in enumerate(basis[l]):
-                            xy = ext.star(k, l, x, y)
-                            if not (xy - ext.star_abstract(k, l, x, y)).is_zero():
-                                return "fail", {"claim": "split product", "rank": r}
-                            lhs = dkl.apply(xy)
-                            rhs = ext.star(k - 1, l, dx, y) if k else ext.lam_b(k + l).zero()
-                            if l:
-                                rhs = rhs + ext.star(k, l - 1, x, dl.apply(y)).scale((-1) ** k)
-                            if not (lhs - rhs).is_zero():
-                                return "fail", {"claim": "Leibniz", "rank": r}
-                            for m in range(r + 1 - k - l):
-                                for z, y_z in zip(basis[m], yz[l, m][yi]):
-                                    if not (ext.star(k + l, m, xy, z) - ext.star(k, l + m, x, y_z)).is_zero():
-                                        return "fail", {"claim": "associativity", "rank": r}
-            for k in range(1, r + 1):
-                if not ext.hat_d(k - 1).compose(ext.hat_d(k)).is_zero():
-                    return "fail", {"claim": "square-zero differential", "rank": r, "degree": k}
+            failure = dg_battery_failure(build_extension(algebra, r))
+            if failure is not None:
+                return "fail", failure
     return "pass", {"ranks": ranks}
+
+
+def dg_battery_failure(ext):
+    """The first failing claim of the dg battery on one extension, else None.
+
+    On the label x monomial basis of every degree: the split product against
+    its defining formula, Leibniz and associativity, then d o d = 0.
+    """
+    algebra, r = ext.algebra, ext.rank
+    basis = {}
+    for k in range(r + 1):
+        M = ext.lam_b(k + 1)
+        basis[k] = [
+            _keyed(M.basis_vec(lab, algebra.monomial(mono)))
+            for lab in M.labels
+            for mono in algebra.monomials
+        ]
+    for k in range(r + 1):
+        for l in range(r + 1 - k):
+            claim = _dg_block_failure(ext, basis, k, l)
+            if claim is not None:
+                return {"claim": claim, "rank": r}
+    for k in range(1, r + 1):
+        if not ext.hat_d(k - 1).compose(ext.hat_d(k)).is_zero():
+            return {"claim": "square-zero differential", "rank": r, "degree": k}
+    return None
+
+
+def _keyed(v):
+    """v with its exact contents as a dict key: each label with its Poly terms."""
+    return v, frozenset((lab, frozenset(c.terms.items())) for lab, c in v.data.items())
+
+
+def _dg_block_failure(ext, basis, k, l):
+    """The first claim that fails for x of degree k and y of degree l, else
+    None; basis holds the keyed basis of each degree."""
+    # Products are kept for this block only, keyed by the degrees and the
+    # exact operands: a product is read back only for the very operands it
+    # was computed on, never derived by linearity.
+    products = {}
+
+    def star(k1, l1, u, v):
+        key = (k1, l1, u[1], v[1])
+        uv = products.get(key)
+        if uv is None:
+            uv = products[key] = ext.star(k1, l1, u[0], v[0])
+        return uv
+
+    r = ext.rank
+    dk, dl, dkl = ext.hat_d(k), ext.hat_d(l), ext.hat_d(k + l)
+    zero = ext.lam_b(k + l).zero()
+    dys = [_keyed(dl.apply(y)) for y, _ in basis[l]]
+    # y z for every basis pair the associativity check reaches
+    yzs = {
+        m: [[_keyed(star(l, m, y, z)) for z in basis[m]] for y in basis[l]]
+        for m in range(r + 1 - k - l)
+    }
+    for x in basis[k]:
+        dx = _keyed(dk.apply(x[0]))
+        for yi, y in enumerate(basis[l]):
+            xy = star(k, l, x, y)
+            if xy != ext.star_abstract(k, l, x[0], y[0]):
+                return "split product"
+            rhs = star(k - 1, l, dx, y) if k else zero
+            if l:
+                rhs = rhs + star(k, l - 1, x, dys[yi]).scale((-1) ** k)
+            if dkl.apply(xy) != rhs:
+                return "Leibniz"
+            xy = _keyed(xy)
+            for m, yz in yzs.items():
+                for z, y_z in zip(basis[m], yz[yi]):
+                    if star(k + l, m, xy, z) != star(k, l + m, x, y_z):
+                        return "associativity"
+    return None
 
 
 def check_ak_battery(config):

@@ -11,7 +11,9 @@ The shifted module puts Lambda^{k+1} B in degree k; its product is
 
     (i1, j1) * (i2, j2) = (i1 ^ j2 + (-1)^k j1 ^ i2, j1 ^ j2)
 
-and its differential is k d_{k+1}.  Lambda I is the exterior algebra of
+and its differential is k d_{k+1}.  The fixed maps d_k and k d_{k+1} and
+the unit 1_B are built once per extension and shared: callers must not
+change them.  Lambda I is the exterior algebra of
 the extension's own ExteriorContext; star reads the merge table of its
 wedge.  All identities (associativity, Leibniz, module axioms) are exact
 in the truncated coefficient algebra because truncation is an algebra
@@ -41,6 +43,10 @@ class TrivialExtension:
         self._lam_b = {}
         self._lam_i = {}
         self._unsplit = {}
+        # k -> d_k and k -> k d_{k+1}, built once; callers must not change them
+        self._d = {}
+        self._hat_d = {}
+        self._unit = None
         # Lambda^k B -> k, filled as lam_b builds them, so degrees are never
         # read off names
         self._degree = {}
@@ -86,7 +92,10 @@ class TrivialExtension:
         return self.B.element(terms + [(("j", ()), a)])
 
     def unit(self):
-        return self.b_elem([0] * self.rank, 1)
+        """1_B, built once; callers must not change it."""
+        if self._unit is None:
+            self._unit = self.b_elem([0] * self.rank, 1)
+        return self._unit
 
     def split(self, x):
         """Split a Lambda^k B element into its (Lambda^k I, Lambda^{k-1} I) parts."""
@@ -156,18 +165,25 @@ class TrivialExtension:
     # -- differentials and the shifted product ----------------------------
 
     def d(self, k):
-        """Koszul differential Lambda^k B -> Lambda^{k-1} B of pr_2."""
-        src, tgt = self.lam_b(k), self.lam_b(k - 1)
-        m = LinMap(src, tgt)
-        for lab in src.labels:
-            tag, K = lab
-            if tag == "j" and ("i", K) in tgt.label_index:
-                m.set_column(lab, tgt.basis_vec(("i", K)))
+        """Koszul differential Lambda^k B -> Lambda^{k-1} B of pr_2, built once
+        per k; callers must not change the map."""
+        m = self._d.get(k)
+        if m is None:
+            src, tgt = self.lam_b(k), self.lam_b(k - 1)
+            m = self._d[k] = LinMap(src, tgt)
+            for lab in src.labels:
+                tag, K = lab
+                if tag == "j" and ("i", K) in tgt.label_index:
+                    m.set_column(lab, tgt.basis_vec(("i", K)))
         return m
 
     def hat_d(self, k):
-        """Differential of the shifted module: k d_{k+1} on degree k."""
-        return self.d(k + 1).scale(k)
+        """Differential of the shifted module: k d_{k+1} on degree k, built
+        once per k; callers must not change the map."""
+        m = self._hat_d.get(k)
+        if m is None:
+            m = self._hat_d[k] = self.d(k + 1).scale(k)
+        return m
 
     def star(self, k, l, x, y):
         """Shifted product on degree-k and degree-l pieces, one pass over split labels:
@@ -204,7 +220,7 @@ class TrivialExtension:
         """
         da = self.d(k + 1).apply(x)
         db = self.d(l + 1).apply(y)
-        one = self.join(1, None, self.lam_i(0).basis_vec(()))
+        one = self.unit()
         term1 = self.wedge_b(x, db)
         term2 = self.wedge_b(da, y).scale((-1) ** k)
         term3 = self.wedge_b(self.wedge_b(da, one), db).scale((-1) ** (k + 1))
