@@ -35,7 +35,7 @@ from .chain_core import (
 from .coeff import CoeffAlgebra
 from .exterior_core import exterior_power_map, merge_wedge, perm_sign
 from .extension_dg import TrivialExtension
-from .modules import BasedModule, LinMap, QBasis, StructuralError, Vec, _accumulate
+from .modules import BasedModule, LinMap, QBasis, StructuralError, Vec, flatten_linmap
 from . import rational as ql
 
 
@@ -433,7 +433,9 @@ class TwistFamily:
             if c.level != n:
                 raise StructuralError("twist levels out of order")
         self.wedge_data = None
+        self._bases = {}
         self._transitions = {}
+        self._linmaps = {}
 
     @classmethod
     def zero(cls, ext, nerve):
@@ -447,26 +449,55 @@ class TwistFamily:
         fam.wedge_data = list(one_cochains)
         return fam
 
-    def transition(self, n, a, b):
+    def flat(self, n):
+        """QBasis(ext.lam_b(n + 1)), the basis the level-n chart changes are
+        flattened over."""
+        if n not in self._bases:
+            self._bases[n] = QBasis(self.ext.lam_b(n + 1))
+        return self._bases[n]
+
+    def transition_columns(self, n, a, b):
         """Chart change b -> a on Lambda^{n+1} B: (i, j) |-> (i - c_{ab}(j), j),
-        built once per (n, a, b); callers must not change the map.  They
-        compose along triangles because each c is a cocycle (TwistCocycle)."""
+        as sparse rational columns over flat(n), built once per (n, a, b);
+        callers must not change them.  They compose along triangles because
+        each c is a cocycle (TwistCocycle)."""
         key = (n, a, b)
         if key not in self._transitions:
             self._transitions[key] = self._build_transition(n, a, b)
         return self._transitions[key]
 
+    def transition(self, n, a, b):
+        """The chart change of transition_columns as a LinMap, read off the
+        columns of the pairs (label, 1), once per (n, a, b); callers must not
+        change the map."""
+        key = (n, a, b)
+        if key not in self._linmaps:
+            basis = self.flat(n)
+            cols = self.transition_columns(n, a, b)
+            unit = self.ext.algebra.constant_exps
+            M = basis.module
+            self._linmaps[key] = LinMap(
+                M, M, {lab: basis.unflatten(cols[basis.index[(lab, unit)]]) for lab in M.labels}
+            )
+        return self._linmaps[key]
+
     def _build_transition(self, n, a, b):
-        ext = self.ext
-        M = ext.lam_b(n + 1)
-        out = LinMap.identity(M)
-        if n >= ext.rank:
-            return out
-        c_ab = self.cocycles[n].cochain.value((a, b)).data  # {(L, K): coefficient of K in c_ab(L)}
-        for L in ext.lam_i(n).labels:
-            terms = [(("j", L), 1)] + [(("i", K), -c) for (L2, K), c in c_ab.items() if L2 == L]
-            out.set_column(("j", L), M.element(terms))
-        return out
+        """The identity plus -c_ab on the j -> i block: the column of the pair
+        (('j', L), mono) also holds -(mono c_ab(L)) on the i-part."""
+        basis = self.flat(n)
+        index = basis.index
+        cols = [{i: 1} for i in range(basis.dim)]
+        if n < self.ext.rank:
+            algebra = self.ext.algebra
+            unit = algebra.constant_exps
+            # {(L, K): coefficient of K in c_ab(L)}
+            for (L, K), c in self.cocycles[n].cochain.value((a, b)).data.items():
+                for mono in algebra.monomials:
+                    col = cols[index[(("j", L), mono)]]
+                    shifted = c if mono == unit else algebra.monomial(mono) * c
+                    for e, v in shifted.terms.items():
+                        col[index[(("i", K), e)]] = -v
+        return cols
 
 
 # -- the Cech totalization of a twisted complex ------------------------------
@@ -597,43 +628,65 @@ def t_chain_check(ext, lam, mu, T):
     where the delta-part twists the leading face through the mu transitions
     on the target and the lam transitions on the source (n = 0 has zero
     right side).  This is the computation the construction rests on.
+
+    The equations are checked on sparse rational columns (``rational``), as
+    ComplexMap.is_chain_map checks its own.  Each component of T and each
+    hat_d is flattened once per call from its stored columns, and each
+    chart change is read as the columns its family builds once.  Each
+    equation is then a signed sum of products of these columns, taken one
+    source column at a time, and any nonzero entry fails it.
     """
     nerve = lam.nerve
     r = ext.rank
+    bases = [QBasis(ext.lam_b(k)) for k in range(r + 2)]
+
+    def columns(m, k_src, k_tgt):
+        """The columns of m, a map Lambda^k_src B -> Lambda^k_tgt B."""
+        if m.source != ext.lam_b(k_src) or m.target != ext.lam_b(k_tgt):
+            raise StructuralError("sum of maps with different source/target")
+        return flatten_linmap(m, bases[k_src], bases[k_tgt])
+
+    comps = {(n, l, s): columns(m, n + 1, n + l + 1) for (n, l, s), m in T.items()}
+    d = [columns(ext.hat_d(k), k + 1, k) for k in range(r + 1)]
+
+    def chart_change(fam, n, a, b):
+        if fam.flat(n).module != ext.lam_b(n + 1):
+            raise StructuralError("sum of maps with different source/target")
+        return fam.transition_columns(n, a, b)
+
+    compose, add = ql.compose_columns, ql.add_scaled
     for n in range(r + 1):
         for l in range(nerve.depth + 1):
             if n - 1 + l > r and n > 0:
                 continue
-            src = ext.lam_b(n + 1)
-            tgt = ext.lam_b(n + l)
             for s in nerve.simplices_of_dim(l):
-                # (map, sign) pairs whose signed sum must vanish
+                # (sign, a, b): the signed sum of the products a o b must
+                # vanish; a is None where the piece is b alone
                 pieces = []
                 if l >= 1:
                     for k in range(l + 1):
-                        comp = T.get((n, l - 1, s[:k] + s[k + 1 :]))
+                        comp = comps.get((n, l - 1, s[:k] + s[k + 1 :]))
                         if comp is None:
                             continue
                         if k == 0:
-                            conv_out = mu.transition(n + l - 1, s[0], s[1])
-                            conv_in = lam.transition(n, s[1], s[0])
-                            comp = conv_out.compose(comp).compose(conv_in)
-                        pieces.append((comp, (-1) ** k))
-                if (comp := T.get((n, l, s))) is not None:
-                    pieces.append((ext.hat_d(n + l).compose(comp), (-1) ** l))  # (n+l) d_{n+l+1}
-                if n >= 1 and (comp := T.get((n - 1, l, s))) is not None:
-                    pieces.append((comp.compose(ext.hat_d(n)), -1))
-                for m, _ in pieces:
-                    if m.source != src or m.target != tgt:
-                        raise StructuralError("sum of maps with different source/target")
-                for lab in src.labels:
-                    terms = (
-                        (tlab, c if sign == 1 else -c)
-                        for m, sign in pieces
-                        if (col := m.cols.get(lab)) is not None
-                        for tlab, c in col.data.items()
-                    )
-                    if _accumulate({}, terms):
+                            conv_out = chart_change(mu, n + l - 1, s[0], s[1])
+                            conv_in = chart_change(lam, n, s[1], s[0])
+                            pieces.append((1, conv_out, compose(comp, conv_in)))
+                        else:
+                            pieces.append(((-1) ** k, None, comp))
+                if (comp := comps.get((n, l, s))) is not None:
+                    pieces.append(((-1) ** l, d[n + l], comp))  # (n+l) d_{n+l+1}
+                if n >= 1 and (comp := comps.get((n - 1, l, s))) is not None:
+                    pieces.append((-1, comp, d[n]))
+                for j in range(bases[n + 1].dim):
+                    acc = {}
+                    for sign, a, b in pieces:
+                        if a is None:
+                            add(acc, sign, b[j])
+                        else:
+                            for i, c in b[j].items():
+                                add(acc, sign * c, a[i])
+                    if acc:
                         return False
     return True
 

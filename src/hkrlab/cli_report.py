@@ -64,6 +64,7 @@ from .cech_twist import (
     random_wedge_cochains,
     sphere_nerve,
 )
+from .modules import StructuralError
 
 
 # the highest rank any suite runs: COMPARISON_MODELS and probe_general_case
@@ -400,7 +401,10 @@ def check_comparison_wedge(config):
             ds = random_wedge_cochains(ext, nerve, rng)
             lam = TwistFamily.from_wedge_cochains(ext, nerve, cs)
             mu = TwistFamily.from_wedge_cochains(ext, nerve, ds)
-            delta = delta_matrix(ext, nerve, lam, mu, "wedge")
+            try:
+                delta = delta_matrix(ext, nerve, lam, mu, "wedge")
+            except StructuralError as err:
+                return "fail", {"rank": r, "trial": trial, "claim": str(err)}
             if not delta.diagonal_is_identity():
                 return "fail", {"rank": r, "trial": trial, "claim": "diagonal"}
             cs_c = [canonical_representative(nerve, c) for c in cs]
@@ -432,7 +436,10 @@ def check_comparison_last_level(config):
             shared = [random_hom_twist(ext, nerve, n, rng) for n in range(r - 1)]
             lam = TwistFamily(ext, nerve, shared + [random_hom_twist(ext, nerve, r - 1, rng)])
             mu = TwistFamily(ext, nerve, shared + [random_hom_twist(ext, nerve, r - 1, rng)])
-            delta = delta_matrix(ext, nerve, lam, mu, "last-level")
+            try:
+                delta = delta_matrix(ext, nerve, lam, mu, "last-level")
+            except StructuralError as err:
+                return "fail", {"rank": r, "trial": trial, "claim": str(err)}
             want = (lam.cocycles[r - 1].cochain - mu.cocycles[r - 1].cochain).scale(
                 Fraction(1, r)
             )

@@ -9,7 +9,8 @@ dimensional rational vector space, optionally restricted to total grade
 
 There is one flattened form: a vector is a sparse column {index: value}
 over a QBasis (QBasis.flatten and QBasis.unflatten convert), and a map is
-the list of such columns that flatten_map returns, one per source pair.
+the list of such columns that flatten_map returns, one per source pair
+(flatten_linmap reads the same columns off a LinMap's stored ones).
 A value is an int when its denominator is 1, else a Fraction, as in the
 Poly coefficients it comes from.  ``rational`` reduces, solves and
 inverts matrices in this form.
@@ -396,3 +397,21 @@ def flatten_map(fn, src_basis, tgt_basis):
     basis_vec = module.basis_vec
     flatten = tgt_basis.flatten
     return [flatten(fn(basis_vec(lab, monomial(mono)))) for lab, mono in src_basis.pairs]
+
+
+def flatten_linmap(m, src_basis, tgt_basis):
+    """The columns flatten_map(m.apply, src_basis, tgt_basis) gives, read off
+    m's stored columns instead of applying m to fresh basis vectors: the
+    column of the pair (label, mono) is the flattening of mono times the
+    stored column of label."""
+    algebra = m.source.algebra
+    unit = algebra.constant_exps
+    flatten = tgt_basis.flatten
+    out = []
+    for lab, mono in src_basis.pairs:
+        col = m.cols.get(lab)
+        if col is None:
+            out.append({})
+        else:
+            out.append(flatten(col if mono == unit else col.scale(algebra.monomial(mono))))
+    return out

@@ -10,8 +10,10 @@ import pytest
 from hkrlab.coeff import CoeffAlgebra
 from hkrlab.extension_dg import build_extension
 from hkrlab.chain_core import homology
+from hkrlab.cli_report import SuiteConfig, run_suite
 from hkrlab import cech_twist
 from hkrlab.modules import BasedModule, LinMap, StructuralError
+from hkrlab.rational import add_scaled
 from hkrlab.cech_twist import (
     NERVE_LIBRARY,
     Cochain,
@@ -496,19 +498,30 @@ def sphere2_wedge_families(seed):
     return ext, nerve, lam, mu
 
 
+_build_transition = TwistFamily._build_transition
+
+
+def opposite_sign_transition(self, n, a, b):
+    """The chart change (i, j) |-> (i + c_ab(j), j), in the builder's column
+    form: 2 id minus the columns of (i, j) |-> (i - c_ab(j), j)."""
+    return [add_scaled({i: 2}, -1, col) for i, col in enumerate(_build_transition(self, n, a, b))]
+
+
 def test_transitions_with_the_opposite_sign_break_the_chain_map(monkeypatch):
     ext, nerve, lam, mu = sphere2_wedge_families(41)
     delta_matrix(ext, nerve, lam, mu, "wedge")  # unmutated, the same data passes
-    build = TwistFamily._build_transition
-
-    def plus_c(self, n, a, b):
-        # (i, j) |-> (i + c_ab(j), j) is 2 id - (i, j) |-> (i - c_ab(j), j)
-        return LinMap.identity(self.ext.lam_b(n + 1)).scale(2) - build(self, n, a, b)
-
-    monkeypatch.setattr(TwistFamily, "_build_transition", plus_c)
+    monkeypatch.setattr(TwistFamily, "_build_transition", opposite_sign_transition)
     ext, nerve, lam, mu = sphere2_wedge_families(41)
     with pytest.raises(StructuralError, match="comparison morphism is not a chain map"):
         delta_matrix(ext, nerve, lam, mu, "wedge")
+
+
+@pytest.mark.parametrize("suite", ["comparison_wedge", "comparison_last_level"])
+def test_opposite_sign_transitions_fail_the_comparison_suites(monkeypatch, suite):
+    monkeypatch.setattr(TwistFamily, "_build_transition", opposite_sign_transition)
+    record = run_suite(SuiteConfig(suite=suite, nerve="sphere2")).records[0]
+    assert record["status"] == "fail"
+    assert record["detail"] == {"rank": 2, "trial": 0, "claim": "comparison morphism is not a chain map"}
 
 
 def test_doubled_comparison_morphism_is_a_chain_map_that_misses_the_identity(monkeypatch):
