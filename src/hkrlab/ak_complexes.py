@@ -32,7 +32,7 @@ from .chain_core import (
 from .coeff import CoeffAlgebra
 from .exterior_core import merge_wedge
 from .extension_dg import TrivialExtension, shifted_complex
-from .modules import BasedModule, LinMap, QBasis, flatten_map
+from .modules import BasedModule, LinMap, QBasis, flatten_linmap
 from . import rational as ql
 
 
@@ -121,7 +121,7 @@ def q_realization_identity(ext):
         phi_tgt = q_pairing(ext, p + 1)   # L^{r-p-1} B -> Hom(L^{p+2} B, th)
         for phi in (phi_src, phi_tgt):
             sb, tb = QBasis(phi.source), QBasis(phi.target)
-            if ql.inverse(flatten_map(phi.apply, sb, tb), tb.dim) is None:
+            if ql.inverse(flatten_linmap(phi, sb, tb), tb.dim) is None:
                 return False
         # Hom differential on f in Hom(P^{-(p+1)}, theta[r]):
         # (-1)^r * [ -(-1)^{deg f} f o d_P ], deg f = p - r; the relevant

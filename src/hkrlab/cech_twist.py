@@ -3,13 +3,18 @@ comparison morphism into the Cech totalization, the lower-triangular
 comparison matrix, cocycle operators, and the recursion probes.
 
 Cochains are simplicial with respect to the sorted vertex order: a
-k-cochain assigns a value to each sorted (k+1)-tuple spanning a declared
-simplex.  One-cochain data that enters transition maps (twist cocycles,
-line-bundle data) is extended to both orientations antisymmetrically.
-Transitions convert coordinates from the second vertex's chart to the
-first: a twist cocycle c gives the transition (i, j) |-> (i - c_{ab}(j), j)
-from b-coordinates to a-coordinates; the sign is pinned by the chain-map
-equations of the comparison morphism (see tests).
+k-cochain with values in M is an element of cech_complex(nerve, M).module(k),
+whose label (s, lab) carries the coefficient of lab in the value on the
+sorted k-simplex s.  Sums, multiples and the Cech differential are those of
+the complex; the nerve records each cochain module's degree and coefficient
+module (cochain_type), and cochain_value reads the value on an ordered
+simplex with the sign of its sorting permutation, so one-cochain data that
+enters transition maps (twist cocycles, line-bundle data) is extended to
+both orientations antisymmetrically.  Transitions convert coordinates
+from the second vertex's chart to the first: a twist cocycle c gives the
+transition (i, j) |-> (i - c_{ab}(j), j) from b-coordinates to
+a-coordinates; the sign is pinned by the chain-map equations of the
+comparison morphism (see tests).
 
 The comparison morphism is a plain component table {(n, l, simplex):
 LinMap Lambda^{n+1} B -> Lambda^{n+l+1} B}, in which a missing key is a
@@ -35,7 +40,7 @@ from .chain_core import (
 from .coeff import CoeffAlgebra
 from .exterior_core import exterior_power_map, merge_wedge, perm_sign
 from .extension_dg import TrivialExtension
-from .modules import BasedModule, LinMap, QBasis, StructuralError, Vec, flatten_linmap
+from .modules import BasedModule, LinMap, QBasis, StructuralError, Vec, _vec, flatten_linmap
 from . import rational as ql
 
 
@@ -107,6 +112,12 @@ class Nerve:
         """module -> its untwisted Cech complex, filled by cech_complex."""
         return {}
 
+    @cached_property
+    def _cochain_types(self):
+        """cochain module -> (degree, coefficient module), filled by
+        cech_complex and cochain_module, so that neither is read off a name."""
+        return {}
+
     def has(self, simplex):
         return tuple(sorted(simplex)) in self.simplices
 
@@ -171,89 +182,100 @@ NERVE_LIBRARY = {
 # -- cochains ---------------------------------------------------------------
 
 
-class Cochain:
-    """Sorted-simplex cochain with values in a based module."""
-
-    def __init__(self, nerve, degree, module, values=None):
-        self.nerve = nerve
-        self.degree = degree
-        self.module = module
-        self.values = {}
-        if values:
-            for s, v in values.items():
-                self[s] = v
-
-    def __setitem__(self, simplex, value):
-        simplex = tuple(simplex)
-        if tuple(sorted(simplex)) != simplex or len(simplex) != self.degree + 1:
-            raise NerveError(f"{simplex} is not a sorted {self.degree}-simplex")
-        if not self.nerve.has(simplex):
-            raise NerveError(f"{simplex} is not in the nerve")
-        if not value.is_zero():
-            self.values[simplex] = value
-        else:
-            self.values.pop(simplex, None)
-
-    def value(self, simplex):
-        """Value on an ordered tuple; for degree 1 the antisymmetric extension."""
-        simplex = tuple(simplex)
-        key = tuple(sorted(simplex))
-        got = self.values.get(key)
-        if got is None:
-            return self.module.zero()
-        if simplex == key:
-            return got
-        if self.degree == 1:
-            return -got
-        s = perm_sign(simplex)
-        if s is None:
-            return self.module.zero()
-        return got if s == 1 else -got
-
-    def __add__(self, other):
-        out = Cochain(self.nerve, self.degree, self.module, dict(self.values))
-        for s, v in other.values.items():
-            out[s] = out.value(s) + v
-        return out
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        return Cochain(
-            self.nerve, self.degree, self.module, {s: v.scale(c) for s, v in self.values.items()}
-        )
-
-    def is_zero(self):
-        return all(v.is_zero() for v in self.values.values())
+def cochain_module(nerve, module, degree):
+    """The module of degree-cochains with values in module: the term of
+    cech_complex(nerve, module) in that degree, with labels (simplex, label),
+    and above the nerve's depth an empty module.  The empty module's name
+    records the coefficient module's labels and grades, so that it stands for
+    that one coefficient module in nerve._cochain_types."""
+    M = cech_complex(nerve, module).modules.get(degree)
+    if M is None:
+        M = BasedModule(module.algebra, (), f"C^{degree}({module.name}, {module.labels}, {module.grades})")
+        nerve._cochain_types.setdefault(M, (degree, module))
+    return M
 
 
-def cech_delta(cochain):
-    """Untwisted Cech differential on sorted-simplex cochains."""
-    C = cech_complex(cochain.nerve, cochain.module)
-    image = C.diff(cochain.degree).apply(cochain_to_element(C, cochain))
-    return element_to_cochain(cochain.nerve, cochain.degree + 1, cochain.module, image)
+def cochain_type(nerve, x):
+    """(degree, coefficient module) of a cochain x on nerve."""
+    got = nerve._cochain_types.get(x.module)
+    if got is None:
+        raise StructuralError(f"{x.module.name!r} is not a cochain module of this nerve")
+    return got
 
 
-def cochain_wedge(wedge_fn, x, y, target_module):
-    """Front-back wedge of module-valued cochains:
+def build_cochain(nerve, degree, module, values):
+    """The degree-cochain with the value v on each sorted simplex s of the
+    dict values {s: v}; a simplex that is unsorted, of another degree or not
+    in the nerve is a NerveError."""
+    terms = []
+    for s, v in values.items():
+        s = tuple(s)
+        if tuple(sorted(s)) != s or len(s) != degree + 1:
+            raise NerveError(f"{s} is not a sorted {degree}-simplex")
+        if not nerve.has(s):
+            raise NerveError(f"{s} is not in the nerve")
+        if v.module != module:
+            raise StructuralError("cochain value outside its coefficient module")
+        terms += [((s, lab), c) for lab, c in v.data.items()]
+    return cochain_module(nerve, module, degree).element(terms)
+
+
+def cochain_values(nerve, x):
+    """{sorted simplex: value} of the cochain x, on the simplices where it is
+    nonzero."""
+    _, module = cochain_type(nerve, x)
+    groups = {}
+    for (s, lab), c in x.data.items():
+        groups.setdefault(s, {})[lab] = c
+    return {s: _vec(module, data) for s, data in groups.items()}
+
+
+def cochain_value(nerve, x, simplex):
+    """The value of the cochain x on an ordered simplex: its value on the
+    sorted simplex times the sign of the sorting permutation (zero where a
+    vertex repeats), so in degree 1 the antisymmetric extension."""
+    _, module = cochain_type(nerve, x)
+    simplex = tuple(simplex)
+    key = tuple(sorted(simplex))
+    sign = 1 if key == simplex else perm_sign(simplex)
+    data = {}
+    if sign is not None:
+        for lab in module.labels:
+            c = x.data.get((key, lab))
+            if c is not None:
+                data[lab] = c if sign == 1 else -c
+    return _vec(module, data)
+
+
+def cech_delta(nerve, x):
+    """The untwisted Cech differential of a cochain."""
+    l, module = cochain_type(nerve, x)
+    d = cech_complex(nerve, module).diffs.get(l)
+    return cochain_module(nerve, module, l + 1).zero() if d is None else d.apply(x)
+
+
+def is_cocycle(nerve, x):
+    return cech_delta(nerve, x).is_zero()
+
+
+def cochain_wedge(nerve, wedge_fn, x, y, target_module):
+    """Front-back wedge of module-valued cochains, for a bilinear wedge_fn:
 
     (x ^ y)_{a_0..a_{p+q}} = x_{a_0..a_p} ^ y_{a_p..a_{p+q}}.
     """
-    nerve = x.nerve
-    p, q = x.degree, y.degree
-    out = Cochain(nerve, p + q, target_module)
+    p, q = cochain_type(nerve, x)[0], cochain_type(nerve, y)[0]
+    xs, ys = cochain_values(nerve, x), cochain_values(nerve, y)
+    terms = []
     for s in nerve.simplices_of_dim(p + q):
-        front = s[: p + 1]
-        back = s[p:]
-        v = wedge_fn(x.value(front), y.value(back))
-        out[s] = v
-    return out
+        front, back = xs.get(s[: p + 1]), ys.get(s[p:])
+        if front is not None and back is not None:
+            terms += [((s, lab), c) for lab, c in wedge_fn(front, back).data.items()]
+    return cochain_module(nerve, target_module, p + q).element(terms)
 
 
-def yoneda_compose(u, v, hom_module):
+def yoneda_compose(nerve, u, v, hom_module):
     """Yoneda product at cochain level: (-1)^{pq} times composition cup."""
-    sgn = (-1) ** (u.degree * v.degree)
+    sgn = (-1) ** (cochain_type(nerve, u)[0] * cochain_type(nerve, v)[0])
 
     def compose(uf, vb):
         return hom_module.element(
@@ -263,7 +285,7 @@ def yoneda_compose(u, v, hom_module):
             if mid1 == mid2
         )
 
-    return cochain_wedge(compose, u, v, hom_module)
+    return cochain_wedge(nerve, compose, u, v, hom_module)
 
 
 # -- cohomology of constant and twisted local systems ------------------------
@@ -276,7 +298,8 @@ def cech_complex(nerve, module, transitions=None):
     automorphisms converting b-chart values into the a-chart; the Cech
     differential twists its leading face through the transition.  This is
     the one place the twisted differential is written.  The untwisted
-    complex is built once per module and kept on the nerve.
+    complex is built once per module and kept on the nerve, which records
+    the degree and coefficient module of each of its terms (cochain_type).
     """
     if transitions is None:
         C = nerve._cech_complexes.get(module)
@@ -287,14 +310,20 @@ def cech_complex(nerve, module, transitions=None):
     def column(l, s, lab):
         for t, k in nerve.cofaces[s]:
             if k == 0 and transitions is not None:
-                conv = transitions(t[0], t[1]).apply(module.basis_vec(lab))
-                yield from (((t, lab2), c) for lab2, c in conv.data.items())
+                m = transitions(t[0], t[1])
+                if m.source != module or m.target != module:
+                    raise StructuralError("a transition is no automorphism of the coefficient module")
+                conv = m.cols.get(lab)
+                if conv is not None:
+                    yield from (((t, lab2), c) for lab2, c in conv.data.items())
             else:
                 yield (t, lab), (-1) ** k
 
     C = total_complex(module.algebra, spots, column, lambda l: f"C^{l}({module.name})")
     if transitions is None:
         nerve._cech_complexes[module] = C
+        for l, M in C.modules.items():
+            nerve._cochain_types[M] = (l, module)
     return C
 
 
@@ -318,12 +347,14 @@ def cech_total_complex(nerve, columns, vertical, transitions=None):
     horiz = {(l, j): d for j, C in cech.items() for l, d in C.diffs.items()}
     vert = {}
     for j, v in vertical.items():
-        images = {lab: v.apply(columns[j].basis_vec(lab)) for lab in columns[j].labels}
+        if v.source != columns[j] or v.target != columns[j + 1]:
+            raise StructuralError(f"vertical map {j} does not join columns {j} and {j + 1}")
         for l in cech[j].degrees():
             src, tgt = cech[j].module(l), cech[j + 1].module(l)
             d = LinMap(src, tgt)
             for (s, lab) in src.labels:
-                d.set_column((s, lab), Vec(tgt, {(s, lab2): c for lab2, c in images[lab].data.items()}))
+                if (col := v.cols.get(lab)) is not None:
+                    d.set_column((s, lab), Vec(tgt, {(s, lab2): c for lab2, c in col.data.items()}))
             vert[(l, j)] = d
     algebra = next(iter(columns.values())).algebra
     return totalize(algebra, modules, horiz, vert)
@@ -337,52 +368,28 @@ def cech_cohomology(nerve, module, degree):
     return homology(C, degree)
 
 
-def cochain_to_element(C, cochain):
-    """The cochain as an element of C = cech_complex(cochain.nerve, cochain.module)
-    in its degree: the value's label lab on simplex s is the label (s, lab)."""
-    return C.module(cochain.degree).element(
-        ((s, lab), c) for s, v in cochain.values.items() for lab, c in v.data.items()
-    )
-
-
-def element_to_cochain(nerve, degree, module, element):
-    """The cochain that an element of cech_complex(nerve, module) in this
-    degree is; the inverse of cochain_to_element."""
-    values = {}
-    for (s, lab), c in element.data.items():
-        values.setdefault(s, []).append((lab, c))
-    return Cochain(nerve, degree, module, {s: module.element(t) for s, t in values.items()})
-
-
 def combine_representatives(nerve, degree, module, coeffs, reps):
     """The cochain sum of c * rep over coeffs and reps, where each rep is an
     element of cech_complex(nerve, module) in this degree."""
-    total = cech_complex(nerve, module).module(degree).element(
+    return cochain_module(nerve, module, degree).element(
         (lab, poly * c) for c, rep in zip(coeffs, reps) if c for lab, poly in rep.data.items()
     )
-    return element_to_cochain(nerve, degree, module, total)
-
-
-def is_cocycle(nerve, cochain):
-    C = cech_complex(nerve, cochain.module)
-    return C.diff(cochain.degree).apply(cochain_to_element(C, cochain)).is_zero()
 
 
 def cohomologous(nerve, x, y):
     """Do two cocycles represent the same class?  Exact linear solve."""
-    C = cech_complex(nerve, x.module)
-    l = x.degree
-    diff = C.flat(l).flatten(cochain_to_element(C, x) - cochain_to_element(C, y))
+    l, module = cochain_type(nerve, x)
+    C = cech_complex(nerve, module)
+    diff = C.flat(l).flatten(x - y)
     if not diff:
         return True
     return C.qsolver(l - 1).solve(diff) is not None
 
 
-def class_coordinates(nerve, cochain):
+def class_coordinates(nerve, x):
     """Coordinates of a cocycle's class in the cohomology of its degree."""
-    C = cech_complex(nerve, cochain.module)
-    H = homology(C, cochain.degree)
-    return H.project(cochain_to_element(C, cochain))
+    l, module = cochain_type(nerve, x)
+    return homology(cech_complex(nerve, module), l).project(x)
 
 
 # -- twist cocycles and twisted transition data ------------------------------
@@ -408,7 +415,7 @@ class TwistCocycle:
         self.ext = ext
         self.nerve = nerve
         self.level = level
-        if cochain.degree != 1 or cochain.module != hom_lam_module(ext, level, level + 1):
+        if cochain_type(nerve, cochain) != (1, hom_lam_module(ext, level, level + 1)):
             raise StructuralError("twist data must be a Hom-valued 1-cochain")
         self.cochain = cochain
         if not is_cocycle(nerve, cochain):
@@ -416,7 +423,7 @@ class TwistCocycle:
 
     @classmethod
     def zero(cls, ext, nerve, level):
-        return cls(ext, nerve, level, Cochain(nerve, 1, hom_lam_module(ext, level, level + 1)))
+        return cls(ext, nerve, level, cochain_module(nerve, hom_lam_module(ext, level, level + 1), 1).zero())
 
 
 class TwistFamily:
@@ -491,7 +498,7 @@ class TwistFamily:
             algebra = self.ext.algebra
             unit = algebra.constant_exps
             # {(L, K): coefficient of K in c_ab(L)}
-            for (L, K), c in self.cocycles[n].cochain.value((a, b)).data.items():
+            for (L, K), c in cochain_value(self.nerve, self.cocycles[n].cochain, (a, b)).data.items():
                 for mono in algebra.monomials:
                     col = cols[index[(("j", L), mono)]]
                     shifted = c if mono == unit else algebra.monomial(mono) * c
@@ -535,23 +542,21 @@ def eta_recursion(ext, nerve, c_cochains, d_cochains):
     """
     r = ext.rank
     etas = {}
-    unit = Cochain(nerve, 0, ext.lam_i(0))
-    for s in nerve.simplices_of_dim(0):
-        unit[s] = ext.lam_i(0).basis_vec(())
+    unit = cochain_module(nerve, ext.lam_i(0), 0).element(((s, ()), 1) for s in nerve.simplices_of_dim(0))
     for i in range(r + 1):
         etas[(i, i)] = unit
 
     for i in range(r):
         base = etas[(i, 0)]
         diff = c_cochains[0] - d_cochains[i]
-        nxt = cochain_wedge(ext.exterior.wedge, diff, base, ext.lam_i(i + 1)).scale(
+        nxt = cochain_wedge(nerve, ext.exterior.wedge, diff, base, ext.lam_i(i + 1)).scale(
             Fraction((-1) ** i, i + 1)
         )
         etas[(i + 1, 0)] = nxt
         for j in range(1, i + 1):
             term1 = etas[(i, j - 1)]
             diffj = c_cochains[j] - d_cochains[i]
-            term2 = cochain_wedge(ext.exterior.wedge, diffj, etas[(i, j)], ext.lam_i(i + 1 - j)).scale(
+            term2 = cochain_wedge(nerve, ext.exterior.wedge, diffj, etas[(i, j)], ext.lam_i(i + 1 - j)).scale(
                 (-1) ** (i - j)
             )
             etas[(i + 1, j)] = (term1.scale(j) + term2).scale(Fraction(1, i + 1))
@@ -570,11 +575,8 @@ def build_t_wedge(ext, nerve, c_cochains, d_cochains):
         for l in range(nerve.depth + 1):
             if n + l > r:
                 continue
-            eta = etas[(n + l, n)]
-            for s in nerve.simplices_of_dim(l):
-                ev = eta.value(s)
-                if ev.is_zero() and l > 0:
-                    continue
+            # a simplex where eta vanishes has a zero component
+            for s, ev in cochain_values(nerve, etas[(n + l, n)]).items():
                 src = ext.lam_b(n + 1)
                 tgt = ext.lam_b(n + l + 1)
                 m = LinMap(src, tgt)
@@ -605,8 +607,8 @@ def build_t_last_level(ext, nerve, lam, mu):
         for s in nerve.simplices_of_dim(0):
             comps[(n, 0, s)] = LinMap.identity(ext.lam_b(n + 1))
     diff = lam.cocycles[r - 1].cochain - mu.cocycles[r - 1].cochain
-    for s in nerve.simplices_of_dim(1):
-        dv = diff.value(s)
+    # an edge where the difference vanishes has a zero component
+    for s, dv in cochain_values(nerve, diff).items():
         src = ext.lam_b(r)
         tgt = ext.lam_b(r + 1)
         m = LinMap(src, tgt)
@@ -728,7 +730,7 @@ class DeltaMatrix:
         got = self.entries.get((i, j))
         if got is not None:
             return got
-        return Cochain(self.nerve, i - j, hom_lam_module(self.ext, j, i))
+        return cochain_module(self.nerve, hom_lam_module(self.ext, j, i), i - j).zero()
 
     def diagonal_is_identity(self):
         return all(
@@ -752,13 +754,12 @@ def extract_delta(ext, nerve, T):
             l = i - j
             if l > nerve.depth:
                 continue
-            hom = hom_lam_module(ext, j, i)
-            w = Cochain(nerve, l, hom)
-            for s in nerve.simplices_of_dim(l):
-                comp = T.get((j, l, s))
-                w[s] = hom.element(
-                    ((K, K2), c) for K in ext.lam_i(j).labels for K2, c in _j_part(comp, ("j", K)).items()
-                )
+            w = cochain_module(nerve, hom_lam_module(ext, j, i), l).element(
+                ((s, (K, K2)), c)
+                for s in nerve.simplices_of_dim(l)
+                for K in ext.lam_i(j).labels
+                for K2, c in _j_part(T.get((j, l, s)), ("j", K)).items()
+            )
             if not is_cocycle(nerve, w):
                 raise StructuralError(f"extracted entry ({i},{j}) is not a cocycle")
             entries[(i, j)] = w
@@ -793,16 +794,13 @@ def delta_matrix(ext, nerve, lam, mu, shape):
 
 def l_operator(ext, nerve, i, j, v_cocycle):
     """The Hom-valued cocycle x |-> v ^ x of wedging with a class."""
-    hom = hom_lam_module(ext, j, i)
-    out = Cochain(nerve, i - j, hom)
-    for s in nerve.simplices_of_dim(i - j):
-        out[s] = hom.element(
-            ((K, mw[1]), c * mw[0])
-            for E, c in v_cocycle.value(s).data.items()
-            for K in ext.lam_i(j).labels
-            if (mw := merge_wedge(E, K)) is not None
-        )
-    return out
+    return cochain_module(nerve, hom_lam_module(ext, j, i), i - j).element(
+        ((s, (K, mw[1])), c * mw[0])
+        for s, v in cochain_values(nerve, v_cocycle).items()
+        for E, c in v.data.items()
+        for K in ext.lam_i(j).labels
+        if (mw := merge_wedge(E, K)) is not None
+    )
 
 
 def q_operator(ext, nerve, i, j, v_cocycle):
@@ -817,10 +815,9 @@ def q_operator(ext, nerve, i, j, v_cocycle):
     shift = i - j
 
     def wedge_with_v(l):
-        def fn(e):
-            x = element_to_cochain(nerve, l, ext.lam_i(j), e)
-            vx = cochain_wedge(ext.exterior.wedge, v_cocycle, x, ext.lam_i(i))
-            return cochain_to_element(tgt, vx).scale((-1) ** (shift * l))
+        def fn(x):
+            vx = cochain_wedge(nerve, ext.exterior.wedge, v_cocycle, x, ext.lam_i(i))
+            return vx.scale((-1) ** (shift * l))
 
         return fn
 
@@ -849,14 +846,14 @@ def q_operator_is_chain_map(ext, nerve, i, j, v_cocycle):
 def t_operator(ext, nerve, k, p, m, hom_cochain):
     """The translated Hom-valued cochain: on each simplex the translation
     t^m_{k,p} of the value, read as a map Lambda^p I -> Lambda^k I."""
-    if hom_cochain.module != hom_lam_module(ext, p, k):
+    l, module = cochain_type(nerve, hom_cochain)
+    if module != hom_lam_module(ext, p, k):
         raise StructuralError("translation: wrong Hom type")
-    tgt_hom = hom_lam_module(ext, p + m, k + m)
-    out = Cochain(nerve, hom_cochain.degree, tgt_hom)
-    for s, val in hom_cochain.values.items():
+    terms = []
+    for s, val in cochain_values(nerve, hom_cochain).items():
         t = ext.exterior.translate(k, p, m, hom_value_to_linmap(ext, p, k, val))
-        out[s] = tgt_hom.element(((S, T), c) for S, col in t.cols.items() for T, c in col.data.items())
-    return out
+        terms += [((s, (S, T)), c) for S, col in t.cols.items() for T, c in col.data.items()]
+    return cochain_module(nerve, hom_lam_module(ext, p + m, k + m), l).element(terms)
 
 
 def translation_fixes_wedge_classes(ext, nerve, k, p, m, v_cocycle):
@@ -869,20 +866,17 @@ def translation_fixes_wedge_classes(ext, nerve, k, p, m, v_cocycle):
 # -- class-level recursion and comparisons -------------------------------------
 
 
-def canonical_representative(nerve, cochain):
+def canonical_representative(nerve, x):
     """A representative of the class of a cocycle built from the homology basis."""
-    C = cech_complex(nerve, cochain.module)
-    H = homology(C, cochain.degree)
-    coords = H.project(cochain_to_element(C, cochain))
-    return combine_representatives(nerve, cochain.degree, cochain.module, coords, H.representatives)
+    l, module = cochain_type(nerve, x)
+    H = homology(cech_complex(nerve, module), l)
+    return combine_representatives(nerve, l, module, H.project(x), H.representatives)
 
 
 def identity_hom_cochain(ext, nerve, i):
-    hom = hom_lam_module(ext, i, i)
-    out = Cochain(nerve, 0, hom)
-    for s in nerve.simplices_of_dim(0):
-        out[s] = hom.element(((K, K), 1) for K in ext.lam_i(i).labels)
-    return out
+    return cochain_module(nerve, hom_lam_module(ext, i, i), 0).element(
+        ((s, (K, K)), 1) for s in nerve.simplices_of_dim(0) for K in ext.lam_i(i).labels
+    )
 
 
 def delta_product(ext, nerve, A, B):
@@ -893,13 +887,14 @@ def delta_product(ext, nerve, A, B):
         for j in range(i + 1):
             if i - j > nerve.depth:
                 continue
-            acc = Cochain(nerve, i - j, hom_lam_module(ext, j, i))
+            hom = hom_lam_module(ext, j, i)
+            acc = cochain_module(nerve, hom, i - j).zero()
             for k in range(j, i + 1):
                 a = A.entry(i, k)
                 b = B.entry(k, j)
                 if a.is_zero() or b.is_zero():
                     continue
-                acc = acc + yoneda_compose(a, b, hom_lam_module(ext, j, i))
+                acc = acc + yoneda_compose(nerve, a, b, hom)
             entries[(i, j)] = acc
     return DeltaMatrix(ext, nerve, entries)
 
@@ -919,10 +914,8 @@ def delta_entries_cohomologous(nerve, A, B):
 
 
 def _linmap_inverse(m):
-    from .modules import QBasis, flatten_map
-
     sb, tb = QBasis(m.source), QBasis(m.target)
-    inv = ql.inverse(flatten_map(m.apply, sb, tb), tb.dim)
+    inv = ql.inverse(flatten_linmap(m, sb, tb), tb.dim)
     if inv is None:
         raise StructuralError("map is not invertible")
 
@@ -987,15 +980,13 @@ def atiyah_twist(ext, kahler, nerve, transitions_g, nablas, chi=None, level=1):
     if chi is None or transitions_g:
         return results
     # trivial transitions: the induced twist cocycle and the conjugation law
-    hom = hom_lam_module(ext, p, p + 1)
-    cmap = Cochain(nerve, 1, hom)
+    terms = []
     for s in nerve.simplices_of_dim(1):
         a, b = s
-        terms = []
         for K in ext.lam_i(p).labels:
             img = chi.chi_hat_wedge(p, m_ab(a, b)(ext.lam_i(p).basis_vec(K)))
-            terms += [((K, K2), c) for K2, c in img.data.items()]
-        cmap[s] = hom.element(terms)
+            terms += [((s, (K, K2)), c) for K2, c in img.data.items()]
+    cmap = cochain_module(nerve, hom_lam_module(ext, p, p + 1), 1).element(terms)
     twist = TwistCocycle(ext, nerve, p, cmap)
     results["twist"] = twist
 
@@ -1045,11 +1036,7 @@ def codim2_matrix(ext, kahler, nerve, nablas, chi):
         "diagonal": delta.diagonal_is_identity(),
         "theta_entry": cohomologous(nerve, delta.entry(2, 1), theta),
         "others_zero": all(
-            cohomologous(
-                nerve,
-                delta.entry(i, j),
-                Cochain(nerve, i - j, hom_lam_module(ext, j, i)),
-            )
+            cohomologous(nerve, delta.entry(i, j), cochain_module(nerve, hom_lam_module(ext, j, i), i - j).zero())
             for i, j in [(1, 0), (2, 0)]
             if i - j <= nerve.depth
         ),
@@ -1070,7 +1057,7 @@ def divisor_class(nerve, delta_cochain):
     """
     algebra = CoeffAlgebra.rationals()
     ext = TrivialExtension(algebra, 1)
-    if delta_cochain.degree != 1 or delta_cochain.module != ext.lam_i(1):
+    if cochain_type(nerve, delta_cochain) != (1, ext.lam_i(1)):
         raise StructuralError("divisor data must be an I-valued 1-cochain")
     if not is_cocycle(nerve, delta_cochain):
         raise StructuralError("divisor data must be a cocycle")
@@ -1090,7 +1077,7 @@ def divisor_class(nerve, delta_cochain):
         if j == 0:
             return LinMap.identity(OO)
         m = LinMap.identity(B)
-        dval = delta_cochain.value((a, b))
+        dval = cochain_value(nerve, delta_cochain, (a, b))
         m.set_column(unit, B.element([(unit, 1)] + [(("i", (k,)), -c) for (k,), c in dval.data.items()]))
         return m
 
@@ -1139,12 +1126,11 @@ def divisor_class(nerve, delta_cochain):
         raise StructuralError("comparison system is not solvable")
     u = [sol.get(k, ql.ZERO) for k in range(W3.flat(0).dim)]
     # split u into the degree-0 coefficient and the degree-1 cochain
-    q1 = Cochain(nerve, 1, N)
-    for val, (((l, j), (s, lab)), mono) in zip(u, W3.flat(0).pairs):
-        if not val:
-            continue
-        if j == -1:
-            q1[s] = q1.value(s) + N.basis_vec(lab, algebra.monomial(mono) * val)
+    q1 = cochain_module(nerve, N, 1).element(
+        ((s, lab), algebra.monomial(mono) * val)
+        for val, (((l, j), (s, lab)), mono) in zip(u, W3.flat(0).pairs)
+        if val and j == -1
+    )
     # the degree-0 part must be a constant cocycle
     per_vertex = {}
     for val, (((l, j), (s, lab)), mono) in zip(u, W3.flat(0).pairs):
@@ -1162,10 +1148,9 @@ def divisor_class(nerve, delta_cochain):
 
 def wedge_part_of_level0(ext, nerve, hom_cochain):
     """Recover the vector-valued cochain underlying a level-0 twist."""
-    out = Cochain(nerve, 1, ext.lam_i(1))
-    for s, v in hom_cochain.values.items():
-        out[s] = ext.lam_i(1).element((K2, c) for (K, K2), c in v.data.items() if K == ())
-    return out
+    return cochain_module(nerve, ext.lam_i(1), 1).element(
+        ((s, K2), c) for (s, (K, K2)), c in hom_cochain.data.items() if K == ()
+    )
 
 
 def conjecture_recursion(ext, nerve, lam, mu, corrected=False):
@@ -1200,9 +1185,7 @@ def conjecture_recursion(ext, nerve, lam, mu, corrected=False):
         sgn0 = Fraction((-1) ** i, i + 1)
         if corrected:
             sgn0 *= (-1) ** i  # degree gap i at the (i+1, 0) entry
-        out[(i + 1, 0)] = yoneda_compose(
-            left, out[(i, 0)], hom_lam_module(ext, 0, i + 1)
-        ).scale(sgn0)
+        out[(i + 1, 0)] = yoneda_compose(nerve, left, out[(i, 0)], hom_lam_module(ext, 0, i + 1)).scale(sgn0)
         for j in range(1, i + 1):
             term1 = t_operator(ext, nerve, i, j - 1, 1, out[(i, j - 1)]).scale(j)
             shifted = t_operator(ext, nerve, j + 1, j, i - j, lam.cocycles[j].cochain)
@@ -1210,7 +1193,7 @@ def conjecture_recursion(ext, nerve, lam, mu, corrected=False):
             sgn = (-1) ** (i - j)
             if corrected:
                 sgn *= (-1) ** (i - j)
-            term2 = yoneda_compose(diff, out[(i, j)], hom_lam_module(ext, j, i + 1)).scale(sgn)
+            term2 = yoneda_compose(nerve, diff, out[(i, j)], hom_lam_module(ext, j, i + 1)).scale(sgn)
             out[(i + 1, j)] = (term1 + term2).scale(Fraction(1, i + 1))
     return DeltaMatrix(ext, nerve, out)
 
@@ -1264,10 +1247,10 @@ def random_wedge_cochains(ext, nerve, rng):
     for _ in range(ext.rank):
         scalars = [rng.randint(-2, 2) for _ in H.representatives]
         c = combine_representatives(nerve, 1, ext.lam_i(1), scalars, H.representatives)
-        noise = Cochain(nerve, 0, ext.lam_i(1))
-        for s in nerve.simplices_of_dim(0):
-            noise[s] = ext.lam_i(1).element(((k,), rng.randint(-2, 2)) for k in range(ext.rank))
-        cochains.append(c + cech_delta(noise))
+        noise = cochain_module(nerve, ext.lam_i(1), 0).element(
+            ((s, (k,)), rng.randint(-2, 2)) for s in nerve.simplices_of_dim(0) for k in range(ext.rank)
+        )
+        cochains.append(c + cech_delta(nerve, noise))
     return cochains
 
 
@@ -1278,10 +1261,10 @@ def random_hom_twist(ext, nerve, level, rng):
     H = homology(C, 1)
     scalars = [rng.randint(-2, 2) for _ in H.representatives]
     c = combine_representatives(nerve, 1, hom, scalars, H.representatives)
-    noise = Cochain(nerve, 0, hom)
-    for s in nerve.simplices_of_dim(0):
-        noise[s] = hom.element((lab, rng.randint(-1, 1)) for lab in hom.labels)
-    c = c + cech_delta(noise)
+    noise = cochain_module(nerve, hom, 0).element(
+        ((s, lab), rng.randint(-1, 1)) for s in nerve.simplices_of_dim(0) for lab in hom.labels
+    )
+    c = c + cech_delta(nerve, noise)
     return TwistCocycle(ext, nerve, level, c)
 
 

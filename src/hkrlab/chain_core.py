@@ -254,6 +254,13 @@ def total_complex(algebra, spots, column, name):
     return CochainComplex(algebra, modules, diffs)
 
 
+def _column(d, lab):
+    """The (target label, coefficient) terms of d's stored column at lab; a
+    missing column is zero."""
+    col = d.cols.get(lab)
+    return () if col is None else col.data.items()
+
+
 def hom_complex(C, D):
     """Hom complex with differential d o f - (-1)^{|f|} f o d."""
     spots = {}
@@ -265,8 +272,7 @@ def hom_complex(C, D):
         # the elementary map sending basis vector a of C^m to b of D^{m+deg},
         # post-composed with d_D, then pre-composed with d_C with sign -(-1)^deg
         a, b = lab
-        img = D.diff(m + deg).apply(D.module(m + deg).basis_vec(b))
-        yield from (((m, (a, b2)), c) for b2, c in img.data.items())
+        yield from (((m, (a, b2)), c) for b2, c in _column(D.diff(m + deg), b))
         sgn = -1 if deg % 2 == 0 else 1
         dC = C.diff(m - 1)
         for a2 in dC.source.labels:
@@ -287,11 +293,9 @@ def tensor_complex(C, D):
     def column(deg, m, lab):
         a, b = lab
         n = deg - m
-        img = C.diff(m).apply(C.module(m).basis_vec(a))
-        yield from (((m + 1, (a2, b)), c) for a2, c in img.data.items())
+        yield from (((m + 1, (a2, b)), c) for a2, c in _column(C.diff(m), a))
         sgn = -1 if m % 2 else 1
-        img = D.diff(n).apply(D.module(n).basis_vec(b))
-        yield from (((m, (a, b2)), c * sgn) for b2, c in img.data.items())
+        yield from (((m, (a, b2)), c * sgn) for b2, c in _column(D.diff(n), b))
 
     return total_complex(C.algebra, spots, column, lambda deg: f"(C(x)D)^{deg}")
 
@@ -303,15 +307,18 @@ def totalize(algebra, modules, horiz, vert):
     spots = {}
     for i, j in sorted(modules):
         spots.setdefault(i + j, []).append(((i, j), modules[(i, j)]))
+    for maps in (horiz, vert):
+        for ij, m in maps.items():
+            if m.source != modules[ij]:
+                raise StructuralError(f"the map out of spot {ij} starts elsewhere")
 
     def column(n, ij, lab):
         i, j = ij
-        x = modules[ij].basis_vec(lab)
         if ij in horiz:
-            yield from ((((i + 1, j), lab2), c) for lab2, c in horiz[ij].apply(x).data.items())
+            yield from ((((i + 1, j), lab2), c) for lab2, c in _column(horiz[ij], lab))
         if ij in vert:
             sgn = -1 if i % 2 else 1
-            yield from ((((i, j + 1), lab2), c * sgn) for lab2, c in vert[ij].apply(x).data.items())
+            yield from ((((i, j + 1), lab2), c * sgn) for lab2, c in _column(vert[ij], lab))
 
     return total_complex(algebra, spots, column, lambda n: f"Tot^{n}")
 

@@ -43,15 +43,16 @@ from .hkr_local import (
     zeta_checks,
 )
 from .cech_twist import (
-    Cochain,
     NERVE_LIBRARY,
     Nerve,
     NerveError,
     TwistFamily,
+    build_cochain,
     canonical_representative,
     cech_delta,
     cech_complex,
     circle_nerve,
+    cochain_module,
     cohomologous,
     combine_representatives,
     conjecture_probe,
@@ -450,7 +451,7 @@ def check_comparison_last_level(config):
                     if (i, j) == (r, r - 1) or i - j > nerve.depth:
                         continue
                     hom = hom_lam_module(ext, j, i)
-                    if not cohomologous(nerve, delta.entry(i, j), Cochain(nerve, i - j, hom)):
+                    if not cohomologous(nerve, delta.entry(i, j), cochain_module(nerve, hom, i - j).zero()):
                         return "fail", {"rank": r, "trial": trial, "entry": (i, j)}
     return "pass", {"ranks": ranks, "trials_per_rank": 5}
 
@@ -467,9 +468,9 @@ def check_cycle_class(config):
     C = cech_complex(nerve, ext.lam_i(1))
     H = homology(C, 1)
     gen = combine_representatives(nerve, 1, ext.lam_i(1), [1], H.representatives)
-    noise = Cochain(nerve, 0, ext.lam_i(1))
-    noise[(0,)] = ext.lam_i(1).basis_vec((0,), 2)
-    cases = {"zero": Cochain(nerve, 1, ext.lam_i(1)), "generator": gen, "coboundary": cech_delta(noise)}
+    noise = build_cochain(nerve, 0, ext.lam_i(1), {(0,): ext.lam_i(1).basis_vec((0,), 2)})
+    zero = cochain_module(nerve, ext.lam_i(1), 1).zero()
+    cases = {"zero": zero, "generator": gen, "coboundary": cech_delta(nerve, noise)}
     for name, delta_in in cases.items():
         q0, q1 = divisor_class(nerve, delta_in)
         if q0 != 1 or not cohomologous(nerve, q1, delta_in):
@@ -491,13 +492,19 @@ def check_probe_required_domains(config):
     rng = _rng(config, "probe")
     lam = TwistFamily.from_wedge_cochains(ext, nerve, random_wedge_cochains(ext, nerve, rng))
     mu = TwistFamily.from_wedge_cochains(ext, nerve, random_wedge_cochains(ext, nerve, rng))
-    rep = conjecture_probe(ext, nerve, lam, mu, shape="wedge")
+    try:
+        rep = conjecture_probe(ext, nerve, lam, mu, shape="wedge")
+    except StructuralError as err:
+        return "fail", {"domain": "wedge", "claim": str(err)}
     if rep["agrees"] is not True:
         return "fail", {"domain": "wedge", "entries": rep["entries"]}
     shared = [random_hom_twist(ext, nerve, 0, rng)]
     lam2 = TwistFamily(ext, nerve, shared + [random_hom_twist(ext, nerve, 1, rng)])
     mu2 = TwistFamily(ext, nerve, shared + [random_hom_twist(ext, nerve, 1, rng)])
-    rep2 = conjecture_probe(ext, nerve, lam2, mu2, shape="last-level")
+    try:
+        rep2 = conjecture_probe(ext, nerve, lam2, mu2, shape="last-level")
+    except StructuralError as err:
+        return "fail", {"domain": "last-level", "claim": str(err)}
     if rep2["agrees"] is not True:
         return "fail", {"domain": "last-level", "entries": rep2["entries"]}
     return "pass", {"domains": ["wedge", "last-level"]}

@@ -14,7 +14,7 @@ from .ak_complexes import build_p_complex, build_q_complex
 from .chain_core import ComplexMap, tensor_module
 from .coeff import Poly
 from .exterior_core import ExteriorContext, exterior_power_map, merge_wedge, sort_sign
-from .modules import LinMap, QBasis, StructuralError, flatten_map
+from .modules import LinMap, QBasis, StructuralError, flatten_linmap, flatten_map
 from . import rational as ql
 
 
@@ -183,11 +183,11 @@ def _r_from_iso(ext, kahler, chi, p, window):
     tb_om = QBasis(kahler.omega(p + 1), window)
     sb_i = QBasis(ext.lam_i(p), window)
     tb_i = QBasis(ext.lam_i(p + 1), window)
-    inv = ql.inverse(flatten_map(lam_hat_p.apply, sb_om, sb_i), sb_i.dim)
+    inv = ql.inverse(flatten_linmap(lam_hat_p, sb_om, sb_i), sb_i.dim)
     if inv is None:
         raise StructuralError("windowed flattening of Lambda^p chi_hat is singular")
     d = flatten_map(kahler.d_vec, sb_om, tb_om)
-    M_hat_p1 = flatten_map(lam_hat_p1.apply, tb_om, tb_i)
+    M_hat_p1 = flatten_linmap(lam_hat_p1, tb_om, tb_i)
     R = ql.compose_columns(M_hat_p1, ql.compose_columns(d, inv))
 
     def fn(v):

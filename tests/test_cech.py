@@ -16,12 +16,12 @@ from hkrlab.modules import BasedModule, LinMap, StructuralError
 from hkrlab.rational import add_scaled
 from hkrlab.cech_twist import (
     NERVE_LIBRARY,
-    Cochain,
     Nerve,
     NerveError,
     TwistFamily,
     UnsupportedTwistError,
     atiyah_twist,
+    build_cochain,
     build_t_last_level,
     canonical_representative,
     cech_cohomology,
@@ -30,6 +30,9 @@ from hkrlab.cech_twist import (
     cech_delta,
     circle_nerve,
     class_coordinates,
+    cochain_module,
+    cochain_type,
+    cochain_value,
     cochain_wedge,
     codim2_matrix,
     cohomologous,
@@ -56,6 +59,7 @@ from hkrlab.cech_twist import (
     yoneda_compose,
 )
 from hkrlab.connections import Connection, DerivationChi, KahlerModule
+import reference_cochain as ref
 
 QQ = CoeffAlgebra.rationals()
 
@@ -138,8 +142,8 @@ def test_torus_cohomology_and_cup():
 
     u, v = from_rep(0), from_rep(1)
     wf = lambda a, b: a.scale(b.coeff(()))
-    uv = cochain_wedge(wf, u, v, M)
-    vu = cochain_wedge(wf, v, u, M)
+    uv = cochain_wedge(n, wf, u, v, M)
+    vu = cochain_wedge(n, wf, v, u, M)
     assert is_cocycle(n, uv)
     assert any(class_coordinates(n, uv))
     assert cohomologous(n, uv, vu.scale(-1))
@@ -148,25 +152,15 @@ def test_torus_cohomology_and_cup():
 def random_cochain(nerve, degree, module, rng):
     """A cochain with a random value on every simplex of its degree."""
     algebra = module.algebra
-    out = Cochain(nerve, degree, module)
-    for s in nerve.simplices_of_dim(degree):
-        out[s] = module.element(
+    values = {
+        s: module.element(
             (lab, algebra.monomial(mono, rng.randint(-2, 2)))
             for lab in module.labels
             for mono in algebra.monomials
         )
-    return out
-
-
-def reference_delta(x):
-    """The alternating face sum (dx)_s = sum_k (-1)^k x_{s minus its k-th vertex}."""
-    out = Cochain(x.nerve, x.degree + 1, x.module)
-    for s in x.nerve.simplices_of_dim(x.degree + 1):
-        v = x.module.zero()
-        for k in range(len(s)):
-            v = v + x.value(s[:k] + s[k + 1 :]).scale((-1) ** k)
-        out[s] = v
-    return out
+        for s in nerve.simplices_of_dim(degree)
+    }
+    return build_cochain(nerve, degree, module, values)
 
 
 @pytest.mark.parametrize("algebra", [QQ, CoeffAlgebra.polynomial(1, 2)], ids=["Q", "Q[x1]"])
@@ -178,9 +172,9 @@ def test_cech_delta_is_the_alternating_face_sum(name, algebra):
     for module in (ext.lam_i(1), hom_lam_module(ext, 1, 2)):
         for l in range(nerve.depth + 1):
             x = random_cochain(nerve, l, module, rng)
-            want = reference_delta(x)
-            got = cech_delta(x)
-            assert (got.degree, got.module) == (l + 1, module)
+            want = ref.to_element(ref.cech_delta(ref.from_element(nerve, x)))
+            got = cech_delta(nerve, x)
+            assert cochain_type(nerve, got) == (l + 1, module)
             assert (got - want).is_zero()
             assert is_cocycle(nerve, x) == want.is_zero()
             assert is_cocycle(nerve, got)
@@ -192,18 +186,14 @@ def test_cochain_wedge_leibniz():
     rng = random.Random(3)
     ext = ext_of(2)
     for nerve in (circle_nerve(), torus_nerve()):
-        x = Cochain(nerve, 0, ext.lam_i(1))
-        for s in nerve.simplices_of_dim(0):
-            x[s] = ext.lam_i(1).basis_vec((0,), rng.randint(-2, 2)) + ext.lam_i(1).basis_vec(
-                (1,), rng.randint(-2, 2)
-            )
-        y = Cochain(nerve, 1, ext.lam_i(1))
-        for s in nerve.simplices_of_dim(1):
-            y[s] = ext.lam_i(1).basis_vec((0,), rng.randint(-2, 2))
+        M = ext.lam_i(1)
+        xs = {s: M.element([((0,), rng.randint(-2, 2)), ((1,), rng.randint(-2, 2))]) for s in nerve.simplices_of_dim(0)}
+        x = build_cochain(nerve, 0, M, xs)
+        y = build_cochain(nerve, 1, M, {s: M.basis_vec((0,), rng.randint(-2, 2)) for s in nerve.simplices_of_dim(1)})
         wf = ext.exterior.wedge
-        lhs = cech_delta(cochain_wedge(wf, x, y, ext.lam_i(2)))
-        rhs = cochain_wedge(wf, cech_delta(x), y, ext.lam_i(2)) + cochain_wedge(
-            wf, x, cech_delta(y), ext.lam_i(2)
+        lhs = cech_delta(nerve, cochain_wedge(nerve, wf, x, y, ext.lam_i(2)))
+        rhs = cochain_wedge(nerve, wf, cech_delta(nerve, x), y, ext.lam_i(2)) + cochain_wedge(
+            nerve, wf, x, cech_delta(nerve, y), ext.lam_i(2)
         )  # deg(x) = 0: no sign
         assert (lhs - rhs).is_zero()
 
@@ -214,9 +204,7 @@ def test_cochain_wedge_leibniz():
 def test_l_operator_unit():
     ext = ext_of(2)
     nerve = circle_nerve()
-    one = Cochain(nerve, 0, ext.lam_i(0))
-    for s in nerve.simplices_of_dim(0):
-        one[s] = ext.lam_i(0).basis_vec(())
+    one = build_cochain(nerve, 0, ext.lam_i(0), {s: ext.lam_i(0).basis_vec(()) for s in nerve.simplices_of_dim(0)})
     got = l_operator(ext, nerve, 1, 1, one)
     assert (got - identity_hom_cochain(ext, nerve, 1)).is_zero()
 
@@ -228,7 +216,7 @@ def test_q_operator_chain_map(name):
     gen = h1_generator_cochain(ext, nerve)
     # plus a coboundary: a nonzero cocycle on every nerve, sphere2 (H^1 = 0) too
     noise = random_cochain(nerve, 0, ext.lam_i(1), random.Random(4))
-    shifted = gen + cech_delta(noise)
+    shifted = gen + cech_delta(nerve, noise)
     assert not shifted.is_zero()
     for v in (gen, shifted):
         assert q_operator_is_chain_map(ext, nerve, 2, 1, v)
@@ -257,8 +245,8 @@ def test_yoneda_rule_against_cup():
     v, w = from_rep(0), from_rep(2)
     lv = l_operator(ext, nerve, 2, 1, v)
     lw = l_operator(ext, nerve, 1, 0, w)
-    got = yoneda_compose(lv, lw, hom_lam_module(ext, 0, 2))
-    cup = cochain_wedge(ext.exterior.wedge, v, w, ext.lam_i(2))
+    got = yoneda_compose(nerve, lv, lw, hom_lam_module(ext, 0, 2))
+    cup = cochain_wedge(nerve, ext.exterior.wedge, v, w, ext.lam_i(2))
     want = l_operator(ext, nerve, 2, 0, cup).scale((-1) ** (1 * 1))
     assert cohomologous(nerve, got, want)
 
@@ -287,7 +275,7 @@ def test_t_operator_general_hom_value():
     rng = random.Random(2)
     tw = random_hom_twist(ext, nerve, 0, rng)
     out = t_operator(ext, nerve, 1, 0, 1, tw.cochain)
-    assert out.module == hom_lam_module(ext, 1, 2)
+    assert cochain_type(nerve, out) == (1, hom_lam_module(ext, 1, 2))
     assert is_cocycle(nerve, out)
 
 
@@ -307,7 +295,7 @@ def test_eta_recursion_spot_values():
     wf = ext.exterior.wedge
     # the degree-2 entry keeps the 1/(i+1) prefactor (on this nerve both
     # sides vanish; the torus test below pins the normalization)
-    want20 = cochain_wedge(wf, cs[0] - ds[1], cs[0] - ds[0], ext.lam_i(2)).scale(
+    want20 = cochain_wedge(nerve, wf, cs[0] - ds[1], cs[0] - ds[0], ext.lam_i(2)).scale(
         Fraction(-1, 2)
     )
     assert (etas[(2, 0)] - want20).is_zero()
@@ -383,7 +371,7 @@ def test_wedge_comparison_equal_twists_identity_matrix():
         for j in range(i):
             if i - j <= nerve.depth:
                 hom = hom_lam_module(ext, j, i)
-                assert cohomologous(nerve, delta.entry(i, j), Cochain(nerve, i - j, hom))
+                assert cohomologous(nerve, delta.entry(i, j), cochain_module(nerve, hom, i - j).zero())
 
 
 def test_wedge_comparison_on_sphere_with_coboundary_twists():
@@ -400,7 +388,7 @@ def test_wedge_comparison_on_sphere_with_coboundary_twists():
         for j in range(i):
             if i - j <= nerve.depth:
                 hom = hom_lam_module(ext, j, i)
-                assert cohomologous(nerve, delta.entry(i, j), Cochain(nerve, i - j, hom))
+                assert cohomologous(nerve, delta.entry(i, j), cochain_module(nerve, hom, i - j).zero())
 
 
 def test_wedge_comparison_on_torus_quadratic_entry():
@@ -425,7 +413,7 @@ def test_composition_law_at_class_level():
     rng = random.Random(29)
     cs = random_wedge_cochains(ext, nerve, rng)
     ds = random_wedge_cochains(ext, nerve, rng)
-    zeros = [Cochain(nerve, 1, ext.lam_i(1)) for _ in range(2)]
+    zeros = [cochain_module(nerve, ext.lam_i(1), 1).zero() for _ in range(2)]
     lam = TwistFamily.from_wedge_cochains(ext, nerve, cs)
     mu = TwistFamily.from_wedge_cochains(ext, nerve, ds)
     zero_fam = TwistFamily.from_wedge_cochains(ext, nerve, zeros)
@@ -453,7 +441,7 @@ def test_last_level_comparison(r):
             if (i, j) == (r, r - 1) or i - j > nerve.depth:
                 continue
             hom = hom_lam_module(ext, j, i)
-            assert cohomologous(nerve, delta.entry(i, j), Cochain(nerve, i - j, hom))
+            assert cohomologous(nerve, delta.entry(i, j), cochain_module(nerve, hom, i - j).zero())
 
 
 def test_last_level_requires_matching_lower_levels():
@@ -478,7 +466,7 @@ def test_wedge_comparison_needs_families_built_from_wedge_cochains():
     ext = ext_of(2)
     nerve = circle_nerve()
     zero = TwistFamily.zero(ext, nerve)
-    wedge = TwistFamily.from_wedge_cochains(ext, nerve, [Cochain(nerve, 1, ext.lam_i(1))] * 2)
+    wedge = TwistFamily.from_wedge_cochains(ext, nerve, [cochain_module(nerve, ext.lam_i(1), 1).zero()] * 2)
     assert zero.wedge_data is None
     for lam, mu in ((zero, zero), (wedge, zero), (zero, wedge)):
         with pytest.raises(UnsupportedTwistError):
@@ -522,6 +510,14 @@ def test_opposite_sign_transitions_fail_the_comparison_suites(monkeypatch, suite
     record = run_suite(SuiteConfig(suite=suite, nerve="sphere2")).records[0]
     assert record["status"] == "fail"
     assert record["detail"] == {"rank": 2, "trial": 0, "claim": "comparison morphism is not a chain map"}
+
+
+def test_opposite_sign_transitions_fail_probe_domains_at_a_named_domain(monkeypatch):
+    monkeypatch.setattr(TwistFamily, "_build_transition", opposite_sign_transition)
+    records = run_suite(SuiteConfig(suite="comparison_wedge", nerve="sphere2")).records
+    (record,) = [r for r in records if r["id"] == "probe-domains"]
+    assert record["status"] == "fail"
+    assert record["detail"] == {"domain": "wedge", "claim": "comparison morphism is not a chain map"}
 
 
 def test_doubled_comparison_morphism_is_a_chain_map_that_misses_the_identity(monkeypatch):
@@ -692,7 +688,7 @@ def test_codim2_matrix_nonflat():
 def test_divisor_class_zero():
     nerve = circle_nerve()
     ext = ext_of(1)
-    zero = Cochain(nerve, 1, ext.lam_i(1))
+    zero = cochain_module(nerve, ext.lam_i(1), 1).zero()
     q0, q1 = divisor_class(nerve, zero)
     assert q0 == 1
     assert cohomologous(nerve, q1, zero)
@@ -713,12 +709,11 @@ def test_divisor_class_generator(name):
 def test_divisor_class_coboundary_input(name):
     nerve = NERVE_LIBRARY[name]()
     ext = ext_of(1)
-    noise = Cochain(nerve, 0, ext.lam_i(1))
-    noise[(1,)] = ext.lam_i(1).basis_vec((0,), 3)
-    cob = cech_delta(noise)
+    noise = build_cochain(nerve, 0, ext.lam_i(1), {(1,): ext.lam_i(1).basis_vec((0,), 3)})
+    cob = cech_delta(nerve, noise)
     q0, q1 = divisor_class(nerve, cob)
     assert q0 == 1
-    assert cohomologous(nerve, q1, Cochain(nerve, 1, ext.lam_i(1)))
+    assert cohomologous(nerve, q1, cochain_module(nerve, ext.lam_i(1), 1).zero())
 
 
 # -- the recursion probe ---------------------------------------------------------
@@ -761,9 +756,8 @@ def test_divisor_class_depends_only_on_class():
     nerve = circle_nerve()
     ext = ext_of(1)
     gen = h1_generator_cochain(ext, nerve)
-    noise = Cochain(nerve, 0, ext.lam_i(1))
-    noise[(0,)] = ext.lam_i(1).basis_vec((0,), 7)
-    shifted = gen + cech_delta(noise)
+    noise = build_cochain(nerve, 0, ext.lam_i(1), {(0,): ext.lam_i(1).basis_vec((0,), 7)})
+    shifted = gen + cech_delta(nerve, noise)
     q0a, q1a = divisor_class(nerve, gen)
     q0b, q1b = divisor_class(nerve, shifted)
     assert q0a == q0b == 1
@@ -928,7 +922,7 @@ def delta_golden_text(nerve_name, r, seed):
                 continue
             e = delta.entry(i, j)
             entries[f"{i},{j}"] = {
-                ",".join(map(str, s)): hom_value_to_linmap(ext, j, i, e.value(s)).to_json()
+                ",".join(map(str, s)): hom_value_to_linmap(ext, j, i, cochain_value(nerve, e, s)).to_json()
                 for s in nerve.simplices_of_dim(i - j)
             }
     return json.dumps(entries, sort_keys=True, indent=1) + "\n"

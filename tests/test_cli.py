@@ -343,9 +343,9 @@ def test_json_driven_model_cycle_class():
 def test_json_driven_last_level_comparison():
     from fractions import Fraction
     from hkrlab.cech_twist import (
-        Cochain,
         TwistFamily,
         TwistCocycle,
+        build_cochain,
         cohomologous,
         delta_matrix,
         hom_lam_module,
@@ -356,7 +356,7 @@ def test_json_driven_last_level_comparison():
     hom = hom_lam_module(ext, 0, 1)
     edges = {(0, 1): 1, (1, 2): 1, (0, 2): 2}
     values = {s: hom.basis_vec(hom.labels[0], c) for s, c in edges.items()}
-    lam_tw = TwistCocycle(ext, nerve, 0, Cochain(nerve, 1, hom, values))
+    lam_tw = TwistCocycle(ext, nerve, 0, build_cochain(nerve, 1, hom, values))
     mu_tw = TwistCocycle.zero(ext, nerve, 0)
     lam = TwistFamily(ext, nerve, [lam_tw])
     mu = TwistFamily(ext, nerve, [mu_tw])
