@@ -396,8 +396,12 @@ def class_coordinates(nerve, x):
 
 
 def hom_lam_module(ext, j, i):
-    """Hom(Lambda^j I, Lambda^i I) as a based module with (src, tgt) labels."""
-    return hom_module(ext.lam_i(j), ext.lam_i(i))
+    """Hom(Lambda^j I, Lambda^i I) as a based module with (src, tgt) labels,
+    built once per (j, i) and kept on the extension."""
+    M = ext._hom_lam.get((j, i))
+    if M is None:
+        M = ext._hom_lam[(j, i)] = hom_module(ext.lam_i(j), ext.lam_i(i))
+    return M
 
 
 def hom_value_to_linmap(ext, j, i, v):

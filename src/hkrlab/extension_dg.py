@@ -50,6 +50,8 @@ class TrivialExtension:
         # Lambda^k B -> k, filled as lam_b builds them, so degrees are never
         # read off names
         self._degree = {}
+        # (j, i) -> Hom(Lambda^j I, Lambda^i I), filled by cech_twist.hom_lam_module
+        self._hom_lam = {}
         # p -> the p-th tensor power of B over A, filled by hkr_local.tensor_power_module
         self._tensor_power = {}
         # window -> the zeta battery's results, filled by hkr_local.zeta_checks

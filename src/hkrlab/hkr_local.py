@@ -19,15 +19,16 @@ with the same (m, r, D) and dropped with the last of them, builds once and
 on first use the Koszul resolution L of A over C, the resolutions P and K
 of A over B and A itself, all at window D, the reduced complexes RL and
 RP, the augmentations aug_l and aug_p, and the reductions red_l and red_p.
-The LocalModel holds chi, psi and the maps gamma: L -> P and kappa: L -> K,
-and reads the base's attributes under the same names; every check of the
-model reads these.  Builders outside the model take the complexes they map
-between and use their window: zeta(ext, K, P), k_augmentation(ext, K) and,
-in ak_complexes, p_augmentation(ext, P) and q_coaugmentation(ext, Q).
-build_k_complex and build_p_complex build unwindowed complexes; zeta_checks
-windows its own K and P at the window it is given and keeps its results on
-the extension, one entry per window, and zeta_is_b_linear checks zeta on
-the unwindowed ones.
+The LocalModel holds chi, psi (a table of psi(x^e) per monomial x^e of C)
+and the maps gamma: L -> P and kappa: L -> K, whose columns are read off
+that table, and reads the base's attributes under the same names; every
+check of the model reads these.  Builders outside the model take the
+complexes they map between and use their window: zeta(ext, K, P),
+k_augmentation(ext, K) and, in ak_complexes, p_augmentation(ext, P) and
+q_coaugmentation(ext, Q).  build_k_complex and build_p_complex build
+unwindowed complexes; zeta_checks windows its own K and P at the window it
+is given and keeps its results on the extension, one entry per window, and
+zeta_is_b_linear checks zeta on the unwindowed ones.
 """
 
 from __future__ import annotations
@@ -235,7 +236,8 @@ class LocalModel:
 
         x_i |-> (-sum_k chi_ik y_k, x_i), y_k |-> (y_k, 0); well defined on
         the truncation only through the grade window, which is how every
-        consumer flattens it.
+        consumer flattens it.  It sums the table entries psi(x^e) of c's
+        monomials; validate, gamma and kappa read the table directly.
         """
         if c.algebra != self.C:
             raise StructuralError("psi is defined on the coefficients of C")
@@ -247,42 +249,53 @@ class LocalModel:
         return self.ext.b_elem([1 if t == k else 0 for t in range(self.r)], 0)
 
     def validate(self):
-        """Construction-time invariants: psi multiplicative, sigma a section."""
+        """Construction-time invariants, read off psi's monomial table: sigma
+        is a section, and psi(x^e) psi(x^f) = psi(x^{e+f}) for every pair of
+        monomials within the window."""
         # sigma followed by B -> A is the identity on generators
         for i in range(self.m):
             b = self.psi(self.lift_poly(self.A.gen(i)))
             _, a = self.ext.split(b)
             if a.coeff(()) != self.A.gen(i):
                 raise ModelError("splitting is not a section")
-        # psi multiplicative on all monomial pairs within the window
-        mons = [(f, f.degree(), self.psi(f)) for f in self.C.basis()]
-        for f, df, pf in mons:
-            for g, dg, pg in mons:
-                if df + dg > self.D:
+        table, b_mul = self._psi_mono, self.ext.b_mul
+        mons = [(e, sum(e), pe) for e, pe in table.items()]
+        for e, de, pe in mons:
+            for f, df, pf in mons:
+                if de + df > self.D:
                     continue
-                if not (self.psi(f * g) - self.ext.b_mul(pf, pg)).is_zero():
+                ef = tuple(a + b for a, b in zip(e, f))
+                if not (table[ef] - b_mul(pe, pf)).is_zero():
                     raise ModelError("psi is not multiplicative")
 
     # -- the comparison maps, which read chi through psi ------------------
+
+    def _psi_columns(self, target, image, act):
+        """The map L -> target with c (x) e_K |-> act(p, psi(c), image(p, K)) in
+        degree -p, for act linear in its last argument: the column of the pair
+        (K, x^e) acts by the table entry psi(x^e) on the image of K, built once
+        per label, and is empty where that entry is zero."""
+        cols = {}
+        for p in range(self.r + 1):
+            flatten, images = target.flat(-p).flatten, {}
+            cols[-p] = col = []
+            for K, e in self.L.flat(-p).pairs:
+                b = self._psi_mono[e]
+                if not b.data:
+                    col.append({})
+                    continue
+                if K not in images:
+                    images[K] = image(p, K)
+                col.append(flatten(act(p, b, images[K])))
+        return ComplexMap(self.L, target, cols)
 
     @cached_property
     def gamma(self):
         """The comparison chain map L -> P: c (x) e_K |-> psi(c) * (1_B ^ y_K)."""
         ext = self.ext
-
-        def component(p):
-            M = ext.lam_b(p + 1)
-
-            def fn(v):
-                return M.element(
-                    t
-                    for K, c in v.data.items()
-                    for t in ext.b_action(p + 1, self.psi(c), M.basis_vec(("j", K))).data.items()
-                )
-
-            return fn
-
-        return ComplexMap.from_functions(self.L, self.P, {-p: component(p) for p in range(self.r + 1)})
+        return self._psi_columns(
+            self.P, lambda p, K: ext.lam_b(p + 1).basis_vec(("j", K)), lambda p, b, x: ext.b_action(p + 1, b, x)
+        )
 
     @cached_property
     def kappa(self):
@@ -292,20 +305,10 @@ class LocalModel:
         """
         ext = self.ext
 
-        def component(p):
-            M = tensor_power_module(ext, p)
+        def image(p, K):
+            return tensor_power_module(ext, p).element((("j", T), w) for w, T in symmetrizations(K))
 
-            def fn(v):
-                terms = []
-                for Kl, c in v.data.items():
-                    b = self.psi(c)
-                    for w, T in symmetrizations(Kl):
-                        terms += k_b_action(ext, p, b, M.basis_vec(("j", T), w)).data.items()
-                return M.element(terms)
-
-            return fn
-
-        return ComplexMap.from_functions(self.L, self.K, {-p: component(p) for p in range(self.r + 1)})
+        return self._psi_columns(self.K, image, lambda p, b, x: k_b_action(ext, p, b, x))
 
     def hkr_matrix_gamma(self):
         """The induced map on reduced complexes; must send e_K to y_K.

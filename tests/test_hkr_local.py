@@ -250,16 +250,24 @@ def test_kappa_chain_map():
 
 
 def test_one_model_builds_each_comparison_map_once(monkeypatch):
+    # every map is built by ComplexMap.from_functions or, for gamma and
+    # kappa, by LocalModel._psi_columns
     built = []
     from_functions = ComplexMap.from_functions.__func__
+    psi_columns = LocalModel._psi_columns
 
-    def recording(cls, source, target, fns):
-        f = from_functions(cls, source, target, fns)
+    def record(f):
         built.append(tuple(
-            (n, tuple(source.flat(n).pairs), tuple(target.flat(n).pairs), tuple(tuple(sorted(c.items())) for c in cols))
+            (n, tuple(f.source.flat(n).pairs), tuple(f.target.flat(n).pairs), tuple(tuple(sorted(c.items())) for c in cols))
             for n, cols in sorted(f.cols.items())
         ))
         return f
+
+    def recording(cls, source, target, fns):
+        return record(from_functions(cls, source, target, fns))
+
+    def recording_psi_columns(self, target, image, act):
+        return record(psi_columns(self, target, image, act))
 
     def run_checks(model):
         assert all(model.gamma_checks().values())
@@ -267,6 +275,7 @@ def test_one_model_builds_each_comparison_map_once(monkeypatch):
         assert compare_hkr_ac(model)
 
     monkeypatch.setattr(ComplexMap, "from_functions", classmethod(recording))
+    monkeypatch.setattr(LocalModel, "_psi_columns", recording_psi_columns)
     model = LocalModel(1, 2, 3, chi=[["1+x1", "-2"]])
     run_checks(model)
     # gamma, kappa, the two augmentations and red_p
