@@ -17,9 +17,10 @@ a-coordinates; the sign is pinned by the chain-map equations of the
 comparison morphism (see tests).
 
 The comparison morphism is a plain component table {(n, l, simplex):
-LinMap Lambda^{n+1} B -> Lambda^{n+l+1} B}, in which a missing key is a
-zero component; delta_matrix checks its chain-map equations and its
-augmentation once and reads the matrix entries off its j-columns.
+sparse rational columns over ext.flat(n+1) -> ext.flat(n+l+1)}, in which a
+missing key is a zero component: its builders write the columns directly,
+and delta_matrix checks its chain-map equations and its augmentation on
+them once and reads the matrix entries off their ('j', L) entries.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .chain_core import (
     totalize,
 )
 from .coeff import CoeffAlgebra
-from .exterior_core import exterior_power_map, merge_wedge, perm_sign
+from .exterior_core import MERGES, exterior_power_map, merge_wedge, perm_sign
 from .extension_dg import TrivialExtension
 from .modules import BasedModule, LinMap, QBasis, StructuralError, Vec, _vec, flatten_linmap
 from . import rational as ql
@@ -110,6 +111,12 @@ class Nerve:
     @cached_property
     def _cech_complexes(self):
         """module -> its untwisted Cech complex, filled by cech_complex."""
+        return {}
+
+    @cached_property
+    def _empty_cochain_modules(self):
+        """(coefficient module, degree) -> the empty cochain module above the
+        nerve's depth, filled by cochain_module."""
         return {}
 
     @cached_property
@@ -190,8 +197,12 @@ def cochain_module(nerve, module, degree):
     that one coefficient module in nerve._cochain_types."""
     M = cech_complex(nerve, module).modules.get(degree)
     if M is None:
-        M = BasedModule(module.algebra, (), f"C^{degree}({module.name}, {module.labels}, {module.grades})")
-        nerve._cochain_types.setdefault(M, (degree, module))
+        key = (module, degree)
+        M = nerve._empty_cochain_modules.get(key)
+        if M is None:
+            M = BasedModule(module.algebra, (), f"C^{degree}({module.name}, {module.labels}, {module.grades})")
+            nerve._empty_cochain_modules[key] = M
+            nerve._cochain_types[M] = (degree, module)
     return M
 
 
@@ -255,7 +266,14 @@ def cech_delta(nerve, x):
 
 
 def is_cocycle(nerve, x):
-    return cech_delta(nerve, x).is_zero()
+    """Is x's Cech differential zero?  One product of x's flattening with the
+    complex's cached flattened differential, which cohomologous reads too."""
+    l, module = cochain_type(nerve, x)
+    C = cech_complex(nerve, module)
+    if l not in C.diffs:
+        return True
+    (image,) = ql.compose_columns(C.qdiff(l), [C.flat(l).flatten(x)])
+    return not image
 
 
 def cochain_wedge(nerve, wedge_fn, x, y, target_module):
@@ -444,7 +462,6 @@ class TwistFamily:
             if c.level != n:
                 raise StructuralError("twist levels out of order")
         self.wedge_data = None
-        self._bases = {}
         self._transitions = {}
         self._linmaps = {}
 
@@ -460,16 +477,9 @@ class TwistFamily:
         fam.wedge_data = list(one_cochains)
         return fam
 
-    def flat(self, n):
-        """QBasis(ext.lam_b(n + 1)), the basis the level-n chart changes are
-        flattened over."""
-        if n not in self._bases:
-            self._bases[n] = QBasis(self.ext.lam_b(n + 1))
-        return self._bases[n]
-
     def transition_columns(self, n, a, b):
         """Chart change b -> a on Lambda^{n+1} B: (i, j) |-> (i - c_{ab}(j), j),
-        as sparse rational columns over flat(n), built once per (n, a, b);
+        as sparse rational columns over ext.flat(n + 1), built once per (n, a, b);
         callers must not change them.  They compose along triangles because
         each c is a cocycle (TwistCocycle)."""
         key = (n, a, b)
@@ -483,7 +493,7 @@ class TwistFamily:
         change the map."""
         key = (n, a, b)
         if key not in self._linmaps:
-            basis = self.flat(n)
+            basis = self.ext.flat(n + 1)
             cols = self.transition_columns(n, a, b)
             unit = self.ext.algebra.constant_exps
             M = basis.module
@@ -495,7 +505,7 @@ class TwistFamily:
     def _build_transition(self, n, a, b):
         """The identity plus -c_ab on the j -> i block: the column of the pair
         (('j', L), mono) also holds -(mono c_ab(L)) on the i-part."""
-        basis = self.flat(n)
+        basis = self.ext.flat(n + 1)
         index = basis.index
         cols = [{i: 1} for i in range(basis.dim)]
         if n < self.ext.rank:
@@ -567,33 +577,55 @@ def eta_recursion(ext, nerve, c_cochains, d_cochains):
     return etas
 
 
+def _component_columns(ext, k_src, k_tgt, images):
+    """Sparse columns over ext.flat(k_src) -> ext.flat(k_tgt) of the
+    algebra-linear map sending each label lab to the sum of sign * c * tlab
+    over the (tlab, sign, c) terms of images[lab] (distinct target labels,
+    Poly coefficients, signs +-1; a missing label maps to zero): the column
+    of the pair (lab, mono) is the flattening of mono times that image, as
+    flatten_linmap defines it."""
+    algebra = ext.algebra
+    unit = algebra.constant_exps
+    index = ext.flat(k_tgt).index
+    cols = []
+    for lab, mono in ext.flat(k_src).pairs:
+        col = {}
+        for tlab, sign, c in images.get(lab, ()):
+            if mono != unit:
+                c = algebra.monomial(mono) * c
+            for e, v in c.terms.items():
+                col[index[(tlab, e)]] = v if sign > 0 else -v
+        cols.append(col)
+    return cols
+
+
 def build_t_wedge(ext, nerve, c_cochains, d_cochains):
     """The comparison morphism for wedge-type twists:
 
-    S_{-n,l,s}(i, j) = ((-1)^l eta_{n+l,n,s} ^ i, eta_{n+l,n,s} ^ j).
+    S_{-n,l,s}(i, j) = ((-1)^l eta_{n+l,n,s} ^ i, eta_{n+l,n,s} ^ j),
+
+    each column written straight from eta's value and the merge table.
     """
     r = ext.rank
     etas = eta_recursion(ext, nerve, c_cochains, d_cochains)
     comps = {}
     for n in range(r + 1):
+        labels = ext.lam_b(n + 1).labels
         for l in range(nerve.depth + 1):
             if n + l > r:
                 continue
+            i_sign = (-1) ** l
             # a simplex where eta vanishes has a zero component
             for s, ev in cochain_values(nerve, etas[(n + l, n)]).items():
-                src = ext.lam_b(n + 1)
-                tgt = ext.lam_b(n + l + 1)
-                m = LinMap(src, tgt)
-                for lab in src.labels:
-                    tag, K = lab
-                    sgn = (-1) ** l if tag == "i" else 1
-                    terms = (
-                        ((tag, mw[1]), c * (mw[0] * sgn))
+                images = {
+                    (tag, K): [
+                        ((tag, m[1]), m[0] * i_sign if tag == "i" else m[0], c)
                         for E, c in ev.data.items()
-                        if (mw := merge_wedge(E, K)) is not None
-                    )
-                    m.set_column(lab, tgt.element(terms))
-                comps[(n, l, s)] = m
+                        if (m := MERGES[E, K]) is not None
+                    ]
+                    for tag, K in labels
+                }
+                comps[(n, l, s)] = _component_columns(ext, n + 1, n + l + 1, images)
     return comps
 
 
@@ -608,21 +640,16 @@ def build_t_last_level(ext, nerve, lam, mu):
             raise UnsupportedTwistError("lower twist levels must agree")
     comps = {}
     for n in range(r + 1):
+        dim = ext.flat(n + 1).dim
         for s in nerve.simplices_of_dim(0):
-            comps[(n, 0, s)] = LinMap.identity(ext.lam_b(n + 1))
-    diff = lam.cocycles[r - 1].cochain - mu.cocycles[r - 1].cochain
+            comps[(n, 0, s)] = [{i: 1} for i in range(dim)]
+    diff = (lam.cocycles[r - 1].cochain - mu.cocycles[r - 1].cochain).scale(Fraction(1, r))
     # an edge where the difference vanishes has a zero component
     for s, dv in cochain_values(nerve, diff).items():
-        src = ext.lam_b(r)
-        tgt = ext.lam_b(r + 1)
-        m = LinMap(src, tgt)
-        for lab in src.labels:
-            tag, K = lab
-            if tag != "j":
-                continue
-            terms = ((("j", U), c * Fraction(1, r)) for (K2, U), c in dv.data.items() if K2 == K)
-            m.set_column(lab, tgt.element(terms))
-        comps[(r - 1, 1, s)] = m
+        images = {}
+        for (K, U), c in dv.data.items():
+            images.setdefault(("j", K), []).append((("j", U), 1, c))
+        comps[(r - 1, 1, s)] = _component_columns(ext, r, r + 1, images)
     return comps
 
 
@@ -635,30 +662,26 @@ def t_chain_check(ext, lam, mu, T):
     on the target and the lam transitions on the source (n = 0 has zero
     right side).  This is the computation the construction rests on.
 
-    The equations are checked on sparse rational columns (``rational``), as
-    ComplexMap.is_chain_map checks its own.  Each component of T and each
-    hat_d is flattened once per call from its stored columns, and each
-    chart change is read as the columns its family builds once.  Each
-    equation is then a signed sum of products of these columns, taken one
-    source column at a time, and any nonzero entry fails it.
+    T's components are sparse rational columns (``rational``) over
+    ext.flat(n + 1) -> ext.flat(n + l + 1), and the equations are checked on
+    them as they are, as ComplexMap.is_chain_map checks its own: each hat_d
+    is flattened once per call from its stored columns, and each chart
+    change is read as the columns its family builds once.  Each equation is
+    then a signed sum of products of these columns, taken one source column
+    at a time, and any nonzero entry fails it.  A component with the wrong
+    number of columns, or a family over another extension, is a
+    StructuralError.
     """
     nerve = lam.nerve
     r = ext.rank
-    bases = [QBasis(ext.lam_b(k)) for k in range(r + 2)]
-
-    def columns(m, k_src, k_tgt):
-        """The columns of m, a map Lambda^k_src B -> Lambda^k_tgt B."""
-        if m.source != ext.lam_b(k_src) or m.target != ext.lam_b(k_tgt):
-            raise StructuralError("sum of maps with different source/target")
-        return flatten_linmap(m, bases[k_src], bases[k_tgt])
-
-    comps = {(n, l, s): columns(m, n + 1, n + l + 1) for (n, l, s), m in T.items()}
-    d = [columns(ext.hat_d(k), k + 1, k) for k in range(r + 1)]
-
-    def chart_change(fam, n, a, b):
-        if fam.flat(n).module != ext.lam_b(n + 1):
-            raise StructuralError("sum of maps with different source/target")
-        return fam.transition_columns(n, a, b)
+    for key, cols in T.items():
+        want = ext.flat(key[0] + 1).dim
+        if len(cols) != want:
+            raise StructuralError(f"component {key} of the comparison morphism has {len(cols)} columns, not {want}")
+    for fam in (lam, mu):
+        if fam.ext.lam_b(1) != ext.lam_b(1):
+            raise StructuralError("a twist family over another extension")
+    d = [flatten_linmap(ext.hat_d(k), ext.flat(k + 1), ext.flat(k)) for k in range(r + 1)]
 
     compose, add = ql.compose_columns, ql.add_scaled
     for n in range(r + 1):
@@ -671,20 +694,20 @@ def t_chain_check(ext, lam, mu, T):
                 pieces = []
                 if l >= 1:
                     for k in range(l + 1):
-                        comp = comps.get((n, l - 1, s[:k] + s[k + 1 :]))
+                        comp = T.get((n, l - 1, s[:k] + s[k + 1 :]))
                         if comp is None:
                             continue
                         if k == 0:
-                            conv_out = chart_change(mu, n + l - 1, s[0], s[1])
-                            conv_in = chart_change(lam, n, s[1], s[0])
+                            conv_out = mu.transition_columns(n + l - 1, s[0], s[1])
+                            conv_in = lam.transition_columns(n, s[1], s[0])
                             pieces.append((1, conv_out, compose(comp, conv_in)))
                         else:
                             pieces.append(((-1) ** k, None, comp))
-                if (comp := comps.get((n, l, s))) is not None:
+                if (comp := T.get((n, l, s))) is not None:
                     pieces.append(((-1) ** l, d[n + l], comp))  # (n+l) d_{n+l+1}
-                if n >= 1 and (comp := comps.get((n - 1, l, s))) is not None:
+                if n >= 1 and (comp := T.get((n - 1, l, s))) is not None:
                     pieces.append((-1, comp, d[n]))
-                for j in range(bases[n + 1].dim):
+                for j in range(ext.flat(n + 1).dim):
                     acc = {}
                     for sign, a, b in pieces:
                         if a is None:
@@ -697,20 +720,18 @@ def t_chain_check(ext, lam, mu, T):
     return True
 
 
-def _j_part(comp, lab):
-    """The ('j', L) entries of a component's column at lab, keyed by L; a
-    missing component or column is zero."""
-    col = None if comp is None else comp.cols.get(lab)
-    return {} if col is None else {L: c for (tag, L), c in col.data.items() if tag == "j"}
-
-
 def t_augmentation_check(ext, T, nerve):
     """The comparison morphism covers the identity after augmentation: the
-    j-part of each degree-0 component is the j-part of its argument."""
+    ('j', L) entries of each degree-0 component's column at a label are
+    those of the label itself."""
+    basis = ext.flat(1)
+    unit = ext.algebra.constant_exps
     for s in nerve.simplices_of_dim(0):
-        comp = T.get((0, 0, s))
-        for tag, K in ext.lam_b(1).labels:
-            if _j_part(comp, (tag, K)) != ({K: 1} if tag == "j" else {}):
+        cols = T.get((0, 0, s))
+        for lab in ext.lam_b(1).labels:
+            i = basis.index[(lab, unit)]
+            got = {} if cols is None else {t: c for t, c in cols[i].items() if basis.pairs[t][0][0] == "j"}
+            if got != ({i: 1} if lab[0] == "j" else {}):
                 return False
     return True
 
@@ -747,23 +768,33 @@ def extract_delta(ext, nerve, T):
     """Read the comparison matrix off the reduced comparison morphism.
 
     The (i, j) entry is the j-part action of T_{-j, i-j}: an (i-j)-cochain
-    valued in Hom(Lambda^j I, Lambda^i I); each entry is checked to be a
-    cocycle for the untwisted differential (the twists die on the reduced
-    associated-graded pieces).
+    valued in Hom(Lambda^j I, Lambda^i I), read off the ('j', L) entries of
+    the component's columns at the pairs (('j', K), 1) through the target
+    basis's pairs; each entry is checked to be a cocycle for the untwisted
+    differential (the twists die on the reduced associated-graded pieces).
     """
     r = ext.rank
+    algebra = ext.algebra
+    unit = algebra.constant_exps
     entries = {}
     for j in range(r + 1):
+        index = ext.flat(j + 1).index
         for i in range(j, r + 1):
             l = i - j
             if l > nerve.depth:
                 continue
-            w = cochain_module(nerve, hom_lam_module(ext, j, i), l).element(
-                ((s, (K, K2)), c)
-                for s in nerve.simplices_of_dim(l)
-                for K in ext.lam_i(j).labels
-                for K2, c in _j_part(T.get((j, l, s)), ("j", K)).items()
-            )
+            pairs = ext.flat(i + 1).pairs
+            terms = []
+            for s in nerve.simplices_of_dim(l):
+                cols = T.get((j, l, s))
+                if cols is None:
+                    continue
+                for K in ext.lam_i(j).labels:
+                    for t, c in cols[index[(("j", K), unit)]].items():
+                        (tag, L), e = pairs[t]
+                        if tag == "j":
+                            terms.append(((s, (K, L)), c if e == unit else algebra.monomial(e, c)))
+            w = cochain_module(nerve, hom_lam_module(ext, j, i), l).element(terms)
             if not is_cocycle(nerve, w):
                 raise StructuralError(f"extracted entry ({i},{j}) is not a cocycle")
             entries[(i, j)] = w

@@ -26,7 +26,7 @@ from itertools import combinations
 
 from .chain_core import CochainComplex
 from .exterior_core import MERGES, ExteriorContext, merge_wedge
-from .modules import BasedModule, LinMap, StructuralError, _accumulate, _vec
+from .modules import BasedModule, LinMap, QBasis, StructuralError, _accumulate, _vec
 
 
 class TrivialExtension:
@@ -42,6 +42,8 @@ class TrivialExtension:
         self.exterior = ExteriorContext(algebra, rank, name="I")
         self._lam_b = {}
         self._lam_i = {}
+        # k -> QBasis(Lambda^k B), built once; callers must not change them
+        self._flat = {}
         self._unsplit = {}
         # k -> d_k and k -> k d_{k+1}, built once; callers must not change them
         self._d = {}
@@ -83,6 +85,15 @@ class TrivialExtension:
             M = self._lam_b[k] = BasedModule(self.algebra, tuple(labels), f"L^{k}{self.name}", tuple(grades))
             self._degree[M] = k
         return self._lam_b[k]
+
+    def flat(self, k):
+        """The flattened basis QBasis(Lambda^k B), built once per k: the basis
+        the comparison morphism's components and the chart changes are
+        written over."""
+        basis = self._flat.get(k)
+        if basis is None:
+            basis = self._flat[k] = QBasis(self.lam_b(k))
+        return basis
 
     @property
     def B(self):

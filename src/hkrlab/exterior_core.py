@@ -32,7 +32,7 @@ from math import factorial
 
 from .chain_core import CochainComplex, ComplexMap, hom_complex, single_module_complex, tensor_module
 from .coeff import CoeffAlgebra, Poly
-from .modules import BasedModule, LinMap, StructuralError, _accumulate, _vec
+from .modules import BasedModule, LinMap, QBasis, StructuralError, _accumulate, _vec, flatten_map
 from . import rational as ql
 
 
@@ -128,6 +128,9 @@ class ExteriorContext:
         self._tens = {}
         # each power built here -> (p, dual), the one source of its degree and side
         self._degree = {}
+        # n -> the phi-independent degree-n piece of koszul_dual_check, filled
+        # by right_duality; callers must not change it
+        self._right_duality = {}
 
     def ext(self, p, dual=False):
         """Lambda^p of E (or of E*)."""
@@ -288,6 +291,35 @@ class ExteriorContext:
             )
 
         return LinMap.from_function(src, tgt, fn)
+
+    def right_duality(self, n):
+        """The phi-independent degree-n piece of koszul_dual_check, built once
+        per n: (terms, labels, columns, invertible), where terms is
+        Lambda^{r-n} E (x) det E*, labels are those of the degree-n term of
+        Hom(L, A) (Hom(Lambda^n E, A) at spot -n), columns are the sparse
+        columns of v (x) xi |-> (-1)^{(r+1)n} xi |- v between their flattened
+        bases, and invertible says whether those columns are invertible."""
+        got = self._right_duality.get(n)
+        if got is None:
+            r = self.rank
+            lam, det_dual = self.ext(r - n), self.ext(r, dual=True)
+            terms = tensor_module(lam, det_dual)
+            labels = tuple((-n, (J, ())) for J in self.ext(n).labels)
+            target = BasedModule(self.algebra, labels)
+            shift_sign = (-1) ** ((r + 1) * n)
+
+            def fn(v):
+                return target.element(
+                    ((-n, (J, ())), c2 * shift_sign)
+                    for (K, M), c in v.data.items()
+                    for J, c2 in self.contract_right(det_dual.basis_vec(M), lam.basis_vec(K, c)).data.items()
+                )
+
+            sb, tb = QBasis(terms), QBasis(target)
+            cols = flatten_map(fn, sb, tb)
+            invertible = ql.rank(cols, tb.dim) == tb.dim == sb.dim
+            got = self._right_duality[n] = (terms, labels, cols, invertible)
+        return got
 
 
 # -- sign function census -------------------------------------------------
@@ -456,6 +488,11 @@ def koszul_dual_check(ctx, phi_values):
     degreewise map (-1)^{(r+1)n} (v (x) xi |-> xi |- v); checks it is a chain
     map with invertible components.  Returns (ok, details).
 
+    The terms, the duality map and its invertibility do not depend on phi:
+    they come from ctx.right_duality, built once per rank.  L, Hom(L, A) and
+    (-delta) (x) id, read off delta's stored columns, are built for each
+    phi, and the chain-map check runs for each phi.
+
     The per-degree sign is the canonical bookkeeping for commuting the
     [-r] shift past the tensor factor; it is trivial for odd r.  Together
     with d* = -( . ^ phi) on the Hom side (itself a consequence of the
@@ -467,42 +504,26 @@ def koszul_dual_check(ctx, phi_values):
     L = koszul_complex(ctx, phi_values)
     A_cplx = single_module_complex(algebra, BasedModule(algebra, ((),), "A"), 0)
     Lstar = hom_complex(L, A_cplx)
-    det_dual = ctx.ext(r, dual=True)
+    duality = [ctx.right_duality(n) for n in range(r + 1)]
     modules = {}
+    for n, (terms, labels, _, _) in enumerate(duality):
+        if Lstar.module(n).labels != labels:
+            raise StructuralError(f"degree {n} of Hom(L, A) is not the target of the right duality")
+        modules[n] = terms
     diffs = {}
-    for n in range(r + 1):
-        modules[n] = tensor_module(ctx.ext(r - n), det_dual)
     for n in range(r):
-        src, tgt = modules[n], modules[n + 1]
-        delta = L.diff(-(r - n))
-
-        def fn(v, delta=delta, tgt=tgt):
-            terms = []
-            for (K, M), c in v.data.items():
-                img = delta.apply(delta.source.basis_vec(K, c))
-                terms += [((K2, M), -c2) for K2, c2 in img.data.items()]
-            return tgt.element(terms)
-
-        diffs[n] = LinMap.from_function(src, tgt, fn)
+        src, tgt, delta = modules[n], modules[n + 1], L.diff(-(r - n))
+        diffs[n] = LinMap(
+            src,
+            tgt,
+            {
+                (K, M): _vec(tgt, {(K2, M): -c for K2, c in col.data.items()})
+                for K, M in src.labels
+                if (col := delta.cols.get(K)) is not None
+            },
+        )
     rhs = CochainComplex(algebra, modules, diffs)
-
-    def dual_fn(n):
-        tgt = Lstar.module(n)
-        shift_sign = (-1) ** ((r + 1) * n)
-
-        def fn(v):
-            terms = []
-            for (K, M), c in v.data.items():
-                img = ctx.contract_right(ctx.ext(r, dual=True).basis_vec(M), ctx.ext(r - n).basis_vec(K, c))
-                terms += [((-n, (J, ())), c2 * shift_sign) for J, c2 in img.data.items()]
-            return tgt.element(terms)
-
-        return fn
-
-    dr = ComplexMap.from_functions(rhs, Lstar, {n: dual_fn(n) for n in range(r + 1)})
+    dr = ComplexMap(rhs, Lstar, {n: cols for n, (_, _, cols, _) in enumerate(duality)})
     chain_ok = dr.is_chain_map()
-    invertible = all(
-        ql.rank(dr.columns(n), Lstar.flat(n).dim) == Lstar.flat(n).dim == rhs.flat(n).dim
-        for n in range(r + 1)
-    )
+    invertible = all(inv for _, _, _, inv in duality)
     return chain_ok and invertible, {"chain_map": chain_ok, "invertible": invertible, "map": dr}

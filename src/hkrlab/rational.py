@@ -6,12 +6,14 @@ columns alone cannot tell a matrix with no rows from one whose rows are all
 zero.  A value is an ``int`` when its denominator is 1, else a ``Fraction``;
 ``rref`` reads every entry as a ``Fraction``, so eliminations stay exact,
 and what it returns holds ``Fraction``s.  ``modules.flatten_map`` returns
-a map in this form and ``QBasis.flatten`` a vector.  ``compose_columns``
-multiplies matrices (``ComplexMap.is_chain_map`` and the comparison
-morphism's chain-map check ``cech_twist.t_chain_check`` compare products
-this way); ``rref``, ``rank``, ``nullspace``, ``solve``,
-``Solver`` and ``inverse`` take (cols, nrows), and solutions, kernels and
-inverses come back as sparse columns.  Every elimination is one ``rref``,
+a map in this form and ``QBasis.flatten`` a vector; the degrees of a
+``ComplexMap``, a Cech complex's flattened differentials, the chart changes
+of a twist family and the components of the comparison morphism are held
+in it.  ``compose_columns`` multiplies matrices (``ComplexMap.is_chain_map``,
+``cech_twist.is_cocycle`` and the comparison morphism's chain-map check
+``cech_twist.t_chain_check`` compare products this way); ``rref``, ``rank``,
+``nullspace``, ``solve``, ``Solver`` and ``inverse`` take (cols, nrows), and
+solutions, kernels and inverses come back as sparse columns.  Every elimination is one ``rref``,
 a Gauss-Jordan reduction on sparse rows.  Sizes in this package are small
 (a few hundred rows at most), so it is fast enough and keeps everything
 exact.

@@ -1,16 +1,101 @@
-"""The chain-map check of the comparison morphism on module maps: the
-reference ``hkrlab.cech_twist.t_chain_check`` is tested against.
+"""The comparison morphism on module maps: the references
+``hkrlab.cech_twist.build_t_wedge``, ``build_t_last_level`` and
+``t_chain_check`` are tested against.
 
-``reference_t_chain_check`` is the loop the package used before the check
-moved to sparse rational columns, kept unchanged: it composes the
-components of T, the differentials hat_d and the chart changes as
-``LinMap``s, equation by equation, and adds up the columns of the signed
-pieces over the coefficient algebra.
+``reference_build_t_wedge`` and ``reference_build_t_last_level`` are the
+builders the package used before the components of T became sparse
+rational columns, kept unchanged: each component is a ``LinMap``
+Lambda^{n+1} B -> Lambda^{n+l+1} B.  ``reference_t_chain_check`` is the
+loop the package used before the check moved to sparse rational columns,
+kept unchanged: it composes the components of T, the differentials hat_d
+and the chart changes as ``LinMap``s, equation by equation, and adds up the
+columns of the signed pieces over the coefficient algebra.
+``linmaps_of_columns`` turns a table of columns into such a table of
+``LinMap``s.
 """
 
 from __future__ import annotations
 
-from hkrlab.modules import StructuralError, _accumulate
+from fractions import Fraction
+
+from hkrlab.cech_twist import UnsupportedTwistError, cochain_values, eta_recursion
+from hkrlab.exterior_core import merge_wedge
+from hkrlab.modules import LinMap, StructuralError, _accumulate
+
+
+def linmaps_of_columns(ext, T):
+    """The table of LinMaps with T's columns: each component (n, l, s) read
+    off its columns at the pairs (label, 1), as TwistFamily.transition reads
+    a chart change."""
+    unit = ext.algebra.constant_exps
+    out = {}
+    for (n, l, s), cols in T.items():
+        src, tgt = ext.flat(n + 1), ext.flat(n + l + 1)
+        out[(n, l, s)] = LinMap(
+            src.module,
+            tgt.module,
+            {lab: tgt.unflatten(cols[src.index[(lab, unit)]]) for lab in src.module.labels},
+        )
+    return out
+
+
+def reference_build_t_wedge(ext, nerve, c_cochains, d_cochains):
+    """The comparison morphism for wedge-type twists:
+
+    S_{-n,l,s}(i, j) = ((-1)^l eta_{n+l,n,s} ^ i, eta_{n+l,n,s} ^ j).
+    """
+    r = ext.rank
+    etas = eta_recursion(ext, nerve, c_cochains, d_cochains)
+    comps = {}
+    for n in range(r + 1):
+        for l in range(nerve.depth + 1):
+            if n + l > r:
+                continue
+            # a simplex where eta vanishes has a zero component
+            for s, ev in cochain_values(nerve, etas[(n + l, n)]).items():
+                src = ext.lam_b(n + 1)
+                tgt = ext.lam_b(n + l + 1)
+                m = LinMap(src, tgt)
+                for lab in src.labels:
+                    tag, K = lab
+                    sgn = (-1) ** l if tag == "i" else 1
+                    terms = (
+                        ((tag, mw[1]), c * (mw[0] * sgn))
+                        for E, c in ev.data.items()
+                        if (mw := merge_wedge(E, K)) is not None
+                    )
+                    m.set_column(lab, tgt.element(terms))
+                comps[(n, l, s)] = m
+    return comps
+
+
+def reference_build_t_last_level(ext, nerve, lam, mu):
+    """The comparison morphism when only the last twist level differs:
+
+    S_{-n,0} = id; S_{-(r-1),1,(a,b)} = (0, (1/r)(c_{r-1} - d_{r-1})_{ab}(j)).
+    """
+    r = ext.rank
+    for n in range(r - 1):
+        if not (lam.cocycles[n].cochain - mu.cocycles[n].cochain).is_zero():
+            raise UnsupportedTwistError("lower twist levels must agree")
+    comps = {}
+    for n in range(r + 1):
+        for s in nerve.simplices_of_dim(0):
+            comps[(n, 0, s)] = LinMap.identity(ext.lam_b(n + 1))
+    diff = lam.cocycles[r - 1].cochain - mu.cocycles[r - 1].cochain
+    # an edge where the difference vanishes has a zero component
+    for s, dv in cochain_values(nerve, diff).items():
+        src = ext.lam_b(r)
+        tgt = ext.lam_b(r + 1)
+        m = LinMap(src, tgt)
+        for lab in src.labels:
+            tag, K = lab
+            if tag != "j":
+                continue
+            terms = ((("j", U), c * Fraction(1, r)) for (K2, U), c in dv.data.items() if K2 == K)
+            m.set_column(lab, tgt.element(terms))
+        comps[(r - 1, 1, s)] = m
+    return comps
 
 
 def reference_t_chain_check(ext, lam, mu, T):

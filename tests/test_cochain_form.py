@@ -127,6 +127,20 @@ def test_cochains_above_the_depth_are_zero_and_typed(name):
     assert cochain_type(nerve, dx) == (top + 1, I1)
 
 
+@pytest.mark.parametrize("name", sorted(NERVES))
+def test_the_nerve_keeps_one_empty_cochain_module_per_module_and_degree(name):
+    nerve = NERVES[name]
+    I1, I2 = EXT.lam_i(1), EXT.lam_i(2)
+    for degree in (nerve.depth + 1, nerve.depth + 3):
+        M = cochain_module(nerve, I1, degree)
+        assert cochain_module(nerve, I1, degree) is M
+        assert cochain_type(nerve, M.zero()) == (degree, I1)
+        # another module or degree gets a module of its own
+        assert cochain_module(nerve, I2, degree) is not M
+        assert cochain_module(nerve, I1, degree + 1) is not M
+        assert cochain_type(nerve, cochain_module(nerve, I2, degree).zero()) == (degree, I2)
+
+
 def test_cochain_constructor_rejects_bad_simplices():
     nerve = NERVES["sphere2"]
     M = EXT.lam_i(1)

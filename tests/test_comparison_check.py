@@ -1,11 +1,14 @@
-"""The chain-map check of the comparison morphism runs on sparse rational
-columns.  It answers as the LinMap-composition reference
-(tests/reference_comparison.py) does, on wedge and last-level families over
-Q and over truncated polynomial algebras, and on inputs with one entry of
-T or of one chart change perturbed, which both reject.  While it runs it
-composes no LinMap, and each chart change is built once."""
+"""The comparison morphism is built and chain-checked on sparse rational
+columns.  Its builders write the columns flatten_linmap reads off the
+LinMap builders of the reference (tests/reference_comparison.py), and its
+chain-map check answers as the LinMap-composition reference does, on wedge
+and last-level families over Q and over truncated polynomial algebras, and
+on inputs with one entry of T or of one chart change perturbed, which both
+reject.  While it runs it composes no LinMap, each chart change is built
+once, and once the nerve's complexes exist delta_matrix makes no LinMap."""
 
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -28,9 +31,15 @@ from hkrlab.cech_twist import (
 from hkrlab.coeff import CoeffAlgebra
 from hkrlab.connections import Connection, DerivationChi, KahlerModule
 from hkrlab.extension_dg import build_extension
-from hkrlab.modules import LinMap
+from hkrlab import modules
+from hkrlab.modules import LinMap, StructuralError, flatten_linmap
 
-from reference_comparison import reference_t_chain_check
+from reference_comparison import (
+    linmaps_of_columns,
+    reference_build_t_last_level,
+    reference_build_t_wedge,
+    reference_t_chain_check,
+)
 
 QQ = CoeffAlgebra.rationals()
 
@@ -76,15 +85,23 @@ def codim2_case():
     return ext, lam, mu, build_t_last_level(ext, nerve, lam, mu)
 
 
-def bump_t_entry(T):
+def bump_t_entry(ext, T):
     """T with the first stored entry of its first degree-0 component
-    changed by +1."""
+    changed by +1: at the first label with a nonzero column and the first
+    target label of that column, in every monomial, so the component stays
+    algebra-linear."""
     key = min(k for k in T if k[1] == 0)
-    comp = T[key]
-    lab, col = next(iter(comp.cols.items()))
-    bumped = LinMap(comp.source, comp.target, comp.cols)
-    bumped.set_column(lab, col + comp.target.basis_vec(next(iter(col.data))))
-    return {**T, key: bumped}
+    n, l, _ = key
+    src, tgt = ext.flat(n + 1), ext.flat(n + l + 1)
+    cols = [dict(col) for col in T[key]]
+    first = next(j for j, col in enumerate(cols) if col)
+    lab, tlab = src.pairs[first][0], tgt.pairs[next(iter(cols[first]))][0]
+    for mono in ext.algebra.monomials:
+        col, i = cols[src.index[(lab, mono)]], tgt.index[(tlab, mono)]
+        col[i] = col.get(i, 0) + 1
+        if not col[i]:
+            del col[i]
+    return {**T, key: cols}
 
 
 def bump_transition(fam, n, edge):
@@ -101,21 +118,35 @@ def bump_transition(fam, n, edge):
     fam._build_transition = bumped
 
 
+def assert_columns_match_the_reference(ext, lam, mu, T):
+    """T's components are the columns flatten_linmap reads off the
+    reference builder's LinMaps, key for key."""
+    nerve = lam.nerve
+    if lam.wedge_data is not None:
+        reference = reference_build_t_wedge(ext, nerve, lam.wedge_data, mu.wedge_data)
+    else:
+        reference = reference_build_t_last_level(ext, nerve, lam, mu)
+    assert T.keys() == reference.keys()
+    for (n, l, s), m in reference.items():
+        assert T[(n, l, s)] == flatten_linmap(m, ext.flat(n + 1), ext.flat(n + l + 1))
+
+
 def assert_checks_agree(case):
     ext, lam, mu, T = case()
+    assert_columns_match_the_reference(ext, lam, mu, T)
     assert t_chain_check(ext, lam, mu, T)
-    assert reference_t_chain_check(ext, lam, mu, T)
+    assert reference_t_chain_check(ext, lam, mu, linmaps_of_columns(ext, T))
 
     ext, lam, mu, T = case()
-    bumped = bump_t_entry(T)
+    bumped = bump_t_entry(ext, T)
     assert not t_chain_check(ext, lam, mu, bumped)
-    assert not reference_t_chain_check(ext, lam, mu, bumped)
+    assert not reference_t_chain_check(ext, lam, mu, linmaps_of_columns(ext, bumped))
 
     # mu's chart change on an edge (a, b) leads the face of the equation at (n, 1, (a, b))
     ext, lam, mu, T = case()
     bump_transition(mu, ext.rank - 1, lam.nerve.simplices_of_dim(1)[0])
     assert not t_chain_check(ext, lam, mu, T)
-    assert not reference_t_chain_check(ext, lam, mu, T)
+    assert not reference_t_chain_check(ext, lam, mu, linmaps_of_columns(ext, T))
 
 
 @pytest.mark.parametrize("name", ["sphere2", "torus"])
@@ -182,3 +213,39 @@ def test_chain_check_composes_no_linmap_and_builds_each_chart_change_once(monkey
     delta_matrix(ext, nerve, lam, mu, "wedge")
     assert not calls
     assert builds and max(builds.values()) == 1
+
+    # with the nerve's Cech complexes and the extension's differentials
+    # built, delta_matrix makes no LinMap on wedge or last-level families
+    made = []
+
+    def counted_init(self, *args, **kwargs):
+        made.append("LinMap")
+        init(self, *args, **kwargs)
+
+    def counted_linmap(*args):
+        made.append("_linmap")
+        return linmap(*args)
+
+    init, linmap = LinMap.__init__, modules._linmap
+    monkeypatch.setattr(LinMap, "__init__", counted_init)
+    monkeypatch.setattr(modules, "_linmap", counted_linmap)
+    lam = TwistFamily.from_wedge_cochains(ext, nerve, random_wedge_cochains(ext, nerve, rng))
+    mu = TwistFamily.from_wedge_cochains(ext, nerve, random_wedge_cochains(ext, nerve, rng))
+    made.clear()
+    delta_matrix(ext, nerve, lam, mu, "wedge")
+    assert not made
+    shared = [random_hom_twist(ext, nerve, n, rng) for n in range(ext.rank - 1)]
+    families = [
+        TwistFamily(ext, nerve, shared + [random_hom_twist(ext, nerve, ext.rank - 1, rng)]) for _ in range(4)
+    ]
+    delta_matrix(ext, nerve, families[0], families[1], "last-level")
+    made.clear()
+    delta_matrix(ext, nerve, families[2], families[3], "last-level")
+    assert not made
+
+
+def test_a_component_with_the_wrong_number_of_columns_is_named():
+    ext, lam, mu, T = wedge_case("sphere2", 2, 0)
+    key = min(k for k in T if k[1] == 1)
+    with pytest.raises(StructuralError, match=rf"component {re.escape(str(key))} .* has \d+ columns, not \d+"):
+        t_chain_check(ext, lam, mu, {**T, key: T[key][:-1]})
