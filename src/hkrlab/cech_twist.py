@@ -14,7 +14,10 @@ both orientations antisymmetrically.  Transitions convert coordinates
 from the second vertex's chart to the first: a twist cocycle c gives the
 transition (i, j) |-> (i - c_{ab}(j), j) from b-coordinates to
 a-coordinates; the sign is pinned by the chain-map equations of the
-comparison morphism (see tests).
+comparison morphism (see tests).  A chart change is only ever sparse
+rational columns (TwistFamily.transition_columns), applied in two places:
+cech_total_complex twists the leading faces of copies of the untwisted
+Cech rows, and t_chain_check the leading face of the comparison morphism.
 
 The comparison morphism is a plain component table {(n, l, simplex):
 sparse rational columns over ext.flat(n+1) -> ext.flat(n+l+1)}, in which a
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 
@@ -309,39 +312,21 @@ def yoneda_compose(nerve, u, v, hom_module):
 # -- cohomology of constant and twisted local systems ------------------------
 
 
-def cech_complex(nerve, module, transitions=None):
-    """The sorted-simplex Cech complex of a (possibly twisted) local system.
-
-    transitions maps ordered vertex pairs (a, b) on edges to algebra-linear
-    automorphisms converting b-chart values into the a-chart; the Cech
-    differential twists its leading face through the transition.  This is
-    the one place the twisted differential is written.  The untwisted
-    complex is built once per module and kept on the nerve, which records
-    the degree and coefficient module of each of its terms (cochain_type).
-    """
-    if transitions is None:
-        C = nerve._cech_complexes.get(module)
-        if C is not None:
-            return C
+def cech_complex(nerve, module):
+    """The sorted-simplex Cech complex with constant coefficients in module,
+    built once per module and kept on the nerve, which records the degree
+    and coefficient module of each of its terms (cochain_type)."""
+    C = nerve._cech_complexes.get(module)
+    if C is not None:
+        return C
     spots = {l: [(s, module) for s in nerve.simplices_of_dim(l)] for l in range(nerve.depth + 1)}
 
     def column(l, s, lab):
-        for t, k in nerve.cofaces[s]:
-            if k == 0 and transitions is not None:
-                m = transitions(t[0], t[1])
-                if m.source != module or m.target != module:
-                    raise StructuralError("a transition is no automorphism of the coefficient module")
-                conv = m.cols.get(lab)
-                if conv is not None:
-                    yield from (((t, lab2), c) for lab2, c in conv.data.items())
-            else:
-                yield (t, lab), (-1) ** k
+        return (((t, lab), (-1) ** k) for t, k in nerve.cofaces[s])
 
-    C = total_complex(module.algebra, spots, column, lambda l: f"C^{l}({module.name})")
-    if transitions is None:
-        nerve._cech_complexes[module] = C
-        for l, M in C.modules.items():
-            nerve._cochain_types[M] = (l, module)
+    C = nerve._cech_complexes[module] = total_complex(module.algebra, spots, column, lambda l: f"C^{l}({module.name})")
+    for l, M in C.modules.items():
+        nerve._cochain_types[M] = (l, module)
     return C
 
 
@@ -351,18 +336,40 @@ def cech_total_complex(nerve, columns, vertical, transitions=None):
     columns maps each complex degree j to the module of that term;
     vertical[j] is the chart-independent differential columns[j] ->
     columns[j + 1] (absent means zero); transitions(j, a, b), when given,
-    is the b -> a chart change on columns[j].  Spot (l, j) holds the Cech
-    l-cochains of columns[j]; totalize inserts (-1)^l on the vertical part.
-    A vertical map that does not commute with the chart changes makes a
-    square of the double complex fail to commute, and so fails the total's
-    d o d check (a ValueError).
+    is the b -> a chart change on columns[j] as sparse rational columns over
+    QBasis(columns[j]).  Row j is the nerve's cached Cech complex of
+    columns[j]; a chart change twists a copy of its differential, where the
+    entry of the column at (s, lab) on the leading face t (t[1:] == s)
+    becomes the image of lab under the chart change (t[0], t[1]).  totalize
+    inserts (-1)^l on the vertical part, and the total's one d o d check
+    covers every row, column and square (a ValueError).
     """
-    cech = {
-        j: cech_complex(nerve, M, None if transitions is None else partial(transitions, j))
-        for j, M in columns.items()
-    }
+    cech = {j: cech_complex(nerve, M) for j, M in columns.items()}
     modules = {(l, j): C.module(l) for j, C in cech.items() for l in C.degrees()}
     horiz = {(l, j): d for j, C in cech.items() for l, d in C.diffs.items()}
+    if transitions is not None:
+        images = {}  # (j, a, b) -> {label: its image under the chart change}
+
+        def image(key, lab):
+            if key not in images:
+                M, cols = columns[key[0]], transitions(*key)
+                basis, unit = QBasis(M), M.algebra.constant_exps
+                if len(cols) != basis.dim:
+                    raise StructuralError(f"chart change {key} has {len(cols)} columns, not {basis.dim}")
+                images[key] = {x: basis.unflatten(cols[basis.index[(x, unit)]]) for x in M.labels}
+            return images[key][lab]
+
+        for (l, j), d in horiz.items():
+            cols = {}
+            for (s, lab), col in d.cols.items():
+                terms = {}
+                for (t, lab2), c in col.data.items():
+                    if t[1:] == s:
+                        terms.update(((t, x), cx) for x, cx in image((j, t[0], t[1]), lab).data.items())
+                    else:
+                        terms[(t, lab2)] = c
+                cols[(s, lab)] = _vec(d.target, terms)
+            horiz[(l, j)] = LinMap(d.source, d.target, cols)
     vert = {}
     for j, v in vertical.items():
         if v.source != columns[j] or v.target != columns[j + 1]:
@@ -463,7 +470,6 @@ class TwistFamily:
                 raise StructuralError("twist levels out of order")
         self.wedge_data = None
         self._transitions = {}
-        self._linmaps = {}
 
     @classmethod
     def zero(cls, ext, nerve):
@@ -486,21 +492,6 @@ class TwistFamily:
         if key not in self._transitions:
             self._transitions[key] = self._build_transition(n, a, b)
         return self._transitions[key]
-
-    def transition(self, n, a, b):
-        """The chart change of transition_columns as a LinMap, read off the
-        columns of the pairs (label, 1), once per (n, a, b); callers must not
-        change the map."""
-        key = (n, a, b)
-        if key not in self._linmaps:
-            basis = self.ext.flat(n + 1)
-            cols = self.transition_columns(n, a, b)
-            unit = self.ext.algebra.constant_exps
-            M = basis.module
-            self._linmaps[key] = LinMap(
-                M, M, {lab: basis.unflatten(cols[basis.index[(lab, unit)]]) for lab in M.labels}
-            )
-        return self._linmaps[key]
 
     def _build_transition(self, n, a, b):
         """The identity plus -c_ab on the j -> i block: the column of the pair
@@ -535,7 +526,7 @@ def twisted_total_complex(ext, twists):
         twists.nerve,
         {-n: ext.lam_b(n + 1) for n in range(r + 1)},
         {-n: ext.hat_d(n) for n in range(1, r + 1)},
-        lambda j, a, b: twists.transition(-j, a, b),
+        lambda j, a, b: twists.transition_columns(-j, a, b),
     )
 
 
@@ -1025,26 +1016,28 @@ def atiyah_twist(ext, kahler, nerve, transitions_g, nablas, chi=None, level=1):
     twist = TwistCocycle(ext, nerve, p, cmap)
     results["twist"] = twist
 
+    B = ext.lam_b(p + 1)
+    basis = ext.flat(p + 1)
+
     def phi_vertex(v):
         def fn(x):
             i_part, j_part = ext.split(x)
             corr = chi.chi_hat_wedge(p, nablas[v].lam_apply(p, j_part))
             return ext.join(p + 1, i_part - corr, j_part)
 
-        return LinMap.from_function(ext.lam_b(p + 1), ext.lam_b(p + 1), fn)
+        return flatten_linmap(LinMap.from_function(B, B, fn), basis, basis)
 
-    conj_ok = True
     levels = [TwistCocycle.zero(ext, nerve, n) for n in range(ext.rank)]
     levels[p] = twist
     fam = TwistFamily(ext, nerve, levels)
-    for s in nerve.simplices_of_dim(1):
-        a, b = s
-        for lab in ext.lam_b(p + 1).labels:
-            x = ext.lam_b(p + 1).basis_vec(lab)
-            lhs = fam.transition(p, a, b).apply(x)
-            rhs = phi_vertex(a).apply(_linmap_inverse(phi_vertex(b)).apply(x))
-            if not (lhs - rhs).is_zero():
-                conj_ok = False
+    phis = {v: phi_vertex(v) for v in nerve.vertices}
+    conj_ok = True
+    for a, b in nerve.simplices_of_dim(1):
+        inv = ql.inverse(phis[b], basis.dim)
+        if inv is None:
+            raise StructuralError("map is not invertible")
+        if ql.compose_columns(phis[a], inv) != fam.transition_columns(p, a, b):
+            conj_ok = False
     results["conjugation"] = conj_ok
     return results
 
@@ -1110,11 +1103,12 @@ def divisor_class(nerve, delta_cochain):
     # W2: [L_{-delta} -> O + O] with (i,a) |-> (-a, -a); L transitions twist
     def w2_tr(j, a, b):
         if j == 0:
-            return LinMap.identity(OO)
-        m = LinMap.identity(B)
+            return ql.identity(OO.rank)
         dval = cochain_value(nerve, delta_cochain, (a, b))
-        m.set_column(unit, B.element([(unit, 1)] + [(("i", (k,)), -c) for (k,), c in dval.data.items()]))
-        return m
+        image = B.element([(unit, 1)] + [(("i", (k,)), -c) for (k,), c in dval.data.items()])
+        cols = ql.identity(ext.flat(1).dim)
+        cols[ext.flat(1).index[(unit, algebra.constant_exps)]] = ext.flat(1).flatten(image)
+        return cols
 
     w2_v = LinMap(B, OO, {unit: OO.basis_vec("o1", -1) + OO.basis_vec("o2", -1)})
     W2 = cech_total_complex(nerve, {-1: B, 0: OO}, {-1: w2_v}, w2_tr)

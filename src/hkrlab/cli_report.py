@@ -391,6 +391,18 @@ def check_dual_signs(config):
     return "pass", {"ranks": ranks}
 
 
+def _wedge_families(ext, nerve, rng):
+    """A seeded pair [lam, mu] of wedge-type twist families, lam drawn first."""
+    return [TwistFamily.from_wedge_cochains(ext, nerve, random_wedge_cochains(ext, nerve, rng)) for _ in range(2)]
+
+
+def _last_level_families(ext, nerve, rng):
+    """A seeded pair [lam, mu] of twist families sharing the levels below the
+    top one, which are drawn first, then lam's top level, then mu's."""
+    shared = [random_hom_twist(ext, nerve, n, rng) for n in range(ext.rank - 1)]
+    return [TwistFamily(ext, nerve, shared + [random_hom_twist(ext, nerve, ext.rank - 1, rng)]) for _ in range(2)]
+
+
 def check_comparison_wedge(config):
     nerve = config.load_nerve()
     ranks = _ranks(config)
@@ -398,25 +410,22 @@ def check_comparison_wedge(config):
         ext = build_extension(CoeffAlgebra.rationals(), r)
         rng = _rng(config, f"wedge:{r}")
         for trial in range(25):
-            cs = random_wedge_cochains(ext, nerve, rng)
-            ds = random_wedge_cochains(ext, nerve, rng)
-            lam = TwistFamily.from_wedge_cochains(ext, nerve, cs)
-            mu = TwistFamily.from_wedge_cochains(ext, nerve, ds)
+            lam, mu = _wedge_families(ext, nerve, rng)
             try:
                 delta = delta_matrix(ext, nerve, lam, mu, "wedge")
             except StructuralError as err:
                 return "fail", {"rank": r, "trial": trial, "claim": str(err)}
             if not delta.diagonal_is_identity():
                 return "fail", {"rank": r, "trial": trial, "claim": "diagonal"}
-            cs_c = [canonical_representative(nerve, c) for c in cs]
-            ds_c = [canonical_representative(nerve, d) for d in ds]
+            cs_c = [canonical_representative(nerve, c) for c in lam.wedge_data]
+            ds_c = [canonical_representative(nerve, d) for d in mu.wedge_data]
             zetas = eta_recursion(ext, nerve, cs_c, ds_c)
             # spot values of the recursion
             if not (zetas[(1, 0)] - (cs_c[0] - ds_c[0])).is_zero():
-                return "fail", {"rank": r, "claim": "first spot value"}
+                return "fail", {"rank": r, "trial": trial, "claim": "first spot value"}
             want21 = (cs_c[0] - ds_c[0] + cs_c[1] - ds_c[1]).scale(Fraction(1, 2))
             if not (zetas[(2, 1)] - want21).is_zero():
-                return "fail", {"rank": r, "claim": "second spot value"}
+                return "fail", {"rank": r, "trial": trial, "claim": "second spot value"}
             for i in range(r + 1):
                 for j in range(i):
                     if i - j > nerve.depth:
@@ -434,9 +443,7 @@ def check_comparison_last_level(config):
         ext = build_extension(CoeffAlgebra.rationals(), r)
         rng = _rng(config, f"last:{r}")
         for trial in range(5):
-            shared = [random_hom_twist(ext, nerve, n, rng) for n in range(r - 1)]
-            lam = TwistFamily(ext, nerve, shared + [random_hom_twist(ext, nerve, r - 1, rng)])
-            mu = TwistFamily(ext, nerve, shared + [random_hom_twist(ext, nerve, r - 1, rng)])
+            lam, mu = _last_level_families(ext, nerve, rng)
             try:
                 delta = delta_matrix(ext, nerve, lam, mu, "last-level")
             except StructuralError as err:
@@ -490,17 +497,14 @@ def check_probe_required_domains(config):
     nerve = config.load_nerve()
     ext = build_extension(CoeffAlgebra.rationals(), 2)
     rng = _rng(config, "probe")
-    lam = TwistFamily.from_wedge_cochains(ext, nerve, random_wedge_cochains(ext, nerve, rng))
-    mu = TwistFamily.from_wedge_cochains(ext, nerve, random_wedge_cochains(ext, nerve, rng))
+    lam, mu = _wedge_families(ext, nerve, rng)
     try:
         rep = conjecture_probe(ext, nerve, lam, mu, shape="wedge")
     except StructuralError as err:
         return "fail", {"domain": "wedge", "claim": str(err)}
     if rep["agrees"] is not True:
         return "fail", {"domain": "wedge", "entries": rep["entries"]}
-    shared = [random_hom_twist(ext, nerve, 0, rng)]
-    lam2 = TwistFamily(ext, nerve, shared + [random_hom_twist(ext, nerve, 1, rng)])
-    mu2 = TwistFamily(ext, nerve, shared + [random_hom_twist(ext, nerve, 1, rng)])
+    lam2, mu2 = _last_level_families(ext, nerve, rng)
     try:
         rep2 = conjecture_probe(ext, nerve, lam2, mu2, shape="last-level")
     except StructuralError as err:

@@ -11,7 +11,7 @@ kept unchanged: it composes the components of T, the differentials hat_d
 and the chart changes as ``LinMap``s, equation by equation, and adds up the
 columns of the signed pieces over the coefficient algebra.
 ``linmaps_of_columns`` turns a table of columns into such a table of
-``LinMap``s.
+``LinMap``s, and ``chart_change`` reads a family's chart change as one.
 """
 
 from __future__ import annotations
@@ -22,21 +22,23 @@ from hkrlab.cech_twist import UnsupportedTwistError, cochain_values, eta_recursi
 from hkrlab.exterior_core import merge_wedge
 from hkrlab.modules import LinMap, StructuralError, _accumulate
 
+from reference_complexes import linmap_of_columns
+
 
 def linmaps_of_columns(ext, T):
     """The table of LinMaps with T's columns: each component (n, l, s) read
-    off its columns at the pairs (label, 1), as TwistFamily.transition reads
-    a chart change."""
-    unit = ext.algebra.constant_exps
-    out = {}
-    for (n, l, s), cols in T.items():
-        src, tgt = ext.flat(n + 1), ext.flat(n + l + 1)
-        out[(n, l, s)] = LinMap(
-            src.module,
-            tgt.module,
-            {lab: tgt.unflatten(cols[src.index[(lab, unit)]]) for lab in src.module.labels},
-        )
-    return out
+    off its columns at the pairs (label, 1)."""
+    return {
+        (n, l, s): linmap_of_columns(ext.lam_b(n + 1), ext.lam_b(n + l + 1), cols)
+        for (n, l, s), cols in T.items()
+    }
+
+
+def chart_change(fam, n, a, b):
+    """The family's chart change b -> a on Lambda^{n+1} B as a LinMap, read
+    off its columns as linmaps_of_columns reads T."""
+    M = fam.ext.lam_b(n + 1)
+    return linmap_of_columns(M, M, fam.transition_columns(n, a, b))
 
 
 def reference_build_t_wedge(ext, nerve, c_cochains, d_cochains):
@@ -121,8 +123,8 @@ def reference_t_chain_check(ext, lam, mu, T):
                         if comp is None:
                             continue
                         if k == 0:
-                            conv_out = mu.transition(n + l - 1, s[0], s[1])
-                            conv_in = lam.transition(n, s[1], s[0])
+                            conv_out = chart_change(mu, n + l - 1, s[0], s[1])
+                            conv_in = chart_change(lam, n, s[1], s[0])
                             comp = conv_out.compose(comp).compose(conv_in)
                         pieces.append((comp, (-1) ** k))
                 if (comp := T.get((n, l, s))) is not None:

@@ -7,7 +7,11 @@ it lays out the labelled blocks by total degree and assembles the
 differential one label at a time.  ``reference_totalize`` also keeps the
 separate checks the old double-complex class made before totalizing (the
 rows, the columns and the squares), so a test can compare which inputs
-each side rejects.
+each side rejects.  ``reference_cech_complex`` keeps its twisted leading
+face, and ``reference_cech_total_complex`` builds each twisted row as a
+complex of its own; both read a chart change as a ``LinMap``, which
+``linmap_of_columns`` makes from the sparse rational columns the package
+keeps.
 """
 
 from __future__ import annotations
@@ -15,7 +19,16 @@ from __future__ import annotations
 from functools import partial
 
 from hkrlab.chain_core import CochainComplex, hom_module, tensor_module
-from hkrlab.modules import BasedModule, LinMap, Vec
+from hkrlab.modules import BasedModule, LinMap, QBasis, Vec
+
+
+def linmap_of_columns(source, target, cols):
+    """The LinMap source -> target with the sparse rational columns cols
+    over QBasis(source) -> QBasis(target), read off its columns at the pairs
+    (label, 1)."""
+    src, tgt = QBasis(source), QBasis(target)
+    unit = source.algebra.constant_exps
+    return LinMap(source, target, {lab: tgt.unflatten(cols[src.index[(lab, unit)]]) for lab in source.labels})
 
 
 def reference_hom_complex(C, D):
@@ -190,9 +203,14 @@ def reference_cech_complex(nerve, module, transitions=None):
 def reference_cech_total_complex(nerve, columns, vertical, transitions=None):
     """Tot of the Cech double complex of a complex of local systems: spot
     (l, j) holds the Cech l-cochains of columns[j], vertical[j] acts
-    chart by chart, and transitions(j, a, b) twists column j."""
+    chart by chart, and transitions(j, a, b), sparse rational columns over
+    QBasis(columns[j]), twists column j."""
+
+    def chart_change(j, a, b):
+        return linmap_of_columns(columns[j], columns[j], transitions(j, a, b))
+
     cech = {
-        j: reference_cech_complex(nerve, M, None if transitions is None else partial(transitions, j))
+        j: reference_cech_complex(nerve, M, None if transitions is None else partial(chart_change, j))
         for j, M in columns.items()
     }
     vert = {}

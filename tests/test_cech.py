@@ -11,7 +11,7 @@ from hkrlab.coeff import CoeffAlgebra
 from hkrlab.extension_dg import build_extension
 from hkrlab.chain_core import homology
 from hkrlab.cli_report import SuiteConfig, run_suite
-from hkrlab import cech_twist
+from hkrlab import cech_twist, cli_report
 from hkrlab.modules import BasedModule, LinMap, StructuralError
 from hkrlab.rational import add_scaled
 from hkrlab.cech_twist import (
@@ -60,6 +60,7 @@ from hkrlab.cech_twist import (
 )
 from hkrlab.connections import Connection, DerivationChi, KahlerModule
 import reference_cochain as ref
+from reference_comparison import chart_change
 
 QQ = CoeffAlgebra.rationals()
 
@@ -525,6 +526,21 @@ def test_opposite_sign_transitions_fail_probe_domains_at_a_named_domain(monkeypa
     assert record["detail"] == {"domain": "wedge", "claim": "comparison morphism is not a chain map"}
 
 
+def test_a_wrong_spot_value_fails_comparison_wedge_at_a_named_trial(monkeypatch):
+    eta_recursion = cli_report.eta_recursion
+
+    def perturbed(*args):
+        zetas = eta_recursion(*args)
+        M = zetas[(1, 0)].module
+        zetas[(1, 0)] = zetas[(1, 0)] + M.basis_vec(M.labels[0])
+        return zetas
+
+    monkeypatch.setattr(cli_report, "eta_recursion", perturbed)
+    record = run_suite(SuiteConfig(suite="comparison_wedge", nerve="sphere2")).records[0]
+    assert record["status"] == "fail"
+    assert record["detail"] == {"rank": 2, "trial": 0, "claim": "first spot value"}
+
+
 def test_doubled_comparison_morphism_is_a_chain_map_that_misses_the_identity(monkeypatch):
     ext, nerve, lam, mu = sphere2_wedge_families(42)
     build = cech_twist.build_t_wedge
@@ -557,11 +573,11 @@ def transitions_compose(fam):
     for n in range(ext.rank):
         for s in fam.nerve.simplices_of_dim(2):
             a, b, c = s
-            lhs = fam.transition(n, a, b).compose(fam.transition(n, b, c))
-            rhs = fam.transition(n, a, c)
+            lhs = chart_change(fam, n, a, b).compose(chart_change(fam, n, b, c))
+            rhs = chart_change(fam, n, a, c)
             if not (lhs - rhs).is_zero():
                 return False
-            inv = fam.transition(n, b, a).compose(fam.transition(n, a, b))
+            inv = chart_change(fam, n, b, a).compose(chart_change(fam, n, a, b))
             if not (inv - LinMap.identity(ext.lam_b(n + 1))).is_zero():
                 return False
     return True
@@ -817,19 +833,15 @@ def test_probe_documents_cup_sign_tension_on_torus():
 
 def test_twisted_local_system_cohomology():
     # a sign-monodromy local system on the circle has no cohomology
-    from hkrlab.modules import LinMap
-
     ext = ext_of(1)
     nerve = circle_nerve()
     M = ext.lam_i(1)
 
-    def transitions(a, b):
-        m = LinMap(M, M)
+    def transitions(j, a, b):
         sign = -1 if (a, b) in ((0, 1), (1, 0)) else 1
-        m.set_column((0,), M.basis_vec((0,), sign))
-        return m
+        return [{0: sign}]
 
-    twisted = cech_complex(nerve, M, transitions)
+    twisted = cech_total_complex(nerve, {0: M}, {}, transitions)
     assert homology(twisted, 0).dim == 0
     assert homology(twisted, 1).dim == 0
     # trivial transitions recover the constant coefficients
@@ -848,17 +860,9 @@ def test_untwisted_cech_complex_is_built_once_per_nerve_and_module():
     assert cech_complex(sphere_nerve(2), M) is not C
     assert cech_complex(nerve, ext.lam_i(2)) is not C
 
-    def identity(a, b):
-        return LinMap.identity(M)
-
-    twisted = cech_complex(nerve, M, identity)
-    assert twisted is not C
-    assert cech_complex(nerve, M, identity) is not twisted
-    assert cech_complex(nerve, M) is C
-
 
 def test_cached_transitions_equal_fresh_ones_after_delta_matrix():
-    # a caller that changed a cached LinMap in place would show up here
+    # a caller that changed cached columns in place would show up here
     ext = ext_of(2)
     nerve = sphere_nerve(2)
     rng = random.Random(5)
@@ -870,8 +874,8 @@ def test_cached_transitions_equal_fresh_ones_after_delta_matrix():
         keys = sorted(fam._transitions)
         assert keys
         for key in keys:
-            assert fam.transition(*key) is fam.transition(*key)
-            assert fam.transition(*key) == fresh.transition(*key)
+            assert fam.transition_columns(*key) is fam.transition_columns(*key)
+            assert fam.transition_columns(*key) == fresh.transition_columns(*key)
 
 
 def test_cech_total_complex_rejects_a_column_with_nonzero_d_squared():
@@ -881,11 +885,11 @@ def test_cech_total_complex_rejects_a_column_with_nonzero_d_squared():
 
     def transitions(j, a, b):
         # scaling along the one edge (0, 1) alone breaks the cocycle condition
-        return LinMap.identity(M).scale(2 if (a, b) == (0, 1) else 1)
+        return [{0: 2 if (a, b) == (0, 1) else 1}]
 
     with pytest.raises(ValueError, match="d o d"):
         cech_total_complex(nerve, {0: M}, {}, transitions)
-    tot = cech_total_complex(nerve, {0: M}, {}, lambda j, a, b: LinMap.identity(M))
+    tot = cech_total_complex(nerve, {0: M}, {}, lambda j, a, b: [{0: 1}])
     assert homology(tot, 2).dim == 1
 
 
@@ -899,7 +903,7 @@ def test_cech_total_complex_rejects_a_vertical_map_that_ignores_the_chart_change
 
     def transitions(j, a, b):
         g = {0: 2}
-        return LinMap.identity(M).scale(Fraction(g.get(a, 1), g.get(b, 1)) if j == 0 else 1)
+        return [{0: Fraction(g.get(a, 1), g.get(b, 1)) if j == 0 else 1}]
 
     # each column alone is a complex of local systems
     assert homology(cech_total_complex(nerve, {0: M, 1: M}, {}, transitions), 0).dim == 1

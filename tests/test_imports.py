@@ -2,15 +2,19 @@
 used in that module, no module element is built by summing basis vectors
 one at a time (BasedModule.element builds it in one pass), only
 cech_complex walks a nerve's coface table (every other Cech operation goes
-through the complex it builds), no module builds a dense rational vector
-(a flattened vector is a sparse column everywhere), and no function takes
-an optional prebuilt value that it builds itself when it is left out (each
-complex has one owner that builds it), and only exterior_core uses
-factorial or permutations (every symmetrization and shuffle weight of the
-exterior algebra is written there once), and only rational divides with /
-(a coefficient may be an int, and int / int is a float), and the functions
-and classes that only tests reach are an exact, listed inventory (new
-unreachable code fails, and so does a listed name that gains a caller)."""
+through the complex it builds), only t_chain_check, twisted_total_complex
+and atiyah_twist read a twist family's chart changes (transition_columns;
+cech_total_complex gets them as its transitions argument, so the twist is
+applied in cech_total_complex and t_chain_check alone), no module builds
+a dense rational vector (a flattened vector is a sparse column
+everywhere), and no function takes an optional prebuilt value that it
+builds itself when it is left out (each complex has one owner that builds
+it), and only exterior_core uses factorial or permutations (every
+symmetrization and shuffle weight of the exterior algebra is written there
+once), and only rational divides with / (a coefficient may be an int, and
+int / int is a float), and the functions and classes that only tests reach
+are an exact, listed inventory (new unreachable code fails, and so does a
+listed name that gains a caller)."""
 
 import ast
 from pathlib import Path
@@ -87,22 +91,26 @@ def test_module_builds_no_element_by_a_basis_vec_fold(path):
     assert basis_vec_folds(path.read_text()) == []
 
 
-def coface_reads(source):
-    """(line, outermost enclosing function or None) of each read of an
-    attribute named cofaces in source."""
+def attribute_reads(source, attr):
+    """(line, outermost enclosing function or class, or None) of each read of
+    an attribute named attr in source."""
     reads = []
 
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
-            if owner is None and isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if owner is None and isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, child.name)
                 continue
-            if isinstance(child, ast.Attribute) and child.attr == "cofaces":
+            if isinstance(child, ast.Attribute) and child.attr == attr:
                 reads.append((child.lineno, owner))
             visit(child, owner)
 
     visit(ast.parse(source), None)
     return reads
+
+
+def coface_reads(source):
+    return attribute_reads(source, "cofaces")
 
 
 def test_coface_read_is_found():
@@ -124,6 +132,44 @@ def test_coface_read_is_found():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_only_cech_complex_reads_cofaces(path):
     assert {owner for _, owner in coface_reads(path.read_text())} <= {"cech_complex"}
+
+
+def transition_column_reads(source):
+    return attribute_reads(source, "transition_columns")
+
+
+def test_transition_column_read_is_found():
+    source = (
+        "class TwistFamily:\n"
+        "    def transition_columns(self, n, a, b):\n"
+        "        return []\n"
+        "    def twice(self, n, a, b):\n"
+        "        return self.transition_columns(n, a, b) * 2\n"
+        "def twisted_total_complex(ext, twists):\n"
+        "    return total(lambda j, a, b: twists.transition_columns(-j, a, b))\n"
+        "def divisor_class(nerve):\n"
+        "    def w2_tr(j, a, b):\n"
+        "        return fam.transition_columns\n"
+        "    return w2_tr\n"
+        "chart = fam.transition_columns(0, 1, 2)\n"
+    )
+    assert transition_column_reads(source) == [
+        (5, "TwistFamily"),
+        (7, "twisted_total_complex"),
+        (10, "divisor_class"),
+        (12, None),
+    ]
+
+
+# t_chain_check twists T's leading face through the chart changes,
+# twisted_total_complex hands them to cech_total_complex, and atiyah_twist
+# compares one with the conjugation it must equal
+TRANSITION_COLUMN_READERS = {"atiyah_twist", "t_chain_check", "twisted_total_complex"}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_listed_owners_read_transition_columns(path):
+    assert {owner for _, owner in transition_column_reads(path.read_text())} <= TRANSITION_COLUMN_READERS
 
 
 def _is_rational_zero(node):
