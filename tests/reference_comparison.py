@@ -12,13 +12,15 @@ and the chart changes as ``LinMap``s, equation by equation, and adds up the
 columns of the signed pieces over the coefficient algebra.
 ``linmaps_of_columns`` turns a table of columns into such a table of
 ``LinMap``s, and ``chart_change`` reads a family's chart change as one.
+``reference_disagreements`` is the entry loop every comparison check wrote
+out by hand before ``DeltaMatrix.disagreements``, kept unchanged.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from hkrlab.cech_twist import UnsupportedTwistError, cochain_values, eta_recursion
+from hkrlab.cech_twist import UnsupportedTwistError, cochain_values, cohomologous, eta_recursion
 from hkrlab.exterior_core import merge_wedge
 from hkrlab.modules import LinMap, StructuralError, _accumulate
 
@@ -144,3 +146,18 @@ def reference_t_chain_check(ext, lam, mu, T):
                     if _accumulate({}, terms):
                         return False
     return True
+
+
+def reference_disagreements(A, B):
+    """The entries (i, j) of two comparison matrices whose classes differ:
+    for j <= i and i - j at most the nerve's depth, in row order, is
+    A's entry cohomologous to B's?"""
+    nerve = A.nerve
+    out = []
+    for i in range(A.ext.rank + 1):
+        for j in range(i + 1):
+            if i - j > nerve.depth:
+                continue
+            if not cohomologous(nerve, A.entry(i, j), B.entry(i, j)):
+                out.append((i, j))
+    return out

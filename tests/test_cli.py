@@ -8,6 +8,7 @@ import pytest
 from hkrlab.coeff import CoeffAlgebra
 from hkrlab.extension_dg import build_extension
 from hkrlab.cech_twist import Nerve, circle_nerve
+from hkrlab import cli_report
 from hkrlab.cli_report import ConfigError, SuiteConfig, main, parse_model_json, run_suite
 
 
@@ -173,6 +174,40 @@ def test_cli_config_file(tmp_path):
     cfg.write_text(json.dumps({"suite": "signs", "seed": 3, "out": str(out)}))
     assert main(["--config", str(cfg)]) == 0
     assert json.loads(out.read_text())["config"]["seed"] == 3
+
+
+def _refuse_to_run(config):
+    raise AssertionError("a check ran before the report path was rejected")
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("kind", ["missing-parent", "directory"])
+def test_cli_unusable_report_path_is_usage_error_before_any_check(tmp_path, capsys, monkeypatch, via, kind):
+    out = tmp_path / "absent" / "r.json" if kind == "missing-parent" else tmp_path
+    argv = ["--suite", "signs", "--out", str(out)]
+    if via == "config":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"suite": "signs", "out": str(out)}))
+        argv = ["--config", str(cfg)]
+    before = sorted(tmp_path.rglob("*"))
+    monkeypatch.setattr(cli_report, "run_suite", _refuse_to_run)
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert str(out) in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_cli_failed_report_write_is_usage_error(tmp_path, capsys, monkeypatch):
+    def refuse_write(self, text):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "write_text", refuse_write)
+    out = tmp_path / "r.json"
+    with pytest.raises(SystemExit) as err:
+        main(["--suite", "signs", "--out", str(out)])
+    assert err.value.code == 2
+    assert f"cannot write report {str(out)!r}: Permission denied" in capsys.readouterr().err
 
 
 def test_custom_nerve_file(tmp_path):

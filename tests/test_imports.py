@@ -172,6 +172,39 @@ def test_only_the_listed_owners_read_transition_columns(path):
     assert {owner for _, owner in transition_column_reads(path.read_text())} <= TRANSITION_COLUMN_READERS
 
 
+def entry_reads(source):
+    return attribute_reads(source, "entry")
+
+
+def test_entry_read_is_found():
+    source = (
+        "class DeltaMatrix:\n"
+        "    def disagreements(self, other):\n"
+        "        return [k for k in keys if self.entry(*k) != other.entry(*k)]\n"
+        "def check_comparison_last_level(config):\n"
+        "    for i, j in pairs:\n"
+        "        if not cohomologous(nerve, delta.entry(i, j), want):\n"
+        "            return 'fail'\n"
+        "top = delta.entry\n"
+    )
+    assert entry_reads(source) == [
+        (3, "DeltaMatrix"),
+        (3, "DeltaMatrix"),
+        (6, "check_comparison_last_level"),
+        (8, None),
+    ]
+
+
+# a check compares comparison matrices through DeltaMatrix.disagreements,
+# never entry by entry; delta_product multiplies them
+ENTRY_READERS = {"DeltaMatrix", "delta_product"}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_comparison_matrix_and_its_product_read_entries(path):
+    assert {owner for _, owner in entry_reads(path.read_text())} <= ENTRY_READERS
+
+
 def _is_rational_zero(node):
     """Is node the expression ZERO, ql.ZERO or Fraction(0)?"""
     if isinstance(node, ast.Name):
@@ -449,7 +482,6 @@ TEST_ONLY = [
     ("cech_twist.py", "cech_cohomology"),
     ("cech_twist.py", "class_coordinates"),
     ("cech_twist.py", "codim2_matrix"),
-    ("cech_twist.py", "delta_entries_cohomologous"),
     ("cech_twist.py", "delta_product"),
     ("cech_twist.py", "q_operator"),
     ("cech_twist.py", "q_operator_is_chain_map"),
