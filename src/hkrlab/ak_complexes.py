@@ -37,8 +37,11 @@ from . import rational as ql
 
 
 def build_p_complex(ext):
-    """The resolution complex P of A over B."""
-    return shifted_complex(ext)
+    """The resolution complex P of A over B, unwindowed, built once and owned
+    by the extension; callers must not change it."""
+    if "P" not in ext._complexes:
+        ext._complexes["P"] = shifted_complex(ext)
+    return ext._complexes["P"]
 
 
 def p_augmentation(ext, P):
@@ -58,13 +61,15 @@ def theta_module(ext):
 
 
 def build_q_complex(ext):
-    """The realized dual complex Q: Lambda^q B in degree -q, q = 0..r."""
-    r = ext.rank
-    modules = {-q: ext.lam_b(q) for q in range(r + 1)}
-    diffs = {}
-    for q in range(1, r + 1):
-        diffs[-q] = ext.d(q).scale(-(r - q + 1))
-    return CochainComplex(ext.algebra, modules, diffs)
+    """The realized dual complex Q: Lambda^q B in degree -q, q = 0..r,
+    unwindowed, built once and owned by the extension; callers must not
+    change it."""
+    if "Q" not in ext._complexes:
+        r = ext.rank
+        modules = {-q: ext.lam_b(q) for q in range(r + 1)}
+        diffs = {-q: ext.d(q).scale(-(r - q + 1)) for q in range(1, r + 1)}
+        ext._complexes["Q"] = CochainComplex(ext.algebra, modules, diffs)
+    return ext._complexes["Q"]
 
 
 def q_coaugmentation(ext, Q):

@@ -51,6 +51,8 @@ class CochainComplex:
         self._qdiff = {}
         self._qsolver = {}
         self._homology = {}
+        # window -> the complex's view at that window, built by with_window
+        self._windows = {}
         for n, d in diffs.items():
             if d is None or d.is_zero():
                 continue
@@ -103,7 +105,18 @@ class CochainComplex:
         )
 
     def with_window(self, window):
-        return CochainComplex(self.algebra, self.modules, self.diffs, window=window, check=False)
+        """The view of this complex at a grade window, built once per window
+        and kept by the complex, so every caller shares its flattened
+        differentials, solvers and homology; callers must not change it.  At
+        the complex's own window the view is the complex itself."""
+        if window == self.window:
+            return self
+        view = self._windows.get(window)
+        if view is None:
+            view = self._windows[window] = CochainComplex(
+                self.algebra, self.modules, self.diffs, window=window, check=False
+            )
+        return view
 
     def scale_diff(self, c):
         return CochainComplex(

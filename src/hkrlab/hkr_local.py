@@ -13,29 +13,33 @@ map in sight is grade-non-decreasing, so each identity checked below is
 the image of the corresponding untruncated identity.  The Koszul
 resolution is exact on the whole window; no grade is excluded.
 
-Each complex has one owner.  Only psi, gamma and kappa read the splitting,
-so a model has two halves.  Its ModelBase, shared by every live LocalModel
-with the same (m, r, D) and dropped with the last of them, builds once and
-on first use the Koszul resolution L of A over C, the resolutions P and K
-of A over B and A itself, all at window D, the reduced complexes RL and
-RP, the augmentations aug_l and aug_p, and the reductions red_l and red_p.
-The LocalModel holds chi, psi (a table of psi(x^e) per monomial x^e of C)
-and the maps gamma: L -> P and kappa: L -> K, whose columns are read off
-that table, and reads the base's attributes under the same names; every
-check of the model reads these.  Builders outside the model take the
-complexes they map between and use their window: zeta(ext, K, P),
-k_augmentation(ext, K) and, in ak_complexes, p_augmentation(ext, P) and
-q_coaugmentation(ext, Q).  build_k_complex and build_p_complex build
-unwindowed complexes; zeta_checks windows its own K and P at the window it
-is given and keeps its results on the extension, one entry per window, and
-zeta_is_b_linear checks zeta on the unwindowed ones.
+Each complex has one owner.  P and K, the resolutions of A over B, depend
+only on the extension: build_p_complex and build_k_complex keep each on
+it, and CochainComplex.with_window keeps one view per window, so every
+caller at a window shares that view's differentials and homology.  Only
+psi, gamma and kappa read the splitting, so a model has two halves.  Its
+ModelBase, shared by every live LocalModel with the same (m, r, D) and
+dropped with the last of them, builds once and on first use the Koszul
+resolution L of A over C and A itself at window D, the reduced complexes
+RL and RP, the augmentations aug_l and aug_p, and the reductions red_l and
+red_p, and reads P and K at window D.  The LocalModel holds chi, psi (a
+table of psi(x^e) per monomial x^e of C) and the maps gamma: L -> P and
+kappa: L -> K, whose columns are read off that table, and reads the base's
+attributes under the same names; every check of the model reads these.
+Builders outside the model take the complexes they map between and use
+their window: zeta(ext, K, P), k_augmentation(ext, K) and, in
+ak_complexes, p_augmentation(ext, P) and q_coaugmentation(ext, Q).
+zeta_checks reads K and P at the window it is given and keeps its results
+on the extension, one entry per window.  zeta is flattened from one rule,
+antisymmetrize, which zeta_is_b_linear applies to basis vectors and
+compare_hkr_ac reads the j part of.
 """
 
 from __future__ import annotations
 
 import weakref
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from math import comb
 from itertools import combinations, product
 
@@ -104,10 +108,12 @@ class ModelBase:
 
     @cached_property
     def P(self):
+        """The extension's P at window D, the view zeta_checks reads too."""
         return build_p_complex(self.ext).with_window(self.D)
 
     @cached_property
     def K(self):
+        """The extension's K at window D, the view zeta_checks reads too."""
         return build_k_complex(self.ext).with_window(self.D)
 
     @cached_property
@@ -265,7 +271,7 @@ class LocalModel:
                 if de + df > self.D:
                     continue
                 ef = tuple(a + b for a, b in zip(e, f))
-                if not (table[ef] - b_mul(pe, pf)).is_zero():
+                if table[ef] != b_mul(pe, pf):
                     raise ModelError("psi is not multiplicative")
 
     # -- the comparison maps, which read chi through psi ------------------
@@ -339,15 +345,15 @@ class LocalModel:
     def _reduced_wedge_compatible(self):
         """The reduced comparison intertwines the wedge products on homology."""
         ext, L, g, red_p, RP = self.ext, self.L, self.gamma, self.red_p, self.RP
+        images = [
+            [(K, g.apply(-p, L.module(-p).basis_vec(K))) for K in combinations(range(self.r), p)]
+            for p in range(self.r + 1)
+        ]
         for p1 in range(self.r + 1):
             for p2 in range(self.r + 1 - p1):
-                for K in combinations(range(self.r), p1):
-                    for Kp in combinations(range(self.r), p2):
+                for K, gx in images[p1]:
+                    for Kp, gy in images[p2]:
                         mw = merge_wedge(K, Kp)
-                        x = L.module(-p1).basis_vec(K)
-                        y = L.module(-p2).basis_vec(Kp)
-                        gx = g.apply(-p1, x)
-                        gy = g.apply(-p2, y)
                         prod = ext.star(p1, p2, gx, gy)
                         lhs = red_p.apply(-(p1 + p2), prod)
                         if mw is None:
@@ -355,8 +361,7 @@ class LocalModel:
                                 return False
                         else:
                             sgn, KL = mw
-                            want = RP.module(-(p1 + p2)).basis_vec(KL, sgn)
-                            if not (lhs - want).is_zero():
+                            if lhs != RP.module(-(p1 + p2)).basis_vec(KL, sgn):
                                 return False
         return True
 
@@ -393,20 +398,23 @@ def build_k_complex(ext):
     faithfully (the kernel/image pattern is uniform in p).
     Differential: p times (project to the j part, include as the i part);
     this normalization is the one under which plain antisymmetrization in
-    both parts is a map of complexes to P.
+    both parts is a map of complexes to P.  Unwindowed, built once and
+    owned by the extension; callers must not change it.
     """
-    depth = ext.rank + 1
-    modules = {-p: tensor_power_module(ext, p) for p in range(depth + 1)}
-    diffs = {}
-    for p in range(1, depth + 1):
-        src, tgt = modules[-p], modules[-p + 1]
-        d = LinMap(src, tgt)
-        for lab in src.labels:
-            tag, S = lab
-            if tag == "j":
-                d.set_column(lab, tgt.basis_vec(("i", S), p))
-        diffs[-p] = d
-    return CochainComplex(ext.algebra, modules, diffs)
+    if "K" not in ext._complexes:
+        depth = ext.rank + 1
+        modules = {-p: tensor_power_module(ext, p) for p in range(depth + 1)}
+        diffs = {}
+        for p in range(1, depth + 1):
+            src, tgt = modules[-p], modules[-p + 1]
+            d = LinMap(src, tgt)
+            for lab in src.labels:
+                tag, S = lab
+                if tag == "j":
+                    d.set_column(lab, tgt.basis_vec(("i", S), p))
+            diffs[-p] = d
+        ext._complexes["K"] = CochainComplex(ext.algebra, modules, diffs)
+    return ext._complexes["K"]
 
 
 def k_b_action(ext, p, b, x):
@@ -424,37 +432,34 @@ def k_b_action(ext, p, b, x):
     return M.element(terms)
 
 
+def antisymmetrize(ext, p, v):
+    """zeta's rule on the degree -p term of K: ('i', T) and ('j', T) go to
+    the sorted tuple in the same part, times the sign of the sort, and to
+    zero where T repeats an index."""
+    return ext.lam_b(p + 1).element(
+        ((tag, s[1]), c * s[0]) for (tag, T), c in v.data.items() if (s := sort_sign(T)) is not None
+    )
+
+
 def zeta(ext, K, P):
-    """Antisymmetrization K -> P: ('i', T) |-> a(T) in the pure part, etc.
+    """Antisymmetrization K -> P, flattened from antisymmetrize.
 
     Beyond degree -rank every antisymmetrization vanishes (repeated
     indices), which is why the truncation tail of K maps to zero.
     """
-
-    def component(p):
-        tgt = ext.lam_b(p + 1)
-
-        def fn(v):
-            return tgt.element(
-                ((tag, s[1]), c * s[0]) for (tag, T), c in v.data.items() if (s := sort_sign(T)) is not None
-            )
-
-        return fn
-
-    degs = [-p for p in range(ext.rank + 1)]
-    return ComplexMap.from_functions(K, P, {n: component(-n) for n in degs})
+    return ComplexMap.from_functions(K, P, {-p: partial(antisymmetrize, ext, p) for p in range(ext.rank + 1)})
 
 
 def zeta_is_b_linear(ext):
-    """zeta intertwines the module structures, exhaustively on bases."""
-    z = zeta(ext, build_k_complex(ext), build_p_complex(ext))
+    """zeta intertwines the module structures, exhaustively on bases: its
+    rule is applied to each basis vector of K and to its B-multiples."""
     for p in range(ext.rank + 1):
         M = tensor_power_module(ext, p)
         for b in ext.lam_b(1).basis():
             for x in M.basis():
-                lhs = z.apply(-p, k_b_action(ext, p, b, x))
-                rhs = ext.b_action(p + 1, b, z.apply(-p, x))
-                if not (lhs - rhs).is_zero():
+                lhs = antisymmetrize(ext, p, k_b_action(ext, p, b, x))
+                rhs = ext.b_action(p + 1, b, antisymmetrize(ext, p, x))
+                if lhs != rhs:
                     return False
     return True
 
@@ -488,7 +493,7 @@ def k_short_exact_sequences(ext):
             for T in product(range(r), repeat=p + 1):
                 acted = k_b_action(ext, p, b, M.basis_vec(("i", T)))
                 # stays in the i part and is the A-action there
-                if not (acted - M.basis_vec(("i", T), a)).is_zero():
+                if acted != M.basis_vec(("i", T), a):
                     return False
             for S in product(range(r), repeat=p):
                 acted = k_b_action(ext, p, b, M.basis_vec(("j", S)))
@@ -508,22 +513,16 @@ def compare_hkr_ac(model):
     kap = model.kappa
     if not kap.is_chain_map():
         return False
-    L, g, red_p = model.L, model.gamma, model.red_p
+    ext, L, g, red_p = model.ext, model.L, model.gamma, model.red_p
     for p in range(model.r + 1):
         for Kl in L.module(-p).labels:
             v = L.module(-p).basis_vec(Kl)
-            route1 = _reduce_k_then_antisym(kap.apply(-p, v), model.RP.module(-p))
+            # the j part of Lambda^{p+1} B is Lambda^p I, which is RP^{-p}
+            route1 = ext.split(antisymmetrize(ext, p, kap.apply(-p, v)))[1]
             route2 = red_p.apply(-p, g.apply(-p, v))
-            if not (route1 - route2).is_zero():
+            if route1 != route2:
                 return False
     return True
-
-
-def _reduce_k_then_antisym(kvec, target):
-    """j parts of a tensor-power element, antisymmetrized into Lambda^p I."""
-    return target.element(
-        (s[1], c * s[0]) for (tag, T), c in kvec.data.items() if tag == "j" and (s := sort_sign(T)) is not None
-    )
 
 
 def zeta_checks(ext, window=None):

@@ -310,6 +310,21 @@ def test_homology_is_computed_once_per_degree_and_grade():
     assert homology(C, -1) is not H
 
 
+def test_a_complex_keeps_one_view_per_window():
+    A = CoeffAlgebra.polynomial(1, 3, ("y",))
+    M0 = BasedModule(A, ("e",), "M0", (1,))
+    M1 = BasedModule(A, ("u",), "M1", (0,))
+    d = LinMap(M0, M1)
+    d.set_column("e", M1.basis_vec("u", A.gen(0)))
+    C = CochainComplex(A, {-1: M0, 0: M1}, {-1: d})
+    assert C.with_window(None) is C
+    view = C.with_window(2)
+    assert view.window == 2 and C.with_window(2) is view and view.with_window(2) is view
+    assert homology(view, -1) is homology(C.with_window(2), -1)
+    # e y^3 is a cycle only because y^4 is truncated away, and the window drops it
+    assert homology(C, -1).dim == 1 and homology(view, -1).dim == 0
+
+
 def test_solver_agrees_with_solve_vec():
     rng = random.Random(13)
     outcomes = set()

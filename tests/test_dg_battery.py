@@ -19,6 +19,7 @@ from hkrlab.chain_core import homology_dims
 from hkrlab.cli_report import SuiteConfig, _ranks, check_dg_battery, dg_battery_failure
 from hkrlab.coeff import CoeffAlgebra
 from hkrlab.extension_dg import TrivialExtension, build_extension
+from hkrlab.hkr_local import build_k_complex, zeta_checks
 
 QQ = CoeffAlgebra.rationals()
 QX2 = CoeffAlgebra.polynomial(1, 2)
@@ -143,6 +144,7 @@ def test_shared_maps_are_unchanged_by_their_callers():
     assert all(p_q_battery(ext).values())
     homology_dims(build_p_complex(ext))
     homology_dims(build_q_complex(ext))
+    assert all(zeta_checks(ext).values()) and all(zeta_checks(ext, window=3).values())
     # one trial of the comparison-wedge check
     nerve, rng = circle_nerve(), random.Random(0)
     cs = random_wedge_cochains(ext, nerve, rng)
@@ -164,3 +166,11 @@ def test_shared_maps_are_unchanged_by_their_callers():
     for k, m in ext._hat_d.items():
         assert m.cols == fresh.hat_d(k).cols
     assert ext.unit() == fresh.unit()
+    # the kept complexes and their windowed views still hold the built terms
+    for build in (build_p_complex, build_q_complex, build_k_complex):
+        kept, new = build(ext), build(fresh)
+        assert kept is build(ext) and kept.window is None
+        assert kept.with_window(3).window == 3
+        for view in (kept, kept.with_window(3)):
+            assert view.modules == new.modules
+            assert {n: d.cols for n, d in view.diffs.items()} == {n: d.cols for n, d in new.diffs.items()}

@@ -3,6 +3,7 @@
 import gc
 import json
 import random
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,13 +11,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hkrlab import chain_core
+from hkrlab.ak_complexes import build_p_complex
 from hkrlab.chain_core import ComplexMap, homology, is_quasi_iso
+from hkrlab.cli_report import SuiteConfig, run_suite
 from hkrlab.coeff import CoeffAlgebra, poly_to_string
 from hkrlab import hkr_local
-from hkrlab.extension_dg import build_extension
+from hkrlab.exterior_core import sort_sign
+from hkrlab.extension_dg import TrivialExtension, build_extension
 from hkrlab.hkr_local import (
     LocalModel,
     ModelError,
+    build_k_complex,
     compare_hkr_ac,
     cycle_class_local,
     dual_hkr_sign,
@@ -242,6 +248,103 @@ def test_zeta_checks_on_a_fresh_extension_see_a_wrong_sign(monkeypatch):
     assert zeta_checks(build_extension(QQ, 2), window=3)["chain_map"]
     monkeypatch.setattr(hkr_local, "zeta", wrong_sign)
     assert zeta_checks(build_extension(QQ, 2), window=3)["chain_map"] is False
+
+
+@pytest.fixture
+def fresh_bases(monkeypatch):
+    """Models built in the test get their own bases, with nothing kept yet."""
+    monkeypatch.setattr(hkr_local, "_BASES", weakref.WeakValueDictionary())
+
+
+def test_zeta_checks_see_the_rule_without_its_sign_on_the_i_part(monkeypatch, fresh_bases):
+    def unsigned_on_i(ext, p, v):
+        return ext.lam_b(p + 1).element(
+            ((tag, s[1]), c if tag == "i" else c * s[0])
+            for (tag, T), c in v.data.items()
+            if (s := sort_sign(T)) is not None
+        )
+
+    monkeypatch.setattr(hkr_local, "antisymmetrize", unsigned_on_i)
+    assert zeta_checks(LocalModel(1, 3, 3).ext, window=3) == {
+        "chain_map": False,
+        "quasi_iso": True,
+        "b_linear": False,
+        "augmentation": True,
+        "short_exact": True,
+    }
+
+
+def test_zeta_checks_see_a_doubled_j_part_of_the_action(monkeypatch, fresh_bases):
+    k_b_action = hkr_local.k_b_action
+
+    def doubled_j(ext, p, b, x):
+        out = k_b_action(ext, p, b, x)
+        return out + out.module.element((lab, c) for lab, c in out.data.items() if lab[0] == "j")
+
+    monkeypatch.setattr(hkr_local, "k_b_action", doubled_j)
+    model = LocalModel(1, 2, 3)
+    assert zeta_checks(model.ext, window=3) == {
+        "chain_map": True,
+        "quasi_iso": True,
+        "b_linear": False,
+        "augmentation": True,
+        "short_exact": False,
+    }
+    # kappa acts through the same action, so the two routes part
+    assert compare_hkr_ac(model) is False
+
+
+def test_gamma_checks_see_a_negated_product_of_positive_degrees(monkeypatch):
+    star = TrivialExtension.star
+
+    def negated(self, k, l, x, y):
+        out = star(self, k, l, x, y)
+        return -out if k >= 1 and l >= 1 else out
+
+    monkeypatch.setattr(TrivialExtension, "star", negated)
+    gamma = {
+        "chain_map": True,
+        "quasi_iso": True,
+        "augmentation": True,
+        "reduced_is_canonical": True,
+        "wedge_compatible": False,
+    }
+    assert LocalModel(1, 2, 3).gamma_checks() == gamma
+    # rank 1 has no product of two positive degrees, so (1, 2, 3) fails first
+    (record,) = run_suite(SuiteConfig(suite="hkr")).records
+    assert record["status"] == "fail"
+    assert record["detail"] == {"model": (1, 2, 3), "gamma": gamma}
+
+
+def test_a_model_and_zeta_checks_share_the_extensions_complexes(monkeypatch, fresh_bases):
+    seen = []
+    zeta = hkr_local.zeta
+
+    def recording(ext, K, P):
+        seen.append((K, P))
+        return zeta(ext, K, P)
+
+    calls = [0]
+    compute = chain_core._homology
+
+    def counted(C, degree, grade):
+        calls[0] += 1
+        return compute(C, degree, grade)
+
+    monkeypatch.setattr(hkr_local, "zeta", recording)
+    monkeypatch.setattr(chain_core, "_homology", counted)
+    model = LocalModel(1, 2, 3)
+    ext = model.ext
+    assert model.P is build_p_complex(ext).with_window(3)
+    assert model.K is build_k_complex(ext).with_window(3)
+    assert build_p_complex(ext).with_window(None) is build_p_complex(ext)
+    assert all(model.gamma_checks().values())
+    assert all(zeta_checks(ext, window=3).values())
+    (pair,) = seen
+    assert pair[0] is model.K and pair[1] is model.P
+    # L and P in degrees -2..0 for gamma, then K alone for zeta: P's homology
+    # is shared (a separate P for zeta made this 12)
+    assert calls[0] == 9
 
 
 def test_kappa_chain_map():
