@@ -616,7 +616,12 @@ def main(argv=None):
     )
     parser.add_argument("--suite", default="all", help=f"one of {sorted(SUITES)}")
     parser.add_argument("--max-rank", type=int, default=3)
-    parser.add_argument("--degree-bound", type=int, default=3)
+    parser.add_argument(
+        "--degree-bound",
+        type=int,
+        default=3,
+        help=f"range-checked (0..{MAX_DEGREE_BOUND}) and echoed in the report; no check reads it yet",
+    )
     parser.add_argument("--nerve", default="circle", help="library name or JSON file")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default="", help="report output path")

@@ -219,13 +219,13 @@ def test_zeta_battery_at_rank_four():
 
 def test_zeta_checks_run_once_per_window_and_return_fresh_copies(monkeypatch):
     runs = []
-    short_exact = hkr_local.k_short_exact_sequences
+    b_action_checks = hkr_local.b_action_checks
 
     def counting(ext):
         runs.append(ext)
-        return short_exact(ext)
+        return b_action_checks(ext)
 
-    monkeypatch.setattr(hkr_local, "k_short_exact_sequences", counting)
+    monkeypatch.setattr(hkr_local, "b_action_checks", counting)
     ext = build_extension(QQ, 2)
     first = zeta_checks(ext, window=3)
     second = zeta_checks(ext, window=3)
@@ -292,6 +292,39 @@ def test_zeta_checks_see_a_doubled_j_part_of_the_action(monkeypatch, fresh_bases
     }
     # kappa acts through the same action, so the two routes part
     assert compare_hkr_ac(model) is False
+
+
+def test_zeta_checks_compute_each_b_action_product_once(monkeypatch, fresh_bases):
+    calls = [0]
+    k_b_action = hkr_local.k_b_action
+
+    def counted(ext, p, b, x):
+        calls[0] += 1
+        return k_b_action(ext, p, b, x)
+
+    monkeypatch.setattr(hkr_local, "k_b_action", counted)
+    assert all(zeta_checks(LocalModel(1, 3, 3).ext, window=3).values())
+    # 4 basis elements of B times 4 + 12 + 36 + 108 basis vectors of the
+    # tensor powers (b_linear and short_exact each computing them made 1280)
+    assert calls[0] == 640
+
+
+def test_gamma_checks_and_the_route_apply_gamma_once_per_basis_vector(monkeypatch):
+    model = LocalModel(1, 3, 3)
+    applied = []
+    apply = ComplexMap.apply
+
+    def recording(self, n, vec):
+        if self is model.gamma:
+            applied.append(n)
+        return apply(self, n, vec)
+
+    monkeypatch.setattr(ComplexMap, "apply", recording)
+    assert all(model.gamma_checks().values())
+    assert compare_hkr_ac(model)
+    # 8 basis vectors e_K, plus one homology representative per degree for
+    # the quasi-isomorphism (each check applying gamma itself made 28)
+    assert len(applied) == 12
 
 
 def test_gamma_checks_see_a_negated_product_of_positive_degrees(monkeypatch):

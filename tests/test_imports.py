@@ -12,9 +12,11 @@ builds itself when it is left out (each complex has one owner that builds
 it), and only exterior_core uses factorial or permutations (every
 symmetrization and shuffle weight of the exterior algebra is written there
 once), and only rational divides with / (a coefficient may be an int, and
-int / int is a float), and the functions and classes that only tests reach
-are an exact, listed inventory (new unreachable code fails, and so does a
-listed name that gains a caller)."""
+int / int is a float), only the zeta battery's action pass and kappa call
+k_b_action (each product of the B-action on a tensor power is computed in
+one place), and the functions and classes that only tests reach are an
+exact, listed inventory (new unreachable code fails, and so does a listed
+name that gains a caller)."""
 
 import ast
 from pathlib import Path
@@ -203,6 +205,60 @@ ENTRY_READERS = {"DeltaMatrix", "delta_product"}
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_only_the_comparison_matrix_and_its_product_read_entries(path):
     assert {owner for _, owner in entry_reads(path.read_text())} <= ENTRY_READERS
+
+
+def call_sites(source, name):
+    """(line, dotted path of the enclosing classes and functions, or None) of
+    each call of a function named name in source, called by its bare name or
+    as an attribute such as hkr_local.k_b_action."""
+    sites = []
+
+    def visit(node, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, path + (child.name,))
+                continue
+            if isinstance(child, ast.Call):
+                f = child.func
+                if (isinstance(f, ast.Name) and f.id == name) or (isinstance(f, ast.Attribute) and f.attr == name):
+                    sites.append((child.lineno, ".".join(path) or None))
+            visit(child, path)
+
+    visit(ast.parse(source), ())
+    return sites
+
+
+def test_k_b_action_call_is_found():
+    source = (
+        "def k_b_action(ext, p, b, x):\n"
+        "    return x\n"
+        "class LocalModel:\n"
+        "    def kappa(self):\n"
+        "        return build(lambda p, b, x: k_b_action(self.ext, p, b, x))\n"
+        "def b_action_checks(ext):\n"
+        "    def inner(x):\n"
+        "        return hkr_local.k_b_action(ext, 0, b, x)\n"
+        "    return [k_b_action(ext, p, b, x) for x in xs], inner\n"
+        "act = k_b_action\n"
+        "y = k_b_action(ext, 1, b, x)\n"
+    )
+    assert call_sites(source, "k_b_action") == [
+        (5, "LocalModel.kappa"),
+        (8, "b_action_checks.inner"),
+        (9, "b_action_checks"),
+        (11, None),
+    ]
+
+
+# the zeta battery's one pass over the B-action products computes each
+# product b.x once for both of its verdicts, and kappa acts through the same
+# action; no other code computes a product of the action
+K_B_ACTION_CALLERS = {"b_action_checks", "LocalModel.kappa"}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_action_pass_and_kappa_call_k_b_action(path):
+    assert {owner for _, owner in call_sites(path.read_text(), "k_b_action")} <= K_B_ACTION_CALLERS
 
 
 def _is_rational_zero(node):

@@ -1,19 +1,24 @@
-"""Negative controls for the comparison-matrix verdicts: each control
-perturbs the comparison matrix the suites read, or the recursion behind the
-comparison morphism, runs the suite through run_suite and asserts a failure
-with its exact witness.  A control that still passed would show a verdict
-that cannot see the perturbation."""
+"""Negative controls for the suite verdicts: each control perturbs what a
+check reads (the comparison matrix, the recursion behind the comparison
+morphism, the local model's B-action and reductions, or the divisor class),
+runs the suite through run_suite and asserts a failure with its exact
+witness.  A control that still passed would show a verdict that cannot see
+the perturbation."""
 
 import inspect
+import weakref
 
 import pytest
 
-from hkrlab import cech_twist, cli_report
+from hkrlab import cech_twist, cli_report, hkr_local
 from hkrlab.cech_twist import cech_complex, cochain_type
-from hkrlab.chain_core import homology
+from hkrlab.chain_core import ComplexMap, homology
 from hkrlab.cli_report import SuiteConfig, run_suite
+from hkrlab.hkr_local import ModelBase
 
 delta_matrix = cli_report.delta_matrix
+divisor_class = cli_report.divisor_class
+k_b_action = hkr_local.k_b_action
 
 
 def first_record(suite, nerve):
@@ -91,3 +96,61 @@ def test_plus_cup_signs_escape_comparison_wedge_on_the_circle(monkeypatch):
     # mutation passes there; the sphere2 control above is what catches it
     monkeypatch.setattr(cech_twist, "eta_recursion", eta_recursion_with_plus_signs())
     assert first_record("comparison_wedge", "circle")["status"] == "pass"
+
+
+@pytest.fixture
+def fresh_bases(monkeypatch):
+    """Local models built in the test get their own bases, with no complex,
+    map or zeta verdict kept from an earlier test."""
+    monkeypatch.setattr(hkr_local, "_BASES", weakref.WeakValueDictionary())
+
+
+def test_a_doubled_j_part_of_the_action_fails_hkr_maps(monkeypatch, fresh_bases):
+    def doubled_j(ext, p, b, x):
+        out = k_b_action(ext, p, b, x)
+        return out + out.module.element((lab, c) for lab, c in out.data.items() if lab[0] == "j")
+
+    monkeypatch.setattr(hkr_local, "k_b_action", doubled_j)
+    record = first_record("hkr", "circle")
+    assert record["status"] == "fail"
+    assert record["detail"] == {
+        "model": (1, 1, 3),
+        "zeta": {"chain_map": True, "quasi_iso": True, "b_linear": False, "augmentation": True, "short_exact": False},
+    }
+
+
+@pytest.mark.parametrize(
+    "perturb, witness",
+    [
+        (lambda q0, q1: (2 * q0, q1), {"divisor_case": "zero", "q0": "2"}),
+        (lambda q0, q1: (q0, q1.scale(0)), {"divisor_case": "generator", "q0": "1"}),
+    ],
+    ids=["doubled-q0", "zero-q1"],
+)
+def test_a_perturbed_divisor_class_fails_cycle_class(monkeypatch, perturb, witness):
+    monkeypatch.setattr(cli_report, "divisor_class", lambda nerve, delta_in: perturb(*divisor_class(nerve, delta_in)))
+    record = first_record("cycle_class", "circle")
+    assert record["status"] == "fail"
+    assert record["detail"] == witness
+
+
+def doubled(name):
+    """The ModelBase map `name` with every column doubled, rebuilt on each
+    read, so no model keeps the unperturbed map."""
+    build = getattr(ModelBase, name).func
+
+    def twice(base):
+        f = build(base)
+        cols = {n: [{t: 2 * c for t, c in col.items()} for col in cols] for n, cols in f.cols.items()}
+        return ComplexMap(f.source, f.target, cols)
+
+    return property(twice)
+
+
+@pytest.mark.parametrize("reduction", ["red_l", "red_p"])
+def test_a_doubled_reduction_fails_cycle_class(monkeypatch, fresh_bases, reduction):
+    monkeypatch.setattr(ModelBase, reduction, doubled(reduction))
+    record = first_record("cycle_class", "circle")
+    assert record["status"] == "fail"
+    # the reduced route is twice the inclusion of A in degree 0
+    assert record["detail"]["exception"].startswith("ModelError(")
