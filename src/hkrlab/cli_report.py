@@ -248,20 +248,15 @@ def dg_battery_failure(ext):
     """The first failing claim of the dg battery on one extension, else None.
 
     On the label x monomial basis of every degree: the split product against
-    its defining formula, Leibniz and associativity, then d o d = 0.
+    its defining formula, Leibniz and associativity, then d o d = 0.  One
+    product table serves every block of the extension and is dropped when
+    this call returns.
     """
-    algebra, r = ext.algebra, ext.rank
-    basis = {}
-    for k in range(r + 1):
-        M = ext.lam_b(k + 1)
-        basis[k] = [
-            _keyed(M.basis_vec(lab, algebra.monomial(mono)))
-            for lab in M.labels
-            for mono in algebra.monomials
-        ]
+    r = ext.rank
+    table = _ProductTable(ext)
     for k in range(r + 1):
         for l in range(r + 1 - k):
-            claim = _dg_block_failure(ext, basis, k, l)
+            claim = _dg_block_failure(table, k, l)
             if claim is not None:
                 return {"claim": claim, "rank": r}
     for k in range(1, r + 1):
@@ -270,51 +265,89 @@ def dg_battery_failure(ext):
     return None
 
 
-def _keyed(v):
-    """v with its exact contents as a dict key: each label with its Poly terms."""
-    return v, frozenset((lab, frozenset(c.terms.items())) for lab, c in v.data.items())
+class _ProductTable:
+    """The dg battery's operands, products and differentials on one extension.
 
+    Every operand and product is interned to an int id keyed by its exact
+    contents: the module, then each label with its Poly terms.  A Vec stores
+    no zero coefficient, so equal ids mean equal Vecs.  A product
+    ext.star(k1, l1, u, v) is computed once and stored under
+    (k1, l1, id u, id v): it is read back only for the very operands it was
+    computed on, never derived by linearity.
+    """
 
-def _dg_block_failure(ext, basis, k, l):
-    """The first claim that fails for x of degree k and y of degree l, else
-    None; basis holds the keyed basis of each degree."""
-    # Products are kept for this block only, keyed by the degrees and the
-    # exact operands: a product is read back only for the very operands it
-    # was computed on, never derived by linearity.
-    products = {}
+    def __init__(self, ext):
+        self.ext = ext
+        self.vecs = []  # id -> Vec
+        self._ids = {}  # exact contents -> id
+        self._products = {}  # (k1, l1, id u, id v) -> id of u*v
+        self._hat_d = {}  # id u -> id of hat_d(k) u, k the degree of u
+        self._rows = {}  # (m, id u) -> [id of u*z for z in basis[m]]
+        algebra = ext.algebra
+        # k -> ids of the label x monomial basis of degree k
+        self.basis = {}
+        for k in range(ext.rank + 1):
+            M = ext.lam_b(k + 1)
+            self.basis[k] = [
+                self.intern(M.basis_vec(lab, algebra.monomial(mono)))
+                for lab in M.labels
+                for mono in algebra.monomials
+            ]
 
-    def star(k1, l1, u, v):
-        key = (k1, l1, u[1], v[1])
-        uv = products.get(key)
+    def intern(self, v):
+        key = (v.module, frozenset((lab, frozenset(c.terms.items())) for lab, c in v.data.items()))
+        i = self._ids.get(key)
+        if i is None:
+            i = self._ids[key] = len(self.vecs)
+            self.vecs.append(v)
+        return i
+
+    def star(self, k1, l1, u, v):
+        key = (k1, l1, u, v)
+        uv = self._products.get(key)
         if uv is None:
-            uv = products[key] = ext.star(k1, l1, u[0], v[0])
+            uv = self._products[key] = self.intern(self.ext.star(k1, l1, self.vecs[u], self.vecs[v]))
         return uv
 
-    r = ext.rank
-    dk, dl, dkl = ext.hat_d(k), ext.hat_d(l), ext.hat_d(k + l)
+    def hat_d(self, k, u):
+        du = self._hat_d.get(u)
+        if du is None:
+            du = self._hat_d[u] = self.intern(self.ext.hat_d(k).apply(self.vecs[u]))
+        return du
+
+    def row(self, k1, m, u):
+        """[u*z for z in basis[m]] as ids, u of degree k1."""
+        row = self._rows.get((m, u))
+        if row is None:
+            row = self._rows[m, u] = [self.star(k1, m, u, z) for z in self.basis[m]]
+        return row
+
+
+def _dg_block_failure(table, k, l):
+    """The first claim that fails for x of degree k and y of degree l, else None.
+
+    Leibniz reads each operand's hat_d image once, by id; associativity
+    compares, for each (x, y, m), the row [xy*z for z] with [x*(yz) for z].
+    """
+    ext, vecs, star, hat_d = table.ext, table.vecs, table.star, table.hat_d
+    xs, ys = table.basis[k], table.basis[l]
     zero = ext.lam_b(k + l).zero()
-    dys = [_keyed(dl.apply(y)) for y, _ in basis[l]]
-    # y z for every basis pair the associativity check reaches
-    yzs = {
-        m: [[_keyed(star(l, m, y, z)) for z in basis[m]] for y in basis[l]]
-        for m in range(r + 1 - k - l)
-    }
-    for x in basis[k]:
-        dx = _keyed(dk.apply(x[0]))
-        for yi, y in enumerate(basis[l]):
+    sign = (-1) ** k
+    degrees = range(ext.rank + 1 - k - l)
+    formula = ext.star_abstract(k, l, [vecs[x] for x in xs], [vecs[y] for y in ys])
+    for x, x_formula in zip(xs, formula):
+        for y, xy_formula in zip(ys, x_formula):
             xy = star(k, l, x, y)
-            if xy != ext.star_abstract(k, l, x[0], y[0]):
+            if vecs[xy] != xy_formula:
                 return "split product"
-            rhs = star(k - 1, l, dx, y) if k else zero
+            rhs = vecs[star(k - 1, l, hat_d(k, x), y)] if k else zero
             if l:
-                rhs = rhs + star(k, l - 1, x, dys[yi]).scale((-1) ** k)
-            if dkl.apply(xy) != rhs:
+                rhs = rhs + vecs[star(k, l - 1, x, hat_d(l, y))].scale(sign)
+            if vecs[hat_d(k + l, xy)] != rhs:
                 return "Leibniz"
-            xy = _keyed(xy)
-            for m, yz in yzs.items():
-                for z, y_z in zip(basis[m], yz[yi]):
-                    if star(k + l, m, xy, z) != star(k, l + m, x, y_z):
-                        return "associativity"
+            for m in degrees:
+                if table.row(k + l, m, xy) != [star(k, l + m, x, yz) for yz in table.row(l, m, y)]:
+                    return "associativity"
     return None
 
 

@@ -227,20 +227,29 @@ class TrivialExtension:
                     terms.append(((tag, m[1]), a * b if sign * m[0] > 0 else -(a * b)))
         return _vec(self.lam_b(k + l + 1), _accumulate({}, terms))
 
-    def star_abstract(self, k, l, x, y):
-        """The defining formula a*a' = a.da' + (-1)^{|a|+1} da.a' + (-1)^{|a|} da.1_B.da'.
+    def star_abstract(self, k, l, xs, ys):
+        """The defining formula a*a' = a.da' + (-1)^{|a|+1} da.a' + (-1)^{|a|} da.1_B.da'
+        for every a in xs and a' in ys: one row [a*a' for a' in ys] per a.
 
         Here |a| is the degree in the unshifted exterior algebra (k+1 for an
         element of the degree-k shifted piece) and the products are wedges in
-        Lambda B.  Used to cross-validate the split form of star().
+        Lambda B.  da and da.1_B are computed once per a and da' once per a'.
+        Used to cross-validate the split form of star().
         """
-        da = self.d(k + 1).apply(x)
-        db = self.d(l + 1).apply(y)
-        one = self.unit()
-        term1 = self.wedge_b(x, db)
-        term2 = self.wedge_b(da, y).scale((-1) ** k)
-        term3 = self.wedge_b(self.wedge_b(da, one), db).scale((-1) ** (k + 1))
-        return term1 + term2 + term3
+        dk, dl, one = self.d(k + 1), self.d(l + 1), self.unit()
+        dys = [dl.apply(y) for y in ys]
+        sign = (-1) ** k
+        rows = []
+        for x in xs:
+            dx = dk.apply(x)
+            dx_one = self.wedge_b(dx, one)
+            rows.append(
+                [
+                    self.wedge_b(x, dy) + self.wedge_b(dx, y).scale(sign) + self.wedge_b(dx_one, dy).scale(-sign)
+                    for y, dy in zip(ys, dys)
+                ]
+            )
+        return rows
 
     def b_action(self, k, b, x):
         """Module action of B on Lambda^k B: (i,a)*(i1,j1) = (a i1 + i^j1, a j1)."""

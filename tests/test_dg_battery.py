@@ -1,6 +1,11 @@
-"""The dg battery: its product memo against a plain reference loop, the
-negative controls it must catch, and the differentials each extension
-builds once and shares."""
+"""The dg battery: its product table against a plain reference loop, the
+negative controls it must catch, how often it computes a product and a
+wedge, and the differentials each extension builds once and shares.
+
+The controls reach the split product, associativity and Leibniz claims.
+None reaches "square-zero differential": that check reads only hat_d, and
+once Leibniz holds on the bases, hat_d is a derivation of an algebra that
+degrees 0 and 1 generate, which makes d o d = 0 follow."""
 
 import random
 
@@ -52,7 +57,8 @@ def reference_dg_battery(config):
                         dx = dk.apply(x)
                         for yi, y in enumerate(basis[l]):
                             xy = ext.star(k, l, x, y)
-                            if not (xy - ext.star_abstract(k, l, x, y)).is_zero():
+                            [[xy_formula]] = ext.star_abstract(k, l, [x], [y])
+                            if not (xy - xy_formula).is_zero():
                                 return "fail", {"claim": "split product", "rank": r}
                             lhs = dkl.apply(xy)
                             rhs = ext.star(k - 1, l, dx, y) if k else ext.lam_b(k + l).zero()
@@ -94,40 +100,68 @@ def _doubled_off_basis_at_two(star):
     return mutated
 
 
+def _hat_d_doubled_at_one(hat_d):
+    def mutated(self, k):
+        m = hat_d(self, k)
+        return m.scale(2) if k == 1 else m
+
+    return mutated
+
+
+# name -> (the TrivialExtension method mutated, the mutation, the witness)
 CONTROLS = {
-    "negated at (1, 1)": (_negated_at_one_one, {"claim": "split product", "rank": 2}),
-    "doubled off the basis at k = 2": (_doubled_off_basis_at_two, {"claim": "associativity", "rank": 2}),
+    "negated at (1, 1)": ("star", _negated_at_one_one, {"claim": "split product", "rank": 2}),
+    "doubled off the basis at k = 2": ("star", _doubled_off_basis_at_two, {"claim": "associativity", "rank": 2}),
+    "hat_d doubled at k = 1": ("hat_d", _hat_d_doubled_at_one, {"claim": "Leibniz", "rank": 2}),
 }
+
+
+def _mutate(monkeypatch, name):
+    method, mutation, _ = CONTROLS[name]
+    monkeypatch.setattr(TrivialExtension, method, mutation(getattr(TrivialExtension, method)))
 
 
 @pytest.mark.parametrize("name", sorted(CONTROLS))
 def test_the_battery_catches_a_mutated_product(monkeypatch, name):
-    mutation, detail = CONTROLS[name]
-    monkeypatch.setattr(TrivialExtension, "star", mutation(TrivialExtension.star))
-    assert check_dg_battery(SuiteConfig()) == ("fail", detail)
+    _mutate(monkeypatch, name)
+    assert check_dg_battery(SuiteConfig()) == ("fail", CONTROLS[name][2])
 
 
 @pytest.mark.parametrize("name", [None] + sorted(CONTROLS))
 def test_the_memo_gives_the_reference_verdict(monkeypatch, name):
     if name is not None:
-        mutation, _ = CONTROLS[name]
-        monkeypatch.setattr(TrivialExtension, "star", mutation(TrivialExtension.star))
+        _mutate(monkeypatch, name)
     config = SuiteConfig()
     assert check_dg_battery(config) == reference_dg_battery(config)
 
 
-def test_the_battery_computes_each_product_about_once(monkeypatch):
+def _counted(monkeypatch, method):
+    """Count the calls of one TrivialExtension method."""
     calls = [0]
-    star = TrivialExtension.star
+    f = getattr(TrivialExtension, method)
 
-    def counted(self, k, l, x, y):
+    def counted(self, *args):
         calls[0] += 1
-        return star(self, k, l, x, y)
+        return f(self, *args)
 
-    monkeypatch.setattr(TrivialExtension, "star", counted)
+    monkeypatch.setattr(TrivialExtension, method, counted)
+    return calls
+
+
+def test_the_battery_computes_each_product_about_once(monkeypatch):
+    calls = _counted(monkeypatch, "star")
     assert check_dg_battery(SuiteConfig()) == ("pass", {"ranks": [1, 2, 3]})
-    # the reference loop makes 122,692 calls here
-    assert calls[0] <= 16000
+    # one call per distinct (k, l, x, y); the reference loop makes 122,692
+    # calls here
+    assert calls[0] == 5532
+
+
+def test_the_defining_formula_builds_each_operands_pieces_once_per_block(monkeypatch):
+    calls = _counted(monkeypatch, "wedge_b")
+    assert check_dg_battery(SuiteConfig()) == ("pass", {"ranks": [1, 2, 3]})
+    # three wedges per pair and d(x) ^ 1_B once per x of each block: 2,380
+    # pairs and 256 (block, x)
+    assert calls[0] == 7396
 
 
 def test_differentials_are_built_once_and_shared():

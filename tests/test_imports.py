@@ -14,7 +14,8 @@ symmetrization and shuffle weight of the exterior algebra is written there
 once), and only rational divides with / (a coefficient may be an int, and
 int / int is a float), only the zeta battery's action pass and kappa call
 k_b_action (each product of the B-action on a tensor power is computed in
-one place), and the functions and classes that only tests reach are an
+one place), only TrivialExtension.star_abstract calls wedge_b (the defining
+formula of the shifted product has one home), and the functions and classes that only tests reach are an
 exact, listed inventory (new unreachable code fails, and so does a listed
 name that gains a caller)."""
 
@@ -259,6 +260,33 @@ K_B_ACTION_CALLERS = {"b_action_checks", "LocalModel.kappa"}
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_only_the_action_pass_and_kappa_call_k_b_action(path):
     assert {owner for _, owner in call_sites(path.read_text(), "k_b_action")} <= K_B_ACTION_CALLERS
+
+
+def test_wedge_b_call_is_found():
+    source = (
+        "class TrivialExtension:\n"
+        "    def star_abstract(self, k, l, xs, ys):\n"
+        "        return [[self.wedge_b(x, y) for y in ys] for x in xs]\n"
+        "def battery(ext):\n"
+        "    wedge = ext.wedge_b\n"
+        "    return wedge_b(u, v), ext.wedge_b(ext.wedge_b(u, v), w)\n"
+    )
+    assert call_sites(source, "wedge_b") == [
+        (3, "TrivialExtension.star_abstract"),
+        (6, "battery"),
+        (6, "battery"),
+        (6, "battery"),
+    ]
+
+
+# the defining formula of the shifted product is written once, in
+# star_abstract; no other code wedges in Lambda B
+WEDGE_B_CALLERS = {("extension_dg.py", "TrivialExtension.star_abstract")}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_defining_formula_calls_wedge_b(path):
+    assert {(path.name, owner) for _, owner in call_sites(path.read_text(), "wedge_b")} <= WEDGE_B_CALLERS
 
 
 def _is_rational_zero(node):
