@@ -8,9 +8,11 @@ realized on the terms Lambda^q B in degree -q via the pairing
     (u, v) |-> { (i, j) |-> j ^ u + (-1)^p i ^ v },
 
 under which the differential becomes -(r-q+1) d_q (an exact matrix
-identity, kept as a certificate).  Q resolves theta placed in degree -r;
-the coaugmentation is the top Koszul differential, i.e. in split form the
-inclusion of theta = Lambda^r I into Lambda^r B.
+identity, kept as a certificate: q_realization_identity checks that the
+pairings are an invertible map of complexes Q -> hom_complex(P, theta[r])).
+Q resolves theta placed in degree -r; the coaugmentation is the top Koszul
+differential, i.e. in split form the inclusion of theta = Lambda^r I into
+Lambda^r B.
 
 The product P (x) Q -> Q is the shifted algebra product
 TrivialExtension.star, on P^{-l} (x) Q^{-q} = Lambda^{l+1} B (x) Lambda^q B
@@ -24,6 +26,7 @@ from fractions import Fraction
 from .chain_core import (
     CochainComplex,
     ComplexMap,
+    hom_complex,
     hom_module,
     is_quasi_iso,
     single_module_complex,
@@ -32,7 +35,7 @@ from .chain_core import (
 from .coeff import CoeffAlgebra
 from .exterior_core import merge_wedge
 from .extension_dg import TrivialExtension, shifted_complex
-from .modules import BasedModule, LinMap, QBasis, flatten_linmap
+from .modules import BasedModule, LinMap
 from . import rational as ql
 
 
@@ -114,52 +117,22 @@ def q_pairing(ext, p):
 
 
 def q_realization_identity(ext):
-    """Certificate: (-1)^r times the Hom differential of P equals the
-    realized -(p+1) d_{r-p} under the pairing, and the pairings are
-    invertible.  Exact matrix identities."""
+    """Certificate: the pairings q_pairing(ext, p), p = 0..r, are the degrees
+    of one map of complexes from Q to Hom_A(P, theta[r]) with its Hom
+    differential rescaled by (-1)^r, and each degree is invertible.  So Q's
+    realized differential -(p+1) d_{r-p} is the transported Hom
+    differential.  Exact matrix identities, read off Q itself."""
     r = ext.rank
-    P = build_p_complex(ext)
-    # transport the Hom differential through both pairings and compare it
-    # with the realized differential
-    for p in range(r):
-        phi_src = q_pairing(ext, p)       # L^{r-p} B -> Hom(L^{p+1} B, th)
-        phi_tgt = q_pairing(ext, p + 1)   # L^{r-p-1} B -> Hom(L^{p+2} B, th)
-        for phi in (phi_src, phi_tgt):
-            sb, tb = QBasis(phi.source), QBasis(phi.target)
-            if ql.inverse(flatten_linmap(phi, sb, tb), tb.dim) is None:
-                return False
-        # Hom differential on f in Hom(P^{-(p+1)}, theta[r]):
-        # (-1)^r * [ -(-1)^{deg f} f o d_P ], deg f = p - r; the relevant
-        # d_P is (p+1) d_{p+2}: P^{-(p+1)} -> P^{-p}
-        dP = P.diff(-(p + 1))
-        realized = ext.d(r - p).scale(-(p + 1))  # L^{r-p} B -> L^{r-p-1} B
-        sign = (-1) ** r * -((-1) ** ((p - r) % 2))
-        # check: sign * (phi_src(u,v) o dP) == phi_tgt(realized(u,v)) for all columns
-        for lab in ext.lam_b(r - p).labels:
-            f = phi_src.apply(ext.lam_b(r - p).basis_vec(lab))
-            lhs = _precompose(ext, f, dP).scale(sign)
-            rhs = phi_tgt.apply(realized.apply(ext.lam_b(r - p).basis_vec(lab)))
-            if not (lhs - rhs).is_zero():
-                return False
-    return True
+    theta = single_module_complex(ext.algebra, theta_module(ext), -r)
+    hom = hom_complex(build_p_complex(ext), theta).scale_diff((-1) ** r)
 
+    def component(p):
+        # Hom's degree p - r is the one spot (-p, .): maps out of P^{-p}
+        phi, H = q_pairing(ext, p), hom.module(p - r)
+        return lambda v: H.element(((-p, lab), c) for lab, c in phi.apply(v).data.items())
 
-def _precompose(ext, hom_vec, dmap):
-    """(f o d) for f a Hom(L^{p+1}B, theta) element, d into L^{p+1}B."""
-    theta_lab = tuple(range(ext.rank))
-    arg = dmap.source
-    hom = hom_module(arg, theta_module(ext))
-    terms = []
-    for src_lab in arg.labels:
-        img = dmap.apply(arg.basis_vec(src_lab))
-        acc = None
-        for (alab, _), c in hom_vec.data.items():
-            cc = img.coeff(alab) * c
-            if not cc.is_zero():
-                acc = cc if acc is None else acc + cc
-        if acc is not None:
-            terms.append(((src_lab, theta_lab), acc))
-    return hom.element(terms)
+    F = ComplexMap.from_functions(build_q_complex(ext), hom, {p - r: component(p) for p in range(r + 1)})
+    return F.is_chain_map() and all(ql.inverse(F.columns(n), hom.flat(n).dim) is not None for n in F.cols)
 
 
 def hat_star_is_chain_map(ext):

@@ -1152,7 +1152,7 @@ def divisor_class(nerve, delta_cochain):
         raise StructuralError("unit section is not a cocycle")
     v2 = W2.flat(0).flatten(G1.apply(0, w))
     # solve G2(u) + d(h) = v2
-    sol = ql.solve(G2.cols[0] + W2.qdiff(-1), W2.flat(0).dim, v2)
+    sol = ql.Solver(G2.cols[0] + W2.qdiff(-1), W2.flat(0).dim).solve(v2)
     if sol is None:
         raise StructuralError("comparison system is not solvable")
     u = [sol.get(k, ql.ZERO) for k in range(W3.flat(0).dim)]

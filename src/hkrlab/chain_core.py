@@ -22,8 +22,9 @@ by basis vectors of total grade <= w (label grade plus monomial degree).
 Every flattened differential (CochainComplex.qdiff) and every degree of a
 map of complexes (ComplexMap.columns) is kept as the sparse columns that
 modules.flatten_map returns; maps are applied, composed and chain-checked
-on them, and homology, solves, ranks and inverses hand them to
-``rational`` as they are.
+on them, and homology, ranks and inverses hand them to ``rational`` as
+they are.  A solve against a differential (is this a boundary?) asks the
+complex's ``qsolver``: one ``rational.Solver`` per degree, reduced once.
 """
 
 from __future__ import annotations

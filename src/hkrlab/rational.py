@@ -12,9 +12,11 @@ of a twist family and the components of the comparison morphism are held
 in it.  ``compose_columns`` multiplies matrices (``ComplexMap.is_chain_map``,
 ``cech_twist.is_cocycle`` and the comparison morphism's chain-map check
 ``cech_twist.t_chain_check`` compare products this way); ``rref``, ``rank``,
-``nullspace``, ``solve``, ``Solver`` and ``inverse`` take (cols, nrows), and
-solutions, kernels and inverses come back as sparse columns.  Every elimination is one ``rref``,
-a Gauss-Jordan reduction on sparse rows.  Sizes in this package are small
+``nullspace``, ``Solver`` and ``inverse`` take (cols, nrows), and
+solutions, kernels and inverses come back as sparse columns.  ``Solver`` is
+the one solve: a system is reduced once and each right-hand side is a
+sparse product, never a column stacked into a new elimination.  Every
+elimination is one ``rref``, a Gauss-Jordan reduction on sparse rows.  Sizes in this package are small
 (a few hundred rows at most), so it is fast enough and keeps everything
 exact.
 """
@@ -118,16 +120,6 @@ def nullspace(cols, nrows):
                 v[p] = -c
         basis.append(v)
     return basis
-
-
-def solve(cols, nrows, b):
-    """The solution of A x = b whose free variables are zero, for a sparse
-    column b, as a sparse column; None if b is not in the column span."""
-    m = len(cols)
-    rows, pivots = rref(cols + [b], nrows)
-    if pivots and pivots[-1] == m:
-        return None
-    return {p: row[m] for row, p in zip(rows, pivots) if m in row}
 
 
 class Solver:

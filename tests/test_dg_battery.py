@@ -59,20 +59,22 @@ def reference_dg_battery(config):
                             xy = ext.star(k, l, x, y)
                             [[xy_formula]] = ext.star_abstract(k, l, [x], [y])
                             if not (xy - xy_formula).is_zero():
-                                return "fail", {"claim": "split product", "rank": r}
+                                return "fail", {"claim": "split product", "rank": r, "algebra": repr(algebra)}
                             lhs = dkl.apply(xy)
                             rhs = ext.star(k - 1, l, dx, y) if k else ext.lam_b(k + l).zero()
                             if l:
                                 rhs = rhs + ext.star(k, l - 1, x, dl.apply(y)).scale((-1) ** k)
                             if not (lhs - rhs).is_zero():
-                                return "fail", {"claim": "Leibniz", "rank": r}
+                                return "fail", {"claim": "Leibniz", "rank": r, "algebra": repr(algebra)}
                             for m in range(r + 1 - k - l):
                                 for z, y_z in zip(basis[m], yz[l, m][yi]):
                                     if not (ext.star(k + l, m, xy, z) - ext.star(k, l + m, x, y_z)).is_zero():
-                                        return "fail", {"claim": "associativity", "rank": r}
+                                        where = {"rank": r, "algebra": repr(algebra)}
+                                        return "fail", {"claim": "associativity", **where}
             for k in range(1, r + 1):
                 if not ext.hat_d(k - 1).compose(ext.hat_d(k)).is_zero():
-                    return "fail", {"claim": "square-zero differential", "rank": r, "degree": k}
+                    where = {"rank": r, "degree": k, "algebra": repr(algebra)}
+                    return "fail", {"claim": "square-zero differential", **where}
     return "pass", {"ranks": ranks}
 
 
@@ -110,9 +112,13 @@ def _hat_d_doubled_at_one(hat_d):
 
 # name -> (the TrivialExtension method mutated, the mutation, the witness)
 CONTROLS = {
-    "negated at (1, 1)": ("star", _negated_at_one_one, {"claim": "split product", "rank": 2}),
-    "doubled off the basis at k = 2": ("star", _doubled_off_basis_at_two, {"claim": "associativity", "rank": 2}),
-    "hat_d doubled at k = 1": ("hat_d", _hat_d_doubled_at_one, {"claim": "Leibniz", "rank": 2}),
+    "negated at (1, 1)": ("star", _negated_at_one_one, {"claim": "split product", "rank": 2, "algebra": "Q"}),
+    "doubled off the basis at k = 2": (
+        "star",
+        _doubled_off_basis_at_two,
+        {"claim": "associativity", "rank": 2, "algebra": "Q[x1]<=2"},
+    ),
+    "hat_d doubled at k = 1": ("hat_d", _hat_d_doubled_at_one, {"claim": "Leibniz", "rank": 2, "algebra": "Q"}),
 }
 
 

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hkrlab import chain_core
+from hkrlab import rational as ql
 from hkrlab.ak_complexes import build_p_complex
 from hkrlab.chain_core import ComplexMap, homology, is_quasi_iso
 from hkrlab.cli_report import SuiteConfig, run_suite
@@ -492,6 +493,22 @@ def test_dual_hkr_sign_rank_four():
     out = dual_hkr_sign(4)
     assert out["ok"], out["claims"]
     assert out["signs"] == [1, -1, -1, 1, 1]
+
+
+def test_the_chase_asks_one_solver_per_degree(monkeypatch):
+    calls = [0]
+    rref = ql.rref
+
+    def counted(*args):
+        calls[0] += 1
+        return rref(*args)
+
+    monkeypatch.setattr(ql, "rref", counted)
+    assert dual_hkr_sign(3)["ok"]
+    # two per homology of the four chase degrees, eleven for the kernel and
+    # projector claims, and one boundary solver per chase degree; solving
+    # each system by stacking its right-hand side made 34
+    assert calls[0] == 23
 
 
 def test_dual_hkr_sign_rejects_rank_five():

@@ -15,9 +15,9 @@ once), and only rational divides with / (a coefficient may be an int, and
 int / int is a float), only the zeta battery's action pass and kappa call
 k_b_action (each product of the B-action on a tensor power is computed in
 one place), only TrivialExtension.star_abstract calls wedge_b (the defining
-formula of the shifted product has one home), and the functions and classes that only tests reach are an
-exact, listed inventory (new unreachable code fails, and so does a listed
-name that gains a caller)."""
+formula of the shifted product has one home), and the functions, classes
+and methods that only tests reach are an exact, listed inventory (new
+unreachable code fails, and so does a listed name that gains a caller)."""
 
 import ast
 from pathlib import Path
@@ -484,47 +484,77 @@ def test_only_rational_divides(path):
     assert true_divisions(path.read_text()) == []
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _owned_nodes(tree):
+    """{owner: the nodes it owns} of a module's tree.  An owner is a
+    top-level function or class, a method of a top-level class as
+    "Class.method", or None for module-level code.  A dunder method, which
+    Python calls implicitly, belongs to its class."""
+    owned = {None: []}
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            rest = []
+            for item in node.body:
+                if isinstance(item, FUNCTIONS) and not (item.name.startswith("__") and item.name.endswith("__")):
+                    owned[f"{node.name}.{item.name}"] = [item]
+                else:
+                    rest.append(item)
+            owned[node.name] = node.decorator_list + node.bases + node.keywords + rest
+        elif isinstance(node, FUNCTIONS):
+            owned[node.name] = [node]
+        else:
+            owned[None].append(node)
+    return owned
+
+
 def _reads_by_owner(source):
-    """{owner: names read} of source, where owner is the top-level function
-    or class around the read (None at module level) and a name is read as a
-    bare name or as an attribute, such as ql.solve or self.helper."""
+    """{owner: reads} of source, owners as _owned_nodes gives them.  A bare
+    name is read as "name" and an attribute, such as ql.rref or
+    self.helper, as ".rref" or ".helper"."""
     reads = {}
-
-    def visit(node, owner):
-        for child in ast.iter_child_nodes(node):
-            inner = owner
-            if owner is None and isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                inner = child.name
-            if isinstance(child, ast.Name):
-                reads.setdefault(inner, set()).add(child.id)
-            elif isinstance(child, ast.Attribute):
-                reads.setdefault(inner, set()).add(child.attr)
-            visit(child, inner)
-
-    visit(ast.parse(source), None)
+    for owner, nodes in _owned_nodes(ast.parse(source)).items():
+        names = reads[owner] = set()
+        for sub in (sub for node in nodes for sub in ast.walk(node)):
+            if isinstance(sub, ast.Name):
+                names.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                names.add("." + sub.attr)
     return reads
 
 
 def unreached_definitions(sources, roots=()):
     """Sorted (module, name) of each top-level function or class of sources,
-    {module: source text}, that nothing reaches: no module-level code and no
-    definition already reached reads its name, and it is not one of roots.
-    An import alone is no read; a definition does not reach itself."""
-    defined = {}
-    edges = {}
+    {module: source text}, and each method ("Class.method") of a reached
+    top-level class, that nothing reaches.  A function or class is reached
+    when module-level code, a reached definition or roots (reads as
+    _reads_by_owner gives them) reads its name, bare or as an attribute; a
+    method of a reached class is reached when its name is read as an
+    attribute.  An import alone is no read; a definition does not reach
+    itself."""
+    edges, module_of = {}, {}
     for module, source in sources.items():
-        for node in ast.parse(source).body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defined[node.name] = module
         for owner, names in _reads_by_owner(source).items():
             edges.setdefault(owner, set()).update(names)
-    reached = set()
-    todo = [None, *roots]
-    while todo:
-        owner = todo.pop()
-        reached.add(owner)
-        todo += [n for n in edges.get(owner, ()) if n in defined and n not in reached and n not in todo]
-    return sorted((module, name) for name, module in defined.items() if name not in reached)
+            if owner is not None:
+                module_of[owner] = module
+
+    def reachable(d, read, reached):
+        cls, _, method = d.rpartition(".")
+        if cls:
+            return cls in reached and "." + method in read
+        return d in read or "." + d in read
+
+    reached, new = set(), {None}
+    read = set(roots)
+    while new:
+        reached |= new
+        read = read.union(*(edges.get(owner, ()) for owner in new))
+        new = {d for d in module_of if d not in reached and reachable(d, read, reached)}
+    return sorted(
+        (module, d) for d, module in module_of.items() if d not in reached and d.rpartition(".")[0] in reached | {""}
+    )
 
 
 def test_unreached_definition_is_found():
@@ -533,33 +563,44 @@ def test_unreached_definition_is_found():
             "def used():\n"
             "    return helper()\n"
             "def helper():\n"
-            "    return 1\n"
+            "    return Box().get()\n"
             "def orphan():\n"
             "    return ql.inner()\n"
             "def inner():\n"
             "    return 2\n"
             "class Box:\n"
+            "    def __init__(self):\n"
+            "        self.v = boxed()\n"
             "    def get(self):\n"
-            "        return boxed()\n"
+            "        return self.v\n"
+            "    def unused(self):\n"
+            "        return self.unused()\n"
+            "class Crate:\n"
+            "    def open(self):\n"
+            "        return 3\n"
             "def boxed():\n"
-            "    return 3\n"
+            "    return 4\n"
             "TABLE = {'used': used}\n"
         ),
-        "b.py": "from .a import orphan\ndef recursive():\n    return recursive()\n",
+        # a bare name is no method call: it reaches no Box.unused
+        "b.py": "from .a import orphan\nfrom .c import unused\nunused()\ndef recursive():\n    return recursive()\n",
     }
+    # Crate.open goes with Crate, which nothing reaches
     assert unreached_definitions(sources) == [
-        ("a.py", "Box"),
-        ("a.py", "boxed"),
+        ("a.py", "Box.unused"),
+        ("a.py", "Crate"),
         ("a.py", "inner"),
         ("a.py", "orphan"),
         ("b.py", "recursive"),
     ]
-    assert unreached_definitions(sources, roots={"orphan", "Box"}) == [("b.py", "recursive")]
+    roots = {".orphan", "Crate", ".open", ".unused"}
+    assert unreached_definitions(sources, roots=roots) == [("b.py", "recursive")]
 
 
-# The functions and classes that no code of the package reaches (verify
-# itself starts from cli_report's module-level code): tests are their only
-# callers.  Give one a suite or delete it, and take it off this list.
+# The functions, classes and methods that no code of the package reaches
+# (verify itself starts from cli_report's module-level code): tests are
+# their only callers.  A method of a listed class goes with its class.  Give
+# one a suite or delete it, and take it off this list.
 TEST_ONLY = [
     ("cech_twist.py", "_linmap_inverse"),
     ("cech_twist.py", "atiyah_twist"),
@@ -572,7 +613,11 @@ TEST_ONLY = [
     ("cech_twist.py", "translation_fixes_wedge_classes"),
     ("cech_twist.py", "twisted_resolution_homology_check"),
     ("cech_twist.py", "twisted_total_complex"),
+    ("chain_core.py", "CochainComplex.shift"),
     ("cli_report.py", "parse_model_json"),
+    ("coeff.py", "CoeffAlgebra.one"),
+    ("coeff.py", "Poly.constant_term"),
+    ("coeff.py", "Poly.is_unit"),
     ("connections.py", "Connection"),
     ("connections.py", "DerivationChi"),
     ("connections.py", "KahlerModule"),
@@ -592,6 +637,17 @@ TEST_ONLY = [
     ("connections.py", "r_map_twisted_leibniz"),
     ("connections.py", "semilinearity_check"),
     ("connections.py", "u_chi_checks"),
+    ("extension_dg.py", "TrivialExtension.d_unsplit"),
+    ("extension_dg.py", "TrivialExtension.eq_split_iso"),
+    ("extension_dg.py", "TrivialExtension.lam_b_unsplit"),
+    ("extension_dg.py", "TrivialExtension.pi"),
+    ("exterior_core.py", "ExteriorContext.antisymmetrize"),
+    ("exterior_core.py", "ExteriorContext.duality_left"),
+    ("exterior_core.py", "ExteriorContext.duality_right"),
+    ("exterior_core.py", "ExteriorContext.ext_pair_module"),
+    ("exterior_core.py", "ExteriorContext.shuffle_W"),
+    ("exterior_core.py", "ExteriorContext.symmetrize"),
+    ("exterior_core.py", "ExteriorContext.tens"),
     ("exterior_core.py", "exterior_power_map"),
     ("exterior_core.py", "koszul_dual_form"),
 ]

@@ -69,8 +69,7 @@ def test_solves_and_inverse_match_the_dense_reference(data):
     solver = ql.Solver(cols, n)
     for _ in range(3):
         b = data.draw(right_hand_sides(M, n, m))
-        x = ql.solve(cols, n, b)
-        assert solver.solve(b) == x
+        x = solver.solve(b)
         if x is not None:
             assert all(x.values())
             assert ql.compose_columns(cols, [x]) == [b]
@@ -101,9 +100,9 @@ def test_matrices_with_no_rows_or_no_columns(nrows, ncols):
     # every vector is in the kernel
     assert ql.nullspace(cols, nrows) == ql.identity(ncols)
     solver = ql.Solver(cols, nrows)
-    assert ql.solve(cols, nrows, {}) == solver.solve({}) == {}
+    assert solver.solve({}) == {}
     if nrows:
-        assert ql.solve(cols, nrows, {0: Fraction(1)}) is solver.solve({0: Fraction(1)}) is None
+        assert solver.solve({0: Fraction(1)}) is None
     assert ql.inverse(cols, nrows) == ([] if nrows == ncols else None)
 
 
@@ -118,13 +117,13 @@ def _entries(result):
 
 def test_int_columns_stay_exact():
     assert ql.rref([{0: 2}, {0: 1}], 1) == ([{0: Fraction(1), 1: Fraction(1, 2)}], [0])
-    assert ql.solve([{0: 3}], 1, {0: 1}) == {0: Fraction(1, 3)}
+    assert ql.Solver([{0: 3}], 1).solve({0: 1}) == {0: Fraction(1, 3)}
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_int_columns_give_the_fraction_results(data):
-    # rref, nullspace, solve, Solver.solve and inverse return Fractions on
+    # rref, nullspace, Solver.solve and inverse return Fractions on
     # int columns, equal to their results on the same columns as Fractions
     n, m = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
     ints = st.sampled_from([0, 0, 0, 1, -1, 2, 3, -4])
@@ -137,7 +136,6 @@ def test_int_columns_give_the_fraction_results(data):
     pairs = [
         (ql.rref(cols, n)[0], ql.rref(fcols, n)[0]),
         (ql.nullspace(cols, n), ql.nullspace(fcols, n)),
-        (ql.solve(cols, n, b), ql.solve(fcols, n, fb)),
         (ql.Solver(cols, n).solve(b), ql.Solver(fcols, n).solve(fb)),
         (ql.inverse(cols[:n], n), ql.inverse(fcols[:n], n)),
     ]
