@@ -33,7 +33,7 @@ from .chain_core import (
     tensor_complex,
 )
 from .coeff import CoeffAlgebra
-from .exterior_core import merge_wedge
+from .exterior_core import MERGES
 from .extension_dg import TrivialExtension, shifted_complex
 from .modules import BasedModule, LinMap
 from . import rational as ql
@@ -105,11 +105,11 @@ def q_pairing(ext, p):
             atag, M = alab
             # f(i, j) = j ^ u + (-1)^p i ^ v
             if tag == "i" and atag == "j":
-                mw = merge_wedge(M, K)
+                mw = MERGES[M, K]
                 if mw is not None:
                     terms.append(((alab, theta_lab), mw[0]))
             if tag == "j" and atag == "i":
-                mw = merge_wedge(M, K)
+                mw = MERGES[M, K]
                 if mw is not None:
                     terms.append(((alab, theta_lab), mw[0] * (-1) ** p))
         m.set_column(lab, hom.element(terms))

@@ -42,7 +42,7 @@ from .chain_core import (
     totalize,
 )
 from .coeff import CoeffAlgebra
-from .exterior_core import MERGES, exterior_power_map, merge_wedge, perm_sign
+from .exterior_core import MERGES, exterior_power_map, perm_sign
 from .extension_dg import TrivialExtension
 from .modules import BasedModule, LinMap, QBasis, StructuralError, Vec, _vec, flatten_linmap
 from . import rational as ql
@@ -654,14 +654,19 @@ def t_chain_check(ext, lam, mu, T):
     right side).  This is the computation the construction rests on.
 
     T's components are sparse rational columns (``rational``) over
-    ext.flat(n + 1) -> ext.flat(n + l + 1), and the equations are checked on
-    them as they are, as ComplexMap.is_chain_map checks its own: each hat_d
-    is flattened once per call from its stored columns, and each chart
-    change is read as the columns its family builds once.  Each equation is
-    then a signed sum of products of these columns, taken one source column
-    at a time, and any nonzero entry fails it.  A component with the wrong
-    number of columns, or a family over another extension, is a
-    StructuralError.
+    ext.flat(n + 1) -> ext.flat(n + l + 1).  Every equation is linear in T
+    alone: the chart changes and hat_d enter as fixed factors, and each
+    piece holds one component of T.  So T is a chain map exactly when N T
+    is, for any integer N != 0, and the equations are checked on N T, N
+    the least common denominator of all of T's entries, as int columns
+    (rational.over_common_denominator) that live for this call only; T
+    itself is left as it is.  Each hat_d is flattened once per call from
+    its stored columns, and each chart change is read as the columns its
+    family builds once; both are int columns for integral twist data, so
+    the products then stay in int.  Each equation is a signed sum of
+    products of these columns, taken one source column at a time, and any
+    nonzero entry fails it.  A component with the wrong number of columns,
+    or a family over another extension, is a StructuralError.
     """
     nerve = lam.nerve
     r = ext.rank
@@ -673,6 +678,9 @@ def t_chain_check(ext, lam, mu, T):
         if fam.ext.lam_b(1) != ext.lam_b(1):
             raise StructuralError("a twist family over another extension")
     d = [flatten_linmap(ext.hat_d(k), ext.flat(k + 1), ext.flat(k)) for k in range(r + 1)]
+    # N T as int columns, component by component
+    ints = iter(ql.over_common_denominator([col for cols in T.values() for col in cols])[0])
+    T = {key: [next(ints) for _ in cols] for key, cols in T.items()}
 
     compose, add = ql.compose_columns, ql.add_scaled
     for n in range(r + 1):
@@ -759,15 +767,24 @@ class DeltaMatrix:
 
     def disagreements(self, other):
         """The entries (i, j), j <= i and i - j at most the nerve's depth, in
-        row order, whose classes differ from other's.  A list, not a
-        generator, so that the cohomology tests run inside this call."""
+        row order, whose classes differ from other's.  A diagonal entry is
+        a 0-cochain and there are no (-1)-cochains, so its class is the
+        cochain itself and it is compared exactly; the entries below it by
+        cohomologous.  A list, not a generator, so that the comparisons run
+        inside this call."""
         depth = self.nerve.depth
         return [
             (i, j)
             for i in range(self.ext.rank + 1)
             for j in range(max(0, i - depth), i + 1)
-            if not cohomologous(self.nerve, self.entry(i, j), other.entry(i, j))
+            if not self._same_class(other, i, j)
         ]
+
+    def _same_class(self, other, i, j):
+        x, y = self.entry(i, j), other.entry(i, j)
+        if i == j:
+            return (x - y).is_zero()
+        return cohomologous(self.nerve, x, y)
 
 
 def extract_delta(ext, nerve, T):
@@ -834,14 +851,37 @@ def delta_matrix(ext, nerve, lam, mu, shape):
 
 
 def l_operator(ext, nerve, i, j, v_cocycle):
-    """The Hom-valued cocycle x |-> v ^ x of wedging with a class."""
-    return cochain_module(nerve, hom_lam_module(ext, j, i), i - j).element(
-        ((s, (K, mw[1])), c * mw[0])
-        for s, v in cochain_values(nerve, v_cocycle).items()
-        for E, c in v.data.items()
-        for K in ext.lam_i(j).labels
-        if (mw := merge_wedge(E, K)) is not None
-    )
+    """The Hom-valued cocycle x |-> v ^ x of wedging with a class.
+
+    Its data is written directly from v's and the merge table: the term of
+    (E, c) on a simplex s at a label K of Lambda^j I is +-c at the label
+    (s, (K, E u K)), which determines E, so no two terms share a label and
+    nothing is added up.  The coefficient is c itself or one -c shared by
+    the labels of (s, E).  Labels run simplex by simplex, in the order the
+    simplices first occur in v, then by E, then by K.  v must be a
+    Lambda^{i-j} I-valued (i-j)-cochain.
+    """
+    if cochain_type(nerve, v_cocycle) != (i - j, ext.lam_i(i - j)):
+        raise StructuralError("wedging needs a Lambda^{i-j} I-valued (i-j)-cochain")
+    labels = ext.lam_i(j).labels
+    by_simplex = {}
+    for (s, E), c in v_cocycle.data.items():
+        by_simplex.setdefault(s, []).append((E, c))
+    data = {}
+    for s, terms in by_simplex.items():
+        for E, c in terms:
+            neg = None
+            for K in labels:
+                m = MERGES[E, K]
+                if m is None:
+                    continue
+                if m[0] < 0:
+                    if neg is None:
+                        neg = -c
+                    data[(s, (K, m[1]))] = neg
+                else:
+                    data[(s, (K, m[1]))] = c
+    return _vec(cochain_module(nerve, hom_lam_module(ext, j, i), i - j), data)
 
 
 def q_operator(ext, nerve, i, j, v_cocycle):
@@ -1234,10 +1274,10 @@ def conjecture_probe(ext, nerve, lam, mu, shape=None):
     construction exists.  Disagreement is data; the report never raises
     for it.  Both the literal reading and the cup-sign-corrected variant
     are compared when a reference exists, each by one disagreements call
-    that sets the statuses of the entries it reads."""
+    that sets the statuses of the entries it reads; the corrected variant
+    is computed only then."""
     report = {"entries": {}, "shape": shape}
     candidate = conjecture_recursion(ext, nerve, lam, mu)
-    corrected = conjecture_recursion(ext, nerve, lam, mu, corrected=True)
     for (i, j), entry in candidate.entries.items():
         status = {"cocycle": is_cocycle(nerve, entry)}
         report["entries"][f"{i},{j}"] = status
@@ -1252,6 +1292,7 @@ def conjecture_probe(ext, nerve, lam, mu, shape=None):
         report["agrees_corrected"] = None
         return report
     wrong = candidate.disagreements(reference)
+    corrected = conjecture_recursion(ext, nerve, lam, mu, corrected=True)
     wrong_corr = corrected.disagreements(reference)
     # the reference stores exactly the entries a comparison reads
     for i, j in reference.entries:

@@ -97,6 +97,7 @@ class SuiteConfig:
             if type(value).__name__ != f.type:
                 raise ConfigError(f"config field {f.name!r} must be {f.type}, got {value!r}")
         self._nerve = None
+        self._chases = {}
         # rank 2 is the lowest rank every suite covers: below it some checks
         # would run nothing and still pass
         if self.max_rank < 2:
@@ -148,6 +149,14 @@ class SuiteConfig:
                 raise ConfigError(f"malformed nerve file: {err}")
         self._nerve = n
         return n
+
+    def dual_sign_chase(self, r):
+        """dual_hkr_sign(r), computed on first use and shared by every check:
+        dual-signs and cycle-class read the same chase of each rank."""
+        chase = self._chases.get(r)
+        if chase is None:
+            chase = self._chases[r] = dual_hkr_sign(r)
+        return chase
 
 
 def parse_model_json(data):
@@ -427,7 +436,7 @@ def check_hkr_maps(config):
 def check_dual_signs(config):
     ranks = _ranks(config, lowest=1)
     for r in ranks:
-        out = dual_hkr_sign(r)
+        out = config.dual_sign_chase(r)
         expected = [(-1) ** (((r - i) * (r - i - 1)) // 2) for i in range(r + 1)]
         if not out["ok"] or out["signs"] != expected:
             return "fail", {"rank": r, "got": out["signs"], "claims": out["claims"]}
@@ -503,7 +512,7 @@ def check_cycle_class(config):
     models = _comparison_models(config)
     for (m, r, D) in models:
         # the chase reads only the splitting-independent half of the model
-        qs = cycle_class_local(LocalModel(m, r, D))
+        qs = cycle_class_local(LocalModel(m, r, D), config.dual_sign_chase)
         if qs[0] != 1 or any(q != 0 for q in qs[1:]):
             return "fail", {"model": (m, r, D), "qs": [str(q) for q in qs]}
     nerve = circle_nerve()

@@ -13,7 +13,7 @@ from fractions import Fraction
 from .ak_complexes import build_p_complex, build_q_complex
 from .chain_core import ComplexMap, tensor_module
 from .coeff import Poly
-from .exterior_core import ExteriorContext, exterior_power_map, merge_wedge, sort_sign
+from .exterior_core import MERGES, ExteriorContext, exterior_power_map, sort_sign
 from .modules import LinMap, QBasis, StructuralError, flatten_linmap, flatten_map
 from . import rational as ql
 
@@ -49,7 +49,7 @@ class KahlerModule:
             (mw[1], poly_partial(f, i) * mw[0])
             for K, f in v.data.items()
             for i in range(self.m)
-            if (mw := merge_wedge((i,), K)) is not None
+            if (mw := MERGES[(i,), K]) is not None
         )
 
 
@@ -134,7 +134,7 @@ class DerivationChi:
             (mw[1], c * cc * mw[0])
             for ((i,), K), c in v.data.items()
             for (u,), cc in self.values[i].data.items()
-            if (mw := merge_wedge((u,), K)) is not None
+            if (mw := MERGES[(u,), K]) is not None
         )
 
     def u_chi_vec(self, b):

@@ -25,7 +25,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .chain_core import CochainComplex
-from .exterior_core import MERGES, ExteriorContext, merge_wedge
+from .exterior_core import MERGES, ExteriorContext
 from .modules import BasedModule, LinMap, QBasis, StructuralError, _accumulate, _vec
 
 
@@ -162,7 +162,7 @@ class TrivialExtension:
             for (t2, L), b in y.data.items():
                 if t1 == "j" and t2 == "j":
                     continue
-                m = merge_wedge(K, L)
+                m = MERGES[K, L]
                 if m is None:
                     continue
                 sgn, KL = m

@@ -61,12 +61,6 @@ def merge_wedge(K, L):
     return sort_sign(tuple(K) + tuple(L))
 
 
-def split_sign(J, K):
-    """Sign with e_J ^ e_K = sign * e_{sorted(J u K)} for disjoint J, K."""
-    m = merge_wedge(J, K)
-    return None if m is None else m[0]
-
-
 def shuffles(S, p):
     """The terms (weight * sign, K, L) of W_{p,q}(e_S), q = |S| - p: K runs
     over the p-subsets of S, L is the rest, the sign is that of e_K ^ e_L
@@ -96,6 +90,12 @@ class _MergeTable(dict):
 
 # the one table of e_K ^ e_L, shared by every wedge and split product
 MERGES = _MergeTable()
+
+
+def split_sign(J, K):
+    """Sign with e_J ^ e_K = sign * e_{sorted(J u K)} for disjoint J, K."""
+    m = MERGES[J, K]
+    return None if m is None else m[0]
 
 
 def exterior_power_map(g, src, tgt):

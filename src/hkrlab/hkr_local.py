@@ -54,7 +54,7 @@ from .chain_core import (
     totalize,
 )
 from .coeff import CoeffAlgebra, Poly
-from .exterior_core import ExteriorContext, koszul_complex, merge_wedge, shuffles, sort_sign, symmetrizations
+from .exterior_core import MERGES, ExteriorContext, koszul_complex, shuffles, sort_sign, symmetrizations
 from .extension_dg import TrivialExtension
 from .modules import BasedModule, LinMap, StructuralError
 from .ak_complexes import build_p_complex, p_augmentation
@@ -363,7 +363,7 @@ class LocalModel:
             for p2 in range(self.r + 1 - p1):
                 for K, (gx, _) in images[-p1].items():
                     for Kp, (gy, _) in images[-p2].items():
-                        mw = merge_wedge(K, Kp)
+                        mw = MERGES[K, Kp]
                         # red_p.apply flattens the product at P's window,
                         # which drops its terms above grade D
                         lhs = red_p.apply(-(p1 + p2), ext.star(p1, p2, gx, gy))
@@ -580,7 +580,7 @@ def double_complex_n(r):
                     terms = (
                         ((K[:t] + K[t + 1 :], ("i", mw[1])), -((-1) ** (p - 1 - t)) * mw[0])
                         for t, kt in enumerate(K)
-                        if (mw := merge_wedge((kt,), L)) is not None
+                        if (mw := MERGES[(kt,), L]) is not None
                     )
                     d.set_column((K, (tag, L)), tgt.element(terms))
                 horiz[(-p, -q)] = d
@@ -599,7 +599,7 @@ def _pi_pq(r, p, q, K, M):
     W_{p+q-r, r-q} of e_K, its second factor wedged onto e_M."""
     out = {}
     for w, K1, K2 in shuffles(K, p + q - r):
-        mw = merge_wedge(K2, M)
+        mw = MERGES[K2, M]
         if mw is None:
             continue
         out[(K1, mw[1])] = out.get((K1, mw[1]), Fraction(0)) + w * mw[0]
@@ -715,18 +715,20 @@ def dual_twist_signs(r):
     ]
 
 
-def cycle_class_local(model):
+def cycle_class_local(model, chase_of_rank):
     """The local quantized cycle class, by chasing the resolution route.
 
     Inverts the augmentation of (L, -delta) by a chain-level section,
     reduces along A, applies the duality twist, and reads off the
     components; also cross-checks the same route through the extension
-    complex.  Returns the list (q_0, .., q_r).
+    complex.  The twist signs are checked against chase_of_rank(r), the
+    dual-sign chase dual_hkr_sign(r) or a kept copy of it.
+    Returns the list (q_0, .., q_r).
     """
     r = model.r
     twist = dual_twist_signs(r)
     if r <= 3:
-        chase = dual_hkr_sign(r)
+        chase = chase_of_rank(r)
         if not chase["ok"]:
             raise ModelError("dual comparison chase failed")
         for i in range(r + 1):

@@ -16,9 +16,13 @@ in it.  ``compose_columns`` multiplies matrices (``ComplexMap.is_chain_map``,
 solutions, kernels and inverses come back as sparse columns.  ``Solver`` is
 the one solve: a system is reduced once and each right-hand side is a
 sparse product, never a column stacked into a new elimination.  Every
-elimination is one ``rref``, a Gauss-Jordan reduction on sparse rows.  Sizes in this package are small
-(a few hundred rows at most), so it is fast enough and keeps everything
-exact.
+elimination is one ``rref``, a Gauss-Jordan reduction on sparse rows.
+``over_common_denominator`` is the one way columns become ints over one
+denominator: ``Solver`` keeps each reduced row so and clears each
+right-hand side so, and ``cech_twist.t_chain_check`` checks the comparison
+morphism's equations on its integer multiple, so their products are int
+arithmetic.  Sizes in this package are small (a few
+hundred rows at most), so it is fast enough and keeps everything exact.
 """
 
 from __future__ import annotations
@@ -139,7 +143,7 @@ class Solver:
         self._solution_rows = []
         self._null_rows = []
         for row, p in zip(rows, pivots):
-            ints, d = _over_common_denominator({j - m: c for j, c in row.items() if j >= m})
+            (ints,), d = over_common_denominator([{j - m: c for j, c in row.items() if j >= m}])
             if p < m:
                 self._solution_rows.append((p, ints, d))
             else:
@@ -148,8 +152,8 @@ class Solver:
     def solve(self, b):
         """The solution of A x = b for a sparse column b, as a sparse column,
         or None if b is not in the column span."""
-        d = lcm(*(c.denominator for c in b.values()))
-        nonzero = [(j, c.numerator * (d // c.denominator)) for j, c in b.items()]
+        (ints_b,), d = over_common_denominator([b])
+        nonzero = list(ints_b.items())
 
         def dot(ints):
             return sum(ints[j] * v for j, v in nonzero if j in ints)
@@ -164,10 +168,12 @@ class Solver:
         return x
 
 
-def _over_common_denominator(row):
-    """(ints, d) with row[j] = ints[j] / d, d the least common denominator."""
-    d = lcm(*(x.denominator for x in row.values()))
-    return {j: x.numerator * (d // x.denominator) for j, x in row.items()}, d
+def over_common_denominator(cols):
+    """(ints, d) with cols[k][j] = ints[k][j] / d for sparse columns cols: d
+    is the least common denominator of all their entries and ints holds
+    int columns."""
+    d = lcm(*{x.denominator for col in cols for x in col.values()})
+    return [{j: x.numerator * (d // x.denominator) for j, x in col.items()} for col in cols], d
 
 
 def inverse(cols, nrows):

@@ -7,13 +7,23 @@ that checks every write and has its own sum, difference and multiple.  The
 operations below it are the package's former ones, except that the
 differential is the alternating face sum itself rather than the complex's.
 ``to_element`` and ``from_element`` translate between the two forms.
+``l_operator`` is the package's former wedge-with-a-class operator, which
+sent every term through ``BasedModule.element``.
 """
 
 from __future__ import annotations
 
 from hkrlab.chain_core import homology
-from hkrlab.cech_twist import NerveError, build_cochain, cech_complex, cochain_type, cochain_values
-from hkrlab.exterior_core import perm_sign
+from hkrlab.cech_twist import (
+    NerveError,
+    build_cochain,
+    cech_complex,
+    cochain_module,
+    cochain_type,
+    cochain_values,
+    hom_lam_module,
+)
+from hkrlab.exterior_core import merge_wedge, perm_sign
 
 
 class Cochain:
@@ -146,3 +156,15 @@ def canonical_representative(x):
         for (s, lab), k in rep.data.items():
             out[s] = out.value(s) + x.module.basis_vec(lab, k * c)
     return out
+
+
+def l_operator(ext, nerve, i, j, v_cocycle):
+    """The Hom-valued cocycle x |-> v ^ x of wedging with a class, each term
+    c * sign at (s, (K, E u K)) added up by BasedModule.element."""
+    return cochain_module(nerve, hom_lam_module(ext, j, i), i - j).element(
+        ((s, (K, mw[1])), c * mw[0])
+        for s, v in cochain_values(nerve, v_cocycle).items()
+        for E, c in v.data.items()
+        for K in ext.lam_i(j).labels
+        if (mw := merge_wedge(E, K)) is not None
+    )

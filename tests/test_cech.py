@@ -16,6 +16,7 @@ from hkrlab.modules import BasedModule, LinMap, StructuralError
 from hkrlab.rational import add_scaled
 from hkrlab.cech_twist import (
     NERVE_LIBRARY,
+    DeltaMatrix,
     Nerve,
     NerveError,
     TwistFamily,
@@ -770,6 +771,50 @@ def test_probe_general_case_reports_untestable():
     assert report["agrees"] is None
     assert all(v["status"] == "untestable" for v in report["entries"].values())
     assert all(v["cocycle"] for v in report["entries"].values())
+
+
+def test_the_untestable_probe_computes_one_recursion(monkeypatch):
+    # without a reference the cup-sign-corrected reading is never compared
+    ext = ext_of(3)
+    nerve = sphere_nerve(2)
+    rng = random.Random(99)
+    lam = TwistFamily(ext, nerve, [random_hom_twist(ext, nerve, n, rng) for n in range(3)])
+    mu = TwistFamily(ext, nerve, [random_hom_twist(ext, nerve, n, rng) for n in range(3)])
+    calls = []
+    recursion = cech_twist.conjecture_recursion
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return recursion(*args, **kwargs)
+
+    monkeypatch.setattr(cech_twist, "conjecture_recursion", counted)
+    report = conjecture_probe(ext, nerve, lam, mu, shape=None)
+    assert report["agrees_corrected"] is None
+    assert calls == [{}]
+
+
+def test_disagreements_compare_the_diagonal_exactly(monkeypatch):
+    ext = ext_of(2)
+    nerve = circle_nerve()
+    rng = random.Random(31)
+    lam = TwistFamily.from_wedge_cochains(ext, nerve, random_wedge_cochains(ext, nerve, rng))
+    mu = TwistFamily.from_wedge_cochains(ext, nerve, random_wedge_cochains(ext, nerve, rng))
+    delta = delta_matrix(ext, nerve, lam, mu, "wedge")
+    degrees = []
+
+    def recording(nerve, x, y):
+        degrees.append(cochain_type(nerve, x)[0])
+        return cohomologous(nerve, x, y)
+
+    monkeypatch.setattr(cech_twist, "cohomologous", recording)
+    assert delta.disagreements(delta) == []
+    # a 0-cochain is its own class: only the entries below the diagonal are solved
+    assert degrees and 0 not in degrees
+    doubled = DeltaMatrix(ext, nerve, {**delta.entries, (1, 1): delta.entry(1, 1).scale(2)})
+    assert delta.disagreements(doubled) == [(1, 1)]
+    wrong_module = DeltaMatrix(ext, nerve, {(1, 1): identity_hom_cochain(ext, nerve, 0)})
+    with pytest.raises(StructuralError):
+        delta.disagreements(wrong_module)
 
 
 def test_divisor_class_depends_only_on_class():

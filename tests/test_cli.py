@@ -8,7 +8,7 @@ import pytest
 from hkrlab.coeff import CoeffAlgebra
 from hkrlab.extension_dg import build_extension
 from hkrlab.cech_twist import Nerve, circle_nerve
-from hkrlab import cli_report
+from hkrlab import cli_report, hkr_local
 from hkrlab.cli_report import ConfigError, SuiteConfig, main, parse_model_json, run_suite
 
 
@@ -332,7 +332,7 @@ def _raising_check(config):
 
 
 def test_failing_check_gives_nonzero_exit(tmp_path):
-    from hkrlab import cli_report
+    from hkrlab import cli_report, hkr_local
 
     cli_report.SUITES["__selftest__"] = [
         ("always-fails", "synthetic failure for exit-code coverage", lambda cfg: ("fail", {"w": 1})),
@@ -368,10 +368,10 @@ def test_all_suite_registers_each_check_once():
 
 
 def test_json_driven_model_cycle_class():
-    from hkrlab.hkr_local import LocalModel, cycle_class_local
+    from hkrlab.hkr_local import LocalModel, cycle_class_local, dual_hkr_sign
 
     model = LocalModel(1, 2, 3, chi=[["x1", "1"]])
-    qs = cycle_class_local(model)
+    qs = cycle_class_local(model, dual_hkr_sign)
     assert qs[0] == 1 and all(q == 0 for q in qs[1:])
 
 
@@ -398,3 +398,20 @@ def test_json_driven_last_level_comparison():
     delta = delta_matrix(ext, nerve, lam, mu, "last-level")
     want = lam_tw.cochain.scale(Fraction(1, 1))
     assert cohomologous(nerve, delta.entry(1, 0), want)
+
+
+def test_a_run_chases_each_dual_sign_rank_once(monkeypatch):
+    # dual-signs chases ranks 1..3 and cycle-class reads ranks 1, 2, 2, 3;
+    # each chase builds its double complex once
+    built = []
+    double_complex_n = hkr_local.double_complex_n
+
+    def counted(r):
+        built.append(r)
+        return double_complex_n(r)
+
+    monkeypatch.setattr(hkr_local, "double_complex_n", counted)
+    report = run_suite(SuiteConfig(suite="all"))
+    statuses = {rec["id"]: rec["status"] for rec in report.records}
+    assert statuses["dual-signs"] == statuses["cycle-class"] == "pass"
+    assert sorted(built) == [1, 2, 3]

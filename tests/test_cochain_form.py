@@ -1,7 +1,8 @@
 """Cochains as elements of their Cech complex, against the dict form of
 ``tests/reference_cochain.py``: arithmetic, values on both orientations,
-the differential, the wedge and Yoneda products, and the cocycle and class
-tests, on every library nerve."""
+the differential, the wedge and Yoneda products, the cocycle and class
+tests, and the wedge-with-a-class operator l_operator (label for label, in
+the same order), on every library nerve."""
 
 import random
 from fractions import Fraction
@@ -29,6 +30,7 @@ from hkrlab.cech_twist import (
     cohomologous,
     hom_lam_module,
     is_cocycle,
+    l_operator,
     yoneda_compose,
 )
 from hkrlab.modules import StructuralError
@@ -171,3 +173,45 @@ def test_a_vector_outside_every_cochain_module_is_no_cochain():
     x = build_cochain(nerve, 0, EXT.lam_i(1), {(0,): EXT.lam_i(1).basis_vec((0,))})
     with pytest.raises(StructuralError, match="not a cochain module"):
         cech_delta(NERVE_LIBRARY["circle"](), x)
+
+
+def summed_cochain(nerve, degree, module, rng):
+    """A seeded cochain built as the sum of two random ones, so that its
+    labels need not run simplex by simplex."""
+    algebra = module.algebra
+    M = cochain_module(nerve, module, degree)
+
+    def coefficient():
+        return sum((algebra.monomial(e, rng.randint(-2, 2)) for e in algebra.monomials), algebra.zero())
+
+    def part():
+        return M.element(
+            ((s, lab), coefficient())
+            for s in nerve.simplices_of_dim(degree)
+            for lab in module.labels
+            if rng.random() < 0.4
+        )
+
+    return part() + part()
+
+
+@pytest.mark.parametrize("name", sorted(NERVES))
+@pytest.mark.parametrize("algebra", [CoeffAlgebra.rationals(), CoeffAlgebra.polynomial(1, 2)], ids=["Q", "Q[x]<=2"])
+def test_l_operator_matches_the_element_built_reference(name, algebra):
+    nerve = NERVES[name]
+    ext = build_extension(algebra, 3)
+    rng = random.Random(f"l_operator:{name}:{algebra.num_vars}")
+    interleaved = False
+    for degree in (0, 1):
+        for j in range(ext.rank + 1 - degree):
+            for _ in range(3):
+                v = summed_cochain(nerve, degree, ext.lam_i(degree), rng)
+                simplices = [s for (s, _), _ in v.data.items()]
+                interleaved |= simplices != sorted(simplices, key=simplices.index)
+                got = l_operator(ext, nerve, j + degree, j, v)
+                want = ref.l_operator(ext, nerve, j + degree, j, v)
+                assert got.module == want.module
+                assert list(got.data.items()) == list(want.data.items())
+    # some cochain's labels leave a simplex and come back to it, so the
+    # label order is pinned where it could differ
+    assert interleaved

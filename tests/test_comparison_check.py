@@ -5,15 +5,19 @@ chain-map check answers as the LinMap-composition reference does, on wedge
 and last-level families over Q and over truncated polynomial algebras, and
 on inputs with one entry of T or of one chart change perturbed, which both
 reject.  While it runs it composes no LinMap, each chart change is built
-once, and once the nerve's complexes exist delta_matrix makes no LinMap."""
+once, once the nerve's complexes exist delta_matrix makes no LinMap, and
+on integral twist data every product it takes is of ints, which still
+rejects an entry of T moved by 1/p for a prime p new to T's denominator."""
 
 import random
 import re
 from collections import Counter
+from fractions import Fraction
+from math import lcm
 
 import pytest
 
-from hkrlab import cech_twist
+from hkrlab import cech_twist, rational
 from hkrlab.cech_twist import (
     NERVE_LIBRARY,
     TwistCocycle,
@@ -44,8 +48,8 @@ from reference_comparison import (
 QQ = CoeffAlgebra.rationals()
 
 
-def wedge_case(name, r, seed):
-    ext = build_extension(QQ, r)
+def wedge_case(name, r, seed, algebra=QQ):
+    ext = build_extension(algebra, r)
     nerve = NERVE_LIBRARY[name]()
     rng = random.Random(f"wedge:{name}:{r}:{seed}")
     lam = TwistFamily.from_wedge_cochains(ext, nerve, random_wedge_cochains(ext, nerve, rng))
@@ -85,11 +89,11 @@ def codim2_case():
     return ext, lam, mu, build_t_last_level(ext, nerve, lam, mu)
 
 
-def bump_t_entry(ext, T):
+def bump_t_entry(ext, T, by=1):
     """T with the first stored entry of its first degree-0 component
-    changed by +1: at the first label with a nonzero column and the first
-    target label of that column, in every monomial, so the component stays
-    algebra-linear."""
+    changed by the number by: at the first label with a nonzero column and
+    the first target label of that column, in every monomial, so the
+    component stays algebra-linear."""
     key = min(k for k in T if k[1] == 0)
     n, l, _ = key
     src, tgt = ext.flat(n + 1), ext.flat(n + l + 1)
@@ -98,7 +102,7 @@ def bump_t_entry(ext, T):
     lab, tlab = src.pairs[first][0], tgt.pairs[next(iter(cols[first]))][0]
     for mono in ext.algebra.monomials:
         col, i = cols[src.index[(lab, mono)]], tgt.index[(tlab, mono)]
-        col[i] = col.get(i, 0) + 1
+        col[i] = col.get(i, 0) + by
         if not col[i]:
             del col[i]
     return {**T, key: cols}
@@ -249,3 +253,45 @@ def test_a_component_with_the_wrong_number_of_columns_is_named():
     key = min(k for k in T if k[1] == 1)
     with pytest.raises(StructuralError, match=rf"component {re.escape(str(key))} .* has \d+ columns, not \d+"):
         t_chain_check(ext, lam, mu, {**T, key: T[key][:-1]})
+
+
+def test_the_chain_check_multiplies_only_ints(monkeypatch):
+    # T carries the 1/(i+1) weights of the eta recursion; the chart changes
+    # of seeded wedge data and the differentials are integral
+    ext, lam, mu, T = wedge_case("sphere2", 3, 0)
+    assert any(type(x) is not int for cols in T.values() for col in cols for x in col.values())
+    seen = Counter()
+    add_scaled = rational.add_scaled
+
+    def recording(out, c, col):
+        seen[type(c)] += 1
+        seen.update(type(e) for e in col.values())
+        return add_scaled(out, c, col)
+
+    monkeypatch.setattr(rational, "add_scaled", recording)
+    assert t_chain_check(ext, lam, mu, T)
+    assert seen[int] and set(seen) == {int}
+
+
+def denominator(T):
+    return lcm(*(x.denominator for cols in T.values() for col in cols for x in col.values()))
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        lambda: wedge_case("sphere2", 3, 0),
+        lambda: wedge_case("circle", 2, 1, CoeffAlgebra.polynomial(1, 2)),
+        lambda: last_level_case(QQ, "sphere2", 3, 0),
+        lambda: last_level_case(CoeffAlgebra.polynomial(1, 2), "circle", 2, 0),
+    ],
+    ids=["wedge-Q", "wedge-Q[x]<=2", "last-level-Q", "last-level-Q[x]<=2"],
+)
+def test_an_entry_moved_by_a_new_prime_denominator_is_rejected(case):
+    ext, lam, mu, T = case()
+    assert t_chain_check(ext, lam, mu, T)
+    d = denominator(T)
+    p = next(p for p in (5, 7, 11, 13, 17, 19, 23) if d % p)
+    bumped = bump_t_entry(ext, T, Fraction(1, p))
+    assert denominator(bumped) == d * p
+    assert not t_chain_check(ext, lam, mu, bumped)

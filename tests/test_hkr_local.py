@@ -469,7 +469,7 @@ def test_dual_twist_signs_start_positive():
 
 @pytest.mark.parametrize("m,r,D", [(1, 1, 3), (1, 2, 3)])
 def test_cycle_class_local(m, r, D):
-    qs = cycle_class_local(LocalModel(m, r, D))
+    qs = cycle_class_local(LocalModel(m, r, D), dual_hkr_sign)
     assert qs[0] == 1
     assert all(q == 0 for q in qs[1:])
 
@@ -477,7 +477,7 @@ def test_cycle_class_local(m, r, D):
 def test_cycle_class_local_twisted():
     A = CoeffAlgebra.polynomial(1, 3)
     model = LocalModel(1, 2, 3, chi=[[A.gen(0), A.zero()]])
-    qs = cycle_class_local(model)
+    qs = cycle_class_local(model, dual_hkr_sign)
     assert qs[0] == 1 and all(q == 0 for q in qs[1:])
 
 

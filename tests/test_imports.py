@@ -15,7 +15,9 @@ once), and only rational divides with / (a coefficient may be an int, and
 int / int is a float), only the zeta battery's action pass and kappa call
 k_b_action (each product of the B-action on a tensor power is computed in
 one place), only TrivialExtension.star_abstract calls wedge_b (the defining
-formula of the shifted product has one home), and the functions, classes
+formula of the shifted product has one home), only the merge table's fill
+calls merge_wedge (every other wedge of basis labels reads MERGES), and the
+functions, classes
 and methods that only tests reach are an exact, listed inventory (new
 unreachable code fails, and so does a listed name that gains a caller)."""
 
@@ -287,6 +289,29 @@ WEDGE_B_CALLERS = {("extension_dg.py", "TrivialExtension.star_abstract")}
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_only_the_defining_formula_calls_wedge_b(path):
     assert {(path.name, owner) for _, owner in call_sites(path.read_text(), "wedge_b")} <= WEDGE_B_CALLERS
+
+
+def test_merge_wedge_call_is_found():
+    source = (
+        "class _MergeTable(dict):\n"
+        "    def __missing__(self, key):\n"
+        "        m = self[key] = merge_wedge(*key)\n"
+        "        return m\n"
+        "def split_sign(J, K):\n"
+        "    m = exterior_core.merge_wedge(J, K)\n"
+        "    return MERGES[J, K], merge_wedge\n"
+    )
+    assert call_sites(source, "merge_wedge") == [(3, "_MergeTable.__missing__"), (6, "split_sign")]
+
+
+# e_K ^ e_L is computed once per pair, in the merge table's fill; every
+# other wedge of labels reads MERGES
+MERGE_WEDGE_CALLERS = {("exterior_core.py", "_MergeTable.__missing__")}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_merge_table_calls_merge_wedge(path):
+    assert {(path.name, owner) for _, owner in call_sites(path.read_text(), "merge_wedge")} <= MERGE_WEDGE_CALLERS
 
 
 def _is_rational_zero(node):
