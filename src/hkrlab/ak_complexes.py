@@ -28,6 +28,8 @@ from .chain_core import (
     ComplexMap,
     hom_complex,
     hom_module,
+    homology,
+    homology_dims,
     is_quasi_iso,
     single_module_complex,
     tensor_complex,
@@ -244,13 +246,39 @@ def contraction_realization_check(r):
     return True
 
 
-def p_q_battery(ext):
-    """Resolution checks for P and Q: homology, coaugmentations, pairing."""
-    results = {}
-    results["p_aug_quasi_iso"] = is_quasi_iso(p_augmentation(ext, build_p_complex(ext)))
-    results["q_coaug_quasi_iso"] = is_quasi_iso(q_coaugmentation(ext, build_q_complex(ext)))
-    results["q_realized_differential"] = q_realization_identity(ext)
-    results["hat_star_chain_map"] = hat_star_is_chain_map(ext)
-    results["hat_star_module_action"] = hat_star_matches_module_action(ext)
-    results["homology_action"] = homology_action_check(ext)
-    return results
+def ak_battery_failure(ext):
+    """The first failing claim of the ak battery on one extension, as a witness
+    naming its rank and algebra, else None: the resolution and pairing claims,
+    then homology, homogeneity and homology per grade, on one P and one Q."""
+    r, algebra = ext.rank, ext.algebra
+    where = {"rank": r, "algebra": repr(algebra)}
+    P, Q = build_p_complex(ext), build_q_complex(ext)
+    results = {
+        "p_aug_quasi_iso": is_quasi_iso(p_augmentation(ext, P)),
+        "q_coaug_quasi_iso": is_quasi_iso(q_coaugmentation(ext, Q)),
+        "q_realized_differential": q_realization_identity(ext),
+        "hat_star_chain_map": hat_star_is_chain_map(ext),
+        "hat_star_module_action": hat_star_matches_module_action(ext),
+        "homology_action": homology_action_check(ext),
+    }
+    if not all(results.values()):
+        return {**where, "results": {k: bool(v) for k, v in results.items()}}
+    dims_p, dims_q = homology_dims(P), homology_dims(Q)
+    if dims_p.get(0) != algebra.dimension() or any(v for n, v in dims_p.items() if n < 0):
+        return {"claim": "resolution of the base", **where}
+    if dims_q.get(-r) != algebra.dimension() or any(v for n, v in dims_q.items() if n != -r):
+        return {"claim": "dual resolution", **where}
+    if not (P.is_homogeneous() and Q.is_homogeneous()):
+        return {"claim": "homogeneous differentials", **where}
+    # per grade: H^0(P) is the grade-g piece of A; H^{-r}(Q) is it shifted
+    # by r, since the top power sits in label grade r
+    for g in range(algebra.degree_bound + r + 2):
+        piece = sum(1 for mono in algebra.monomials if sum(mono) == g)
+        top_piece = sum(1 for mono in algebra.monomials if sum(mono) == g - r)
+        slice_p = {n: homology(P, n, grade=g).dim for n in range(-r, 1)}
+        slice_q = {n: homology(Q, n, grade=g).dim for n in range(-r, 1)}
+        if slice_p != {n: piece if n == 0 else 0 for n in range(-r, 1)}:
+            return {"claim": "resolution of the base, per grade", **where, "grade": g}
+        if slice_q != {n: top_piece if n == -r else 0 for n in range(-r, 1)}:
+            return {"claim": "dual resolution, per grade", **where, "grade": g}
+    return None

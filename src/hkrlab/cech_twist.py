@@ -32,7 +32,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from .chain_core import (
     ComplexMap,
@@ -269,14 +269,10 @@ def cech_delta(nerve, x):
 
 
 def is_cocycle(nerve, x):
-    """Is x's Cech differential zero?  One product of x's flattening with the
-    complex's cached flattened differential, which cohomologous reads too."""
-    l, module = cochain_type(nerve, x)
-    C = cech_complex(nerve, module)
-    if l not in C.diffs:
-        return True
-    (image,) = ql.compose_columns(C.qdiff(l), [C.flat(l).flatten(x)])
-    return not image
+    """Is x's Cech differential zero?  One product of x's (label, monomial)
+    slices with the scalar complex's cached flattened differential."""
+    l, C, slices = _slices(nerve, x)
+    return not any(ql.compose_columns(C.qdiff(l), list(slices.values())))
 
 
 def cochain_wedge(nerve, wedge_fn, x, y, target_module):
@@ -385,36 +381,58 @@ def cech_total_complex(nerve, columns, vertical, transitions=None):
     return totalize(algebra, modules, horiz, vert)
 
 
-def cech_cohomology(nerve, module, degree):
-    """Exact cohomology of the nerve with based-module coefficients."""
+# Over Q, C*(N; M) = C*(N; Q) (x) M: every class question about an M-valued cochain is
+# asked of the nerve's scalar complex, one (label, monomial) slice at a time.  Its label is ().
+SCALARS = BasedModule(CoeffAlgebra.rationals(), ((),), "Q")
+
+
+def _slices(nerve, x):
+    """(degree, the scalar Cech complex, {(label, monomial): x's slice there,
+    a sparse column over the scalar complex's flattened degree})."""
+    l, _ = cochain_type(nerve, x)
+    C = cech_complex(nerve, SCALARS)
+    index, slices = C.flat(l).index, {}
+    for (s, lab), poly in x.data.items():
+        for mono, c in poly.terms.items():
+            slices.setdefault((lab, mono), {})[index[((s, ()), ())]] = c
+    return l, C, slices
+
+
+def class_count(nerve, degree, module):
+    """dim H^degree(N; module) = dim H^degree(N; Q) * dim_Q(module); a NerveError above the depth."""
     if degree > nerve.depth:
         raise NerveError(f"nerve depth {nerve.depth} cannot support degree {degree}")
-    C = cech_complex(nerve, module)
-    return homology(C, degree)
+    return homology(cech_complex(nerve, SCALARS), degree).dim * QBasis(module).dim
 
 
-def combine_representatives(nerve, degree, module, coeffs, reps):
-    """The cochain sum of c * rep over coeffs and reps, where each rep is an
-    element of cech_complex(nerve, module) in this degree."""
+def combine_representatives(nerve, degree, module, coeffs):
+    """The cochain sum of c * b over coeffs and the class basis b of H^degree(N;
+    module): scalar representative (x) (label, monomial) of QBasis(module), the
+    representative first, exactly the basis of homology(cech_complex(nerve,
+    module), degree), since rref is unique and _homology picks pivots greedily."""
+    reps = homology(cech_complex(nerve, SCALARS), degree).representatives
+    monomial = module.algebra.monomial
     return cochain_module(nerve, module, degree).element(
-        (lab, poly * c) for c, rep in zip(coeffs, reps) if c for lab, poly in rep.data.items()
+        ((s, lab), monomial(mono, c * v.terms[()]))
+        for c, (rep, (lab, mono)) in zip(coeffs, product(reps, QBasis(module).pairs))
+        if c
+        for (s, _), v in rep.data.items()
     )
 
 
 def cohomologous(nerve, x, y):
-    """Do two cocycles represent the same class?  Exact linear solve."""
-    l, module = cochain_type(nerve, x)
-    C = cech_complex(nerve, module)
-    diff = C.flat(l).flatten(x - y)
-    if not diff:
-        return True
-    return C.qsolver(l - 1).solve(diff) is not None
+    """Do two cocycles represent the same class?  Each slice of x - y is
+    solved against the scalar complex's cached solver."""
+    l, C, slices = _slices(nerve, x - y)
+    return all(C.qsolver(l - 1).solve(col) is not None for col in slices.values())
 
 
 def class_coordinates(nerve, x):
-    """Coordinates of a cocycle's class in the cohomology of its degree."""
-    l, module = cochain_type(nerve, x)
-    return homology(cech_complex(nerve, module), l).project(x)
+    """Coordinates of a cocycle's class in the class basis of its degree."""
+    l, C, slices = _slices(nerve, x)
+    H = homology(C, l)
+    coords = [H.project_flat(slices.get(p, {})) for p in QBasis(cochain_type(nerve, x)[1]).pairs]
+    return [c[k] for k in range(H.dim) for c in coords]
 
 
 # -- twist cocycles and twisted transition data ------------------------------
@@ -950,8 +968,7 @@ def translation_fixes_wedge_classes(ext, nerve, k, p, m, v_cocycle):
 def canonical_representative(nerve, x):
     """A representative of the class of a cocycle built from the homology basis."""
     l, module = cochain_type(nerve, x)
-    H = homology(cech_complex(nerve, module), l)
-    return combine_representatives(nerve, l, module, H.project(x), H.representatives)
+    return combine_representatives(nerve, l, module, class_coordinates(nerve, x))
 
 
 def identity_hom_cochain(ext, nerve, i):
@@ -1309,12 +1326,10 @@ def conjecture_probe(ext, nerve, lam, mu, shape=None):
 
 def random_wedge_cochains(ext, nerve, rng):
     """Seeded wedge-type twist data: multiples of a degree-1 class plus noise."""
-    C = cech_complex(nerve, ext.lam_i(1))
-    H = homology(C, 1)
+    n = class_count(nerve, 1, ext.lam_i(1)) if nerve.depth else 0
     cochains = []
     for _ in range(ext.rank):
-        scalars = [rng.randint(-2, 2) for _ in H.representatives]
-        c = combine_representatives(nerve, 1, ext.lam_i(1), scalars, H.representatives)
+        c = combine_representatives(nerve, 1, ext.lam_i(1), [rng.randint(-2, 2) for _ in range(n)])
         noise = cochain_module(nerve, ext.lam_i(1), 0).element(
             ((s, (k,)), rng.randint(-2, 2)) for s in nerve.simplices_of_dim(0) for k in range(ext.rank)
         )
@@ -1325,10 +1340,8 @@ def random_wedge_cochains(ext, nerve, rng):
 def random_hom_twist(ext, nerve, level, rng):
     """Seeded Hom-valued twist cocycle: a class representative plus noise."""
     hom = hom_lam_module(ext, level, level + 1)
-    C = cech_complex(nerve, hom)
-    H = homology(C, 1)
-    scalars = [rng.randint(-2, 2) for _ in H.representatives]
-    c = combine_representatives(nerve, 1, hom, scalars, H.representatives)
+    n = class_count(nerve, 1, hom) if nerve.depth else 0
+    c = combine_representatives(nerve, 1, hom, [rng.randint(-2, 2) for _ in range(n)])
     noise = cochain_module(nerve, hom, 0).element(
         ((s, lab), rng.randint(-1, 1)) for s in nerve.simplices_of_dim(0) for lab in hom.labels
     )

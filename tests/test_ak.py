@@ -5,7 +5,9 @@ import pytest
 from hkrlab.coeff import CoeffAlgebra
 from hkrlab.chain_core import homology, homology_dims
 from hkrlab.extension_dg import build_extension
+from hkrlab import ak_complexes
 from hkrlab.ak_complexes import (
+    ak_battery_failure,
     build_p_complex,
     build_q_complex,
     contraction_realization_check,
@@ -13,7 +15,6 @@ from hkrlab.ak_complexes import (
     hat_star_matches_module_action,
     homology_action_check,
     p_augmentation,
-    p_q_battery,
     q_coaugmentation,
     q_pairing,
     q_realization_identity,
@@ -152,5 +153,20 @@ def test_contraction_realization(r):
 def test_full_battery(r):
     for algebra in (QQ, QX2):
         ext = build_extension(algebra, r)
-        results = p_q_battery(ext)
-        assert all(results.values()), results
+        assert ak_battery_failure(ext) is None
+
+
+def test_one_patch_reaches_the_homology_claims_of_the_ak_battery(monkeypatch):
+    # P and Q are fetched in ak_complexes alone, so a perturbation there
+    # reaches the per-grade claims that follow the resolution and pairing claims
+    def one_class_too_many_at_grade_two(C, n, grade=None):
+        H = homology(C, n, grade)
+        return type(H)(**{**vars(H), "dim": H.dim + 1}) if grade == 2 else H
+
+    monkeypatch.setattr(ak_complexes, "homology", one_class_too_many_at_grade_two)
+    assert ak_battery_failure(build_extension(QQ, 1)) == {
+        "claim": "resolution of the base, per grade",
+        "rank": 1,
+        "algebra": "Q",
+        "grade": 2,
+    }

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_cochain as ref
-from hkrlab.coeff import CoeffAlgebra
+from hkrlab.coeff import CoeffAlgebra, Poly
 from hkrlab.chain_core import homology
 from hkrlab.extension_dg import build_extension
 from hkrlab.cech_twist import (
@@ -22,12 +22,15 @@ from hkrlab.cech_twist import (
     build_cochain,
     canonical_representative,
     cech_complex,
+    class_coordinates,
+    class_count,
     cech_delta,
     cochain_module,
     cochain_type,
     cochain_value,
     cochain_wedge,
     cohomologous,
+    combine_representatives,
     hom_lam_module,
     is_cocycle,
     l_operator,
@@ -36,13 +39,16 @@ from hkrlab.cech_twist import (
 from hkrlab.modules import StructuralError
 
 EXT = build_extension(CoeffAlgebra.rationals(), 2)
+EXT_X = build_extension(CoeffAlgebra.polynomial(1, 2), 2)
 NERVES = {name: make() for name, make in sorted(NERVE_LIBRARY.items())}
 
 
 def random_values(nerve, degree, module, rng):
-    """Random values on a random half of the degree-simplices."""
+    """Random values on a random half of the degree-simplices, with a random
+    coefficient at every monomial."""
+    monomials = module.algebra.monomials
     return {
-        s: module.element((lab, rng.randint(-2, 2)) for lab in module.labels)
+        s: module.element((lab, Poly(module.algebra, {m: rng.randint(-2, 2) for m in monomials})) for lab in module.labels)
         for s in nerve.simplices_of_dim(degree)
         if rng.random() < 0.5
     }
@@ -215,3 +221,48 @@ def test_l_operator_matches_the_element_built_reference(name, algebra):
     # some cochain's labels leave a simplex and come back to it, so the
     # label order is pinned where it could differ
     assert interleaved
+
+
+def coefficient_modules(ext):
+    # the wedge twist's coefficients and a Hom-valued twist's
+    return [ext.lam_i(1), hom_lam_module(ext, 1, 2)]
+
+
+@pytest.mark.parametrize("ext", [EXT, EXT_X], ids=["Q", "Q[x1]<=2"])
+@pytest.mark.parametrize("name", sorted(NERVES))
+def test_the_class_basis_is_the_per_module_homology_basis(name, ext):
+    # scalar representative first, then (label, monomial): the basis, in
+    # order, that the coefficient module's own Cech complex gives
+    nerve = NERVES[name]
+    for M in coefficient_modules(ext):
+        for l in range(nerve.depth + 1):
+            H = homology(cech_complex(nerve, M), l)
+            n = class_count(nerve, l, M)
+            assert n == H.dim
+            assert [combine_representatives(nerve, l, M, [0] * k + [1]) for k in range(n)] == H.representatives
+        with pytest.raises(NerveError):
+            class_count(nerve, nerve.depth + 1, M)
+
+
+@pytest.mark.parametrize("ext", [EXT, EXT_X], ids=["Q", "Q[x1]<=2"])
+@pytest.mark.parametrize("name", sorted(NERVES))
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_class_questions_match_the_per_module_route(name, ext, seed):
+    # coboundaries and perturbed cocycles (a class plus a coboundary), each
+    # asked through the scalar complex and through the module's own
+    nerve = NERVES[name]
+    rng = random.Random(seed)
+    for M in coefficient_modules(ext):
+        for l in range(nerve.depth + 1):
+            zero = cochain_module(nerve, M, l).zero()
+            z = random_cocycle(nerve, l, M, rng)
+            b = cech_delta(nerve, random_pair(nerve, l - 1, M, rng)[1]) if l else zero
+            x = random_pair(nerve, l, M, rng)[1]
+            assert is_cocycle(nerve, x) == ref.is_cocycle(ref.from_element(nerve, x))
+            for c in (z, b, z + b):
+                cr = ref.from_element(nerve, c)
+                assert cohomologous(nerve, c, zero) == ref.cohomologous(cr, ref.from_element(nerve, zero))
+                assert cohomologous(nerve, c, z) == ref.cohomologous(cr, ref.from_element(nerve, z))
+                assert class_coordinates(nerve, c) == homology(cech_complex(nerve, M), l).project(c)
+                assert same(nerve, canonical_representative(nerve, c), ref.canonical_representative(cr))

@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from hkrlab.ak_complexes import build_p_complex, build_q_complex, p_q_battery
+from hkrlab.ak_complexes import ak_battery_failure, build_p_complex, build_q_complex
 from hkrlab.cech_twist import (
     TwistFamily,
     canonical_representative,
@@ -181,7 +181,7 @@ def test_differentials_are_built_once_and_shared():
 def test_shared_maps_are_unchanged_by_their_callers():
     ext = build_extension(QQ, 2)
     assert dg_battery_failure(ext) is None
-    assert all(p_q_battery(ext).values())
+    assert ak_battery_failure(ext) is None
     homology_dims(build_p_complex(ext))
     homology_dims(build_q_complex(ext))
     assert all(zeta_checks(ext).values()) and all(zeta_checks(ext, window=3).values())

@@ -2,7 +2,9 @@
 used in that module, no module element is built by summing basis vectors
 one at a time (BasedModule.element builds it in one pass), only
 cech_complex walks a nerve's coface table (every other Cech operation goes
-through the complex it builds), only t_chain_check, twisted_total_complex
+through the complex it builds), no homology or qsolver is asked of a
+coefficient module's own Cech complex (class questions go through the
+nerve's scalar complex), only t_chain_check, twisted_total_complex
 and atiyah_twist read a twist family's chart changes (transition_columns;
 cech_total_complex gets them as its transitions argument, so the twist is
 applied in cech_total_complex and t_chain_check alone), no module builds
@@ -137,6 +139,71 @@ def test_coface_read_is_found():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_only_cech_complex_reads_cofaces(path):
     assert {owner for _, owner in coface_reads(path.read_text())} <= {"cech_complex"}
+
+
+def _is_per_module_cech_complex(node):
+    """Is node a cech_complex(nerve, M) call with M other than SCALARS?"""
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "cech_complex"
+        and not (len(node.args) == 2 and isinstance(node.args[1], ast.Name) and node.args[1].id == "SCALARS")
+    )
+
+
+def per_module_cech_solves(source):
+    """(line, enclosing top-level function or class, or None) of each
+    homology(C, ...) or C.qsolver(...) where C is a per-module
+    cech_complex call, or a name that the same top-level statement assigns
+    one to."""
+    found = []
+    for stmt in ast.parse(source).body:
+        owner = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else None
+        nodes = list(ast.walk(stmt))
+        names = {
+            t.id
+            for n in nodes
+            if isinstance(n, ast.Assign) and _is_per_module_cech_complex(n.value)
+            for t in n.targets
+            if isinstance(t, ast.Name)
+        }
+
+        def per_module(node):
+            return _is_per_module_cech_complex(node) or (isinstance(node, ast.Name) and node.id in names)
+
+        for n in nodes:
+            if not isinstance(n, ast.Call):
+                continue
+            f = n.func
+            if isinstance(f, ast.Name) and f.id == "homology" and n.args and per_module(n.args[0]):
+                found.append((n.lineno, owner))
+            elif isinstance(f, ast.Attribute) and f.attr == "qsolver" and per_module(f.value):
+                found.append((n.lineno, owner))
+    return sorted(found)
+
+
+def test_per_module_cech_solve_is_found():
+    source = (
+        "def cech_cohomology(nerve, module, degree):\n"
+        "    C = cech_complex(nerve, module)\n"
+        "    return homology(C, degree)\n"
+        "def cohomologous(nerve, x, l):\n"
+        "    return cech_complex(nerve, x.module).qsolver(l - 1)\n"
+        "def class_count(nerve, degree):\n"
+        "    C = cech_complex(nerve, SCALARS)\n"
+        "    return homology(C, degree).dim + homology(cech_complex(nerve, SCALARS), 0).dim\n"
+        "def twisted(tot, k):\n"
+        "    return homology(tot, k), tot.qsolver(k)\n"
+        "H = homology(cech_complex(n, M), 1)\n"
+    )
+    assert per_module_cech_solves(source) == [(3, "cech_cohomology"), (5, "cohomologous"), (11, None)]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_class_question_solves_on_a_per_module_cech_complex(path):
+    # H*(N; M) = H*(N; Q) (x) M: every class question goes through the
+    # nerve's scalar complex, one (label, monomial) slice at a time
+    assert per_module_cech_solves(path.read_text()) == []
 
 
 def transition_column_reads(source):
@@ -629,8 +696,6 @@ def test_unreached_definition_is_found():
 TEST_ONLY = [
     ("cech_twist.py", "_linmap_inverse"),
     ("cech_twist.py", "atiyah_twist"),
-    ("cech_twist.py", "cech_cohomology"),
-    ("cech_twist.py", "class_coordinates"),
     ("cech_twist.py", "codim2_matrix"),
     ("cech_twist.py", "delta_product"),
     ("cech_twist.py", "q_operator"),
