@@ -44,7 +44,7 @@ from .chain_core import (
 from .coeff import CoeffAlgebra
 from .exterior_core import MERGES, exterior_power_map, perm_sign
 from .extension_dg import TrivialExtension
-from .modules import BasedModule, LinMap, QBasis, StructuralError, Vec, _vec, flatten_linmap
+from .modules import BasedModule, LinMap, QBasis, StructuralError, Vec, _vec, flatten_map
 from . import rational as ql
 
 
@@ -592,7 +592,7 @@ def _component_columns(ext, k_src, k_tgt, images):
     over the (tlab, sign, c) terms of images[lab] (distinct target labels,
     Poly coefficients, signs +-1; a missing label maps to zero): the column
     of the pair (lab, mono) is the flattening of mono times that image, as
-    flatten_linmap defines it."""
+    flatten_map defines it."""
     algebra = ext.algebra
     unit = algebra.constant_exps
     index = ext.flat(k_tgt).index
@@ -695,7 +695,7 @@ def t_chain_check(ext, lam, mu, T):
     for fam in (lam, mu):
         if fam.ext.lam_b(1) != ext.lam_b(1):
             raise StructuralError("a twist family over another extension")
-    d = [flatten_linmap(ext.hat_d(k), ext.flat(k + 1), ext.flat(k)) for k in range(r + 1)]
+    d = [flatten_map(ext.hat_d(k), ext.flat(k + 1), ext.flat(k)) for k in range(r + 1)]
     # N T as int columns, component by component
     ints = iter(ql.over_common_denominator([col for cols in T.values() for col in cols])[0])
     T = {key: [next(ints) for _ in cols] for key, cols in T.items()}
@@ -1002,7 +1002,7 @@ def delta_product(ext, nerve, A, B):
 
 def _linmap_inverse(m):
     sb, tb = QBasis(m.source), QBasis(m.target)
-    inv = ql.inverse(flatten_linmap(m, sb, tb), tb.dim)
+    inv = ql.inverse(flatten_map(m, sb, tb), tb.dim)
     if inv is None:
         raise StructuralError("map is not invertible")
 
@@ -1086,7 +1086,7 @@ def atiyah_twist(ext, kahler, nerve, transitions_g, nablas, chi=None, level=1):
             corr = chi.chi_hat_wedge(p, nablas[v].lam_apply(p, j_part))
             return ext.join(p + 1, i_part - corr, j_part)
 
-        return flatten_linmap(LinMap.from_function(B, B, fn), basis, basis)
+        return flatten_map(LinMap.from_function(B, B, fn), basis, basis)
 
     levels = [TwistCocycle.zero(ext, nerve, n) for n in range(ext.rank)]
     levels[p] = twist

@@ -19,8 +19,9 @@ Conventions, fixed once for the whole package:
 All rank computations happen on flattened rational matrices.  A complex
 may carry a grade window w: its flattened space is the quotient spanned
 by basis vectors of total grade <= w (label grade plus monomial degree).
-Every flattened differential (CochainComplex.qdiff) and every degree of a
-map of complexes (ComplexMap.columns) is kept as the sparse columns that
+Every flattened differential (CochainComplex.qdiff, read off the stored
+LinMap's columns) and every degree of a map of complexes
+(ComplexMap.columns) is kept as the sparse columns that
 modules.flatten_map returns; maps are applied, composed and chain-checked
 on them, and homology, ranks and inverses hand them to ``rational`` as
 they are.  A solve against a differential (is this a boundary?) asks the
@@ -37,7 +38,12 @@ from . import rational as ql
 
 
 def zero_module(algebra):
-    return BasedModule(algebra, (), name="0")
+    """The rank-0 module over algebra: one object per algebra object, kept
+    on the algebra."""
+    M = getattr(algebra, "_zero_module", None)
+    if M is None:
+        M = algebra._zero_module = BasedModule(algebra, (), name="0")
+    return M
 
 
 class CochainComplex:
@@ -85,9 +91,15 @@ class CochainComplex:
 
     def qdiff(self, n):
         """The flattened differential out of degree n, as sparse columns."""
-        if n not in self._qdiff:
-            self._qdiff[n] = flatten_map(self.diff(n).apply, self.flat(n), self.flat(n + 1))
-        return self._qdiff[n]
+        cols = self._qdiff.get(n)
+        if cols is None:
+            d = self.diffs.get(n)
+            if d is None:
+                cols = [{} for _ in range(self.flat(n).dim)]
+            else:
+                cols = flatten_map(d, self.flat(n), self.flat(n + 1))
+            self._qdiff[n] = cols
+        return cols
 
     def qsolver(self, n):
         """The exact solver for the flattened differential out of degree n."""
@@ -270,8 +282,8 @@ def total_complex(algebra, spots, column, name):
 
 def _column(d, lab):
     """The (target label, coefficient) terms of d's stored column at lab; a
-    missing column is zero."""
-    col = d.cols.get(lab)
+    missing map (None) or column is zero."""
+    col = None if d is None else d.cols.get(lab)
     return () if col is None else col.data.items()
 
 
@@ -286,13 +298,14 @@ def hom_complex(C, D):
         # the elementary map sending basis vector a of C^m to b of D^{m+deg},
         # post-composed with d_D, then pre-composed with d_C with sign -(-1)^deg
         a, b = lab
-        yield from (((m, (a, b2)), c) for b2, c in _column(D.diff(m + deg), b))
+        yield from (((m, (a, b2)), c) for b2, c in _column(D.diffs.get(m + deg), b))
         sgn = -1 if deg % 2 == 0 else 1
-        dC = C.diff(m - 1)
-        for a2 in dC.source.labels:
-            colv = dC.cols.get(a2)
-            if colv is not None:
-                yield (m - 1, (a2, b)), colv.coeff(a) * sgn
+        dC = C.diffs.get(m - 1)
+        if dC is not None:
+            for a2 in dC.source.labels:
+                colv = dC.cols.get(a2)
+                if colv is not None:
+                    yield (m - 1, (a2, b)), colv.coeff(a) * sgn
 
     return total_complex(C.algebra, spots, column, lambda deg: f"Hom(C,D)^{deg}")
 
@@ -307,9 +320,9 @@ def tensor_complex(C, D):
     def column(deg, m, lab):
         a, b = lab
         n = deg - m
-        yield from (((m + 1, (a2, b)), c) for a2, c in _column(C.diff(m), a))
+        yield from (((m + 1, (a2, b)), c) for a2, c in _column(C.diffs.get(m), a))
         sgn = -1 if m % 2 else 1
-        yield from (((m, (a, b2)), c * sgn) for b2, c in _column(D.diff(n), b))
+        yield from (((m, (a, b2)), c * sgn) for b2, c in _column(D.diffs.get(n), b))
 
     return total_complex(C.algebra, spots, column, lambda deg: f"(C(x)D)^{deg}")
 

@@ -12,7 +12,9 @@ A coefficient value is an ``int`` when its denominator is 1, else a
 nearly every product has the constant 1 or -1 as a factor, so ``Poly``
 arithmetic keeps integers as ``int`` and returns an operand unchanged when
 the other is the constant 1.  ``Poly`` values are never changed in place,
-so returning an operand is safe.
+so returning an operand is safe, and so is sharing constants: ``zero()``,
+``one()`` and ``const(1)``, ``const(-1)`` return one ``Poly`` per algebra
+object.
 """
 
 from __future__ import annotations
@@ -62,6 +64,10 @@ class CoeffAlgebra:
         self.monomials = _monomials_up_to(num_vars, degree_bound)
         self.constant_exps = (0,) * num_vars
         self.monomial_index = {m: i for i, m in enumerate(self.monomials)}
+        # the constants met most often, built once and shared
+        self._zero = _poly(self, {})
+        self._one = _poly(self, {self.constant_exps: 1})
+        self._minus_one = _poly(self, {self.constant_exps: -1})
 
     @classmethod
     def rationals(cls):
@@ -99,15 +105,19 @@ class CoeffAlgebra:
     # -- element constructors ------------------------------------------
 
     def zero(self):
-        return Poly(self, {})
+        return self._zero
 
     def one(self):
-        return _poly(self, {self.constant_exps: 1})
+        return self._one
 
     def const(self, c):
         c = _number(c)
+        if c == 1:
+            return self._one
+        if c == -1:
+            return self._minus_one
         if not c:
-            return self.zero()
+            return self._zero
         return _poly(self, {self.constant_exps: c})
 
     def gen(self, i):

@@ -266,11 +266,13 @@ class LocalModel:
             if a.coeff(()) != self.A.gen(i):
                 raise ModelError("splitting is not a section")
         table, b_mul = self._psi_mono, self.ext.b_mul
+        # the table follows C.monomials, ordered by degree, so once e*f
+        # leaves the window so does e times every later monomial
         mons = [(e, sum(e), pe) for e, pe in table.items()]
         for e, de, pe in mons:
             for f, df, pf in mons:
                 if de + df > self.D:
-                    continue
+                    break
                 ef = tuple(a + b for a, b in zip(e, f))
                 if table[ef] != b_mul(pe, pf):
                     raise ModelError("psi is not multiplicative")

@@ -9,11 +9,14 @@ dimensional rational vector space, optionally restricted to total grade
 
 There is one flattened form: a vector is a sparse column {index: value}
 over a QBasis (QBasis.flatten and QBasis.unflatten convert), and a map is
-the list of such columns that flatten_map returns, one per source pair
-(flatten_linmap reads the same columns off a LinMap's stored ones).
-A value is an int when its denominator is 1, else a Fraction, as in the
-Poly coefficients it comes from.  ``rational`` reduces, solves and
-inverts matrices in this form.
+the list of such columns that flatten_map returns, one per source pair;
+flatten_map reads a LinMap's stored columns and applies any other map to
+basis vectors.  A value is an int when its denominator is 1, else a
+Fraction, as in the Poly coefficients it comes from.  ``rational``
+reduces, solves and inverts matrices in this form.
+
+Vec and Poly values are never changed in place, so a value may be shared:
+a stored column, a coefficient or a constant of the algebra.
 """
 
 from __future__ import annotations
@@ -68,14 +71,25 @@ class BasedModule:
         a coeff may be an int, a Fraction or a Poly, and labels may repeat."""
         index = self.label_index
         const = self.algebra.const
-
-        def coerced():
-            for lab, c in terms:
-                if lab not in index:
-                    raise StructuralError(f"label {lab!r} not in module {self.name!r}")
-                yield lab, (c if isinstance(c, Poly) else const(c))
-
-        return _vec(self, _accumulate({}, coerced()))
+        # _accumulate's loop, with each label checked and coerced in it
+        out = {}
+        for lab, c in terms:
+            if lab not in index:
+                raise StructuralError(f"label {lab!r} not in module {self.name!r}")
+            if not isinstance(c, Poly):
+                c = const(c)
+            if not c.terms:
+                continue
+            s = out.get(lab)
+            if s is None:
+                out[lab] = c
+            else:
+                s = s + c
+                if s.terms:
+                    out[lab] = s
+                else:
+                    del out[lab]
+        return _vec(self, out)
 
     def basis(self):
         return [self.basis_vec(lab) for lab in self.labels]
@@ -191,16 +205,27 @@ def _accumulate(out, terms):
 
 
 def _image(cols, data):
-    """Coefficients of sum_lab data[lab] * cols[lab]."""
-    return _accumulate(
-        {},
-        [
-            (tlab, c * v)
-            for lab, c in data.items()
-            if (col := cols.get(lab)) is not None
-            for tlab, v in col.data.items()
-        ],
-    )
+    """Coefficients of sum_lab data[lab] * cols[lab], accumulated term by
+    term in _accumulate's order."""
+    out = {}
+    for lab, c in data.items():
+        col = cols.get(lab)
+        if col is None:
+            continue
+        for tlab, v in col.data.items():
+            p = c * v
+            if not p.terms:
+                continue
+            s = out.get(tlab)
+            if s is None:
+                out[tlab] = p
+            else:
+                s = s + p
+                if s.terms:
+                    out[tlab] = s
+                else:
+                    del out[tlab]
+    return out
 
 
 class LinMap:
@@ -386,32 +411,27 @@ class QBasis:
         return [i for i, g in enumerate(self.grades()) if g == grade]
 
 
-def flatten_map(fn, src_basis, tgt_basis):
-    """Sparse rational columns of a map fn from src_basis.module to
+def flatten_map(m, src_basis, tgt_basis):
+    """Sparse rational columns of a map m from src_basis.module to
     tgt_basis.module: the column of the pair (label, mono) is the flattening
-    of fn(basis_vec(label, mono)), one per src_basis pair.  The map need only
-    be rational-linear; entries outside the target window are dropped
-    (quotient semantics)."""
+    of m(basis_vec(label, mono)), one per src_basis pair.  A LinMap's columns
+    are read off its stored ones, mono times the column of label; any other
+    m is called on each basis vector and need only be rational-linear.
+    Entries outside the target window are dropped (quotient semantics)."""
     module = src_basis.module
     monomial = module.algebra.monomial
-    basis_vec = module.basis_vec
     flatten = tgt_basis.flatten
-    return [flatten(fn(basis_vec(lab, monomial(mono)))) for lab, mono in src_basis.pairs]
-
-
-def flatten_linmap(m, src_basis, tgt_basis):
-    """The columns flatten_map(m.apply, src_basis, tgt_basis) gives, read off
-    m's stored columns instead of applying m to fresh basis vectors: the
-    column of the pair (label, mono) is the flattening of mono times the
-    stored column of label."""
-    algebra = m.source.algebra
-    unit = algebra.constant_exps
-    flatten = tgt_basis.flatten
-    out = []
-    for lab, mono in src_basis.pairs:
-        col = m.cols.get(lab)
-        if col is None:
-            out.append({})
-        else:
-            out.append(flatten(col if mono == unit else col.scale(algebra.monomial(mono))))
-    return out
+    if isinstance(m, LinMap):
+        if m.source != module:
+            raise StructuralError(f"map out of {m.source.name!r} flattened over {module.name!r}")
+        unit = module.algebra.constant_exps
+        cols = m.cols
+        out = []
+        for lab, mono in src_basis.pairs:
+            col = cols.get(lab)
+            if col is None:
+                out.append({})
+            else:
+                out.append(flatten(col if mono == unit else col.scale(monomial(mono))))
+        return out
+    return [flatten(m(_vec(module, {lab: monomial(mono)}))) for lab, mono in src_basis.pairs]

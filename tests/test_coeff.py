@@ -146,3 +146,32 @@ def test_flattened_integer_entry_solves_to_an_exact_half():
     x = ql.Solver(cols, basis.dim).solve(b)
     assert x == {0: Fraction(1, 2)} and type(x[0]) is Fraction
     assert basis.unflatten(x).coeff("e") == algebra.const(Fraction(1, 2))
+
+
+def test_unit_constants_are_shared_and_never_change():
+    for algebra in ALGEBRAS:
+        one, minus_one, zero = algebra.one(), algebra.const(-1), algebra.zero()
+        assert algebra.const(1) is one and algebra.const(Fraction(2, 2)) is one
+        assert algebra.const(Fraction(-3, 3)) is minus_one and algebra.const(0) is zero
+        assert algebra.one() is one and algebra.zero() is zero
+        # an equal algebra object keeps constants of its own
+        twin = CoeffAlgebra(algebra.num_vars, algebra.degree_bound, algebra.var_names)
+        assert twin == algebra and twin.one() is not one and twin.one() == one
+        before = {name: dict(p.terms) for name, p in (("1", one), ("-1", minus_one), ("0", zero))}
+        x = algebra.gen(0) if algebra.num_vars else algebra.const(Fraction(1, 2))
+        M = BasedModule(algebra, ("a", "b"), "M")
+        results = [
+            one + one, one + minus_one, minus_one - one, zero - one, one - one,
+            one * minus_one, minus_one * minus_one, one * x, x * one, zero * x,
+            one * 3, minus_one * Fraction(1, 2), -one, -minus_one, x + one, x - minus_one,
+        ]
+        v = M.element([("a", one), ("b", minus_one), ("a", x), ("b", 1), ("a", -1), ("b", zero)])
+        results += [
+            M.element([("a", 1), ("b", -1), ("a", 1)]).scale(minus_one),
+            v.scale(one), v.scale(-1), v.scale(0), v + v, v - v, v.scale(x),
+        ]
+        assert v.data == {"a": x}
+        assert results[1].is_zero() and results[5] == minus_one and results[6] == one
+        assert {name: p.terms for name, p in (("1", one), ("-1", minus_one), ("0", zero))} == before
+        assert before == {"1": {algebra.constant_exps: 1}, "-1": {algebra.constant_exps: -1}, "0": {}}
+        assert algebra.one() is one and algebra.const(-1) is minus_one and algebra.zero() is zero

@@ -1,5 +1,5 @@
 """The comparison morphism is built and chain-checked on sparse rational
-columns.  Its builders write the columns flatten_linmap reads off the
+columns.  Its builders write the columns flatten_map reads off the
 LinMap builders of the reference (tests/reference_comparison.py), and its
 chain-map check answers as the LinMap-composition reference does, on wedge
 and last-level families over Q and over truncated polynomial algebras, and
@@ -36,7 +36,7 @@ from hkrlab.coeff import CoeffAlgebra
 from hkrlab.connections import Connection, DerivationChi, KahlerModule
 from hkrlab.extension_dg import build_extension
 from hkrlab import modules
-from hkrlab.modules import LinMap, StructuralError, flatten_linmap
+from hkrlab.modules import LinMap, StructuralError, flatten_map
 
 from reference_comparison import (
     linmaps_of_columns,
@@ -123,7 +123,7 @@ def bump_transition(fam, n, edge):
 
 
 def assert_columns_match_the_reference(ext, lam, mu, T):
-    """T's components are the columns flatten_linmap reads off the
+    """T's components are the columns flatten_map reads off the
     reference builder's LinMaps, key for key."""
     nerve = lam.nerve
     if lam.wedge_data is not None:
@@ -132,7 +132,7 @@ def assert_columns_match_the_reference(ext, lam, mu, T):
         reference = reference_build_t_last_level(ext, nerve, lam, mu)
     assert T.keys() == reference.keys()
     for (n, l, s), m in reference.items():
-        assert T[(n, l, s)] == flatten_linmap(m, ext.flat(n + 1), ext.flat(n + l + 1))
+        assert T[(n, l, s)] == flatten_map(m, ext.flat(n + 1), ext.flat(n + l + 1))
 
 
 def assert_checks_agree(case):

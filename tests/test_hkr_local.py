@@ -129,6 +129,41 @@ def test_validate_rejects_a_non_multiplicative_psi(monkeypatch):
         LocalModel(1, 1, 3)
 
 
+@pytest.mark.parametrize("shape", [(1, 1, 3), (2, 2, 3), (1, 2, 4)], ids=str)
+def test_validate_visits_exactly_the_pairs_inside_the_window(shape, monkeypatch):
+    m, r, D = shape
+    model = LocalModel(m, r, D, chi=PSI_CHI) if shape == (2, 2, 3) else LocalModel(m, r, D)
+    table = model._psi_mono
+    # the table is degree-ordered, which lets validate stop at the window's edge
+    assert list(table) == model.C.monomials
+    degrees = [sum(e) for e in table]
+    assert degrees == sorted(degrees)
+    seen, b_mul = [], TrivialExtension.b_mul
+
+    def recording(ext, x, y):
+        seen.append((id(x), id(y)))
+        return b_mul(ext, x, y)
+
+    monkeypatch.setattr(TrivialExtension, "b_mul", recording)
+    model.validate()
+    assert seen == [
+        (id(pe), id(pf)) for e, pe in table.items() for f, pf in table.items() if sum(e) + sum(f) <= D
+    ]
+
+
+def test_validate_rejects_a_non_multiplicative_psi_at_the_top_degree(monkeypatch):
+    table = LocalModel._psi_monomial_table
+
+    def perturbed(self):
+        out = table(self)
+        out[(2, 1)] = out[(2, 1)] + self.j_class(0)  # psi(x1^2*y1), of degree D = 3, gains y1
+        return out
+
+    monkeypatch.setattr(LocalModel, "_psi_monomial_table", perturbed)
+    with pytest.raises(ModelError, match="psi is not multiplicative"):
+        LocalModel(1, 1, 3)
+
+
 def test_validate_rejects_a_splitting_that_is_not_a_section(monkeypatch):
     table = LocalModel._psi_monomial_table
 

@@ -14,7 +14,9 @@ builds itself when it is left out (each complex has one owner that builds
 it), and only exterior_core uses factorial or permutations (every
 symmetrization and shuffle weight of the exterior algebra is written there
 once), and only rational divides with / (a coefficient may be an int, and
-int / int is a float), only the zeta battery's action pass and kappa call
+int / int is a float), no code changes a Poly's .terms or a Vec's .data
+dict in place (coefficient algebras share their constants, so a value must
+never change once built), only the zeta battery's action pass and kappa call
 k_b_action (each product of the B-action on a tensor power is computed in
 one place), only TrivialExtension.star_abstract calls wedge_b (the defining
 formula of the shifted product has one home), only the merge table's fill
@@ -574,6 +576,80 @@ def test_true_division_is_found():
 def test_only_rational_divides(path):
     # rational divides Fractions only: rref reads every entry as a Fraction first
     assert true_divisions(path.read_text()) == []
+
+
+VALUE_DICTS = {"terms", "data"}
+MUTATING_DICT_METHODS = {"clear", "pop", "popitem", "setdefault", "update"}
+
+
+def _is_value_dict(node):
+    """Is node an attribute read named terms or data, such as p.terms?"""
+    return isinstance(node, ast.Attribute) and node.attr in VALUE_DICTS
+
+
+def _target_leaves(target):
+    """The single targets of an assignment target, tuples unpacked."""
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return [leaf for elt in target.elts for leaf in _target_leaves(elt)]
+    if isinstance(target, ast.Starred):
+        return _target_leaves(target.value)
+    return [target]
+
+
+def in_place_value_writes(source):
+    """Lines of source that change a .terms or .data dict in place: item
+    assignment or deletion, an augmented assignment to the dict or one of
+    its items, or a call of clear, pop, popitem, setdefault or update on
+    it.  Rebinding the attribute itself (v.data = clean) builds a value and
+    is not a write."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            targets = []
+        for leaf in (leaf for t in targets for leaf in _target_leaves(t)):
+            if (isinstance(leaf, ast.Subscript) and _is_value_dict(leaf.value)) or (
+                isinstance(node, ast.AugAssign) and _is_value_dict(leaf)
+            ):
+                lines.append(node.lineno)
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in MUTATING_DICT_METHODS
+            and _is_value_dict(node.func.value)
+        ):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_in_place_value_write_is_found():
+    source = (
+        "p.terms[e] = 1\n"
+        "del v.data[lab]\n"
+        "v.data.pop(lab, None)\n"
+        "p.terms.update(other)\n"
+        "v.data.setdefault(lab, c)\n"
+        "p.terms.clear()\n"
+        "v.data[lab] += c\n"
+        "p.terms |= extra\n"
+        "a, self.data[k] = 1, 2\n"
+        "v.data.popitem()\n"
+        "out[lab] = v.data[lab]\n"
+        "terms = dict(p.terms)\n"
+        "terms[e] = p.terms.get(e, 0)\n"
+        "self.data = clean\n"
+        "cols[v.data[lab]] = 1\n"
+        "m.cols.pop(lab, None)\n"
+    )
+    assert in_place_value_writes(source) == list(range(1, 11))
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_value_is_changed_in_place(path):
+    assert in_place_value_writes(path.read_text()) == []
 
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)

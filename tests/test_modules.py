@@ -7,7 +7,8 @@ cancel exactly and, over Q[x1,x2] truncated at degree 2, products of
 nilpotents that truncate to zero.  The sparse flattening (QBasis.flatten,
 QBasis.unflatten, flatten_map) is compared with the dense flattening it
 replaced, kept here as the reference, on graded modules with and without
-a grade window.
+a grade window; flatten_map reads a LinMap's stored columns and applies
+any other map to basis vectors, and both routes give the same columns.
 """
 
 from fractions import Fraction
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hkrlab.chain_core import CochainComplex
 from hkrlab.coeff import CoeffAlgebra, Poly
 from hkrlab.modules import BasedModule, LinMap, QBasis, StructuralError, Vec, flatten_map
 
@@ -110,6 +112,12 @@ def test_apply_matches_definition(maps, data):
     got = f.apply(v)
     assert got == apply_by_definition(f, v)
     assert_clean(got)
+    # the image adds the scaled columns one at a time, in the order of v's labels
+    fold = f.target.zero()
+    for lab, c in v.data.items():
+        if lab in f.cols:
+            fold = fold + f.cols[lab].scale(c)
+    assert got == fold and list(got.data) == list(fold.data)
 
 
 @settings(max_examples=60, deadline=None)
@@ -178,23 +186,53 @@ def term_lists(draw):
     return M, terms
 
 
+def basis_vec_fold(M, terms):
+    """The sum of the one-term Vecs of terms, added one at a time."""
+    out = M.zero()
+    for lab, c in terms:
+        out = out + M.basis_vec(lab, c)
+    return out
+
+
 @settings(max_examples=100, deadline=None)
 @given(term_lists())
 def test_element_matches_the_fold_of_basis_vectors(drawn):
     M, terms = drawn
-    want = M.zero()
-    for lab, c in terms:
-        want = want + M.basis_vec(lab, c)
+    want = basis_vec_fold(M, terms)
     for got in (M.element(terms), M.element(iter(terms))):
         assert got == want
         assert list(got.data) == list(want.data)
         assert_clean(got)
 
 
+@pytest.mark.parametrize("algebra", [QQ, QX], ids=["Q", "QX"])
+def test_element_accumulates_labels_in_fold_order(algebra):
+    M = module(algebra, 3, "M")
+    p = algebra.monomial(algebra.monomials[-1], 3)
+    cases = [
+        # a re-added label goes last, after the labels that stayed
+        [("M1", 1), ("M0", 2), ("M1", -1), ("M2", Fraction(1, 2)), ("M1", p)],
+        # int, Fraction and Poly coefficients of one label sum to zero
+        [("M0", 1), ("M0", Fraction(-1, 2)), ("M0", algebra.const(Fraction(-1, 2)))],
+        # zero coefficients are skipped
+        [("M2", 0), ("M0", algebra.zero()), ("M1", p), ("M1", -p), ("M2", -1)],
+        [],
+    ]
+    for terms in cases:
+        got, want = M.element(terms), basis_vec_fold(M, terms)
+        assert got == want and list(got.data) == list(want.data)
+        assert_clean(got)
+    assert list(M.element(cases[0]).data) == ["M0", "M2", "M1"]
+    assert M.element(cases[1]).is_zero()
+    assert M.element(cases[2]).data == {"M2": algebra.const(-1)}
+
+
 def test_element_rejects_a_foreign_label():
     M = module(QQ, 2, "M")
     with pytest.raises(StructuralError):
         M.element([("M0", 1), ("N0", 1)])
+    with pytest.raises(StructuralError):
+        M.element(iter([("M0", 1), ("M0", -1), ("M2", 1)]))
 
 
 # -- flattening against the dense reference ---------------------------------
@@ -298,10 +336,33 @@ def test_flatten_map_matches_the_dense_reference(data):
     sb, tb = QBasis(L, data.draw(WINDOWS)), QBasis(M, data.draw(WINDOWS))
     cols = flatten_map(f.apply, sb, tb)
     dense = dense_flatten_map(f, sb, tb)
+    # the stored-column route gives the columns the basis-vector route does
+    assert flatten_map(f, sb, tb) == cols
     assert len(cols) == sb.dim
     assert all(all(col.values()) for col in cols)
     assert dense_rational.from_columns(cols, tb.dim) == dense
     assert dense_rational.to_columns(dense, sb.dim) == cols
+
+
+def test_flatten_map_rejects_a_linmap_out_of_another_module():
+    L, M = module(QQ, 2, "L"), module(QQ, 2, "M")
+    with pytest.raises(StructuralError):
+        flatten_map(LinMap.identity(L), QBasis(M), QBasis(L))
+
+
+@pytest.mark.parametrize("window", [None, 0, 1, 2])
+def test_qdiff_without_a_differential_is_one_empty_column_per_pair(window):
+    M = BasedModule(QX, ("a", "b"), "M", (0, 1))
+    C = CochainComplex(QX, {0: M, 1: M}, {0: LinMap.identity(M)}, window=window)
+    dim = C.flat(1).dim
+    assert dim == QBasis(M, window).dim > 0
+    cols = C.qdiff(1)
+    assert cols == [{}] * dim
+    assert len({id(col) for col in cols}) == dim
+    assert C.qdiff(1) is cols
+    assert C.qdiff(0) == flatten_map(C.diff(0), C.flat(0), C.flat(1))
+    # a degree with no module has neither pairs nor columns, over one zero module
+    assert C.qdiff(5) == [] and C.module(5) is C.module(-3)
 
 
 def test_flatten_drops_terms_beyond_the_window():
