@@ -107,16 +107,6 @@ class CochainComplex:
             self._qsolver[n] = ql.Solver(self.qdiff(n), self.flat(n + 1).dim)
         return self._qsolver[n]
 
-    def shift(self, k):
-        """Reindex-only shift: C[k]^n = C^{n+k} with the same differential."""
-        return CochainComplex(
-            self.algebra,
-            {n - k: M for n, M in self.modules.items()},
-            {n - k: d for n, d in self.diffs.items()},
-            window=self.window,
-            check=False,
-        )
-
     def with_window(self, window):
         """The view of this complex at a grade window, built once per window
         and kept by the complex, so every caller shares its flattened

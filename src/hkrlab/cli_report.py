@@ -1,10 +1,10 @@
 """Batch verification driver.
 
-Loads a configuration (flags or JSON), runs named check suites, and emits
-JSON and Markdown reports mapping each check to the mathematical claim it
-verifies.  Theorem-backed checks are pass-required (nonzero exit on
-failure); recursion-probe runs in the general case are informational and
-never affect the exit status.  With a fixed seed and configuration the
+Loads a configuration (flags, or one JSON file), runs named check
+suites, and emits JSON and Markdown reports mapping each check to the
+mathematical claim it verifies.  Theorem-backed checks are pass-required
+(nonzero exit on failure); recursion-probe runs in the general case are
+informational and never affect the exit status.  With a fixed seed and configuration the
 JSON report is byte-identical across runs: timing is reported only in the
 Markdown rendering.
 """
@@ -27,7 +27,7 @@ from .exterior_core import (
     koszul_dual_check,
     sign_census,
 )
-from .extension_dg import build_extension
+from .extension_dg import build_extension, dg_battery_failure
 from .ak_complexes import ak_battery_failure, contraction_realization_check
 from .hkr_local import (
     LocalModel,
@@ -64,9 +64,6 @@ from .modules import StructuralError
 # the highest rank any suite runs: COMPARISON_MODELS and probe_general_case
 # stop at rank 3, and a higher configured rank would run the same cases
 SUITE_MAX_RANK = 3
-MAX_DEGREE_BOUND = 4
-# the rank cap of a local model given as JSON (parse_model_json)
-MODEL_MAX_RANK = 4
 
 
 class ConfigError(ValueError):
@@ -75,9 +72,12 @@ class ConfigError(ValueError):
 
 @dataclass
 class SuiteConfig:
+    """Everything a verify run reads.  Each field is a flag (fmt is
+    --format) and a key of a JSON config file; a flag left out takes its
+    default here."""
+
     suite: str = "all"
-    max_rank: int = 3
-    degree_bound: int = 3
+    max_rank: int = SUITE_MAX_RANK
     nerve: str = "circle"
     seed: int = 0
     out: str = ""
@@ -97,10 +97,6 @@ class SuiteConfig:
             raise ConfigError("max rank must be at least 2")
         if self.max_rank > SUITE_MAX_RANK:
             raise ConfigError(f"max rank capped at {SUITE_MAX_RANK}")
-        if self.degree_bound < 0:
-            raise ConfigError("degree bound must not be negative")
-        if self.degree_bound > MAX_DEGREE_BOUND:
-            raise ConfigError(f"degree bound capped at {MAX_DEGREE_BOUND}")
         if self.fmt not in ("json", "md"):
             raise ConfigError(f"format must be 'json' or 'md', got {self.fmt!r}")
         # checked before any check runs, so a bad path never costs a full run
@@ -152,49 +148,6 @@ class SuiteConfig:
         return chase
 
 
-def parse_model_json(data):
-    """Model specification {m, r, D, chi}: chi has m rows (one per polynomial
-    generator) and r columns of polynomial strings; omitted or null, it is the
-    standard splitting.  Malformed or oversized input is a ConfigError, raised
-    before the model is built."""
-    if isinstance(data, str):
-        try:
-            data = json.loads(data)
-        except json.JSONDecodeError as err:
-            raise ConfigError(f"malformed model: line {err.lineno} col {err.colno}")
-    if not isinstance(data, dict):
-        raise ConfigError("model must be a JSON object")
-    bounds = {"m": (1, MODEL_MAX_RANK), "r": (1, MODEL_MAX_RANK), "D": (2, MAX_DEGREE_BOUND)}
-    unknown = set(data) - set(bounds) - {"chi"}
-    if unknown:
-        raise ConfigError(f"unknown model keys: {sorted(unknown)}")
-    for key, (lo, hi) in bounds.items():
-        if key not in data:
-            raise ConfigError(f"model key {key!r} is missing")
-        value = data[key]
-        if type(value) is not int:  # a bool is not an int here
-            raise ConfigError(f"model field {key!r} must be int, got {value!r}")
-        if not lo <= value <= hi:
-            raise ConfigError(f"model field {key!r} must lie in {lo}..{hi}, got {value}")
-    m, r, chi = data["m"], data["r"], data.get("chi")
-    if chi is not None and not (
-        type(chi) is list
-        and len(chi) == m
-        and all(type(row) is list and len(row) == r and all(type(e) is str for e in row) for row in chi)
-    ):
-        raise ConfigError(f"model field 'chi' must be an {m} x {r} list of lists of polynomial strings")
-    D = data["D"]
-    if chi is not None:
-        A = CoeffAlgebra.polynomial(m, D)
-        try:
-            chi = [[A.parse(e) for e in row] for row in chi]
-        except (ValueError, ZeroDivisionError) as err:
-            raise ConfigError(f"model field 'chi' holds a malformed polynomial: {err}")
-        if any(e.degree() >= D for row in chi for e in row):
-            raise ConfigError(f"model field 'chi' holds an entry of degree {D} or more")
-    return LocalModel(m, r, D, chi=chi)
-
-
 # -- individual checks --------------------------------------------------------
 
 
@@ -244,119 +197,6 @@ def check_dg_battery(config):
             if failure is not None:
                 return "fail", {**failure, "algebra": repr(algebra)}
     return "pass", {"ranks": ranks}
-
-
-def dg_battery_failure(ext):
-    """The first failing claim of the dg battery on one extension, else None.
-
-    On the label x monomial basis of every degree: the split product against
-    its defining formula, Leibniz and associativity, then d o d = 0.  One
-    product table serves every block of the extension and is dropped when
-    this call returns.
-
-    On these bases d o d = 0 follows from Leibniz: hat_d is then a
-    derivation of the shifted product, degrees 0 and 1 generate it, and
-    the (0, 0) block makes hat_d vanish on degree 0, so the derivation
-    d o d is zero.  No mutation that passes Leibniz reaches the square-zero
-    check; it is kept as a cheap guard.
-    """
-    r = ext.rank
-    table = _ProductTable(ext)
-    for k in range(r + 1):
-        for l in range(r + 1 - k):
-            claim = _dg_block_failure(table, k, l)
-            if claim is not None:
-                return {"claim": claim, "rank": r}
-    for k in range(1, r + 1):
-        if not ext.hat_d(k - 1).compose(ext.hat_d(k)).is_zero():
-            return {"claim": "square-zero differential", "rank": r, "degree": k}
-    return None
-
-
-class _ProductTable:
-    """The dg battery's operands, products and differentials on one extension.
-
-    Every operand and product is interned to an int id keyed by its exact
-    contents: the module, then each label with its Poly terms.  A Vec stores
-    no zero coefficient, so equal ids mean equal Vecs.  A product
-    ext.star(k1, l1, u, v) is computed once and stored under
-    (k1, l1, id u, id v): it is read back only for the very operands it was
-    computed on, never derived by linearity.
-    """
-
-    def __init__(self, ext):
-        self.ext = ext
-        self.vecs = []  # id -> Vec
-        self._ids = {}  # exact contents -> id
-        self._products = {}  # (k1, l1, id u, id v) -> id of u*v
-        self._hat_d = {}  # id u -> id of hat_d(k) u, k the degree of u
-        self._rows = {}  # (m, id u) -> [id of u*z for z in basis[m]]
-        algebra = ext.algebra
-        # k -> ids of the label x monomial basis of degree k
-        self.basis = {}
-        for k in range(ext.rank + 1):
-            M = ext.lam_b(k + 1)
-            self.basis[k] = [
-                self.intern(M.basis_vec(lab, algebra.monomial(mono)))
-                for lab in M.labels
-                for mono in algebra.monomials
-            ]
-
-    def intern(self, v):
-        key = (v.module, frozenset((lab, frozenset(c.terms.items())) for lab, c in v.data.items()))
-        i = self._ids.get(key)
-        if i is None:
-            i = self._ids[key] = len(self.vecs)
-            self.vecs.append(v)
-        return i
-
-    def star(self, k1, l1, u, v):
-        key = (k1, l1, u, v)
-        uv = self._products.get(key)
-        if uv is None:
-            uv = self._products[key] = self.intern(self.ext.star(k1, l1, self.vecs[u], self.vecs[v]))
-        return uv
-
-    def hat_d(self, k, u):
-        du = self._hat_d.get(u)
-        if du is None:
-            du = self._hat_d[u] = self.intern(self.ext.hat_d(k).apply(self.vecs[u]))
-        return du
-
-    def row(self, k1, m, u):
-        """[u*z for z in basis[m]] as ids, u of degree k1."""
-        row = self._rows.get((m, u))
-        if row is None:
-            row = self._rows[m, u] = [self.star(k1, m, u, z) for z in self.basis[m]]
-        return row
-
-
-def _dg_block_failure(table, k, l):
-    """The first claim that fails for x of degree k and y of degree l, else None.
-
-    Leibniz reads each operand's hat_d image once, by id; associativity
-    compares, for each (x, y, m), the row [xy*z for z] with [x*(yz) for z].
-    """
-    ext, vecs, star, hat_d = table.ext, table.vecs, table.star, table.hat_d
-    xs, ys = table.basis[k], table.basis[l]
-    zero = ext.lam_b(k + l).zero()
-    sign = (-1) ** k
-    degrees = range(ext.rank + 1 - k - l)
-    formula = ext.star_abstract(k, l, [vecs[x] for x in xs], [vecs[y] for y in ys])
-    for x, x_formula in zip(xs, formula):
-        for y, xy_formula in zip(ys, x_formula):
-            xy = star(k, l, x, y)
-            if vecs[xy] != xy_formula:
-                return "split product"
-            rhs = vecs[star(k - 1, l, hat_d(k, x), y)] if k else zero
-            if l:
-                rhs = rhs + vecs[star(k, l - 1, x, hat_d(l, y))].scale(sign)
-            if vecs[hat_d(k + l, xy)] != rhs:
-                return "Leibniz"
-            for m in degrees:
-                if table.row(k + l, m, xy) != [star(k, l + m, x, yz) for yz in table.row(l, m, y)]:
-                    return "associativity"
-    return None
 
 
 def check_ak_battery(config):
@@ -624,41 +464,36 @@ def run_suite(config):
             "detail": detail,
             "elapsed": time.monotonic() - t0,
         })
-    cfg = {k: getattr(config, k) for k in ("suite", "max_rank", "degree_bound", "nerve", "seed")}
+    cfg = {k: getattr(config, k) for k in ("suite", "max_rank", "nerve", "seed")}
     return Report(cfg, records)
 
 
 def main(argv=None):
+    # a flag left out is absent from the parsed options, so every default is SuiteConfig's
     parser = argparse.ArgumentParser(
-        prog="verify", description="run the exact-arithmetic verification suites"
+        prog="verify",
+        description="run the exact-arithmetic verification suites",
+        argument_default=argparse.SUPPRESS,
     )
-    parser.add_argument("--suite", default="all", help=f"one of {sorted(SUITES)}")
-    parser.add_argument("--max-rank", type=int, default=3)
-    parser.add_argument(
-        "--degree-bound",
-        type=int,
-        default=3,
-        help=f"range-checked (0..{MAX_DEGREE_BOUND}) and echoed in the report; no check reads it yet",
-    )
-    parser.add_argument("--nerve", default="circle", help="library name or JSON file")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", default="", help="report output path")
-    parser.add_argument("--format", dest="fmt", choices=("json", "md"), default="json")
-    parser.add_argument("--config", default="", help="JSON config file (overrides flags)")
-    args = parser.parse_args(argv)
+    flags = [
+        parser.add_argument("--suite", help=f"one of {sorted(SUITES)}"),
+        parser.add_argument("--max-rank", type=int),
+        parser.add_argument("--nerve", help="library name or JSON file"),
+        parser.add_argument("--seed", type=int),
+        parser.add_argument("--out", help="report output path"),
+        parser.add_argument("--format", dest="fmt", help="json or md"),
+    ]
+    parser.add_argument("--config", help="JSON config file, given without any other flag")
+    given = vars(parser.parse_args(argv))
+    path = given.pop("config", None)
     try:
-        if args.config:
-            config = SuiteConfig.from_json(args.config)
+        if path is None:
+            config = SuiteConfig(**given)
+        elif given:
+            names = ", ".join(f.option_strings[0] for f in flags if f.dest in given)
+            raise ConfigError(f"--config takes no other flag, got {names}")
         else:
-            config = SuiteConfig(
-                suite=args.suite,
-                max_rank=args.max_rank,
-                degree_bound=args.degree_bound,
-                nerve=args.nerve,
-                seed=args.seed,
-                out=args.out,
-                fmt=args.fmt,
-            )
+            config = SuiteConfig.from_json(path)
         report = run_suite(config)
     except ConfigError as err:
         parser.error(str(err))

@@ -17,7 +17,8 @@ change them.  Lambda I is the exterior algebra of
 the extension's own ExteriorContext; star reads the merge table of its
 wedge.  All identities (associativity, Leibniz, module axioms) are exact
 in the truncated coefficient algebra because truncation is an algebra
-quotient.
+quotient; dg_battery_failure checks them on the label x monomial basis of
+every degree.
 """
 
 from __future__ import annotations
@@ -319,3 +320,116 @@ def shifted_complex(ext):
     modules = {-k: ext.lam_b(k + 1) for k in range(r + 1)}
     diffs = {-k: ext.hat_d(k) for k in range(1, r + 1)}
     return CochainComplex(ext.algebra, modules, diffs)
+
+
+def dg_battery_failure(ext):
+    """The first failing claim of the dg battery on one extension, else None.
+
+    On the label x monomial basis of every degree: the split product against
+    its defining formula, Leibniz and associativity, then d o d = 0.  One
+    product table serves every block of the extension and is dropped when
+    this call returns.
+
+    On these bases d o d = 0 follows from Leibniz: hat_d is then a
+    derivation of the shifted product, degrees 0 and 1 generate it, and
+    the (0, 0) block makes hat_d vanish on degree 0, so the derivation
+    d o d is zero.  No mutation that passes Leibniz reaches the square-zero
+    check; it is kept as a cheap guard.
+    """
+    r = ext.rank
+    table = _ProductTable(ext)
+    for k in range(r + 1):
+        for l in range(r + 1 - k):
+            claim = _dg_block_failure(table, k, l)
+            if claim is not None:
+                return {"claim": claim, "rank": r}
+    for k in range(1, r + 1):
+        if not ext.hat_d(k - 1).compose(ext.hat_d(k)).is_zero():
+            return {"claim": "square-zero differential", "rank": r, "degree": k}
+    return None
+
+
+class _ProductTable:
+    """The dg battery's operands, products and differentials on one extension.
+
+    Every operand and product is interned to an int id keyed by its exact
+    contents: the module, then each label with its Poly terms.  A Vec stores
+    no zero coefficient, so equal ids mean equal Vecs.  A product
+    ext.star(k1, l1, u, v) is computed once and stored under
+    (k1, l1, id u, id v): it is read back only for the very operands it was
+    computed on, never derived by linearity.
+    """
+
+    def __init__(self, ext):
+        self.ext = ext
+        self.vecs = []  # id -> Vec
+        self._ids = {}  # exact contents -> id
+        self._products = {}  # (k1, l1, id u, id v) -> id of u*v
+        self._hat_d = {}  # id u -> id of hat_d(k) u, k the degree of u
+        self._rows = {}  # (m, id u) -> [id of u*z for z in basis[m]]
+        algebra = ext.algebra
+        # k -> ids of the label x monomial basis of degree k
+        self.basis = {}
+        for k in range(ext.rank + 1):
+            M = ext.lam_b(k + 1)
+            self.basis[k] = [
+                self.intern(M.basis_vec(lab, algebra.monomial(mono)))
+                for lab in M.labels
+                for mono in algebra.monomials
+            ]
+
+    def intern(self, v):
+        key = (v.module, frozenset((lab, frozenset(c.terms.items())) for lab, c in v.data.items()))
+        i = self._ids.get(key)
+        if i is None:
+            i = self._ids[key] = len(self.vecs)
+            self.vecs.append(v)
+        return i
+
+    def star(self, k1, l1, u, v):
+        key = (k1, l1, u, v)
+        uv = self._products.get(key)
+        if uv is None:
+            uv = self._products[key] = self.intern(self.ext.star(k1, l1, self.vecs[u], self.vecs[v]))
+        return uv
+
+    def hat_d(self, k, u):
+        du = self._hat_d.get(u)
+        if du is None:
+            du = self._hat_d[u] = self.intern(self.ext.hat_d(k).apply(self.vecs[u]))
+        return du
+
+    def row(self, k1, m, u):
+        """[u*z for z in basis[m]] as ids, u of degree k1."""
+        row = self._rows.get((m, u))
+        if row is None:
+            row = self._rows[m, u] = [self.star(k1, m, u, z) for z in self.basis[m]]
+        return row
+
+
+def _dg_block_failure(table, k, l):
+    """The first claim that fails for x of degree k and y of degree l, else None.
+
+    Leibniz reads each operand's hat_d image once, by id; associativity
+    compares, for each (x, y, m), the row [xy*z for z] with [x*(yz) for z].
+    """
+    ext, vecs, star, hat_d = table.ext, table.vecs, table.star, table.hat_d
+    xs, ys = table.basis[k], table.basis[l]
+    zero = ext.lam_b(k + l).zero()
+    sign = (-1) ** k
+    degrees = range(ext.rank + 1 - k - l)
+    formula = ext.star_abstract(k, l, [vecs[x] for x in xs], [vecs[y] for y in ys])
+    for x, x_formula in zip(xs, formula):
+        for y, xy_formula in zip(ys, x_formula):
+            xy = star(k, l, x, y)
+            if vecs[xy] != xy_formula:
+                return "split product"
+            rhs = vecs[star(k - 1, l, hat_d(k, x), y)] if k else zero
+            if l:
+                rhs = rhs + vecs[star(k, l - 1, x, hat_d(l, y))].scale(sign)
+            if vecs[hat_d(k + l, xy)] != rhs:
+                return "Leibniz"
+            for m in degrees:
+                if table.row(k + l, m, xy) != [star(k, l + m, x, yz) for yz in table.row(l, m, y)]:
+                    return "associativity"
+    return None

@@ -228,24 +228,17 @@ class ExteriorContext:
 
     def contract_left(self, v, phi):
         """(v -| phi)(x) = phi(x ^ v); left module action of Lambda E on Lambda E*."""
-        if self._side(v) or not self._side(phi):
-            raise StructuralError("contract_left takes (element of Lambda E, element of Lambda E*)")
-        p = self.degree_of(v)
-        q = self.degree_of(phi)
-        if p > q:
-            return self.ext(0, dual=True).zero()
-        terms = []
-        for K, a in v.data.items():
-            for M, b in phi.data.items():
-                if set(K) <= set(M):
-                    J = tuple(i for i in M if i not in K)
-                    terms.append((J, a * b * split_sign(J, K)))
-        return self.ext(q - p, dual=True).element(terms)
+        return self._contract(v, phi, True, "contract_left takes (element of Lambda E, element of Lambda E*)")
 
     def contract_right(self, phi, v):
         """(phi |- v)(x) = phi(v ^ x); right module action."""
+        return self._contract(v, phi, False, "contract_right takes (element of Lambda E*, element of Lambda E)")
+
+    def _contract(self, v, phi, left, usage):
+        """v -| phi if left, else phi |- v: the two differ only in the sign
+        of splitting each label M of phi into the rest J and the label K of v."""
         if self._side(v) or not self._side(phi):
-            raise StructuralError("contract_right takes (element of Lambda E*, element of Lambda E)")
+            raise StructuralError(usage)
         p = self.degree_of(v)
         q = self.degree_of(phi)
         if p > q:
@@ -255,29 +248,21 @@ class ExteriorContext:
             for M, b in phi.data.items():
                 if set(K) <= set(M):
                     J = tuple(i for i in M if i not in K)
-                    terms.append((J, a * b * split_sign(K, J)))
+                    terms.append((J, a * b * (split_sign(J, K) if left else split_sign(K, J))))
         return self.ext(q - p, dual=True).element(terms)
 
     # -- dualities ------------------------------------------------------
 
     def duality_left(self, p):
         """D^l: Lambda^p E (x) det E* -> Lambda^{r-p} E*, v (x) xi |-> v -| xi."""
-        src = tensor_module(self.ext(p), self.ext(self.rank, dual=True))
-        tgt = self.ext(self.rank - p, dual=True)
-
-        def fn(w):
-            return tgt.element(
-                t
-                for (K, M), c in w.data.items()
-                for t in self.contract_left(
-                    self.ext(p).basis_vec(K, c), self.ext(self.rank, dual=True).basis_vec(M)
-                ).data.items()
-            )
-
-        return LinMap.from_function(src, tgt, fn)
+        return self._duality(p, self.contract_left)
 
     def duality_right(self, p):
         """D^r: Lambda^p E (x) det E* -> Lambda^{r-p} E*, v (x) xi |-> xi |- v."""
+        return self._duality(p, lambda v, xi: self.contract_right(xi, v))
+
+    def _duality(self, p, contract):
+        """Lambda^p E (x) det E* -> Lambda^{r-p} E*, v (x) xi |-> contract(v, xi)."""
         src = tensor_module(self.ext(p), self.ext(self.rank, dual=True))
         tgt = self.ext(self.rank - p, dual=True)
 
@@ -285,9 +270,7 @@ class ExteriorContext:
             return tgt.element(
                 t
                 for (K, M), c in w.data.items()
-                for t in self.contract_right(
-                    self.ext(self.rank, dual=True).basis_vec(M), self.ext(p).basis_vec(K, c)
-                ).data.items()
+                for t in contract(self.ext(p).basis_vec(K, c), self.ext(self.rank, dual=True).basis_vec(M)).data.items()
             )
 
         return LinMap.from_function(src, tgt, fn)

@@ -158,14 +158,6 @@ def test_homology_representatives_are_cycles_and_projection_kills_boundaries():
     assert H1.project(b) == [0]
 
 
-def test_homology_shift_commutes():
-    C = two_term([[2]])
-    for k in (-2, 1, 3):
-        S = C.shift(k)
-        for n in (0, 1):
-            assert homology(C, n).dim == homology(S, n - k).dim
-
-
 def test_hom_complex_identity_is_cycle():
     C = two_term([[1], [1]])
     H = hom_complex(C, C)

@@ -9,7 +9,7 @@ from hkrlab.coeff import CoeffAlgebra
 from hkrlab.extension_dg import build_extension
 from hkrlab.cech_twist import Nerve, circle_nerve
 from hkrlab import cli_report, hkr_local
-from hkrlab.cli_report import ConfigError, SuiteConfig, main, parse_model_json, run_suite
+from hkrlab.cli_report import ConfigError, SuiteConfig, main, run_suite
 
 
 def test_unknown_suite_rejected():
@@ -23,8 +23,6 @@ def test_caps_enforced():
     # every suite stops at rank 3, so rank 4 would run the rank-3 cases
     with pytest.raises(ConfigError, match="max rank capped at 3"):
         SuiteConfig(max_rank=4)
-    with pytest.raises(ConfigError):
-        SuiteConfig(degree_bound=11)
 
 
 def test_malformed_config_reports_location(tmp_path):
@@ -40,6 +38,45 @@ def test_unknown_config_keys_rejected(tmp_path):
     cfg.write_text(json.dumps({"suite": "signs", "bogus": 1}))
     with pytest.raises(ConfigError):
         SuiteConfig.from_json(cfg)
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--seed", "5"], "--seed"),
+        (["--suite", "koszul_duality", "--seed", "7"], "--suite, --seed"),
+        (["--format", "md", "--max-rank", "2", "--nerve", "torus", "--out", "r.md"], "--max-rank, --nerve, --out, --format"),
+    ],
+    ids=["seed", "suite-and-seed", "four-flags"],
+)
+def test_cli_config_with_any_other_flag_is_usage_error(tmp_path, capsys, monkeypatch, flags, named):
+    # the config file alone would run: the flags beside it must not be dropped silently
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "r.json"
+    cfg.write_text(json.dumps({"suite": "signs", "seed": 3, "out": str(out)}))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli_report, "run_suite", _refuse_to_run)
+    with pytest.raises(SystemExit) as err:
+        main(["--config", str(cfg)] + flags)
+    assert err.value.code == 2
+    (line,) = [text for text in capsys.readouterr().err.splitlines() if "error" in text]
+    assert line.endswith(f"--config takes no other flag, got {named}")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_cli_without_flags_runs_the_default_config(monkeypatch, capsys):
+    ran = []
+
+    def record(config):
+        ran.append(config)
+        return run_suite(config)
+
+    monkeypatch.setattr(cli_report, "run_suite", record)
+    assert main([]) == 0
+    default = SuiteConfig()
+    assert ran == [default]
+    echoed = json.loads(capsys.readouterr().out)["config"]
+    assert echoed == {k: getattr(default, k) for k in ("suite", "max_rank", "nerve", "seed")}
 
 
 def test_cli_runs_signs_and_exits_zero(tmp_path, capsys):
@@ -76,8 +113,9 @@ def test_cli_empty_config_is_usage_error(tmp_path, capsys):
         ({"nerve": 5}, "'nerve' must be str"),
         ([1], "must be a JSON object"),
         ({"suite": "signs", "fmt": "xml"}, "format must be 'json' or 'md'"),
+        ({"suite": "signs", "degree_bound": 3}, "unknown config keys: ['degree_bound']"),
     ],
-    ids=["str-for-int", "bool-for-int", "int-for-str", "not-an-object", "unknown-format"],
+    ids=["str-for-int", "bool-for-int", "int-for-str", "not-an-object", "unknown-format", "deleted-degree-bound"],
 )
 def test_cli_config_of_wrong_type_is_usage_error(tmp_path, capsys, data, message):
     cfg = tmp_path / "cfg.json"
@@ -127,12 +165,13 @@ def test_cli_oversized_simplex_is_rejected_before_its_faces_are_built(tmp_path, 
     [
         (["--max-rank", "0"], "max rank must be at least 2"),
         (["--max-rank", "1"], "max rank must be at least 2"),
-        (["--degree-bound", "-1"], "degree bound must not be negative"),
+        (["--degree-bound", "3"], "unrecognized arguments: --degree-bound 3"),
     ],
-    ids=["max-rank-0", "max-rank-1", "negative-degree-bound"],
+    ids=["max-rank-0", "max-rank-1", "deleted-degree-bound"],
 )
 def test_cli_rank_or_degree_below_every_suite_is_usage_error(tmp_path, capsys, flags, message):
-    # too small a rank would leave some checks with nothing to run, yet passing
+    # too small a rank would leave some checks with nothing to run, yet passing;
+    # the degree bound drove no check, so it is no flag at all
     out = tmp_path / "r.json"
     with pytest.raises(SystemExit) as err:
         main(["--suite", "all", "--out", str(out)] + flags)
@@ -248,53 +287,6 @@ def test_reports_byte_identical_for_same_seed():
     a = run_suite(SuiteConfig(suite="signs", seed=11)).to_json()
     b = run_suite(SuiteConfig(suite="signs", seed=11)).to_json()
     assert a.encode() == b.encode()
-
-
-def test_model_json_interface():
-    model = parse_model_json(json.dumps({"m": 1, "r": 2, "D": 3, "chi": [["x1", "0"]]}))
-    assert model.m == 1 and model.r == 2
-    assert model.chi[0][0] == model.A.gen(0)
-
-
-@pytest.mark.parametrize(
-    "data, message",
-    [
-        ({"r": 2, "D": 3}, "'m' is missing"),
-        ({"m": 1, "D": 3}, "'r' is missing"),
-        ({"m": 1, "r": 2}, "'D' is missing"),
-        ({"m": "1", "r": 2, "D": 3}, "'m' must be int"),
-        ({"m": 1, "r": True, "D": 3}, "'r' must be int"),
-        ({"m": 1, "r": 2, "D": 3.0}, "'D' must be int"),
-        ({"m": 50, "r": 2, "D": 4}, "'m' must lie in 1..4"),
-        ({"m": 0, "r": 2, "D": 3}, "'m' must lie in 1..4"),
-        ({"m": 1, "r": 5, "D": 3}, "'r' must lie in 1..4"),
-        ({"m": 1, "r": 0, "D": 3}, "'r' must lie in 1..4"),
-        ({"m": 1, "r": 2, "D": 1}, "'D' must lie in 2..4"),
-        ({"m": 1, "r": 2, "D": 5}, "'D' must lie in 2..4"),
-        ({"m": 1, "r": 2, "D": 3, "chi": "x1"}, "1 x 2 list of lists"),
-        ({"m": 1, "r": 2, "D": 3, "chi": [["x1"]]}, "1 x 2 list of lists"),
-        ({"m": 1, "r": 2, "D": 3, "chi": [["x1", "0"], ["0", "0"]]}, "1 x 2 list of lists"),
-        ({"m": 1, "r": 2, "D": 3, "chi": ["x1", "0"]}, "1 x 2 list of lists"),
-        ({"m": 1, "r": 2, "D": 3, "chi": [["x1", 0]]}, "1 x 2 list of lists"),
-        ({"m": 1, "r": 2, "D": 3, "chi": [["x9", "0"]]}, "malformed polynomial: unknown variable 'x9'"),
-        ({"m": 1, "r": 2, "D": 3, "chi": [["1+", "0"]]}, "malformed polynomial: cannot parse"),
-        ({"m": 1, "r": 2, "D": 3, "chi": [["x1", ""]]}, "malformed polynomial: empty"),
-        ({"m": 1, "r": 2, "D": 3, "chi": [["1/0", "0"]]}, "malformed polynomial"),
-        ({"m": 1, "r": 2, "D": 3, "chi": [["x1", "x1^3"]]}, "entry of degree 3 or more"),
-        ({"m": 1, "r": 2, "D": 3, "Chi": [["x1", "0"]]}, "unknown model keys"),
-        ([1, 2, 3], "must be a JSON object"),
-        ('{"m": 1,', "malformed model"),
-        ({"m": 1, "r": 2, "D": 3, "chi": [["x1^4", "0"]]}, "malformed polynomial: term .* exceeds the degree bound"),
-        ({"m": 1, "r": 2, "D": 3, "chi": [["x1^2*x1^2", "0"]]}, "malformed polynomial: term .* exceeds"),
-    ],
-)
-def test_model_json_rejects_malformed_or_oversized_input(monkeypatch, data, message):
-    def refuse(*args, **kwargs):
-        raise AssertionError("model built from rejected input")
-
-    monkeypatch.setattr("hkrlab.cli_report.LocalModel", refuse)
-    with pytest.raises(ConfigError, match=message):
-        parse_model_json(data)
 
 
 def test_complex_json_serialization():

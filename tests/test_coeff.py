@@ -6,11 +6,14 @@ reference that keeps every value as a Fraction, computed from the
 definition of the truncated product, over Q and over truncated algebras
 with degree bound at most 3.  Values are drawn with denominators 1, 2 and 3,
 so that products and sums of non-integral values can come out integral.
+The polynomial-string parser rejects malformed input and terms beyond the
+degree bound.
 """
 
 from fractions import Fraction
 from types import SimpleNamespace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -175,3 +178,21 @@ def test_unit_constants_are_shared_and_never_change():
         assert {name: p.terms for name, p in (("1", one), ("-1", minus_one), ("0", zero))} == before
         assert before == {"1": {algebra.constant_exps: 1}, "-1": {algebra.constant_exps: -1}, "0": {}}
         assert algebra.one() is one and algebra.const(-1) is minus_one and algebra.zero() is zero
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        ("x9", ValueError, "unknown variable 'x9'"),
+        ("1+", ValueError, "cannot parse"),
+        ("", ValueError, "empty"),
+        ("1/0", ZeroDivisionError, ""),
+        ("x1^4", ValueError, "term 'x1^4' exceeds the degree bound 3"),
+        ("x1^2*x1^2", ValueError, "term 'x1^2*x1^2' exceeds the degree bound 3"),
+    ],
+    ids=["unknown-variable", "dangling-operator", "empty", "zero-denominator", "power-over-bound", "product-over-bound"],
+)
+def test_parse_rejects_malformed_or_over_degree_input(text, error, message):
+    with pytest.raises(error) as err:
+        CoeffAlgebra.polynomial(1, 3).parse(text)
+    assert message in str(err.value)

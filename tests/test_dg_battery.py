@@ -21,9 +21,9 @@ from hkrlab.cech_twist import (
     random_wedge_cochains,
 )
 from hkrlab.chain_core import homology_dims
-from hkrlab.cli_report import SuiteConfig, _ranks, check_dg_battery, dg_battery_failure
+from hkrlab.cli_report import SuiteConfig, _ranks, check_dg_battery
 from hkrlab.coeff import CoeffAlgebra
-from hkrlab.extension_dg import TrivialExtension, build_extension
+from hkrlab.extension_dg import TrivialExtension, build_extension, dg_battery_failure
 from hkrlab.hkr_local import build_k_complex, zeta_checks
 
 QQ = CoeffAlgebra.rationals()
