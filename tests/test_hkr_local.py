@@ -184,6 +184,11 @@ def test_build_model_rejects_overflowing_chi():
         LocalModel(1, 1, 3, chi=[[x3]])
 
 
+def test_model_rejects_string_chi_entry_of_degree_D():
+    with pytest.raises(ModelError, match="splitting entry of degree >= D"):
+        LocalModel(1, 2, 3, chi=[["x1", "x1^3"]])
+
+
 def test_model_accepts_string_chi():
     model = LocalModel(2, 2, 3, chi=[["x1", "0"], ["1+x2", "2"]])
     assert model.chi[1][0] == model.A.parse("1+x2")
