@@ -29,7 +29,6 @@ them once and reads the matrix entries off their ('j', L) entries.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations, product
@@ -60,12 +59,18 @@ class UnsupportedTwistError(ValueError):
     """The comparison matrix is only computed for the supported twist shapes."""
 
 
-@dataclass(frozen=True)
 class Nerve:
     """Finite vertex set with a face-closed family of simplices."""
 
-    vertices: tuple
-    simplices: frozenset
+    def __init__(self, vertices, simplices):
+        self.vertices = vertices
+        self.simplices = simplices
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and (self.vertices, self.simplices) == (other.vertices, other.simplices)
+
+    def __hash__(self):
+        return hash((self.vertices, self.simplices))
 
     @classmethod
     def build(cls, vertices, simplices):
@@ -86,8 +91,8 @@ class Nerve:
     def depth(self):
         return max(len(s) for s in self.simplices) - 1
 
-    # The caches below live in the instance __dict__, which the frozen
-    # dataclass leaves out of equality and hashing.
+    # The caches below live in the instance __dict__; a nerve compares and
+    # hashes on (vertices, simplices) only, so they stay out of both.
 
     @cached_property
     def _by_dim(self):
@@ -756,7 +761,6 @@ def t_augmentation_check(ext, T, nerve):
 # -- the comparison matrix ----------------------------------------------------
 
 
-@dataclass
 class DeltaMatrix:
     """Lower-triangular matrix of Hom-valued cohomology classes.
 
@@ -765,9 +769,10 @@ class DeltaMatrix:
     missing entry below it is zero.  disagreements compares two matrices.
     """
 
-    ext: TrivialExtension
-    nerve: Nerve
-    entries: dict
+    def __init__(self, ext, nerve, entries):
+        self.ext = ext
+        self.nerve = nerve
+        self.entries = entries
 
     def entry(self, i, j):
         got = self.entries.get((i, j))

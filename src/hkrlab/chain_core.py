@@ -30,7 +30,6 @@ complex's ``qsolver``: one ``rational.Solver`` per degree, reduced once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import zip_longest
 
 from .modules import BasedModule, LinMap, QBasis, StructuralError, flatten_map
@@ -58,6 +57,7 @@ class CochainComplex:
         self._qdiff = {}
         self._qsolver = {}
         self._homology = {}
+        self._homogeneous = None
         # window -> the complex's view at that window, built by with_window
         self._windows = {}
         for n, d in diffs.items():
@@ -131,13 +131,15 @@ class CochainComplex:
         )
 
     def is_homogeneous(self):
-        """Do all differentials preserve total grade?"""
-        for n in self.degrees():
-            tgt = self.flat(n + 1).grades()
-            for g, col in zip(self.flat(n).grades(), self.qdiff(n)):
-                if any(tgt[i] != g for i in col):
-                    return False
-        return True
+        """Do all differentials preserve total grade?  Answered once: a complex does not change."""
+        if self._homogeneous is None:
+            self._homogeneous = True
+            for n in self.degrees():
+                tgt = self.flat(n + 1).grades()
+                if any(tgt[i] != g for g, col in zip(self.flat(n).grades(), self.qdiff(n)) for i in col):
+                    self._homogeneous = False
+                    break
+        return self._homogeneous
 
     def to_json(self):
         return {
@@ -343,17 +345,18 @@ def totalize(algebra, modules, horiz, vert):
 # -- homology ------------------------------------------------------------
 
 
-@dataclass
 class HomologyResult:
-    degree: int
-    grade: "int | None"
-    dim: int
-    representatives: list
-    _cycle_cols: list = field(repr=False, default_factory=list)
-    _boundary_cols: list = field(repr=False, default_factory=list)
-    _flat: QBasis = field(repr=False, default=None)
-    _positions: dict = field(repr=False, default=None)
-    _solver: ql.Solver = field(repr=False, default=None)
+    def __init__(self, degree, grade, dim, representatives, _cycle_cols=None, _boundary_cols=None,
+                 _flat=None, _positions=None, _solver=None):
+        self.degree = degree
+        self.grade = grade
+        self.dim = dim
+        self.representatives = representatives
+        self._cycle_cols = [] if _cycle_cols is None else _cycle_cols
+        self._boundary_cols = [] if _boundary_cols is None else _boundary_cols
+        self._flat = _flat
+        self._positions = _positions
+        self._solver = _solver
 
     def project_flat(self, col):
         """Coordinates of a cycle, given as a sparse column over the flattened

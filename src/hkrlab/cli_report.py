@@ -16,7 +16,6 @@ import json
 import random
 import sys
 import time
-from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -70,25 +69,25 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
 class SuiteConfig:
     """Everything a verify run reads.  Each field is a flag (fmt is
     --format) and a key of a JSON config file; a flag left out takes its
-    default here."""
+    default in __init__.  Two configs are equal when their fields are."""
 
-    suite: str = "all"
-    max_rank: int = SUITE_MAX_RANK
-    nerve: str = "circle"
-    seed: int = 0
-    out: str = ""
-    fmt: str = "json"
+    suite: str
+    max_rank: int
+    nerve: str
+    seed: int
+    out: str
+    fmt: str
 
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            # f.type is the annotation string; an exact match rejects bools as ints
-            if type(value).__name__ != f.type:
-                raise ConfigError(f"config field {f.name!r} must be {f.type}, got {value!r}")
+    def __init__(self, suite="all", max_rank=SUITE_MAX_RANK, nerve="circle", seed=0, out="", fmt="json"):
+        self.suite, self.max_rank, self.nerve, self.seed, self.out, self.fmt = suite, max_rank, nerve, seed, out, fmt
+        for name, kind in SuiteConfig.__annotations__.items():
+            value = getattr(self, name)
+            # kind is the annotation string; an exact match rejects bools as ints
+            if type(value).__name__ != kind:
+                raise ConfigError(f"config field {name!r} must be {kind}, got {value!r}")
         self._nerve = None
         self._chases = {}
         # rank 2 is the lowest rank every suite covers: below it some checks
@@ -103,6 +102,10 @@ class SuiteConfig:
         if self.out and (Path(self.out).is_dir() or not Path(self.out).parent.is_dir()):
             raise ConfigError(f"report path {self.out!r} is not a file name in an existing directory")
 
+    def __eq__(self, other):
+        fields = SuiteConfig.__annotations__
+        return other.__class__ is self.__class__ and all(getattr(self, f) == getattr(other, f) for f in fields)
+
     @classmethod
     def from_json(cls, path):
         try:
@@ -113,8 +116,7 @@ class SuiteConfig:
             raise ConfigError(f"malformed config {path}: line {err.lineno} col {err.colno}")
         if not isinstance(data, dict):
             raise ConfigError(f"config {path} must be a JSON object")
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
+        unknown = set(data) - set(cls.__annotations__)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         return cls(**data)
@@ -403,10 +405,10 @@ SUITES = {
 SUITES["all"] = [c for checks in SUITES.values() for c in checks]
 
 
-@dataclass
 class Report:
-    config: dict
-    records: list = field(default_factory=list)
+    def __init__(self, config, records=None):
+        self.config = config
+        self.records = [] if records is None else records
 
     @property
     def failed(self):

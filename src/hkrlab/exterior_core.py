@@ -25,8 +25,8 @@ the other three are exposed for inspection only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, permutations, product
 from math import factorial
 
@@ -308,31 +308,40 @@ class ExteriorContext:
 # -- sign function census -------------------------------------------------
 
 
-@dataclass(frozen=True)
 class SignFunction:
-    """Total map Delta_r = {(i, j): i + j <= r} -> {+1, -1}."""
+    """Total map Delta_r = {(i, j): i + j <= r} -> {+1, -1}, compared and
+    hashed on (r, values)."""
 
-    r: int
-    values: tuple
+    def __init__(self, r, values):
+        self.r = r
+        self.values = values
+        self._index = _pair_indices(r)
 
     @classmethod
     def from_callable(cls, r, fn):
-        domain = domain_pairs(r)
-        return cls(r, tuple(fn(i, j) for (i, j) in domain))
+        return cls(r, tuple(fn(i, j) for (i, j) in domain_pairs(r)))
 
     def __call__(self, i, j):
-        return self.values[_pair_index(self.r, i, j)]
+        k = self._index.get((i, j))
+        if k is None:
+            raise IndexError(f"({i},{j}) outside Delta_{self.r}")
+        return self.values[k]
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and (self.r, self.values) == (other.r, other.values)
+
+    def __hash__(self):
+        return hash((self.r, self.values))
 
 
 def domain_pairs(r):
     return [(i, j) for i in range(r + 1) for j in range(r + 1 - i)]
 
 
-def _pair_index(r, i, j):
-    # row lengths r+1, r, ..., 1
-    if i < 0 or j < 0 or i + j > r:
-        raise IndexError(f"({i},{j}) outside Delta_{r}")
-    return sum(r + 1 - t for t in range(i)) + j
+@cache
+def _pair_indices(r):
+    """{(i, j): its position in domain_pairs(r)}, built once per rank."""
+    return {p: k for k, p in enumerate(domain_pairs(r))}
 
 
 def four_standard_sign_functions(r):

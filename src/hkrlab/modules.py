@@ -21,6 +21,7 @@ a stored column, a coefficient or a constant of the algebra.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 
 from .coeff import Poly
@@ -361,19 +362,21 @@ def _linmap(source, target, cols):
 class QBasis:
     """Flattened rational basis of a module: pairs (label, monomial)."""
 
-    __slots__ = ("module", "window", "pairs", "index")
+    __slots__ = ("module", "window", "pairs", "index", "_grades")
 
     def __init__(self, module, window=None):
         self.module = module
         self.window = window
-        pairs = []
-        for lab, g in zip(module.labels, module.grades):
-            for mono in module.algebra.monomials:
-                if window is not None and g + sum(mono) > window:
-                    continue
-                pairs.append((lab, mono))
-        self.pairs = pairs
-        self.index = {p: i for i, p in enumerate(pairs)}
+        monomials = module.algebra.monomials
+        if window is None:
+            self.pairs = [(lab, mono) for lab in module.labels for mono in monomials]
+        else:
+            # the algebra lists its monomials by degree, so each label grade keeps a prefix of them
+            degrees = [sum(mono) for mono in monomials]
+            kept = {g: monomials[: bisect_right(degrees, window - g)] for g in set(module.grades)}
+            self.pairs = [(lab, mono) for lab, g in zip(module.labels, module.grades) for mono in kept[g]]
+        self.index = {p: i for i, p in enumerate(self.pairs)}
+        self._grades = None
 
     @property
     def dim(self):
@@ -403,9 +406,12 @@ class QBasis:
         return Vec(self.module, {lab: Poly(algebra, t) for lab, t in data.items()})
 
     def grades(self):
-        """The total grade (label grade plus monomial degree) of each pair."""
-        grade = self.module.grade_of
-        return [grade(lab) + sum(mono) for lab, mono in self.pairs]
+        """The total grade (label grade plus monomial degree) of each pair,
+        listed once per basis; callers must not change the list."""
+        if self._grades is None:
+            grade = self.module.grade_of
+            self._grades = [grade(lab) + sum(mono) for lab, mono in self.pairs]
+        return self._grades
 
     def grade_indices(self, grade):
         return [i for i, g in enumerate(self.grades()) if g == grade]

@@ -285,6 +285,30 @@ def test_grade_sliced_homology():
         assert homology(C, 0, grade=g).dim == (1 if g == 0 else 0)
 
 
+def test_graded_homology_checks_homogeneity_once_per_complex(monkeypatch):
+    A = CoeffAlgebra.polynomial(1, 3, ("y",))
+    M0 = BasedModule(A, ("e",), "M0", (1,))
+    M1 = BasedModule(A, ("u",), "M1", (0,))
+    d = LinMap(M0, M1)
+    d.set_column("e", M1.basis_vec("u", A.gen(0)))
+    homogeneous = CochainComplex(A, {-1: M0, 0: M1}, {-1: d})
+    # e, of grade 1, goes to u, of grade 0
+    lowering = LinMap(M0, M1)
+    lowering.set_column("e", M1.basis_vec("u"))
+    lowered = CochainComplex(A, {-1: M0, 0: M1}, {-1: lowering})
+    # a check walks the complex's degrees once
+    checks = []
+    for C in (homogeneous, lowered):
+        monkeypatch.setattr(C, "degrees", lambda C=C, walk=C.degrees: checks.append(C) or walk())
+    for n in (-1, 0):
+        for g in range(5):
+            homology(homogeneous, n, grade=g)
+            with pytest.raises(ValueError, match="homogeneous"):
+                homology(lowered, n, grade=g)
+    assert checks == [homogeneous, lowered]
+    fb = homogeneous.flat(0)
+    assert fb.grades() is fb.grades()
+
 
 def test_homology_is_computed_once_per_degree_and_grade():
     A = CoeffAlgebra.polynomial(1, 3, ("y",))

@@ -22,11 +22,15 @@ one place), only TrivialExtension.star_abstract calls wedge_b (the defining
 formula of the shifted product has one home), only the merge table's fill
 calls merge_wedge (every other wedge of basis labels reads MERGES), every
 field of SuiteConfig is read by the run outside the config's own checks
-(a verify option that nothing reads is inert), and the functions, classes
+(a verify option that nothing reads is inert), the functions, classes
 and methods that only tests reach are an exact, listed inventory (new
-unreachable code fails, and so does a listed name that gains a caller)."""
+unreachable code fails, and so does a listed name that gains a caller),
+and importing the package loads neither dataclasses nor inspect (every
+verify run is a fresh process and pays for each module it imports)."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -655,14 +659,14 @@ def test_no_value_is_changed_in_place(path):
 
 def unread_config_fields(source):
     """Fields of the class SuiteConfig in source, in order, that no
-    attribute read (config.field) names outside SuiteConfig.__post_init__
+    attribute read (config.field) names outside SuiteConfig.__init__
     and outside the arguments of a SuiteConfig(...) call, which hand a
     value in rather than read it.  A read by getattr and a write are no
     attribute read."""
     tree = ast.parse(source)
     (cls,) = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "SuiteConfig"]
     names = [item.target.id for item in cls.body if isinstance(item, ast.AnnAssign)]
-    skipped = [item for item in cls.body if getattr(item, "name", None) == "__post_init__"]
+    skipped = [item for item in cls.body if getattr(item, "name", None) == "__init__"]
     skipped += [node for node in ast.walk(tree) if isinstance(node, ast.Call) and _is_name(node.func, "SuiteConfig")]
     skipped = {id(sub) for node in skipped for sub in ast.walk(node)}
     read = {
@@ -675,12 +679,12 @@ def unread_config_fields(source):
 
 def test_unread_config_field_is_found():
     source = (
-        "@dataclass\n"
         "class SuiteConfig:\n"
-        "    seed: int = 0\n"
-        "    knob: int = 3\n"
-        "    out: str = ''\n"
-        "    def __post_init__(self):\n"
+        "    seed: int\n"
+        "    knob: int\n"
+        "    out: str\n"
+        "    def __init__(self, seed=0, knob=3, out=''):\n"
+        "        self.seed, self.knob, self.out = seed, knob, out\n"
         "        if self.knob < 0 or self.seed < 0:\n"
         "            raise ConfigError('negative')\n"
         "def run_suite(config):\n"
@@ -871,3 +875,17 @@ def test_tests_alone_reach_exactly_the_listed_definitions():
     for path in TESTS.glob("test_*.py"):
         test_reads = test_reads.union(*_reads_by_owner(path.read_text()).values())
     assert unreached_definitions(package, roots=test_reads) == []
+
+
+def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
+    # the modules loaded before the imports are left out, so what site preloads does not count
+    names = [path.stem for path in sorted(PACKAGE.glob("*.py")) if path.stem != "__init__"]
+    code = (
+        f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); before = set(sys.modules)\n"
+        + "".join(f"import hkrlab.{name}\n" for name in names)
+        + "print(*sorted(set(sys.modules) - before))\n"
+    )
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    loaded = set(run.stdout.split())
+    assert {f"hkrlab.{name}" for name in names} <= loaded
+    assert loaded & {"dataclasses", "inspect"} == set()

@@ -365,6 +365,22 @@ def test_qdiff_without_a_differential_is_one_empty_column_per_pair(window):
     assert C.qdiff(5) == [] and C.module(5) is C.module(-3)
 
 
+@pytest.mark.parametrize("window", [None, 0, 2, 4])
+def test_qbasis_pairs_are_every_label_and_monomial_inside_the_window(window):
+    algebra = CoeffAlgebra.polynomial(5, 4, ("x1", "y1", "y2", "y3", "y4"))
+    grades = (3, 0, 6, -1, 1, 5, 2, 4, 0)
+    M = BasedModule(algebra, tuple(f"e{k}" for k in range(len(grades))), "M", grades)
+    every = [
+        (lab, mono)
+        for lab, g in zip(M.labels, M.grades)
+        for mono in algebra.monomials
+        if window is None or g + sum(mono) <= window
+    ]
+    fb = QBasis(M, window)
+    assert fb.pairs == every
+    assert fb.index == {p: i for i, p in enumerate(every)}
+
+
 def test_flatten_drops_terms_beyond_the_window():
     x1, x2 = QX.gen(0), QX.gen(1)
     M = BasedModule(QX, ("a", "b"), "M", (0, 1))
