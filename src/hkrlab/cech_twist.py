@@ -907,46 +907,6 @@ def l_operator(ext, nerve, i, j, v_cocycle):
     return _vec(cochain_module(nerve, hom_lam_module(ext, j, i), i - j), data)
 
 
-def q_operator(ext, nerve, i, j, v_cocycle):
-    """The cochain map x |-> (-1)^{(i-j) l} v ^ x on Cech degree l, from the
-    Cech complex of Lambda^j I to that of Lambda^i I.
-
-    Returns the pair of complexes and the map as one LinMap per degree; the
-    sign makes it commute with the Cech differentials on the nose.
-    """
-    src = cech_complex(nerve, ext.lam_i(j))
-    tgt = cech_complex(nerve, ext.lam_i(i))
-    shift = i - j
-
-    def wedge_with_v(l):
-        def fn(x):
-            vx = cochain_wedge(nerve, ext.exterior.wedge, v_cocycle, x, ext.lam_i(i))
-            return vx.scale((-1) ** (shift * l))
-
-        return fn
-
-    comps = {
-        l: LinMap.from_function(src.module(l), tgt.module(l + shift), wedge_with_v(l))
-        for l in src.degrees()
-        if l + shift in tgt.modules
-    }
-    return src, tgt, comps
-
-
-def q_operator_is_chain_map(ext, nerve, i, j, v_cocycle):
-    """d o q = q o d in every Cech degree."""
-    src, tgt, comps = q_operator(ext, nerve, i, j, v_cocycle)
-    shift = i - j
-
-    def q(l):
-        m = comps.get(l)
-        return m if m is not None else LinMap.zero(src.module(l), tgt.module(l + shift))
-
-    return all(
-        tgt.diff(l + shift).compose(q(l)) == q(l + 1).compose(src.diff(l)) for l in src.degrees()
-    )
-
-
 def t_operator(ext, nerve, k, p, m, hom_cochain):
     """The translated Hom-valued cochain: on each simplex the translation
     t^m_{k,p} of the value, read as a map Lambda^p I -> Lambda^k I."""
@@ -958,13 +918,6 @@ def t_operator(ext, nerve, k, p, m, hom_cochain):
         t = ext.exterior.translate(k, p, m, hom_value_to_linmap(ext, p, k, val))
         terms += [((s, (S, T)), c) for S, col in t.cols.items() for T, c in col.data.items()]
     return cochain_module(nerve, hom_lam_module(ext, p + m, k + m), l).element(terms)
-
-
-def translation_fixes_wedge_classes(ext, nerve, k, p, m, v_cocycle):
-    """t^m[l_{k,p}(v)] = l_{k+m,p+m}(v), exactly on representatives."""
-    lhs = t_operator(ext, nerve, k, p, m, l_operator(ext, nerve, k, p, v_cocycle))
-    rhs = l_operator(ext, nerve, k + m, p + m, v_cocycle)
-    return (lhs - rhs).is_zero()
 
 
 # -- class-level recursion and comparisons -------------------------------------
@@ -1353,15 +1306,3 @@ def random_hom_twist(ext, nerve, level, rng):
     c = c + cech_delta(nerve, noise)
     return TwistCocycle(ext, nerve, level, c)
 
-
-def twisted_resolution_homology_check(ext, twists, expected_nerve_dims):
-    """The twisted complex still resolves the structure coefficients:
-
-    the totalization's cohomology matches the nerve cohomology with
-    coefficients in the base algebra, degree by degree."""
-    tot = twisted_total_complex(ext, twists)
-    adim = ext.algebra.dimension()
-    for k, want in expected_nerve_dims.items():
-        if homology(tot, k).dim != want * adim:
-            return False
-    return True

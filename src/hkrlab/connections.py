@@ -4,13 +4,22 @@ Everything here is only rational-linear (the exterior derivative and
 derivations are not module maps), so the maps are kept as flattened
 matrices on grade-windowed bases.  Forms are graded with each dx counting
 one, so the exterior derivative descends to the truncated quotient.
+
+A family R_p: Lambda^p I -> Lambda^{p+1} I comes from a connection
+(r_family_from_connection) or from an invertible chi_hat
+(r_family_from_iso); prop_battery checks R and the automorphisms it induces
+on P and Q (induced_auto), both sides in one loop.  Nothing in the
+verifier calls this module: atiyah_twist and codim2_matrix read its
+connections and derivations, and the battery is the candidate check for a
+change of retraction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 
-from .ak_complexes import build_p_complex, build_q_complex
+from .ak_complexes import b_action_on_q, build_p_complex, build_q_complex, p_augmentation, q_coaugmentation
 from .chain_core import ComplexMap, tensor_module
 from .coeff import Poly
 from .exterior_core import MERGES, ExteriorContext, exterior_power_map, sort_sign
@@ -166,35 +175,43 @@ def u_chi_checks(ext, kahler, chi, window):
     return True
 
 
-def _r_from_connection(ext, chi, nabla, p):
-    """R_p = wedge o (chi_hat (x) id) o Lambda^p nabla."""
+def r_family_from_connection(ext, chi, nabla):
+    """The family R_p = wedge o (chi_hat (x) id) o Lambda^p nabla, p = 0..r."""
 
-    def fn(v):
-        return chi.chi_hat_wedge(p, nabla.lam_apply(p, v))
+    def r_map(p):
+        return lambda v: chi.chi_hat_wedge(p, nabla.lam_apply(p, v))
 
-    return fn
+    return {p: r_map(p) for p in range(ext.rank + 1)}
 
 
-def _r_from_iso(ext, kahler, chi, p, window):
-    """R_p = Lambda^{p+1} chi_hat o d o (Lambda^p chi_hat)^{-1} (flattened)."""
-    lam_hat_p = exterior_power_map(chi.chi_hat(), kahler.omega(p), ext.lam_i(p))
-    lam_hat_p1 = exterior_power_map(chi.chi_hat(), kahler.omega(p + 1), ext.lam_i(p + 1))
-    sb_om = QBasis(kahler.omega(p), window)
-    tb_om = QBasis(kahler.omega(p + 1), window)
-    sb_i = QBasis(ext.lam_i(p), window)
-    tb_i = QBasis(ext.lam_i(p + 1), window)
-    inv = ql.inverse(flatten_map(lam_hat_p, sb_om, sb_i), sb_i.dim)
-    if inv is None:
-        raise StructuralError("windowed flattening of Lambda^p chi_hat is singular")
-    d = flatten_map(kahler.d_vec, sb_om, tb_om)
-    M_hat_p1 = flatten_map(lam_hat_p1, tb_om, tb_i)
-    R = ql.compose_columns(M_hat_p1, ql.compose_columns(d, inv))
+def r_family_from_iso(ext, kahler, chi, window):
+    """The canonical family of an invertible chi_hat (m = r, unit determinant):
+    R_p = Lambda^{p+1} chi_hat o d o (Lambda^p chi_hat)^{-1}, flattened at the
+    window, p = 0..r."""
+    det = chi_hat_determinant(ext, kahler, chi)
+    if not det.is_unit():
+        raise StructuralError(f"chi_hat is not invertible: det = {det!r}")
 
-    def fn(v):
-        (col,) = ql.compose_columns(R, [sb_i.flatten(v)])
-        return tb_i.unflatten(col)
+    def r_map(p):
+        lam_hat_p = exterior_power_map(chi.chi_hat(), kahler.omega(p), ext.lam_i(p))
+        lam_hat_p1 = exterior_power_map(chi.chi_hat(), kahler.omega(p + 1), ext.lam_i(p + 1))
+        sb_om = QBasis(kahler.omega(p), window)
+        tb_om = QBasis(kahler.omega(p + 1), window)
+        sb_i = QBasis(ext.lam_i(p), window)
+        tb_i = QBasis(ext.lam_i(p + 1), window)
+        inv = ql.inverse(flatten_map(lam_hat_p, sb_om, sb_i), sb_i.dim)
+        if inv is None:
+            raise StructuralError("windowed flattening of Lambda^p chi_hat is singular")
+        d = flatten_map(kahler.d_vec, sb_om, tb_om)
+        R = ql.compose_columns(flatten_map(lam_hat_p1, tb_om, tb_i), ql.compose_columns(d, inv))
 
-    return fn
+        def fn(v):
+            (col,) = ql.compose_columns(R, [sb_i.flatten(v)])
+            return tb_i.unflatten(col)
+
+        return fn
+
+    return {p: r_map(p) for p in range(ext.rank + 1)}
 
 
 def chi_hat_determinant(ext, kahler, chi):
@@ -206,41 +223,25 @@ def chi_hat_determinant(ext, kahler, chi):
     return img.coeff(tuple(range(ext.rank)))
 
 
-def ak_auto(ext, r_maps, window):
-    """The automorphism (i, j) |-> (i + R_p(j), j) of P, as a complex map."""
-    P = build_p_complex(ext).with_window(window)
+def induced_auto(ext, cplx, r_maps):
+    """The automorphism (i, j) |-> (i + R_{k-1}(j), j) of each term Lambda^k B
+    of cplx (P or Q) that the family R induces; the identity on Lambda^0 B."""
 
-    def component(p):
+    def component(n):
+        k = ext.degree_of(cplx.module(n))
+
         def fn(v):
             i_part, j_part = ext.split(v)
-            return ext.join(p + 1, i_part + r_maps[p](j_part), j_part)
+            return v if j_part is None else ext.join(k, i_part + r_maps[k - 1](j_part), j_part)
 
         return fn
 
-    return P, ComplexMap.from_functions(P, P, {-p: component(p) for p in range(ext.rank + 1)})
-
-
-def ak_auto_from_connection(ext, kahler, chi, nabla, window):
-    """The automorphism induced by a connection; returns (P, phi, R family)."""
-    r_maps = {p: _r_from_connection(ext, chi, nabla, p) for p in range(ext.rank + 1)}
-    P, phi = ak_auto(ext, r_maps, window)
-    return P, phi, r_maps
-
-
-def ak_auto_from_iso(ext, kahler, chi, window):
-    """Canonical automorphism when chi_hat is invertible (m = r)."""
-    det = chi_hat_determinant(ext, kahler, chi)
-    if not det.is_unit():
-        raise StructuralError(f"chi_hat is not invertible: det = {det!r}")
-    r_maps = {p: _r_from_iso(ext, kahler, chi, p, window) for p in range(ext.rank + 1)}
-    P, phi = ak_auto(ext, r_maps, window)
-    return P, phi, r_maps
+    return ComplexMap.from_functions(cplx, cplx, {n: component(n) for n in cplx.degrees()})
 
 
 def r_map_twisted_leibniz(ext, chi, r_map, p, window):
     """R_p(a j) = a R_p(j) + chi(a) ^ j on the windowed basis."""
     lam = ext.lam_i(p)
-    fb = QBasis(lam, window)
     tb = QBasis(ext.lam_i(p + 1), window)
     for K in lam.labels:
         base = r_map(lam.basis_vec(K))
@@ -255,105 +256,40 @@ def r_map_twisted_leibniz(ext, chi, r_map, p, window):
     return True
 
 
-def semilinearity_check(ext, chi, phi, P, window):
-    """phi((i,a) * x) = u_chi(i,a) * phi(x) on every windowed basis pair."""
-    B = ext.lam_b(1)
-    bb = QBasis(B, window)
-    b_elems = [B.basis_vec(lab, ext.algebra.monomial(mono)) for lab, mono in bb.pairs]
-    for p in range(ext.rank + 1):
-        fb = P.flat(-p)
+def _is_semilinear(ext, chi, cplx, auto, action, b_elems):
+    """auto(b * x) = u_chi(b) * auto(x) for every windowed basis pair x of
+    cplx and every b, B acting on the degree -k term by action(k, b, x)."""
+    for k in range(ext.rank + 1):
+        fb = cplx.flat(-k)
         for lab, mono in fb.pairs:
-            x = P.module(-p).basis_vec(lab, ext.algebra.monomial(mono))
-            phix = phi.apply(-p, x)
+            x = cplx.module(-k).basis_vec(lab, ext.algebra.monomial(mono))
+            auto_x = auto.apply(-k, x)
             for b in b_elems:
-                lhs = phi.apply(-p, ext.b_action(p + 1, b, x))
-                rhs = ext.b_action(p + 1, chi.u_chi_vec(b), phix)
-                if fb.flatten(lhs - rhs):
+                if fb.flatten(auto.apply(-k, action(k, b, x)) - action(k, chi.u_chi_vec(b), auto_x)):
                     return False
     return True
 
 
-def augmentation_identity_check(ext, chi, phi, P):
-    """The degree-0 component covers the identity of A after augmentation."""
-    for lab, mono in P.flat(0).pairs:
-        x = P.module(0).basis_vec(lab, ext.algebra.monomial(mono))
-        _, a1 = ext.split(phi.apply(0, x))
-        _, a0 = ext.split(x)
-        if not (a1 - a0).is_zero():
-            return False
-    return True
-
-
-def dual_auto(ext, r_maps, window):
-    """The automorphism of the realized dual complex Q induced by the family
-    R: (u, v) |-> (u + R_{q-1}(v), v) on the degree -q term."""
-    Q = build_q_complex(ext).with_window(window)
-
-    def component(q):
-        def fn(y):
-            u_part, v_part = ext.split(y)
-            if v_part is None:
-                return y
-            return ext.join(q, u_part + r_maps[q - 1](v_part), v_part)
-
-        return fn
-
-    return Q, ComplexMap.from_functions(Q, Q, {-q: component(q) for q in range(ext.rank + 1)})
-
-
-def dual_auto_checks(ext, chi, r_maps, window):
-    """Chain map, semilinearity, and coaugmentation checks for the Q side."""
-    from .ak_complexes import b_action_on_q, q_coaugmentation
-
-    Q, psi = dual_auto(ext, r_maps, window)
-    res = {}
-    res["chain_map"] = psi.is_chain_map()
-    res["invertible"] = all(
-        ql.inverse(psi.columns(-q), Q.flat(-q).dim) is not None for q in range(ext.rank + 1)
-    )
-    coaug = q_coaugmentation(ext, Q)
-    res["coaugmentation"] = (psi.compose(coaug) - coaug).is_zero()
-    ok = True
+def prop_battery(ext, chi, r_maps, window):
+    """The checks on the family R and on the automorphisms it induces on P
+    and on Q: each is an invertible chain map, semilinear along u_chi, and
+    fixes the augmentation P -> A (the coaugmentation theta[r] -> Q)."""
+    P, Q = build_p_complex(ext).with_window(window), build_q_complex(ext).with_window(window)
+    phi, psi = induced_auto(ext, P, r_maps), induced_auto(ext, Q, r_maps)
+    aug, coaug = p_augmentation(ext, P), q_coaugmentation(ext, Q)
     B = ext.lam_b(1)
-    bb = QBasis(B, window)
-    b_elems = [B.basis_vec(lab, ext.algebra.monomial(mono)) for lab, mono in bb.pairs]
-    for q in range(ext.rank + 1):
-        fb = Q.flat(-q)
-        for lab, mono in fb.pairs:
-            y = Q.module(-q).basis_vec(lab, ext.algebra.monomial(mono))
-            psiy = psi.apply(-q, y)
-            for b in b_elems:
-                lhs = psi.apply(-q, b_action_on_q(ext, q, b, y))
-                rhs = b_action_on_q(ext, q, chi.u_chi_vec(b), psiy)
-                if fb.flatten(lhs - rhs):
-                    ok = False
-    res["semilinear"] = ok
-    return Q, psi, res
-
-
-def prop_battery_from_connection(ext, kahler, chi, nabla, window):
-    """Full verification battery for the connection-induced automorphisms."""
-    return _prop_battery(ext, chi, window, *ak_auto_from_connection(ext, kahler, chi, nabla, window))
-
-
-def prop_battery_from_iso(ext, kahler, chi, window):
-    """The same battery for the canonical automorphism of an invertible chi_hat."""
-    return _prop_battery(ext, chi, window, *ak_auto_from_iso(ext, kahler, chi, window))
-
-
-def _prop_battery(ext, chi, window, P, phi, r_maps):
-    """The checks on an automorphism phi of P, its family R and the induced
-    automorphism of Q."""
+    b_elems = [B.basis_vec(lab, ext.algebra.monomial(mono)) for lab, mono in QBasis(B, window).pairs]
     res = {}
-    res["p_chain_map"] = phi.is_chain_map()
-    res["p_invertible"] = all(
-        ql.inverse(phi.columns(-p), P.flat(-p).dim) is not None for p in range(ext.rank + 1)
-    )
-    res["p_semilinear"] = semilinearity_check(ext, chi, phi, P, window)
-    res["p_augmentation"] = augmentation_identity_check(ext, chi, phi, P)
+    sides = (("p", P, phi, lambda k, b, x: ext.b_action(k + 1, b, x)), ("q", Q, psi, partial(b_action_on_q, ext)))
+    for side, cplx, auto, action in sides:
+        res[f"{side}_chain_map"] = auto.is_chain_map()
+        res[f"{side}_invertible"] = all(
+            ql.inverse(auto.columns(-k), cplx.flat(-k).dim) is not None for k in range(ext.rank + 1)
+        )
+        res[f"{side}_semilinear"] = _is_semilinear(ext, chi, cplx, auto, action, b_elems)
+    res["p_augmentation"] = (aug.compose(phi) - aug).is_zero()
+    res["q_coaugmentation"] = (psi.compose(coaug) - coaug).is_zero()
     res["r_twisted_leibniz"] = all(
         r_map_twisted_leibniz(ext, chi, r_maps[p], p, window) for p in range(ext.rank)
     )
-    _, _, qres = dual_auto_checks(ext, chi, r_maps, window)
-    res.update({f"q_{k}": v for k, v in qres.items()})
     return res

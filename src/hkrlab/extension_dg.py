@@ -256,16 +256,6 @@ class TrivialExtension:
         """Module action of B on Lambda^k B: (i,a)*(i1,j1) = (a i1 + i^j1, a j1)."""
         return self.star(0, k - 1, b, x)
 
-    def pi(self, k, x):
-        """The algebra map to A: projection of the degree-0 piece.
-
-        On degree 0 (= B) this is pr_2; higher degrees map to zero.
-        """
-        if k != 0:
-            return self.algebra.zero()
-        _, a = self.split(x)
-        return a.coeff(())
-
     # -- the unsplit view and the splitting isomorphism -------------------
 
     def lam_b_unsplit(self, k):

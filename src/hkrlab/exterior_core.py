@@ -1,9 +1,9 @@
 """Multilinear algebra over a coefficient algebra.
 
-Exterior and tensor powers of a based free module, wedge products, the
-normalized shuffle splitting W_{p,q}, translation operators, left/right
-contractions, the census of sign conventions that make twisted contraction
-a module action, the two duality isomorphisms, and Koszul complexes.
+Exterior powers of a based free module, wedge products, translation
+operators, left/right contractions, the census of sign conventions that
+make twisted contraction a module action, the right duality isomorphism,
+and Koszul complexes.
 
 Basis conventions: Lambda^p has basis e_K for strictly increasing index
 tuples K, ordered lexicographically; all signs are relative to this order.
@@ -16,7 +16,8 @@ e_{sorted K}), shuffles (the terms of W_{p,q}, weight p!q!/(p+q)!) and
 symmetrizations (the terms of s_n, weight 1/n!).  Every other module
 builds its exterior powers through an ExteriorContext and wedges through
 ExteriorContext.wedge, or calls these kernels on the labels of its own
-split modules.
+split modules: kappa and zeta of hkr_local read symmetrizations and
+sort_sign on the tensor powers of B (x) I, and translate, here, reads shuffles.
 
 Of the four sign conventions admitted by the census, the trivial one
 (chi = 1) is the convention used by every other module of this package;
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
 from math import factorial
 
 from .chain_core import CochainComplex, ComplexMap, hom_complex, single_module_complex, tensor_module
@@ -118,14 +119,13 @@ def exterior_power_map(g, src, tgt):
 
 
 class ExteriorContext:
-    """Exterior and tensor powers of a rank-s free module E and its dual."""
+    """Exterior powers of a rank-s free module E and its dual."""
 
     def __init__(self, algebra, rank, name="E"):
         self.algebra = algebra
         self.rank = rank
         self.name = name
         self._ext = {}
-        self._tens = {}
         # each power built here -> (p, dual), the one source of its degree and side
         self._degree = {}
         # n -> the phi-independent degree-n piece of koszul_dual_check, filled
@@ -141,15 +141,6 @@ class ExteriorContext:
             M = self._ext[key] = BasedModule(self.algebra, labels, nm, tuple(p for _ in labels))
             self._degree[M] = key
         return self._ext[key]
-
-    def tens(self, p, dual=False):
-        key = (p, dual)
-        if key not in self._tens:
-            nm = f"T^{p}({self.name}{'*' if dual else ''})"
-            labels = tuple(product(range(self.rank), repeat=p))
-            M = self._tens[key] = BasedModule(self.algebra, labels, nm, tuple(p for _ in labels))
-            self._degree[M] = key
-        return self._tens[key]
 
     def _record(self, vec):
         """(p, dual) of the power of E or E* that vec lives in."""
@@ -179,32 +170,6 @@ class ExteriorContext:
                     terms.append((m[1], a * b if m[0] > 0 else -(a * b)))
         # beyond the rank every pair meets, and Lambda^{p+q} = 0
         return _vec(self.ext(p + q, dual), _accumulate({}, terms))
-
-    # -- (anti)symmetrization and shuffles -----------------------------
-
-    def antisymmetrize(self, t):
-        """a_n: v_1 x ... x v_n  |->  v_1 ^ ... ^ v_n, extended linearly."""
-        n, dual = self._record(t)
-        return self.ext(n, dual).element(
-            (s[1], c * s[0]) for T, c in t.data.items() if (s := sort_sign(T)) is not None
-        )
-
-    def symmetrize(self, x):
-        """s_n: the (1/n!)-weighted signed sum over all permutations."""
-        n, dual = self._record(x)
-        return self.tens(n, dual).element((T, c * w) for K, c in x.data.items() for w, T in symmetrizations(K))
-
-    def ext_pair_module(self, p, q, dual=False):
-        return tensor_module(self.ext(p, dual), self.ext(q, dual))
-
-    def shuffle_W(self, p, q, x):
-        """W_{p,q}: the normalized shuffle splitting of Lambda^{p+q}."""
-        n, dual = self._record(x)
-        if n != p + q:
-            raise StructuralError("shuffle degree mismatch")
-        return self.ext_pair_module(p, q, dual).element(
-            ((K, L), c * w) for S, c in x.data.items() for w, K, L in shuffles(S, p)
-        )
 
     def translate(self, k, p, m, phi):
         """t^m_{k,p}(phi) = wedge o (phi x id) o W_{p,m}."""
@@ -251,29 +216,7 @@ class ExteriorContext:
                     terms.append((J, a * b * (split_sign(J, K) if left else split_sign(K, J))))
         return self.ext(q - p, dual=True).element(terms)
 
-    # -- dualities ------------------------------------------------------
-
-    def duality_left(self, p):
-        """D^l: Lambda^p E (x) det E* -> Lambda^{r-p} E*, v (x) xi |-> v -| xi."""
-        return self._duality(p, self.contract_left)
-
-    def duality_right(self, p):
-        """D^r: Lambda^p E (x) det E* -> Lambda^{r-p} E*, v (x) xi |-> xi |- v."""
-        return self._duality(p, lambda v, xi: self.contract_right(xi, v))
-
-    def _duality(self, p, contract):
-        """Lambda^p E (x) det E* -> Lambda^{r-p} E*, v (x) xi |-> contract(v, xi)."""
-        src = tensor_module(self.ext(p), self.ext(self.rank, dual=True))
-        tgt = self.ext(self.rank - p, dual=True)
-
-        def fn(w):
-            return tgt.element(
-                t
-                for (K, M), c in w.data.items()
-                for t in contract(self.ext(p).basis_vec(K, c), self.ext(self.rank, dual=True).basis_vec(M)).data.items()
-            )
-
-        return LinMap.from_function(src, tgt, fn)
+    # -- the right duality ----------------------------------------------
 
     def right_duality(self, n):
         """The phi-independent degree-n piece of koszul_dual_check, built once
@@ -465,11 +408,6 @@ def koszul_complex(ctx, phi_values):
             d.set_column(K, ctx.ext(p - 1).element(terms))
         diffs[-p] = d
     return CochainComplex(algebra, modules, diffs)
-
-
-def koszul_dual_form(ctx, phi_values):
-    """phi as an element of Lambda^1 M* (for the dual-side wedge)."""
-    return ctx.ext(1, dual=True).element(((k,), v) for k, v in enumerate(phi_values))
 
 
 def koszul_dual_check(ctx, phi_values):

@@ -724,19 +724,19 @@ def cycle_class_local(model, chase_of_rank):
     reduces along A, applies the duality twist, and reads off the
     components; also cross-checks the same route through the extension
     complex.  The twist signs are checked against chase_of_rank(r), the
-    dual-sign chase dual_hkr_sign(r) or a kept copy of it.
+    dual-sign chase dual_hkr_sign(r) or a kept copy of it, at every rank:
+    above dual_hkr_sign's cap the chase raises, so no rank passes unchecked.
     Returns the list (q_0, .., q_r).
     """
     r = model.r
     twist = dual_twist_signs(r)
-    if r <= 3:
-        chase = chase_of_rank(r)
-        if not chase["ok"]:
-            raise ModelError("dual comparison chase failed")
-        for i in range(r + 1):
-            combined = chase["signs"][i] * (-1) ** (r * (r - i) + (r * (r + 1)) // 2)
-            if combined != twist[i]:
-                raise ModelError("twist signs inconsistent with the chase")
+    chase = chase_of_rank(r)
+    if not chase["ok"]:
+        raise ModelError("dual comparison chase failed")
+    for i in range(r + 1):
+        combined = chase["signs"][i] * (-1) ** (r * (r - i) + (r * (r + 1)) // 2)
+        if combined != twist[i]:
+            raise ModelError("twist signs inconsistent with the chase")
     # (L, -delta) and (P, -delta) keep the bases of the model's L and P, so
     # the model's flattened augmentation and reductions serve them unchanged
     A_cplx = model.A_cplx

@@ -2,6 +2,7 @@
 
 import pytest
 
+from hkrlab.ak_complexes import build_p_complex
 from hkrlab.coeff import CoeffAlgebra
 from hkrlab.extension_dg import build_extension
 from hkrlab.modules import QBasis, StructuralError
@@ -9,13 +10,12 @@ from hkrlab.connections import (
     Connection,
     DerivationChi,
     KahlerModule,
-    ak_auto_from_connection,
-    ak_auto_from_iso,
+    induced_auto,
     chi_hat_determinant,
-    dual_auto_checks,
     poly_partial,
-    prop_battery_from_connection,
-    prop_battery_from_iso,
+    prop_battery,
+    r_family_from_connection,
+    r_family_from_iso,
     u_chi_checks,
 )
 
@@ -127,7 +127,8 @@ def test_auto_from_flat_connection_chi_zero_is_identity():
     A, ext, kah = setup(1, 1, 3)
     chi = DerivationChi(ext, kah, [ext.lam_i(1).zero()])
     nabla = Connection(ext, kah)
-    P, phi, _ = ak_auto_from_connection(ext, kah, chi, nabla, A.degree_bound)
+    P = build_p_complex(ext).with_window(A.degree_bound)
+    phi = induced_auto(ext, P, r_family_from_connection(ext, chi, nabla))
     from hkrlab import rational as ql
 
     for p in range(ext.rank + 1):
@@ -139,7 +140,7 @@ def test_battery_from_connection_flat():
     A, ext, kah = setup(1, 1, 3)
     chi = DerivationChi(ext, kah, [ext.lam_i(1).basis_vec((0,))])
     nabla = Connection(ext, kah)
-    res = prop_battery_from_connection(ext, kah, chi, nabla, A.degree_bound)
+    res = prop_battery(ext, chi, r_family_from_connection(ext, chi, nabla), A.degree_bound)
     assert all(res.values()), res
 
 
@@ -149,14 +150,14 @@ def test_battery_from_connection_nonflat_r2():
     gamma = {0: conn_forms.basis_vec(((0,), (1,)), A.gen(0)), 1: conn_forms.zero()}
     nabla = Connection(ext, kah, gamma)
     chi = DerivationChi(ext, kah, [ext.lam_i(1).basis_vec((1,), A.gen(0))])
-    res = prop_battery_from_connection(ext, kah, chi, nabla, A.degree_bound)
+    res = prop_battery(ext, chi, r_family_from_connection(ext, chi, nabla), A.degree_bound)
     assert all(res.values()), res
 
 
 def test_battery_from_iso_identity_chi_hat():
     A, ext, kah = setup(1, 1, 3)
     chi = DerivationChi(ext, kah, [ext.lam_i(1).basis_vec((0,))])  # chi_hat = id
-    res = prop_battery_from_iso(ext, kah, chi, A.degree_bound)
+    res = prop_battery(ext, chi, r_family_from_iso(ext, kah, chi, A.degree_bound), A.degree_bound)
     assert all(res.values()), res
 
 
@@ -169,7 +170,7 @@ def test_battery_from_iso_unit_diagonal():
     )
     det = chi_hat_determinant(ext, kah, chi)
     assert det.is_unit()
-    res = prop_battery_from_iso(ext, kah, chi, A.degree_bound)
+    res = prop_battery(ext, chi, r_family_from_iso(ext, kah, chi, A.degree_bound), A.degree_bound)
     assert all(res.values()), res
 
 
@@ -181,5 +182,5 @@ def test_from_iso_rejects_non_unit():
         [ext.lam_i(1).basis_vec((0,), A.gen(0)), ext.lam_i(1).basis_vec((1,))],
     )
     with pytest.raises(StructuralError) as err:
-        ak_auto_from_iso(ext, kah, chi, A.degree_bound)
+        r_family_from_iso(ext, kah, chi, A.degree_bound)
     assert "det" in str(err.value)

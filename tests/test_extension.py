@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+from hkrlab.ak_complexes import build_p_complex, p_augmentation
 from hkrlab.coeff import CoeffAlgebra
 from hkrlab.extension_dg import TrivialExtension, build_extension, shifted_complex
 from hkrlab.chain_core import homology_dims
@@ -260,15 +261,20 @@ def test_b_module_axiom_on_every_power():
 def test_pi_multiplicative():
     for A in ALGEBRAS:
         ext = build_extension(A, 2)
-        # pi on degree 0 is pr_2, higher degrees map to zero
-        assert ext.pi(0, ext.unit()) == A.one()
+        # pi is the augmentation P -> A: pr_2 on degree 0, higher degrees map to zero
+        aug = p_augmentation(ext, build_p_complex(ext))
+
+        def pr2(x):
+            return aug.apply(0, x).coeff(())
+
+        assert pr2(ext.unit()) == A.one()
         for k in (1, 2):
             for v in all_basis(ext, k):
-                assert ext.pi(k, v).is_zero()
+                assert aug.apply(-k, v).is_zero()
         basis = all_basis(ext, 0)
         for x in basis:
             for y in basis:
-                assert ext.pi(0, ext.star(0, 0, x, y)) == ext.pi(0, x) * ext.pi(0, y)
+                assert pr2(ext.star(0, 0, x, y)) == pr2(x) * pr2(y)
 
 
 from hypothesis import given, settings

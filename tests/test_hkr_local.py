@@ -521,6 +521,22 @@ def test_cycle_class_local_twisted():
     assert qs[0] == 1 and all(q == 0 for q in qs[1:])
 
 
+def test_cycle_class_local_checks_its_twist_signs_at_every_rank():
+    # rank 4 asks the chase too, and above dual_hkr_sign's cap the chase's error
+    # surfaces instead of a rank passing unchecked
+    asked = []
+
+    def spy(r):
+        asked.append(r)
+        return dual_hkr_sign(r)
+
+    qs = cycle_class_local(LocalModel(1, 4, 4), spy)
+    assert asked == [4]
+    assert qs[0] == 1 and all(q == 0 for q in qs[1:])
+    with pytest.raises(ValueError, match="r <= 4"):
+        cycle_class_local(LocalModel(1, 5, 2), dual_hkr_sign)
+
+
 def test_gamma_at_degree_bound_four():
     model = LocalModel(1, 2, 4)
     checks = model.gamma_checks()
