@@ -19,6 +19,11 @@ rational columns (TwistFamily.transition_columns), applied in two places:
 cech_total_complex twists the leading faces of copies of the untwisted
 Cech rows, and t_chain_check the leading face of the comparison morphism.
 
+The cup product walks the nerve's front-back table (Hatcher, Algebraic
+Topology, 3.2) with a rule on labels.  Class questions read (label,
+monomial) slices over the scalar complex, whose solver's membership test
+(Solver.contains) cohomologous asks.
+
 The comparison morphism is a plain component table {(n, l, simplex):
 sparse rational columns over ext.flat(n+1) -> ext.flat(n+l+1)}, in which a
 missing key is a zero component: its builders write the columns directly,
@@ -43,7 +48,7 @@ from .chain_core import (
 from .coeff import CoeffAlgebra
 from .exterior_core import MERGES, exterior_power_map, perm_sign
 from .extension_dg import TrivialExtension
-from .modules import BasedModule, LinMap, QBasis, StructuralError, Vec, _vec, flatten_map
+from .modules import BasedModule, LinMap, QBasis, StructuralError, Vec, _accumulate, _vec, flatten_map
 from . import rational as ql
 
 
@@ -87,12 +92,12 @@ class Nerve:
             closed.add((v,))
         return cls(verts, frozenset(closed))
 
-    @property
-    def depth(self):
-        return max(len(s) for s in self.simplices) - 1
-
     # The caches below live in the instance __dict__; a nerve compares and
     # hashes on (vertices, simplices) only, so they stay out of both.
+
+    @cached_property
+    def depth(self):
+        return max(len(s) for s in self.simplices) - 1
 
     @cached_property
     def _by_dim(self):
@@ -115,6 +120,14 @@ class Nerve:
                 for k in range(l + 1):
                     table[t[:k] + t[k + 1 :]].append((t, k))
         return {s: tuple(pairs) for s, pairs in table.items()}
+
+    @cached_property
+    def front_back(self):
+        """(p, q) -> the rows (s, s[:p+1], s[p:]) of the sorted (p+q)-simplices
+        s (front p-face, back q-face), for p + q <= depth."""
+        d = self.depth
+        keys = ((p, q) for p in range(d + 1) for q in range(d + 1 - p))
+        return {(p, q): tuple((s, s[: p + 1], s[p:]) for s in self.simplices_of_dim(p + q)) for p, q in keys}
 
     @cached_property
     def _cech_complexes(self):
@@ -239,14 +252,13 @@ def build_cochain(nerve, degree, module, values):
     return cochain_module(nerve, module, degree).element(terms)
 
 
-def cochain_values(nerve, x):
-    """{sorted simplex: value} of the cochain x, on the simplices where it is
-    nonzero."""
-    _, module = cochain_type(nerve, x)
+def _by_simplex(x):
+    """{sorted simplex: [(label, coefficient), ...]} of a cochain's data on the
+    simplices where it is nonzero, in the order of x.data."""
     groups = {}
     for (s, lab), c in x.data.items():
-        groups.setdefault(s, {})[lab] = c
-    return {s: _vec(module, data) for s, data in groups.items()}
+        groups.setdefault(s, []).append((lab, c))
+    return groups
 
 
 def cochain_value(nerve, x, simplex):
@@ -280,34 +292,29 @@ def is_cocycle(nerve, x):
     return not any(ql.compose_columns(C.qdiff(l), list(slices.values())))
 
 
-def cochain_wedge(nerve, wedge_fn, x, y, target_module):
-    """Front-back wedge of module-valued cochains, for a bilinear wedge_fn:
-
-    (x ^ y)_{a_0..a_{p+q}} = x_{a_0..a_p} ^ y_{a_p..a_{p+q}}.
-    """
+def cochain_wedge(nerve, rule, x, y, target_module):
+    """Front-back product (x ^ y)_{a_0..a_{p+q}} = x_{a_0..a_p} ^ y_{a_p..a_{p+q}}
+    over the nerve's front-back table, through a rule on labels: rule[a, b]
+    is (sign, label) with a ^ b = sign * label, or None where it is zero.
+    Terms are added in table order, then in x's and y's."""
     p, q = cochain_type(nerve, x)[0], cochain_type(nerve, y)[0]
-    xs, ys = cochain_values(nerve, x), cochain_values(nerve, y)
-    terms = []
-    for s in nerve.simplices_of_dim(p + q):
-        front, back = xs.get(s[: p + 1]), ys.get(s[p:])
-        if front is not None and back is not None:
-            terms += [((s, lab), c) for lab, c in wedge_fn(front, back).data.items()]
-    return cochain_module(nerve, target_module, p + q).element(terms)
+    xs, ys = _by_simplex(x), _by_simplex(y)
+    out = {}
+    for s, front, back in nerve.front_back.get((p, q), ()):
+        if (xv := xs.get(front)) is not None and (yv := ys.get(back)) is not None:
+            pairs = ((m, ca * cb) for a, ca in xv for b, cb in yv if (m := rule[a, b]))
+            _accumulate(out, (((s, m[1]), c if m[0] > 0 else -c) for m, c in pairs))
+    M = cochain_module(nerve, target_module, p + q)
+    if not out.keys() <= M.label_index.keys():
+        raise StructuralError(f"a product lands outside {target_module.name!r}")
+    return _vec(M, out)
 
 
 def yoneda_compose(nerve, u, v, hom_module):
-    """Yoneda product at cochain level: (-1)^{pq} times composition cup."""
-    sgn = (-1) ** (cochain_type(nerve, u)[0] * cochain_type(nerve, v)[0])
-
-    def compose(uf, vb):
-        return hom_module.element(
-            ((src, tgt), cu * cv * sgn)
-            for (mid1, tgt), cu in uf.data.items()
-            for (src, mid2), cv in vb.data.items()
-            if mid1 == mid2
-        )
-
-    return cochain_wedge(nerve, compose, u, v, hom_module)
+    """Yoneda product at cochain level: (-1)^{pq} times composition cup, u after v."""
+    (p, U), (q, V) = cochain_type(nerve, u), cochain_type(nerve, v)
+    rule = {(a, b): ((-1) ** (p * q), (b[0], a[1])) if a[0] == b[1] else None for a in U.labels for b in V.labels}
+    return cochain_wedge(nerve, rule, u, v, hom_module)
 
 
 # -- cohomology of constant and twisted local systems ------------------------
@@ -427,9 +434,9 @@ def combine_representatives(nerve, degree, module, coeffs):
 
 def cohomologous(nerve, x, y):
     """Do two cocycles represent the same class?  Each slice of x - y is
-    solved against the scalar complex's cached solver."""
+    tested for membership in the scalar complex's cached boundary span."""
     l, C, slices = _slices(nerve, x - y)
-    return all(C.qsolver(l - 1).solve(col) is not None for col in slices.values())
+    return all(C.qsolver(l - 1).contains(col) for col in slices.values())
 
 
 def class_coordinates(nerve, x):
@@ -452,9 +459,9 @@ def hom_lam_module(ext, j, i):
     return M
 
 
-def hom_value_to_linmap(ext, j, i, v):
+def hom_value_to_linmap(ext, j, i, terms):
     cols = {}
-    for (a, b), c in v.data.items():
+    for (a, b), c in terms:
         cols.setdefault(a, []).append((b, c))
     tgt = ext.lam_i(i)
     return LinMap(ext.lam_i(j), tgt, {a: tgt.element(pairs) for a, pairs in cols.items()})
@@ -577,16 +584,12 @@ def eta_recursion(ext, nerve, c_cochains, d_cochains):
     for i in range(r):
         base = etas[(i, 0)]
         diff = c_cochains[0] - d_cochains[i]
-        nxt = cochain_wedge(nerve, ext.exterior.wedge, diff, base, ext.lam_i(i + 1)).scale(
-            Fraction((-1) ** i, i + 1)
-        )
+        nxt = cochain_wedge(nerve, MERGES, diff, base, ext.lam_i(i + 1)).scale(Fraction((-1) ** i, i + 1))
         etas[(i + 1, 0)] = nxt
         for j in range(1, i + 1):
             term1 = etas[(i, j - 1)]
             diffj = c_cochains[j] - d_cochains[i]
-            term2 = cochain_wedge(nerve, ext.exterior.wedge, diffj, etas[(i, j)], ext.lam_i(i + 1 - j)).scale(
-                (-1) ** (i - j)
-            )
+            term2 = cochain_wedge(nerve, MERGES, diffj, etas[(i, j)], ext.lam_i(i + 1 - j)).scale((-1) ** (i - j))
             etas[(i + 1, j)] = (term1.scale(j) + term2).scale(Fraction(1, i + 1))
     return etas
 
@@ -630,11 +633,11 @@ def build_t_wedge(ext, nerve, c_cochains, d_cochains):
                 continue
             i_sign = (-1) ** l
             # a simplex where eta vanishes has a zero component
-            for s, ev in cochain_values(nerve, etas[(n + l, n)]).items():
+            for s, ev in _by_simplex(etas[(n + l, n)]).items():
                 images = {
                     (tag, K): [
                         ((tag, m[1]), m[0] * i_sign if tag == "i" else m[0], c)
-                        for E, c in ev.data.items()
+                        for E, c in ev
                         if (m := MERGES[E, K]) is not None
                     ]
                     for tag, K in labels
@@ -659,9 +662,9 @@ def build_t_last_level(ext, nerve, lam, mu):
             comps[(n, 0, s)] = [{i: 1} for i in range(dim)]
     diff = (lam.cocycles[r - 1].cochain - mu.cocycles[r - 1].cochain).scale(Fraction(1, r))
     # an edge where the difference vanishes has a zero component
-    for s, dv in cochain_values(nerve, diff).items():
+    for s, dv in _by_simplex(diff).items():
         images = {}
-        for (K, U), c in dv.data.items():
+        for (K, U), c in dv:
             images.setdefault(("j", K), []).append((("j", U), 1, c))
         comps[(r - 1, 1, s)] = _component_columns(ext, r, r + 1, images)
     return comps
@@ -817,11 +820,13 @@ def extract_delta(ext, nerve, T):
     valued in Hom(Lambda^j I, Lambda^i I), read off the ('j', L) entries of
     the component's columns at the pairs (('j', K), 1) through the target
     basis's pairs; each entry is checked to be a cocycle for the untwisted
-    differential (the twists die on the reduced associated-graded pieces).
+    differential (the twists die on the reduced associated-graded pieces) on
+    the (label, monomial) slices it collects, as is_cocycle does.
     """
     r = ext.rank
     algebra = ext.algebra
     unit = algebra.constant_exps
+    C = cech_complex(nerve, SCALARS)
     entries = {}
     for j in range(r + 1):
         index = ext.flat(j + 1).index
@@ -830,20 +835,21 @@ def extract_delta(ext, nerve, T):
             if l > nerve.depth:
                 continue
             pairs = ext.flat(i + 1).pairs
-            terms = []
+            terms, slices = [], {}
             for s in nerve.simplices_of_dim(l):
                 cols = T.get((j, l, s))
                 if cols is None:
                     continue
+                row = C.flat(l).index[((s, ()), ())]
                 for K in ext.lam_i(j).labels:
                     for t, c in cols[index[(("j", K), unit)]].items():
                         (tag, L), e = pairs[t]
                         if tag == "j":
                             terms.append(((s, (K, L)), c if e == unit else algebra.monomial(e, c)))
-            w = cochain_module(nerve, hom_lam_module(ext, j, i), l).element(terms)
-            if not is_cocycle(nerve, w):
+                            slices.setdefault(((K, L), e), {})[row] = c
+            if any(ql.compose_columns(C.qdiff(l), list(slices.values()))):
                 raise StructuralError(f"extracted entry ({i},{j}) is not a cocycle")
-            entries[(i, j)] = w
+            entries[(i, j)] = cochain_module(nerve, hom_lam_module(ext, j, i), l).element(terms)
     return DeltaMatrix(ext, nerve, entries)
 
 
@@ -887,11 +893,8 @@ def l_operator(ext, nerve, i, j, v_cocycle):
     if cochain_type(nerve, v_cocycle) != (i - j, ext.lam_i(i - j)):
         raise StructuralError("wedging needs a Lambda^{i-j} I-valued (i-j)-cochain")
     labels = ext.lam_i(j).labels
-    by_simplex = {}
-    for (s, E), c in v_cocycle.data.items():
-        by_simplex.setdefault(s, []).append((E, c))
     data = {}
-    for s, terms in by_simplex.items():
+    for s, terms in _by_simplex(v_cocycle).items():
         for E, c in terms:
             neg = None
             for K in labels:
@@ -914,7 +917,7 @@ def t_operator(ext, nerve, k, p, m, hom_cochain):
     if module != hom_lam_module(ext, p, k):
         raise StructuralError("translation: wrong Hom type")
     terms = []
-    for s, val in cochain_values(nerve, hom_cochain).items():
+    for s, val in _by_simplex(hom_cochain).items():
         t = ext.exterior.translate(k, p, m, hom_value_to_linmap(ext, p, k, val))
         terms += [((s, (S, T)), c) for S, col in t.cols.items() for T, c in col.data.items()]
     return cochain_module(nerve, hom_lam_module(ext, p + m, k + m), l).element(terms)

@@ -198,7 +198,11 @@ class Poly:
         return _poly(self.algebra, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        other = self._coerce(other)
+        if self.terms and other.terms and not self.algebra.num_vars:  # Q's one monomial is ()
+            s = _number(self.terms[()] - other.terms[()])
+            return _poly(self.algebra, {(): s} if s else {})
+        return self + (-other)
 
     def __mul__(self, other):
         algebra = self.algebra

@@ -15,8 +15,9 @@ here, on labels: sort_sign (the sign of e_{k_1} ^ ... ^ e_{k_n} against
 e_{sorted K}), shuffles (the terms of W_{p,q}, weight p!q!/(p+q)!) and
 symmetrizations (the terms of s_n, weight 1/n!).  Every other module
 builds its exterior powers through an ExteriorContext and wedges through
-ExteriorContext.wedge, or calls these kernels on the labels of its own
-split modules: kappa and zeta of hkr_local read symmetrizations and
+ExteriorContext.wedge or, on labels, the merge table MERGES (as the Cech
+cup product does), or calls these kernels on the labels of its own split
+modules: kappa and zeta of hkr_local read symmetrizations and
 sort_sign on the tensor powers of B (x) I, and translate, here, reads shuffles.
 
 Of the four sign conventions admitted by the census, the trivial one

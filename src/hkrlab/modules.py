@@ -151,9 +151,18 @@ class Vec:
         return _vec(self.module, {lab: -c for lab, c in self.data.items()})
 
     def __sub__(self, other):
+        """Subtracted as it accumulates, in _accumulate's label order."""
         self._check(other)
-        negated = ((lab, -c) for lab, c in other.data.items())
-        return _vec(self.module, _accumulate(dict(self.data), negated))
+        out = dict(self.data)
+        for lab, c in other.data.items():
+            s = out.get(lab)
+            if s is None:
+                out[lab] = -c
+            elif (s := s - c).terms:
+                out[lab] = s
+            else:
+                del out[lab]
+        return _vec(self.module, out)
 
     def scale(self, c):
         if isinstance(c, (int, Fraction)):

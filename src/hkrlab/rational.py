@@ -15,8 +15,9 @@ in it.  ``compose_columns`` multiplies matrices (``ComplexMap.is_chain_map``,
 ``nullspace``, ``Solver`` and ``inverse`` take (cols, nrows), and
 solutions, kernels and inverses come back as sparse columns.  ``Solver`` is
 the one solve: a system is reduced once and each right-hand side is a
-sparse product, never a column stacked into a new elimination.  Every
-elimination is one ``rref``, a Gauss-Jordan reduction on sparse rows.
+sparse product, never a column stacked into a new elimination, and
+``Solver.contains`` is its membership test, for ``cech_twist.cohomologous``.
+Every elimination is one ``rref``, a Gauss-Jordan reduction on sparse rows.
 ``over_common_denominator`` is the one way columns become ints over one
 denominator: ``Solver`` keeps each reduced row so and clears each
 right-hand side so, and ``cech_twist.t_chain_check`` checks the comparison
@@ -132,40 +133,46 @@ class Solver:
     A is reduced once: rref([A | I]) = [R | E] with E A = R.  Then A x = b
     is solvable iff (E b)_i = 0 on every zero row i of R, and the solution
     whose free variables are zero has x[p_i] = (E b)_i at the i-th pivot
-    column p_i: the solution ``solve`` returns.  Each row of E is kept as
-    sparse integers over one denominator, so a solve is integer dot
-    products and one Fraction per pivot.
+    column p_i: the solution ``solve`` returns.  ``contains`` reads the zero
+    rows alone, kept by column.  Rows of E are kept as sparse integers over
+    one denominator, so a solve is int products and one Fraction per pivot.
     """
 
     def __init__(self, cols, nrows):
         m = len(cols)
         rows, pivots = rref(cols + identity(nrows), nrows)
         self._solution_rows = []
-        self._null_rows = []
+        self._null_columns = {}  # column j -> [(pivot, entry), ...] of the null rows
         for row, p in zip(rows, pivots):
             (ints,), d = over_common_denominator([{j - m: c for j, c in row.items() if j >= m}])
             if p < m:
                 self._solution_rows.append((p, ints, d))
             else:
-                self._null_rows.append(ints)
+                for j, e in ints.items():
+                    self._null_columns.setdefault(j, []).append((p, e))
 
     def solve(self, b):
         """The solution of A x = b for a sparse column b, as a sparse column,
         or None if b is not in the column span."""
-        (ints_b,), d = over_common_denominator([b])
-        nonzero = list(ints_b.items())
-
-        def dot(ints):
-            return sum(ints[j] * v for j, v in nonzero if j in ints)
-
-        if any(dot(ints) for ints in self._null_rows):
+        if not self.contains(b):
             return None
+        (ints_b,), d = over_common_denominator([b])
         x = {}
         for p, ints, e in self._solution_rows:
-            s = dot(ints)
+            s = sum(ints[j] * v for j, v in ints_b.items() if j in ints)
             if s:
                 x[p] = Fraction(s, e * d)
         return x
+
+    def contains(self, b):
+        """Is the sparse column b in the column span?  The null rows alone
+        decide it, read by column over b's entries; no solution is built."""
+        (ints_b,), _ = over_common_denominator([b])
+        acc = {}
+        for j, v in ints_b.items():
+            for p, e in self._null_columns.get(j, ()):
+                acc[p] = acc.get(p, 0) + e * v
+        return not any(acc.values())
 
 
 def over_common_denominator(cols):

@@ -6,7 +6,11 @@ element of its Cech complex, kept unchanged: a dict {sorted simplex: value}
 that checks every write and has its own sum, difference and multiple.  The
 operations below it are the package's former ones, except that the
 differential is the alternating face sum itself rather than the complex's.
-``to_element`` and ``from_element`` translate between the two forms.
+``cochain_values``, the package's former reading of a cochain as one value
+per simplex, and ``to_element`` and ``from_element`` translate between the
+two forms.  ``cochain_wedge`` is the package's former front-back product,
+which takes a bilinear function of two values where the package's takes a
+rule on labels.
 ``l_operator`` is the package's former wedge-with-a-class operator, which
 sent every term through ``BasedModule.element``.
 """
@@ -20,9 +24,9 @@ from hkrlab.cech_twist import (
     cech_complex,
     cochain_module,
     cochain_type,
-    cochain_values,
     hom_lam_module,
 )
+from hkrlab.modules import _vec
 from hkrlab.exterior_core import merge_wedge, perm_sign
 
 
@@ -81,6 +85,16 @@ class Cochain:
 
     def is_zero(self):
         return all(v.is_zero() for v in self.values.values())
+
+
+def cochain_values(nerve, x):
+    """{sorted simplex: value} of the cochain x, on the simplices where it is
+    nonzero."""
+    _, module = cochain_type(nerve, x)
+    groups = {}
+    for (s, lab), c in x.data.items():
+        groups.setdefault(s, {})[lab] = c
+    return {s: _vec(module, data) for s, data in groups.items()}
 
 
 def to_element(c):

@@ -20,10 +20,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from hkrlab.cech_twist import UnsupportedTwistError, cochain_values, cohomologous, eta_recursion
+from hkrlab.cech_twist import UnsupportedTwistError, cohomologous, eta_recursion
 from hkrlab.exterior_core import merge_wedge
 from hkrlab.modules import LinMap, StructuralError, _accumulate
 
+from reference_cochain import cochain_values
 from reference_complexes import linmap_of_columns
 
 

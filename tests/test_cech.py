@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from hkrlab.coeff import CoeffAlgebra
+from hkrlab.exterior_core import MERGES
 from hkrlab.extension_dg import build_extension
 from hkrlab.chain_core import homology
 from hkrlab.cli_report import SuiteConfig, run_suite
@@ -135,9 +136,8 @@ def test_torus_cohomology_and_cup():
         return combine_representatives(n, 1, M, [0] * t + [1])
 
     u, v = from_rep(0), from_rep(1)
-    wf = lambda a, b: a.scale(b.coeff(()))
-    uv = cochain_wedge(n, wf, u, v, M)
-    vu = cochain_wedge(n, wf, v, u, M)
+    uv = cochain_wedge(n, MERGES, u, v, M)
+    vu = cochain_wedge(n, MERGES, v, u, M)
     assert is_cocycle(n, uv)
     assert any(class_coordinates(n, uv))
     assert cohomologous(n, uv, vu.scale(-1))
@@ -184,10 +184,9 @@ def test_cochain_wedge_leibniz():
         xs = {s: M.element([((0,), rng.randint(-2, 2)), ((1,), rng.randint(-2, 2))]) for s in nerve.simplices_of_dim(0)}
         x = build_cochain(nerve, 0, M, xs)
         y = build_cochain(nerve, 1, M, {s: M.basis_vec((0,), rng.randint(-2, 2)) for s in nerve.simplices_of_dim(1)})
-        wf = ext.exterior.wedge
-        lhs = cech_delta(nerve, cochain_wedge(nerve, wf, x, y, ext.lam_i(2)))
-        rhs = cochain_wedge(nerve, wf, cech_delta(nerve, x), y, ext.lam_i(2)) + cochain_wedge(
-            nerve, wf, x, cech_delta(nerve, y), ext.lam_i(2)
+        lhs = cech_delta(nerve, cochain_wedge(nerve, MERGES, x, y, ext.lam_i(2)))
+        rhs = cochain_wedge(nerve, MERGES, cech_delta(nerve, x), y, ext.lam_i(2)) + cochain_wedge(
+            nerve, MERGES, x, cech_delta(nerve, y), ext.lam_i(2)
         )  # deg(x) = 0: no sign
         assert (lhs - rhs).is_zero()
 
@@ -210,7 +209,7 @@ def cup_commutes_with_delta(ext, nerve, i, j, v):
     C = cech_complex(nerve, ext.lam_i(j))
 
     def cup(x):
-        return cochain_wedge(nerve, ext.exterior.wedge, v, x, ext.lam_i(i))
+        return cochain_wedge(nerve, MERGES, v, x, ext.lam_i(i))
 
     return all(
         (cech_delta(nerve, cup(x)) - cup(cech_delta(nerve, x)).scale((-1) ** (i - j))).is_zero()
@@ -255,7 +254,7 @@ def test_yoneda_rule_against_cup():
     lv = l_operator(ext, nerve, 2, 1, v)
     lw = l_operator(ext, nerve, 1, 0, w)
     got = yoneda_compose(nerve, lv, lw, hom_lam_module(ext, 0, 2))
-    cup = cochain_wedge(nerve, ext.exterior.wedge, v, w, ext.lam_i(2))
+    cup = cochain_wedge(nerve, MERGES, v, w, ext.lam_i(2))
     want = l_operator(ext, nerve, 2, 0, cup).scale((-1) ** (1 * 1))
     assert cohomologous(nerve, got, want)
 
@@ -303,10 +302,9 @@ def test_eta_recursion_spot_values():
     assert (etas[(1, 0)] - (cs[0] - ds[0])).is_zero()
     want21 = (cs[0] - ds[0] + cs[1] - ds[1]).scale(Fraction(1, 2))
     assert (etas[(2, 1)] - want21).is_zero()
-    wf = ext.exterior.wedge
     # the degree-2 entry keeps the 1/(i+1) prefactor (on this nerve both
     # sides vanish; the torus test below pins the normalization)
-    want20 = cochain_wedge(nerve, wf, cs[0] - ds[1], cs[0] - ds[0], ext.lam_i(2)).scale(
+    want20 = cochain_wedge(nerve, MERGES, cs[0] - ds[1], cs[0] - ds[0], ext.lam_i(2)).scale(
         Fraction(-1, 2)
     )
     assert (etas[(2, 0)] - want20).is_zero()
@@ -1007,7 +1005,7 @@ def delta_golden_text(nerve_name, r, seed):
                 continue
             e = delta.entry(i, j)
             entries[f"{i},{j}"] = {
-                ",".join(map(str, s)): hom_value_to_linmap(ext, j, i, cochain_value(nerve, e, s)).to_json()
+                ",".join(map(str, s)): hom_value_to_linmap(ext, j, i, cochain_value(nerve, e, s).data.items()).to_json()
                 for s in nerve.simplices_of_dim(i - j)
             }
     return json.dumps(entries, sort_keys=True, indent=1) + "\n"

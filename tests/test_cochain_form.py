@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import reference_cochain as ref
 from hkrlab.coeff import CoeffAlgebra, Poly
 from hkrlab.chain_core import homology
+from hkrlab.exterior_core import MERGES
 from hkrlab.extension_dg import build_extension
 from hkrlab.cech_twist import (
     NERVE_LIBRARY,
@@ -106,16 +107,31 @@ def test_cochain_operations_match_the_reference(name, seed):
         assert cohomologous(nerve, z, w) == ref.cohomologous(zr, wr)
         assert same(nerve, canonical_representative(nerve, z), ref.canonical_representative(zr))
         assert cohomologous(nerve, z, canonical_representative(nerve, z))
-    hom21, hom10, hom20 = hom_lam_module(EXT, 1, 2), hom_lam_module(EXT, 0, 1), hom_lam_module(EXT, 0, 2)
-    for p in range(nerve.depth + 1):
-        for q in range(nerve.depth + 1 - p):
-            a, x = random_pair(nerve, p, I1, rng)
-            b, y = random_pair(nerve, q, I1, rng)
-            wf = EXT.exterior.wedge
-            assert same(nerve, cochain_wedge(nerve, wf, x, y, I2), ref.cochain_wedge(wf, a, b, I2))
-            a, x = random_pair(nerve, p, hom21, rng)
-            b, y = random_pair(nerve, q, hom10, rng)
-            assert same(nerve, yoneda_compose(nerve, x, y, hom20), ref.yoneda_compose(a, b, hom20))
+    # the products over Q and over Q[x]<=2, where products of x^2 truncate to zero
+    for ext in (EXT, EXT_X):
+        I1, I2 = ext.lam_i(1), ext.lam_i(2)
+        hom21, hom10, hom20 = hom_lam_module(ext, 1, 2), hom_lam_module(ext, 0, 1), hom_lam_module(ext, 0, 2)
+        for p in range(nerve.depth + 1):
+            for q in range(nerve.depth + 1 - p):
+                a, x = random_pair(nerve, p, I1, rng)
+                b, y = random_pair(nerve, q, I1, rng)
+                want = ref.cochain_wedge(ext.exterior.wedge, a, b, I2)
+                assert same(nerve, cochain_wedge(nerve, MERGES, x, y, I2), want)
+                a, x = random_pair(nerve, p, hom21, rng)
+                b, y = random_pair(nerve, q, hom10, rng)
+                assert same(nerve, yoneda_compose(nerve, x, y, hom20), ref.yoneda_compose(a, b, hom20))
+
+
+@pytest.mark.parametrize("name", sorted(NERVES))
+def test_the_front_back_table_is_each_simplex_with_its_front_and_back_faces(name):
+    nerve = NERVES[name]
+    table = nerve.front_back
+    assert sorted(table) == [(p, q) for p in range(nerve.depth + 1) for q in range(nerve.depth + 1 - p)]
+    for (p, q), rows in table.items():
+        assert rows == tuple((s, s[: p + 1], s[p:]) for s in nerve.simplices_of_dim(p + q))
+        # the front p-face and the back q-face share the vertex s[p]
+        assert all(nerve.has(f) and nerve.has(b) and f[-1] == b[0] == s[p] for s, f, b in rows)
+    assert nerve.front_back is table
 
 
 @pytest.mark.parametrize("name", sorted(NERVES))
@@ -127,7 +143,7 @@ def test_cochains_above_the_depth_are_zero_and_typed(name):
     dx = cech_delta(nerve, x)
     assert dx.is_zero() and cochain_type(nerve, dx) == (top + 1, I1)
     assert is_cocycle(nerve, dx) and cohomologous(nerve, dx, dx)
-    up = cochain_wedge(nerve, EXT.exterior.wedge, x, dx, I2)
+    up = cochain_wedge(nerve, MERGES, x, dx, I2)
     assert up.is_zero() and cochain_type(nerve, up) == (2 * top + 1, I2)
     # an empty module of the same degree stands for its coefficient module only
     other = build_extension(CoeffAlgebra.rationals(), 3).lam_i(1)

@@ -173,6 +173,26 @@ def test_vec_arithmetic_keeps_no_zero_coefficient():
     assert v.scale(QX.gen(1) * QX.gen(1)).data == {"M1": QX.monomial((0, 2), 2)}
 
 
+@pytest.mark.parametrize("algebra", [QQ, CoeffAlgebra.polynomial(1, 2)], ids=["Q", "Q[x]<=2"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_difference_is_the_sum_with_the_negative(algebra, data):
+    # the pool holds its own negatives, so labels of x and y cancel and
+    # come back; the label order of list(data) is pinned too
+    M = module(algebra, 3, "M")
+    polys = [data.draw(coefficients(algebra)) for _ in range(2)] + [algebra.const(Fraction(1, 2))]
+    pool = [c for p in polys for c in (p, -p) if c.terms]
+    terms = st.lists(st.tuples(st.sampled_from(M.labels), st.sampled_from(pool)), max_size=5)
+    x, y = M.element(data.draw(terms)), M.element(data.draw(terms))
+    for a, b in ((x, y), (y, x), (x, x), (x, M.zero()), (M.zero(), y)):
+        got, want = a - b, a + (-b)
+        assert got == want and list(got.data) == list(want.data)
+        assert_clean(got)
+    for p in pool + [algebra.zero()]:
+        for q in pool + [algebra.zero()]:
+            assert list((p - q).terms.items()) == list((p + (-q)).terms.items())
+
+
 @st.composite
 def term_lists(draw):
     """(label, coeff) pairs over a few labels: labels repeat, and the

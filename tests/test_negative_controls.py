@@ -99,7 +99,7 @@ def eta_recursion_with_plus_signs():
         cech_twist,
         "eta_recursion",
         ("Fraction((-1) ** i, i + 1)", "Fraction(1, i + 1)"),
-        (".scale(\n                (-1) ** (i - j)\n            )", ".scale(1)"),
+        (".scale((-1) ** (i - j))", ".scale(1)"),
     )
 
 

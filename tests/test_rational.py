@@ -85,6 +85,59 @@ def test_solves_and_inverse_match_the_dense_reference(data):
         assert inv == (want if want is None else dense.to_columns(want, n))
 
 
+SMALL = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -3])
+
+
+@st.composite
+def integer_systems(draw):
+    """A sparse integer matrix of shape 0..8 x 0..8, some of whose columns
+    are combinations of earlier ones, so that it is often rank-deficient,
+    and a right-hand side drawn inside its column span (A x) or freely."""
+    n, m = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    cols = []
+    for j in range(m):
+        if j and draw(st.booleans()):
+            a, b, c = draw(st.integers(0, j - 1)), draw(st.integers(0, j - 1)), draw(SMALL)
+            col = {i: v for i, v in ql.add_scaled(dict(cols[a]), c, cols[b]).items() if v}
+        else:
+            col = {i: v for i in range(n) if (v := draw(SMALL))}
+        cols.append(col)
+    inside = draw(st.booleans())
+    if inside:
+        b = {}
+        for col in cols:
+            if c := draw(SMALL):
+                ql.add_scaled(b, c, col)
+    else:
+        b = {i: v for i in range(n) if (v := draw(SMALL))}
+    return cols, n, b, inside
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_systems())
+def test_contains_is_whether_solve_finds_a_solution(system):
+    cols, n, b, inside = system
+    solver = ql.Solver(cols, n)
+    x = solver.solve(b)
+    assert solver.contains(b) == (x is not None)
+    if x is not None:
+        assert ql.compose_columns(cols, [x]) == [b]
+    # b lies in the span exactly when appending it keeps the rank
+    assert solver.contains(b) == (ql.rank(cols + [b], n) == ql.rank(cols, n))
+    if inside:
+        assert solver.contains(b)
+    # a Fraction multiple lies in the span exactly when b does
+    assert solver.contains({i: Fraction(v, 3) for i, v in b.items()}) == solver.contains(b)
+
+
+def test_contains_rejects_a_column_outside_a_rank_deficient_span():
+    # columns (1, 1, 0), (2, 2, 0) and their sum: rank 1 in three rows
+    solver = ql.Solver([{0: 1, 1: 1}, {0: 2, 1: 2}, {0: 3, 1: 3}], 3)
+    assert solver.contains({0: 5, 1: 5}) and solver.contains({})
+    assert not solver.contains({0: 1}) and not solver.contains({2: Fraction(1, 2)})
+    assert solver.solve({0: 1}) is None
+
+
 def test_inverse_of_a_wide_or_tall_matrix_is_none():
     wide = [{0: Fraction(1)}, {1: Fraction(1)}, {}]
     assert ql.inverse(wide, 2) is None
