@@ -57,8 +57,9 @@ class TrivialExtension:
         self._hom_lam = {}
         # p -> the p-th tensor power of B over A, filled by hkr_local.tensor_power_module
         self._tensor_power = {}
-        # "P", "Q", "K" -> the unwindowed complex, filled by ak_complexes.build_p_complex,
-        # build_q_complex and hkr_local.build_k_complex; callers must not change them
+        # "P", "Q" -> the unwindowed complex, filled by ak_complexes.build_p_complex and
+        # build_q_complex, and ("K", window) -> K built at that window, filled by
+        # hkr_local.build_k_complex; callers must not change them
         self._complexes = {}
         # window -> the zeta battery's results, filled by hkr_local.zeta_checks
         self._zeta_checks = {}

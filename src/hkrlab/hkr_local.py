@@ -14,9 +14,11 @@ the image of the corresponding untruncated identity.  The Koszul
 resolution is exact on the whole window; no grade is excluded.
 
 Each complex has one owner.  P and K, the resolutions of A over B, depend
-only on the extension: build_p_complex and build_k_complex keep each on
-it, and CochainComplex.with_window keeps one view per window, so every
-caller at a window shares that view's differentials and homology.  Only
+only on the extension and are kept on it: build_p_complex keeps P, of
+which CochainComplex.with_window keeps one view per window, and
+build_k_complex builds K once per window, only through the deepest degree
+with a label inside it.  So every caller at a window shares that
+complex's differentials and homology.  Only
 psi, gamma and kappa read the splitting, so a model has two halves.  Its
 ModelBase, shared by every live LocalModel with the same (m, r, D) and
 dropped with the last of them, builds once and on first use the Koszul
@@ -114,8 +116,8 @@ class ModelBase:
 
     @cached_property
     def K(self):
-        """The extension's K at window D, the view zeta_checks reads too."""
-        return build_k_complex(self.ext).with_window(self.D)
+        """The extension's K built at window D, the complex zeta_checks reads too."""
+        return build_k_complex(self.ext, self.D)
 
     @cached_property
     def A_cplx(self):
@@ -257,8 +259,14 @@ class LocalModel:
 
     def validate(self):
         """Construction-time invariants, read off psi's monomial table: sigma
-        is a section, and psi(x^e) psi(x^f) = psi(x^{e+f}) for every pair of
-        monomials within the window."""
+        is a section, psi(1) = 1_B, and psi(x^e) psi(x^f) = psi(x^{e+f}) for
+        every pair of non-constant monomials within the window with x^e at
+        or before x^f in the table's order.
+
+        That covers every pair: B's degree-0 product star(0, 0, ., .) is
+        commutative, so the reversed pair is the same equation, and with
+        psi(1) = 1_B every pair (1, x^f) holds.
+        """
         # sigma followed by B -> A is the identity on generators
         for i in range(self.m):
             b = self.psi(self.lift_poly(self.A.gen(i)))
@@ -266,11 +274,14 @@ class LocalModel:
             if a.coeff(()) != self.A.gen(i):
                 raise ModelError("splitting is not a section")
         table, b_mul = self._psi_mono, self.ext.b_mul
+        one = (0,) * (self.m + self.r)
+        if table[one] != self.ext.unit():
+            raise ModelError("psi(1) is not the unit of B")
         # the table follows C.monomials, ordered by degree, so once e*f
         # leaves the window so does e times every later monomial
-        mons = [(e, sum(e), pe) for e, pe in table.items()]
-        for e, de, pe in mons:
-            for f, df, pf in mons:
+        mons = [(e, sum(e), pe) for e, pe in table.items() if e != one]
+        for i, (e, de, pe) in enumerate(mons):
+            for f, df, pf in mons[i:]:
                 if de + df > self.D:
                     break
                 ef = tuple(a + b for a, b in zip(e, f))
@@ -403,19 +414,25 @@ def tensor_power_module(ext, p):
     return ext._tensor_power[p]
 
 
-def build_k_complex(ext):
-    """The tensor-algebra resolution of A over B, brutally truncated.
+def build_k_complex(ext, window=None):
+    """The tensor-algebra resolution of A over B, brutally truncated, at a
+    grade window.
 
-    The true resolution is unbounded; terms are kept through degree
-    -(rank+1), which computes every homology group through degree -rank
-    faithfully (the kernel/image pattern is uniform in p).
+    The true resolution is unbounded.  Unwindowed (window None), terms are
+    kept through degree -(rank+1), which computes every homology group
+    through degree -rank faithfully (the kernel/image pattern is uniform in
+    p).  At a window w they are kept through degree -min(rank+1, w): the
+    labels of the degree -p term have grade p or p+1, so every deeper term
+    is empty inside the window.
     Differential: p times (project to the j part, include as the i part);
     this normalization is the one under which plain antisymmetrization in
-    both parts is a map of complexes to P.  Unwindowed, built once and
-    owned by the extension; callers must not change it.
+    both parts is a map of complexes to P.  Built once per window and owned
+    by the extension; callers must not change it.
     """
-    if "K" not in ext._complexes:
-        depth = ext.rank + 1
+    key = ("K", window)
+    K = ext._complexes.get(key)
+    if K is None:
+        depth = ext.rank + 1 if window is None else min(ext.rank + 1, window)
         modules = {-p: tensor_power_module(ext, p) for p in range(depth + 1)}
         diffs = {}
         for p in range(1, depth + 1):
@@ -426,8 +443,8 @@ def build_k_complex(ext):
                 if tag == "j":
                     d.set_column(lab, tgt.basis_vec(("i", S), p))
             diffs[-p] = d
-        ext._complexes["K"] = CochainComplex(ext.algebra, modules, diffs)
-    return ext._complexes["K"]
+        K = ext._complexes[key] = CochainComplex(ext.algebra, modules, diffs, window=window)
+    return K
 
 
 def k_b_action(ext, p, b, x):
@@ -533,7 +550,7 @@ def zeta_checks(ext, window=None):
     and is kept on it; each call returns a fresh copy.
     """
     if window not in ext._zeta_checks:
-        K = build_k_complex(ext).with_window(window)
+        K = build_k_complex(ext, window)
         P = build_p_complex(ext).with_window(window)
         z = zeta(ext, K, P)
         # keys in this order: a Markdown report prints a failing battery unsorted

@@ -20,9 +20,9 @@ sparse product, never a column stacked into a new elimination, and
 Every elimination is one ``rref``, a Gauss-Jordan reduction on sparse rows.
 ``over_common_denominator`` is the one way columns become ints over one
 denominator: ``Solver`` keeps each reduced row so and clears each
-right-hand side so, and ``cech_twist.t_chain_check`` checks the comparison
-morphism's equations on its integer multiple, so their products are int
-arithmetic.  Sizes in this package are small (a few
+right-hand side so, once per solve, and ``cech_twist.t_chain_check``
+checks the comparison morphism's equations on its integer multiple, so
+their products are int arithmetic.  Sizes in this package are small (a few
 hundred rows at most), so it is fast enough and keeps everything exact.
 """
 
@@ -154,9 +154,9 @@ class Solver:
     def solve(self, b):
         """The solution of A x = b for a sparse column b, as a sparse column,
         or None if b is not in the column span."""
-        if not self.contains(b):
-            return None
         (ints_b,), d = over_common_denominator([b])
+        if not self._contains_ints(ints_b):
+            return None
         x = {}
         for p, ints, e in self._solution_rows:
             s = sum(ints[j] * v for j, v in ints_b.items() if j in ints)
@@ -168,6 +168,10 @@ class Solver:
         """Is the sparse column b in the column span?  The null rows alone
         decide it, read by column over b's entries; no solution is built."""
         (ints_b,), _ = over_common_denominator([b])
+        return self._contains_ints(ints_b)
+
+    def _contains_ints(self, ints_b):
+        """contains on b's entries cleared to ints over one denominator."""
         acc = {}
         for j, v in ints_b.items():
             for p, e in self._null_columns.get(j, ()):

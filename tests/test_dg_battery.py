@@ -214,3 +214,7 @@ def test_shared_maps_are_unchanged_by_their_callers():
         for view in (kept, kept.with_window(3)):
             assert view.modules == new.modules
             assert {n: d.cols for n, d in view.diffs.items()} == {n: d.cols for n, d in new.diffs.items()}
+    # and so does K as zeta_checks built it at window 3
+    kept, new = build_k_complex(ext, 3), build_k_complex(fresh, 3)
+    assert kept.modules == new.modules
+    assert {n: d.cols for n, d in kept.diffs.items()} == {n: d.cols for n, d in new.diffs.items()}

@@ -13,6 +13,7 @@ from hkrlab.modules import LinMap, StructuralError, Vec
 from hkrlab import rational as ql
 
 import dense_rational as dense
+from test_chain import DESK_MODELS
 
 QQ = CoeffAlgebra.rationals()
 QX2 = CoeffAlgebra.polynomial(1, 2)
@@ -355,3 +356,14 @@ def test_star_matches_abstract_formula_random(data):
         got = ext.star(a, b, u, v)
         assert [[got]] == ext.star_abstract(a, b, [u], [v])
         assert all(c.terms for c in got.data.values())
+
+
+@pytest.mark.parametrize("m,r,D", DESK_MODELS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_b_product_is_commutative_over_the_desk_algebras(m, r, D, data):
+    # LocalModel.validate multiplies each unordered pair of monomials once on
+    # the strength of this
+    ext = TrivialExtension(CoeffAlgebra.polynomial(m, D), r)
+    x, y = data.draw(shifted_elements(ext, 0)), data.draw(shifted_elements(ext, 0))
+    assert ext.b_mul(x, y) == ext.b_mul(y, x)

@@ -15,7 +15,7 @@ from hkrlab import chain_core
 from hkrlab import rational as ql
 from hkrlab.ak_complexes import build_p_complex
 from hkrlab.chain_core import ComplexMap, homology, is_quasi_iso
-from hkrlab.cli_report import SuiteConfig, run_suite
+from hkrlab.cli_report import COMPARISON_MODELS, SuiteConfig, run_suite
 from hkrlab.coeff import CoeffAlgebra, poly_to_string
 from hkrlab import hkr_local
 from hkrlab.exterior_core import sort_sign
@@ -31,6 +31,7 @@ from hkrlab.hkr_local import (
     tensor_power_module,
     zeta_checks,
 )
+from test_chain import DESK_MODELS
 
 QQ = CoeffAlgebra.rationals()
 GOLDEN = Path(__file__).parent / "golden"
@@ -146,9 +147,10 @@ def test_validate_visits_exactly_the_pairs_inside_the_window(shape, monkeypatch)
 
     monkeypatch.setattr(TrivialExtension, "b_mul", recording)
     model.validate()
-    assert seen == [
-        (id(pe), id(pf)) for e, pe in table.items() for f, pf in table.items() if sum(e) + sum(f) <= D
-    ]
+    # psi(1) is compared with 1_B, and B's product is commutative, so each
+    # unordered pair of non-constant monomials is multiplied once
+    mons = [(sum(e), pe) for e, pe in table.items() if any(e)]
+    assert seen == [(id(pe), id(pf)) for i, (de, pe) in enumerate(mons) for df, pf in mons[i:] if de + df <= D]
 
 
 def test_validate_rejects_a_non_multiplicative_psi_at_the_top_degree(monkeypatch):
@@ -162,6 +164,32 @@ def test_validate_rejects_a_non_multiplicative_psi_at_the_top_degree(monkeypatch
     monkeypatch.setattr(LocalModel, "_psi_monomial_table", perturbed)
     with pytest.raises(ModelError, match="psi is not multiplicative"):
         LocalModel(1, 1, 3)
+
+
+def test_validate_rejects_a_psi_of_one_that_is_not_the_unit(monkeypatch):
+    table = LocalModel._psi_monomial_table
+
+    def perturbed(self):
+        out = table(self)
+        out[(0, 0)] = out[(0, 0)] + self.j_class(0)  # psi(1) = 1_B + y1
+        return out
+
+    monkeypatch.setattr(LocalModel, "_psi_monomial_table", perturbed)
+    with pytest.raises(ModelError):
+        LocalModel(1, 1, 3)
+
+
+def test_validate_rejects_a_non_multiplicative_psi_on_a_mixed_monomial(monkeypatch):
+    table = LocalModel._psi_monomial_table
+
+    def perturbed(self):
+        out = table(self)
+        out[(1, 0, 0, 1)] = out[(1, 0, 0, 1)] + self.j_class(0)  # psi(x1*y2) gains y1
+        return out
+
+    monkeypatch.setattr(LocalModel, "_psi_monomial_table", perturbed)
+    with pytest.raises(ModelError, match="psi is not multiplicative"):
+        LocalModel(2, 2, 3, chi=PSI_CHI)
 
 
 def test_validate_rejects_a_splitting_that_is_not_a_section(monkeypatch):
@@ -390,6 +418,19 @@ def test_gamma_checks_see_a_negated_product_of_positive_degrees(monkeypatch):
     assert record["detail"] == {"model": (1, 2, 3), "gamma": gamma}
 
 
+@pytest.mark.parametrize("m,r,D", sorted(set(DESK_MODELS) | set(COMPARISON_MODELS)))
+def test_k_built_at_a_window_is_the_unwindowed_k_read_there(m, r, D):
+    ext = TrivialExtension(CoeffAlgebra.polynomial(m, D), r)
+    got, want = build_k_complex(ext, D), build_k_complex(ext).with_window(D)
+    assert got is build_k_complex(ext, D) and got is not want and got.window == D
+    # no term deeper than the window reaches: the degree -p labels have grade p or p + 1
+    assert got.degrees() == list(range(-min(r + 1, D), 1))
+    for n in range(-r, 1):
+        assert got.flat(n).pairs == want.flat(n).pairs
+        assert got.qdiff(n) == want.qdiff(n)
+        assert homology(got, n).dim == homology(want, n).dim
+
+
 def test_a_model_and_zeta_checks_share_the_extensions_complexes(monkeypatch, fresh_bases):
     seen = []
     zeta = hkr_local.zeta
@@ -410,7 +451,7 @@ def test_a_model_and_zeta_checks_share_the_extensions_complexes(monkeypatch, fre
     model = LocalModel(1, 2, 3)
     ext = model.ext
     assert model.P is build_p_complex(ext).with_window(3)
-    assert model.K is build_k_complex(ext).with_window(3)
+    assert model.K is build_k_complex(ext, 3)
     assert build_p_complex(ext).with_window(None) is build_p_complex(ext)
     assert all(model.gamma_checks().values())
     assert all(zeta_checks(ext, window=3).values())
